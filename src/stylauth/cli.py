@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -32,6 +30,7 @@ from .experiments import (
     rank_similar,
     verify_disputed,
 )
+from .pipeline import CountsCache
 
 log = logging.getLogger(__name__)
 
@@ -40,46 +39,6 @@ EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_CORPUS = 3
 EXIT_EXPERIMENT = 4
-
-CACHE_NAME = "corpus_cache.pkl"
-
-
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _source_hashes(manifest: Path) -> dict[str, str]:
-    hashes = {str(manifest): _file_sha256(manifest)}
-    for child in manifest.parent.rglob("*"):
-        if child.is_file() and child.suffix in (".txt", ".tsv") :
-            hashes[str(child)] = _file_sha256(child)
-    return hashes
-
-
-def load_corpus_cached(manifest: Path, output_dir: Path) -> Corpus:
-    """Load the corpus, reusing the ingest cache when sources are unchanged."""
-    if not manifest.is_file():
-        return load_corpus(manifest)  # raises the canonical missing-file error
-    cache_path = output_dir / CACHE_NAME
-    current = _source_hashes(manifest)
-    if cache_path.is_file():
-        try:
-            with cache_path.open("rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("source_hashes") == current:
-                log.info("using cached corpus from %s", cache_path)
-                return payload["corpus"]
-        except Exception:  # stale or foreign cache: fall through to a fresh load
-            log.warning("ignoring unreadable cache at %s", cache_path)
-    return load_corpus(manifest)
-
-
-def write_cache(corpus: Corpus, manifest: Path, output_dir: Path) -> Path:
-    cache_path = output_dir / CACHE_NAME
-    with cache_path.open("wb") as fh:
-        pickle.dump({"source_hashes": _source_hashes(manifest), "corpus": corpus}, fh)
-    return cache_path
-
 
 def _report_meta(command: str, run: RunConfig, corpus: Corpus | None) -> dict:
     return {
@@ -118,7 +77,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_ingest(run: RunConfig, args: argparse.Namespace) -> int:
     corpus = load_corpus(run.manifest)
-    cache_path = write_cache(corpus, run.manifest, run.output_dir)
     docs = []
     for doc in corpus:
         segs = segment(doc, run.pipeline.segmentation.min_tokens)
@@ -141,7 +99,6 @@ def cmd_ingest(run: RunConfig, args: argparse.Namespace) -> int:
         "labelled_count": len(corpus.labelled()),
         "disputed_ids": [d.id for d in corpus.disputed()],
         "authors": corpus.authors(),
-        "cache_path": str(cache_path),
     }
     write_report(run.output_dir / "ingest_report.json", _report_meta("ingest", run, corpus), results)
     print(
@@ -152,7 +109,7 @@ def cmd_ingest(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_loo(run: RunConfig, args: argparse.Namespace) -> int:
-    corpus = load_corpus_cached(run.manifest, run.output_dir)
+    corpus = load_corpus(run.manifest)
     start = time.perf_counter()
     report = loo_run(corpus, run.pipeline, run.seed, threads=run.threads)
     elapsed = time.perf_counter() - start
@@ -181,7 +138,7 @@ def cmd_loo(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(run: RunConfig, args: argparse.Namespace) -> int:
-    corpus = load_corpus_cached(run.manifest, run.output_dir)
+    corpus = load_corpus(run.manifest)
     pool = run.pipeline.features.blocks_in_order()
     mode = ABLATION_HARDEST10 if args.mode == "hardest10" else ABLATION_EXACT
     report = ablate(corpus, pool, run.pipeline, mode=mode, seed=run.seed, threads=run.threads)
@@ -207,7 +164,7 @@ def cmd_ablate(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
-    corpus = load_corpus_cached(run.manifest, run.output_dir)
+    corpus = load_corpus(run.manifest)
     if run.disputed_id is None:
         raise StylauthError("config has no disputed_id; nothing to verify")
     verdict = verify_disputed(
@@ -224,20 +181,23 @@ def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(run: RunConfig, args: argparse.Namespace) -> int:
-    corpus = load_corpus_cached(run.manifest, run.output_dir)
+    corpus = load_corpus(run.manifest)
     if run.disputed_id is None:
         raise StylauthError("config has no disputed_id; nothing to attribute")
+    cache = CountsCache(run.pipeline.features)
     result = attribute_disputed(
         corpus,
         run.disputed_id,
         run.pipeline,
         min_texts_per_author=args.min_texts,
         seed=run.seed,
+        cache=cache,
     )
     results = result.to_dict()
     if args.with_loo:
+        min_texts = max(2, args.min_texts)
         loo = attribution_contingency(
-            corpus, run.pipeline, min_texts_per_author=max(2, args.min_texts), seed=run.seed
+            corpus, run.pipeline, min_texts_per_author=min_texts, seed=run.seed, cache=cache
         )
         results["loo"] = loo.to_dict()
         write_csv(
@@ -264,7 +224,7 @@ def cmd_attribute(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_similar(run: RunConfig, args: argparse.Namespace) -> int:
-    corpus = load_corpus_cached(run.manifest, run.output_dir)
+    corpus = load_corpus(run.manifest)
     if run.disputed_id is None:
         raise StylauthError("config has no disputed_id; nothing to rank against")
     top_k = args.top_k if args.top_k is not None else run.similar_top_k
@@ -309,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None, help="override the config output dir")
         p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
 
-    common(sub.add_parser("ingest", help="validate the corpus and build the cache"))
+    common(sub.add_parser("ingest", help="validate and summarise the corpus"))
     common(sub.add_parser("loo", help="leave-one-out evaluation of the verifier"))
     p = sub.add_parser("ablate", help="greedy feature-block ablation")
     common(p)

@@ -44,7 +44,6 @@ class DroConfig:
     target_positive_ratio: float = 0.20
     latent_dimension: int | None = None
     samples_per_extension: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.target_positive_ratio < 1.0):
@@ -242,7 +241,7 @@ def oversample(
     examples: Sequence[tuple[SparseVector, int]],
     profiles: DistributionalProfiles,
     config: DroConfig,
-    master_seed: int | None = None,
+    master_seed: int,
 ) -> list[ExtendedExample]:
     """Extend every example once and synthesize positives up to the target ratio.
 
@@ -257,11 +256,10 @@ def oversample(
     n_neg = len(labels) - n_pos
     if n_pos == 0:
         raise DroError("cannot oversample: no positive examples")
-    seed = config.seed if master_seed is None else master_seed
 
     out: list[ExtendedExample] = []
     for vector, label in examples:
-        rng = spawn_rng(seed, "dro-extend", vector.instance_id, 0)
+        rng = spawn_rng(master_seed, "dro-extend", vector.instance_id, 0)
         extended = extend(vector, profiles, config.samples_per_extension, rng)
         out.append(
             ExtendedExample(vector=extended, label=label, source_id=vector.instance_id, replica=0)
@@ -271,14 +269,14 @@ def oversample(
     if n_synthetic == 0:
         return out
     positives = [(v, label) for v, label in examples if label == 1]
-    picker = spawn_rng(seed, "dro-pick")
+    picker = spawn_rng(master_seed, "dro-pick")
     chosen = picker.integers(0, len(positives), size=n_synthetic)
     replica_counter: dict[str, int] = {}
     for source_pos in chosen:
         vector, _ = positives[int(source_pos)]
         replica = replica_counter.get(vector.instance_id, 0) + 1
         replica_counter[vector.instance_id] = replica
-        rng = spawn_rng(seed, "dro-extend", vector.instance_id, replica)
+        rng = spawn_rng(master_seed, "dro-extend", vector.instance_id, replica)
         extended = extend(vector, profiles, config.samples_per_extension, rng)
         out.append(
             ExtendedExample(

@@ -20,9 +20,12 @@ from typing import Callable, Sequence
 
 from .corpus import Corpus, Document, segment
 from .errors import EvaluationError
-from .features import FeatureSpace
+from .features import FeatureSpace, Instance
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
-from .pipeline import CountsCache, FittedVerifier, PipelineConfig, fit_verifier, predict_document, training_documents
+from .pipeline import (
+    CountsCache, FittedVerifier, PipelineConfig, counts_cache_for, document_instances,
+    fit_verifier, predict_document, training_documents,
+)
 from .rng import stable_seed
 
 log = logging.getLogger(__name__)
@@ -185,7 +188,8 @@ def loo_run(
 
     ``text_ids`` restricts which texts are held out (each remaining fold
     still trains on everything else); by default every labelled text gets
-    a fold. Disputed texts never participate.
+    a fold. Disputed texts never participate. A shared ``cache`` must
+    extract the config's blocks as the config does (``counts_cache_for``).
     """
     if config.target_author is None:
         raise EvaluationError("loo_run needs a target_author in the pipeline config")
@@ -200,8 +204,14 @@ def loo_run(
         folds = labelled
     if len(labelled) < 2:
         raise EvaluationError("leave-one-out needs at least two labelled texts")
-    if cache is None:
-        cache = CountsCache(config.features)
+    cache = counts_cache_for(config.features, cache)
+    # Extract every instance the folds read before dispatching them, so that
+    # no two fold threads extract the same instance: each labelled text that
+    # trains in some fold, plus each held-out text in full.
+    fold_ids = {d.id for d in folds}
+    trained = [d for d in labelled if fold_ids - {d.id}]
+    cache.warm(document_instances(trained, config.segmentation))
+    cache.warm(Instance(doc=d) for d in folds)
 
     def work(doc: Document):
         return doc.id, _run_fold(corpus, doc, config, cache, seed, fold_listener)

@@ -36,6 +36,7 @@ from .metrics import macro_f1, per_class_tables
 from .pipeline import (
     CountsCache,
     PipelineConfig,
+    counts_cache_for,
     document_instances,
     fit_attributor,
     fit_verifier,
@@ -131,20 +132,22 @@ def ablate(
     if not pool:
         raise ExperimentError("initial pool is empty")
 
+    # Every pool scored below is a subset of the initial one, so one cache
+    # built for the initial pool serves them all.
+    cache = CountsCache(config.with_blocks(pool).features)
+
+    def loo(blocks: tuple[FeatureBlock, ...], text_ids: Sequence[str] | None = None) -> LooReport:
+        blocked = config.with_blocks(blocks)
+        return loo_run(corpus, blocked, seed, threads=threads, text_ids=text_ids, cache=cache)
+
     hardest_ids: tuple[str, ...] | None = None
     if mode == ABLATION_HARDEST10:
-        full_report = loo_run(corpus, config.with_blocks(pool), seed, threads=threads)
-        hardest_ids = tuple(
-            row[0] for row in full_report.hardest_texts(HARDEST_POOL_SIZE)
-        )
+        hardest_ids = tuple(row[0] for row in loo(pool).hardest_texts(HARDEST_POOL_SIZE))
         log.info("hardest texts for ablation: %s", ", ".join(hardest_ids))
 
     def score_pool(blocks: tuple[FeatureBlock, ...]) -> tuple[float, ...]:
-        blocked = config.with_blocks(blocks)
-        if mode == ABLATION_EXACT:
-            return _exact_score(loo_run(corpus, blocked, seed, threads=threads))
-        report = loo_run(corpus, blocked, seed, threads=threads, text_ids=hardest_ids)
-        return _restricted_score(report)
+        report = loo(blocks, hardest_ids)
+        return _exact_score(report) if mode == ABLATION_EXACT else _restricted_score(report)
 
     iterations: list[AblationIteration] = []
     current_score = score_pool(pool)
@@ -250,8 +253,7 @@ def verify_disputed(
     if n_replicas < 1:
         raise ExperimentError("n_replicas must be >= 1")
     disputed = _get_disputed(corpus, disputed_id)
-    if cache is None:
-        cache = CountsCache(config.features)
+    cache = counts_cache_for(config.features, cache)
     train_docs = training_documents(corpus)
     fitted = fit_verifier(train_docs, config, cache, stable_seed(seed, "verify"))
 
@@ -328,8 +330,7 @@ def attribute_disputed(
             f"need at least 2 candidate authors with >= {min_texts_per_author} texts, "
             f"found {len(candidates)}"
         )
-    if cache is None:
-        cache = CountsCache(config.features)
+    cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus, authors=candidates)
     fitted = fit_attributor(docs, config, cache, stable_seed(seed, "attribute"))
     vector = cache.vectorize(Instance(doc=disputed), fitted.space)
@@ -394,8 +395,7 @@ def attribution_contingency(
         raise ExperimentError(
             f"need at least 2 candidate authors with >= {min_texts_per_author} texts"
         )
-    if cache is None:
-        cache = CountsCache(config.features)
+    cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus, authors=candidates)
     author_index = {a: i for i, a in enumerate(candidates)}
     matrix = np.zeros((len(candidates), len(candidates)), dtype=np.int64)
@@ -466,8 +466,7 @@ def rank_similar(
     involved in similarity.
     """
     disputed = _get_disputed(corpus, disputed_id)
-    if cache is None:
-        cache = CountsCache(config.features)
+    cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus)
     instances = document_instances(docs, config.segmentation)
     counts_list = [cache.counts_for(inst) for inst in instances]

@@ -72,6 +72,11 @@ NGRAM_BLOCKS = frozenset(
 # Blocks whose vocabulary is fixed by an external resource list.
 LIST_BLOCKS = frozenset({FeatureBlock.FUNCTION_WORDS, FeatureBlock.VERBAL_ENDINGS})
 
+# Blocks whose extraction reads the function-word list.
+FUNCTION_WORD_BLOCKS = frozenset(
+    {FeatureBlock.FUNCTION_WORDS, FeatureBlock.MASKED_DVMA, FeatureBlock.MASKED_DVEX}
+)
+
 # Blocks whose keys are integers (everything else uses string keys).
 _INT_KEY_BLOCKS = frozenset({FeatureBlock.TOKEN_LENGTHS, FeatureBlock.SENTENCE_LENGTHS})
 
@@ -320,8 +325,7 @@ class FeatureConfig:
         self.ngram_orders = orders
         self.function_words = tuple(self.function_words)
         self.verbal_endings = tuple(self.verbal_endings)
-        needs_fw = {FeatureBlock.FUNCTION_WORDS, FeatureBlock.MASKED_DVMA, FeatureBlock.MASKED_DVEX}
-        if needs_fw & self.enabled_blocks and not self.function_words:
+        if FUNCTION_WORD_BLOCKS & self.enabled_blocks and not self.function_words:
             raise FeatureError("enabled blocks require a nonempty function-word list")
         if FeatureBlock.VERBAL_ENDINGS in self.enabled_blocks and not self.verbal_endings:
             raise FeatureError("verbal_endings block requires a nonempty ending list")
@@ -365,6 +369,15 @@ def extract_block(
             instance, block, config.function_words, config.orders_for(block)
         )
     raise FeatureError(f"unknown feature block: {block!r}")  # pragma: no cover
+
+
+def extraction_params(config: FeatureConfig, block: FeatureBlock) -> tuple:
+    """Everything ``extract_block`` reads from ``config`` for ``block``."""
+    return (
+        config.orders_for(block) if block in NGRAM_BLOCKS else None,
+        config.function_words if block in FUNCTION_WORD_BLOCKS else None,
+        config.verbal_endings if block is FeatureBlock.VERBAL_ENDINGS else None,
+    )
 
 
 def extract_all(

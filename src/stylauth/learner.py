@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
+from .dro import ExtendedVector
 from .errors import LearnerError
 from .features import SparseVector
 from .metrics import ContingencyTable, f1, macro_f1
@@ -235,7 +236,7 @@ def _vector_parts(x) -> tuple[str, np.ndarray, np.ndarray, int, str]:
     """(instance_id, indices, values, dim, natural-space fingerprint) of any input."""
     if isinstance(x, SparseVector):
         return x.instance_id, x.indices, x.values, x.dim, x.space_fingerprint
-    if hasattr(x, "combined"):  # ExtendedVector without importing dro
+    if isinstance(x, ExtendedVector):
         idx, vals = x.combined()
         return x.instance_id, idx, vals, x.dim, x.natural.space_fingerprint
     arr = np.asarray(x, dtype=np.float64)

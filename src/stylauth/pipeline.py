@@ -5,7 +5,7 @@ training instances (full texts and/or their segments), fit the feature
 space on those instances only, vectorize, optionally fit oversampling
 profiles and extend the training set, tune C, train. Raw feature counts
 depend only on the instance and the feature config, never on the fold,
-so they are memoized across folds in a CountsCache.
+so one CountsCache per command serves every fold and block pool.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dro as dro_mod
 from .corpus import Corpus, Document, segment
@@ -29,6 +28,7 @@ from .features import (
     Instance,
     SparseVector,
     extract_all,
+    extraction_params,
     fit_feature_space_from_counts,
     vectorize_counts,
     vectors_to_csr,
@@ -64,10 +64,8 @@ class PipelineConfig:
 class CountsCache:
     """Memoized raw feature counts, keyed by instance id.
 
-    Counts depend only on (instance, feature config); one cache instance
-    must therefore never be shared between different feature configs.
-    Reads after warm-up are thread-safe because entries are only added,
-    never mutated.
+    Counts depend only on the instance and the feature config. Reads after
+    ``warm`` are thread-safe because entries are only added, never mutated.
     """
 
     def __init__(self, config: FeatureConfig):
@@ -81,8 +79,27 @@ class CountsCache:
             self._counts[instance.instance_id] = cached
         return cached
 
+    def warm(self, instances: Iterable[Instance]) -> None:
+        for instance in instances:
+            self.counts_for(instance)
+
     def vectorize(self, instance: Instance, space: FeatureSpace) -> SparseVector:
         return vectorize_counts(instance.instance_id, self.counts_for(instance), space)
+
+
+def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> CountsCache:
+    """A new cache for ``config``, or ``cache`` if it extracts every block as ``config`` does.
+
+    A block's counts depend only on what ``extraction_params`` names, so a
+    cache built for a full feature config serves every restriction of it.
+    """
+    if cache is None:
+        return CountsCache(config)
+    for block in config.blocks_in_order():
+        theirs = extraction_params(cache.config, block)
+        if block not in cache.config.enabled_blocks or theirs != extraction_params(config, block):
+            raise ExperimentError(f"the counts cache extracts {block.value} differently")
+    return cache
 
 
 def document_instances(
@@ -161,7 +178,11 @@ def fit_verifier(
     profiles: DistributionalProfiles | None = None
     if config.dro is not None:
         X_natural = vectors_to_csr(vectors, space.dim)
-        profiles = fit_profiles_for(X_natural, config.dro, space)
+        profiles = dro_mod.fit_profiles(
+            X_natural,
+            latent_dimension=config.dro.latent_dimension,
+            space_fingerprint=space.fingerprint(),
+        )
         extended = oversample(
             list(zip(vectors, labels.tolist())), profiles, config.dro, master_seed=seed
         )
@@ -188,16 +209,6 @@ def fit_verifier(
         profiles=profiles,
         training_instance_ids=instance_ids,
         chosen_C=chosen_C,
-    )
-
-
-def fit_profiles_for(
-    X_natural: sp.csr_matrix, dro_config: DroConfig, space: FeatureSpace
-) -> DistributionalProfiles:
-    return dro_mod.fit_profiles(
-        X_natural,
-        latent_dimension=dro_config.latent_dimension,
-        space_fingerprint=space.fingerprint(),
     )
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from stylauth import pipeline
 from stylauth.cli import (
     EXIT_CONFIG,
     EXIT_CORPUS,
@@ -14,6 +16,8 @@ from stylauth.cli import (
     EXIT_OK,
     main,
 )
+from stylauth.corpus import load_corpus
+from stylauth.pipeline import SegmentationConfig
 
 from conftest import make_styled_corpus
 
@@ -106,7 +110,7 @@ class TestExitCodes:
 
 
 class TestCommands:
-    def test_ingest_writes_summary_and_cache(self, corpus_dir, capsys):
+    def test_ingest_writes_summary_and_no_cache(self, corpus_dir, capsys):
         tmp, manifest = corpus_dir
         config = write_config(tmp, manifest)
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
@@ -114,9 +118,52 @@ class TestCommands:
         assert report["results"]["document_count"] == 7
         assert report["results"]["labelled_count"] == 6
         assert report["results"]["disputed_ids"] == ["disputed-text"]
-        assert (tmp / "out" / "corpus_cache.pkl").is_file()
-        # the cache is picked up by later commands
+        assert "cache_path" not in report["results"]
+        assert not (tmp / "out" / "corpus_cache.pkl").exists()
         assert main(["loo", "--config", str(config)]) == EXIT_OK
+
+    def test_loo_reads_text_edited_after_ingest(self, tmp_path):
+        make_styled_corpus(tmp_path, {"Aldus": 3, "Benno": 3}, n_tokens=200, seed=19)
+        # a manifest in its own directory, naming texts outside it
+        manifest = tmp_path / "lists" / "manifest.csv"
+        manifest.parent.mkdir()
+        rows = (tmp_path / "manifest.csv").read_text(encoding="utf-8")
+        manifest.write_text(rows.replace("corpus/", "../corpus/"), encoding="utf-8")
+        config = write_config(tmp_path, manifest)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        ingested = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+
+        text = tmp_path / "corpus" / "aldus-00.txt"
+        text.write_text(text.read_text(encoding="utf-8") + " et in ad non.\n", encoding="utf-8")
+        assert main(["loo", "--config", str(config)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "loo_report.json").read_text())
+        fingerprint = report["meta"]["corpus_fingerprint"]
+        assert fingerprint == load_corpus(manifest).fingerprint()
+        assert fingerprint != ingested["meta"]["corpus_fingerprint"]
+        assert report["results"]["corpus_fingerprint"] == fingerprint
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_ablate_extracts_each_instance_once(self, corpus_dir, monkeypatch, threads):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest)
+        calls: Counter[str] = Counter()
+        real_extract_all = pipeline.extract_all
+
+        def counting_extract_all(instance, features):
+            calls[instance.instance_id] += 1
+            return real_extract_all(instance, features)
+
+        monkeypatch.setattr(pipeline, "extract_all", counting_extract_all)
+        argv = ["ablate", "--config", str(config), "--mode", "hardest10"]
+        assert main([*argv, "--threads", str(threads)]) == EXIT_OK
+        corpus = load_corpus(manifest)
+        expected = {
+            inst.instance_id
+            for inst in pipeline.document_instances(corpus.labelled(), SegmentationConfig(60))
+        }
+        assert len(expected) > len(corpus.labelled())  # segments are extracted too
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
 
     def test_verify_writes_verdict(self, corpus_dir):
         tmp, manifest = corpus_dir

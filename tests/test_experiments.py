@@ -20,7 +20,8 @@ from stylauth.experiments import (
 )
 from stylauth.features import FeatureBlock, FeatureConfig
 from stylauth.learner import TrainConfig
-from stylauth.pipeline import PipelineConfig, SegmentationConfig
+from stylauth.evaluation import loo_run
+from stylauth.pipeline import CountsCache, PipelineConfig, SegmentationConfig
 
 from conftest import make_orthogonal_corpus, make_styled_corpus, write_corpus
 
@@ -262,3 +263,58 @@ class TestRankSimilar:
         )
         with pytest.raises(ExperimentError):
             rank_similar(corpus, "q", config)
+
+
+class TestSharedCountsCache:
+    STUDIES = {
+        "loo": lambda corpus, config, cache: loo_run(corpus, config, 1, cache=cache),
+        "verify": lambda corpus, config, cache: verify_disputed(
+            corpus, "disputed-text", config, n_replicas=1, cache=cache
+        ),
+        "attribute": lambda corpus, config, cache: attribute_disputed(
+            corpus, "disputed-text", config, cache=cache
+        ),
+        "contingency": lambda corpus, config, cache: attribution_contingency(
+            corpus, config, cache=cache
+        ),
+        "similar": lambda corpus, config, cache: rank_similar(
+            corpus, "disputed-text", config, cache=cache
+        ),
+    }
+
+    MISMATCHED = {
+        "missing_block": FeatureConfig(enabled_blocks={FeatureBlock.TOKEN_LENGTHS}),
+        "other_orders": FeatureConfig(
+            enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+            ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
+        ),
+    }
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    @pytest.mark.parametrize("mismatch", sorted(MISMATCHED))
+    def test_mismatched_cache_rejected(self, styled, study, mismatch):
+        cache = CountsCache(self.MISMATCHED[mismatch])
+        with pytest.raises(ExperimentError, match="char_ngrams"):
+            self.STUDIES[study](styled, styled_config(dro=False), cache)
+
+    def test_other_word_list_rejected(self, styled):
+        def with_words(words):
+            return FeatureConfig(
+                enabled_blocks={FeatureBlock.FUNCTION_WORDS, FeatureBlock.TOKEN_LENGTHS},
+                function_words=words,
+            )
+
+        config = styled_config(dro=False)
+        config.features = with_words(("et", "in"))
+        cache = CountsCache(with_words(("et", "ad")))
+        with pytest.raises(ExperimentError, match="function_words"):
+            loo_run(styled, config, 1, cache=cache)
+
+    def test_full_cache_serves_restricted_config(self, styled):
+        config = styled_config(dro=False)
+        cache = CountsCache(config.features)
+        restricted = config.with_blocks([FeatureBlock.TOKEN_LENGTHS])
+        shared = loo_run(styled, restricted, 1, cache=cache)
+        fresh = loo_run(styled, restricted, 1)
+        assert shared.canonical_dict() == fresh.canonical_dict()
+

@@ -228,6 +228,8 @@ def cmd_similar(run: RunConfig, args: argparse.Namespace) -> int:
     if run.disputed_id is None:
         raise StylauthError("config has no disputed_id; nothing to rank against")
     top_k = args.top_k if args.top_k is not None else run.similar_top_k
+    if top_k < 1:
+        raise ConfigError(f"the similarity top-k must be at least 1, got {top_k}")
     ranking = rank_similar(corpus, run.disputed_id, run.pipeline, top_k=top_k)
     write_report(
         run.output_dir / "similarity_report.json",

@@ -210,8 +210,8 @@ def loo_run(
     # trains in some fold, plus each held-out text in full.
     fold_ids = {d.id for d in folds}
     trained = [d for d in labelled if fold_ids - {d.id}]
-    cache.warm(document_instances(trained, config.segmentation))
-    cache.warm(Instance(doc=d) for d in folds)
+    cache.rows(document_instances(trained, config.segmentation))
+    cache.rows(Instance(doc=d) for d in folds)
 
     def work(doc: Document):
         return doc.id, _run_fold(corpus, doc, config, cache, seed, fold_listener)

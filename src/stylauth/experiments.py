@@ -24,13 +24,7 @@ import numpy as np
 from .corpus import Corpus, Document
 from .errors import ExperimentError
 from .evaluation import LooReport, loo_run
-from .features import (
-    FeatureBlock,
-    Instance,
-    SparseVector,
-    cosine_similarity,
-    fit_feature_space_from_counts,
-)
+from .features import FeatureBlock, Instance, cosine_similarity, fit_feature_space_from_counts
 from .learner import predict_proba
 from .metrics import macro_f1, per_class_tables
 from .pipeline import (
@@ -465,22 +459,22 @@ def rank_similar(
     labelled texts and segments; latent oversampling features are never
     involved in similarity.
     """
+    if top_k is not None and top_k < 1:
+        raise ExperimentError(f"top_k must be at least 1, got {top_k}")
     disputed = _get_disputed(corpus, disputed_id)
     cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus)
-    instances = document_instances(docs, config.segmentation)
-    counts_list = [cache.counts_for(inst) for inst in instances]
-    space = fit_feature_space_from_counts(counts_list, config.features)
-    disputed_vector = cache.vectorize(Instance(doc=disputed), space)
+    rows = cache.rows(document_instances(docs, config.segmentation))
+    space = fit_feature_space_from_counts(cache, rows, config.features)
+    disputed_vector, *vectors = cache.vectors([Instance(doc=d) for d in (disputed, *docs)], space)
     if disputed_vector.is_zero():
         raise ExperimentError(
             f"the disputed text {disputed_id!r} has an all-zero vector in this space"
         )
-    scored: list[tuple[str, str, str, float]] = []
-    for doc in docs:
-        vector = cache.vectorize(Instance(doc=doc), space)
-        cos = cosine_similarity(disputed_vector, vector)
-        scored.append((doc.id, doc.author, doc.title, cos))
+    scored = [
+        (doc.id, doc.author, doc.title, cosine_similarity(disputed_vector, vector))
+        for doc, vector in zip(docs, vectors)
+    ]
     scored.sort(key=lambda row: (-row[3], row[0]))
     if top_k is not None:
         scored = scored[:top_k]

@@ -14,13 +14,14 @@ Eight feature blocks are supported, all topic-agnostic by design:
   every word outside the function-word list is masked (dvma masks all of
   its characters with ``*``; dvex keeps the first and last character)
 
-A FeatureSpace is fitted on training instances only: its vocabulary is
-the union of features seen in training (plus every entry of list-backed
-blocks), and IDF uses the smoothed form ln((1+N)/(1+df)) + 1 so that it
-is always finite and positive. Vectorization computes within-block
-relative frequencies, multiplies by IDF, and L2-normalizes each block
-sub-vector independently so blocks of wildly different dimensionality
-contribute comparable mass.
+Raw counts live in a CountsStore: one sparse count matrix per block, one
+row per instance. A FeatureSpace is fitted on training rows only: its
+vocabulary is the store columns seen in training (plus every entry of
+list-backed blocks), in sorted key order, and IDF uses the smoothed form
+ln((1+N)/(1+df)) + 1 so that it is always finite and positive.
+Vectorization computes within-block relative frequencies, multiplies by
+IDF, and L2-normalizes each block sub-vector independently so blocks of
+wildly different dimensionality contribute comparable mass.
 """
 
 from __future__ import annotations
@@ -323,8 +324,9 @@ class FeatureConfig:
                 )
             orders[block] = block_orders
         self.ngram_orders = orders
-        self.function_words = tuple(self.function_words)
-        self.verbal_endings = tuple(self.verbal_endings)
+        # duplicates would give a list block two columns for one key
+        self.function_words = tuple(dict.fromkeys(self.function_words))
+        self.verbal_endings = tuple(dict.fromkeys(self.verbal_endings))
         if FUNCTION_WORD_BLOCKS & self.enabled_blocks and not self.function_words:
             raise FeatureError("enabled blocks require a nonempty function-word list")
         if FeatureBlock.VERBAL_ENDINGS in self.enabled_blocks and not self.verbal_endings:
@@ -386,6 +388,58 @@ def extract_all(
     """Raw counts for every enabled block."""
     inst = _as_instance(instance)
     return {b: extract_block(inst, b, config) for b in config.blocks_in_order()}
+
+
+# ---------------------------------------------------------------------------
+# Counts store
+# ---------------------------------------------------------------------------
+
+
+class CountsStore:
+    """Raw feature counts as sparse matrices: one row per added instance.
+
+    Each block's keys are interned once (list blocks start with their whole
+    list). ``block`` orders a block's columns by key, an order any column
+    subset keeps. The store is not thread-safe while it grows.
+    """
+
+    def __init__(self, config: FeatureConfig):
+        self.config = config
+        self.n_rows = 0
+        blocks = config.blocks_in_order()
+        lists = {FeatureBlock.FUNCTION_WORDS: config.function_words,
+                 FeatureBlock.VERBAL_ENDINGS: config.verbal_endings}
+        self._index = {b: {w: i for i, w in enumerate(lists.get(b, ()))} for b in blocks}
+        self._rows: dict[FeatureBlock, list[np.ndarray]] = {b: [] for b in blocks}
+        self._blocks: dict[FeatureBlock, tuple[np.ndarray, sp.csr_matrix]] = {}
+
+    def add(self, counts: Mapping[FeatureBlock, BlockCounts]) -> int:
+        """Append one instance's counts as a new row; returns its row index."""
+        for block, index in self._index.items():
+            block_counts = counts.get(block, {})
+            cols = [index.setdefault(key, len(index)) for key in block_counts]
+            pairs = np.array([cols, list(block_counts.values())], dtype=np.int64)
+            self._rows[block].append(pairs)  # shape (2, n): columns, counts
+        self._blocks.clear()
+        self.n_rows += 1
+        return self.n_rows - 1
+
+    def block(self, block: FeatureBlock) -> tuple[np.ndarray, sp.csr_matrix]:
+        """(keys in sorted order, counts with one column per key in that order)."""
+        cached = self._blocks.get(block)
+        if cached is None:
+            index, rows = self._index[block], self._rows[block]
+            keys = sorted(index)  # keys of one block share a type
+            position = np.empty(len(keys), dtype=np.int64)
+            position[[index[key] for key in keys]] = np.arange(len(keys))
+            cols, data = np.concatenate([np.empty((2, 0), dtype=np.int64), *rows], axis=1)
+            indptr = np.cumsum([0] + [row.shape[1] for row in rows])
+            counts = sp.csr_matrix(
+                (data, position[cols], indptr), shape=(self.n_rows, len(keys))
+            )
+            counts.sort_indices()
+            cached = self._blocks[block] = (np.array(keys, dtype=object), counts)
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -456,111 +510,81 @@ class FeatureSpace:
 
     @classmethod
     def load(cls, path: Path | str, config: FeatureConfig) -> "FeatureSpace":
+        """Read a file written by ``save`` for a config with the same blocks."""
         path = Path(path)
         lines = path.read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("#stylauth-feature-space"):
             raise FeatureError(f"{path}: not a feature-space file")
         n_instances = 0
-        entries: list[tuple[FeatureBlock, FeatureKey, int, float]] = []
+        sizes: dict[FeatureBlock, int] = {}
+        rows: list[tuple[FeatureBlock, FeatureKey, int, float]] = []
         for line in lines[1:]:
-            if line.startswith("#instances\t"):
-                n_instances = int(line.split("\t")[1])
-                continue
-            if line.startswith("#") or not line:
-                continue
-            block_s, key_s, df_s, idf_s = line.split("\t")
-            block = FeatureBlock(block_s)
-            key: FeatureKey = int(key_s) if block in _INT_KEY_BLOCKS else key_s
-            entries.append((block, key, int(df_s), float(idf_s)))
-        vocab: dict[FeatureBlock, dict[FeatureKey, int]] = {}
-        df = np.zeros(len(entries), dtype=np.int64)
-        idf = np.zeros(len(entries), dtype=np.float64)
-        offsets: list[tuple[FeatureBlock, int, int]] = []
-        col = 0
-        for block, key, df_v, idf_v in entries:
-            if block not in vocab:
-                if offsets:
-                    prev_block, prev_start, _ = offsets[-1]
-                    offsets[-1] = (prev_block, prev_start, col)
-                vocab[block] = {}
-                offsets.append((block, col, col))
-            vocab[block][key] = col
-            df[col] = df_v
-            idf[col] = idf_v
-            col += 1
-        if offsets:
-            prev_block, prev_start, _ = offsets[-1]
-            offsets[-1] = (prev_block, prev_start, col)
-        return cls(
-            config=config,
-            n_instances=n_instances,
-            vocab=vocab,
-            df=df,
-            idf=idf,
-            block_offsets=tuple(offsets),
-        )
+            fields = line.split("\t")
+            try:
+                if fields[0] == "#instances":
+                    n_instances = int(fields[1])
+                elif fields[0] == "#block":
+                    sizes[FeatureBlock(fields[1])] = int(fields[2])
+                elif line and not line.startswith("#"):
+                    block_s, key_s, df_s, idf_s = fields
+                    block = FeatureBlock(block_s)
+                    key: FeatureKey = int(key_s) if block in _INT_KEY_BLOCKS else key_s
+                    rows.append((block, key, int(df_s), float(idf_s)))
+            except (ValueError, IndexError) as exc:
+                raise FeatureError(f"{path}: malformed line {line!r}: {exc}") from None
+        blocks = config.blocks_in_order()
+        expected = [b for b in blocks for _ in range(sizes.get(b, 0))]
+        listed_once = len({r[:2] for r in rows}) == len(rows)
+        if tuple(sizes) != blocks or [r[0] for r in rows] != expected or not listed_once:
+            raise FeatureError(
+                f"{path}: the #block lines must name the config's blocks, and the rows "
+                "must follow them block by block, each feature once"
+            )
+        keys = {b: [r[1] for r in rows if r[0] is b] for b in blocks}
+        return _space(config, n_instances, keys, [r[2] for r in rows], [r[3] for r in rows])
 
 
-def _sort_keys(keys: Iterable[FeatureKey]) -> list[FeatureKey]:
-    return sorted(keys)  # keys of one block share a type
+def _space(config: FeatureConfig, n_instances: int, keys: Mapping[FeatureBlock, list],
+           df: Sequence[int], idf: Sequence[float]) -> FeatureSpace:
+    """A space whose columns are the given keys, block after block."""
+    vocab, offsets = {}, []
+    for block, block_keys in keys.items():
+        start = offsets[-1][2] if offsets else 0
+        vocab[block] = dict(zip(block_keys, range(start, start + len(block_keys))))
+        offsets.append((block, start, start + len(block_keys)))
+    df, idf = np.asarray(df, dtype=np.int64), np.asarray(idf, dtype=np.float64)
+    return FeatureSpace(config, n_instances, vocab, df, idf, tuple(offsets))
 
 
 def fit_feature_space_from_counts(
-    counts_list: Sequence[Mapping[FeatureBlock, BlockCounts]],
-    config: FeatureConfig,
+    store: CountsStore, rows: Sequence[int], config: FeatureConfig
 ) -> FeatureSpace:
-    """Fit vocabulary, document frequencies, and IDF from precomputed counts."""
-    if not counts_list:
+    """Fit vocabulary, df and IDF on a store's ``rows``: each block keeps its
+    columns with nonzero df (list blocks keep all), in sorted key order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape[0] == 0:
         raise FeatureError("cannot fit a feature space on an empty training set")
-    n = len(counts_list)
-    blocks = config.blocks_in_order()
-
-    vocab: dict[FeatureBlock, dict[FeatureKey, int]] = {}
-    df_per_block: dict[FeatureBlock, dict[FeatureKey, int]] = {b: {} for b in blocks}
-    for counts in counts_list:
-        for block in blocks:
-            block_df = df_per_block[block]
-            for key, cnt in counts.get(block, {}).items():
-                if cnt > 0:
-                    block_df[key] = block_df.get(key, 0) + 1
-
-    offsets: list[tuple[FeatureBlock, int, int]] = []
-    col = 0
-    df_values: list[int] = []
-    for block in blocks:
-        if block is FeatureBlock.FUNCTION_WORDS:
-            keys: list[FeatureKey] = _sort_keys(config.function_words)
-        elif block is FeatureBlock.VERBAL_ENDINGS:
-            keys = _sort_keys(config.verbal_endings)
-        else:
-            keys = _sort_keys(df_per_block[block])
-        mapping = {}
-        start = col
-        for key in keys:
-            mapping[key] = col
-            df_values.append(df_per_block[block].get(key, 0))
-            col += 1
-        vocab[block] = mapping
-        offsets.append((block, start, col))
-
-    df = np.asarray(df_values, dtype=np.int64)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return FeatureSpace(
-        config=config,
-        n_instances=n,
-        vocab=vocab,
-        df=df,
-        idf=idf,
-        block_offsets=tuple(offsets),
-    )
+    keys: dict[FeatureBlock, list] = {}
+    dfs: list[np.ndarray] = []
+    for block in config.blocks_in_order():
+        block_keys, counts = store.block(block)
+        df = np.bincount(counts[rows].indices, minlength=block_keys.shape[0])
+        kept = np.arange(df.shape[0]) if block in LIST_BLOCKS else np.flatnonzero(df)
+        keys[block] = block_keys[kept].tolist()
+        dfs.append(df[kept])
+    n = int(rows.shape[0])
+    df = np.concatenate(dfs)
+    return _space(config, n, keys, df, np.log((1.0 + n) / (1.0 + df)) + 1.0)
 
 
 def fit_feature_space(
     instances: Sequence[Instance | Document], config: FeatureConfig
 ) -> FeatureSpace:
     """Fit a feature space directly from training instances."""
-    counts_list = [extract_all(inst, config) for inst in instances]
-    return fit_feature_space_from_counts(counts_list, config)
+    store = CountsStore(config)
+    rows = [store.add(extract_all(inst, config)) for inst in instances]
+    return fit_feature_space_from_counts(store, rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -599,79 +623,60 @@ class SparseVector:
 
 
 def vectorize_counts(
-    instance_id: str,
-    counts: Mapping[FeatureBlock, BlockCounts],
-    space: FeatureSpace,
-) -> SparseVector:
-    """TFIDF-weight and block-normalize precomputed raw counts."""
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    occurrences = 0
-    for block, _start, _end in space.block_offsets:
-        block_counts = counts.get(block, {})
-        total = sum(block_counts.values())
-        occurrences += total
-        if total <= 0:
-            continue
+    store: CountsStore, rows: Sequence[int], space: FeatureSpace
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """TFIDF matrix of a store's ``rows`` over ``space``, and their occurrence counts.
+
+    TF divides by the block's whole count, features unseen in training
+    included, and each block of each row is L2-normalized. An occurrence
+    count is the row's raw total over the space's blocks.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = int(rows.shape[0])
+    occurrences = np.zeros(n, dtype=np.int64)
+    blocks: list[sp.csr_matrix] = []
+    for block, start, end in space.block_offsets:
+        keys, counts = store.block(block)
+        counts = counts[rows]
         mapping = space.vocab[block]
-        cols: list[int] = []
-        vals: list[float] = []
-        for key, cnt in block_counts.items():
-            col = mapping.get(key)
-            if col is None or cnt <= 0:  # features unseen in training are dropped
-                continue
-            tf = cnt / total
-            vals.append(tf * space.idf[col])
-            cols.append(col)
-        if not cols:
-            continue
-        order = np.argsort(cols)
-        col_arr = np.asarray(cols, dtype=np.int64)[order]
-        val_arr = np.asarray(vals, dtype=np.float64)[order]
-        norm = np.sqrt(np.sum(val_arr * val_arr))
-        if norm > 0:
-            val_arr = val_arr / norm
-        indices.append(col_arr)
-        values.append(val_arr)
-    if indices:
-        idx = np.concatenate(indices)
-        val = np.concatenate(values)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        val = np.empty(0, dtype=np.float64)
-    return SparseVector(
-        instance_id=instance_id,
-        indices=idx,
-        values=val,
-        dim=space.dim,
-        block_offsets=space.block_offsets,
-        space_fingerprint=space.fingerprint(),
-        occurrence_count=occurrences,
-    )
+        column = np.array([mapping.get(k, -1) for k in keys.tolist()], dtype=np.int64)
+        totals = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel()
+        occurrences += totals
+        row_of = np.repeat(np.arange(n), np.diff(counts.indptr))
+        cols = column[counts.indices]
+        kept = cols >= 0
+        row_of, cols = row_of[kept], cols[kept]
+        values = counts.data[kept] / totals[row_of] * space.idf[cols]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n))))
+        # one np.sum per block row, as per-vector code sums: a one-pass sum
+        # differs in the last bit, which L-BFGS magnifies in fitted models
+        bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+        values /= np.sqrt([np.sum(values[a:b] * values[a:b]) for a, b in bounds])[row_of]
+        blocks.append(sp.csr_matrix((values, cols - start, indptr), shape=(n, end - start)))
+    X = sp.hstack(blocks, format="csr")
+    X.sort_indices()
+    return X, occurrences
+
+
+def sparse_rows(
+    X: sp.csr_matrix, instance_ids: Sequence[str], occurrences: np.ndarray, space: FeatureSpace
+) -> list[SparseVector]:
+    """The rows of a ``vectorize_counts`` matrix as SparseVectors."""
+    fingerprint = space.fingerprint()
+    return [
+        SparseVector(instance_id, X.indices[a:b].astype(np.int64), X.data[a:b], space.dim,
+                     space.block_offsets, fingerprint, int(count))
+        for instance_id, a, b, count in zip(instance_ids, X.indptr[:-1], X.indptr[1:], occurrences)
+    ]
 
 
 def vectorize(instance: Instance | Document, space: FeatureSpace) -> SparseVector:
     """Extract and TFIDF-weight one instance against a fitted space."""
     inst = _as_instance(instance)
-    counts = extract_all(inst, space.config)
-    return vectorize_counts(inst.instance_id, counts, space)
-
-
-def vectors_to_csr(vectors: Sequence[SparseVector], dim: int | None = None) -> sp.csr_matrix:
-    """Stack sparse vectors into a CSR matrix, one row per vector."""
-    if not vectors:
-        raise FeatureError("cannot build a matrix from zero vectors")
-    d = dim if dim is not None else vectors[0].dim
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        if v.dim != d:
-            raise FeatureError(
-                f"vector {v.instance_id!r} has dim {v.dim}, expected {d}"
-            )
-        indptr[i + 1] = indptr[i] + v.nnz
-    data = np.concatenate([v.values for v in vectors]) if vectors else np.empty(0)
-    cols = np.concatenate([v.indices for v in vectors]) if vectors else np.empty(0)
-    return sp.csr_matrix((data, cols, indptr), shape=(len(vectors), d))
+    store = CountsStore(space.config)
+    row = store.add(extract_all(inst, space.config))
+    X, occurrences = vectorize_counts(store, [row], space)
+    return sparse_rows(X, [inst.instance_id], occurrences, space)[0]
 
 
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:

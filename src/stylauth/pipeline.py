@@ -5,7 +5,8 @@ training instances (full texts and/or their segments), fit the feature
 space on those instances only, vectorize, optionally fit oversampling
 profiles and extend the training set, tune C, train. Raw feature counts
 depend only on the instance and the feature config, never on the fold,
-so one CountsCache per command serves every fold and block pool.
+so one CountsCache per command, a sparse counts store keyed by instance
+id, serves every fold and block pool.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dro as dro_mod
 from .corpus import Corpus, Document, segment
 from .dro import DistributionalProfiles, DroConfig, extend, extended_to_csr, oversample
 from .errors import ExperimentError
 from .features import (
-    BlockCounts,
+    CountsStore,
     FeatureBlock,
     FeatureConfig,
     FeatureSpace,
@@ -30,8 +32,8 @@ from .features import (
     extract_all,
     extraction_params,
     fit_feature_space_from_counts,
+    sparse_rows,
     vectorize_counts,
-    vectors_to_csr,
 )
 from .learner import Prediction, TrainConfig, TrainedModel, predict_proba, train_binary, train_multiclass, tune_C
 from .rng import spawn_rng
@@ -61,30 +63,32 @@ class PipelineConfig:
         return replace(self, features=self.features.restricted_to(blocks))
 
 
-class CountsCache:
-    """Memoized raw feature counts, keyed by instance id.
+class CountsCache(CountsStore):
+    """A counts store keyed by instance id: each instance is extracted once.
 
-    Counts depend only on the instance and the feature config. Reads after
-    ``warm`` are thread-safe because entries are only added, never mutated.
+    The store grows only in ``rows``, and growing mutates its
+    vocabularies, so callers fill it before reading it from fold threads.
     """
 
     def __init__(self, config: FeatureConfig):
-        self.config = config
-        self._counts: dict[str, dict[FeatureBlock, BlockCounts]] = {}
+        super().__init__(config)
+        self._row_of: dict[str, int] = {}
 
-    def counts_for(self, instance: Instance) -> dict[FeatureBlock, BlockCounts]:
-        cached = self._counts.get(instance.instance_id)
-        if cached is None:
-            cached = extract_all(instance, self.config)
-            self._counts[instance.instance_id] = cached
-        return cached
-
-    def warm(self, instances: Iterable[Instance]) -> None:
+    def rows(self, instances: Iterable[Instance]) -> np.ndarray:
+        """Store rows of ``instances``, extracting the ones not seen before."""
+        out = []
         for instance in instances:
-            self.counts_for(instance)
+            if instance.instance_id not in self._row_of:
+                self._row_of[instance.instance_id] = self.add(extract_all(instance, self.config))
+            out.append(self._row_of[instance.instance_id])
+        return np.asarray(out, dtype=np.int64)
+
+    def vectors(self, instances: Sequence[Instance], space: FeatureSpace) -> list[SparseVector]:
+        X, occurrences = vectorize_counts(self, self.rows(instances), space)
+        return sparse_rows(X, [inst.instance_id for inst in instances], occurrences, space)
 
     def vectorize(self, instance: Instance, space: FeatureSpace) -> SparseVector:
-        return vectorize_counts(instance.instance_id, self.counts_for(instance), space)
+        return self.vectors([instance], space)[0]
 
 
 def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> CountsCache:
@@ -146,6 +150,19 @@ class FittedVerifier:
         return self.profiles is not None
 
 
+def _training_rows(
+    docs: Sequence[Document], config: PipelineConfig, cache: CountsCache
+) -> tuple[list[Instance], FeatureSpace, sp.csr_matrix, np.ndarray]:
+    """Instances of ``docs``, the space fitted on them, their TFIDF rows and occurrences."""
+    instances = document_instances(docs, config.segmentation)
+    if not instances:
+        raise ExperimentError("no training instances")
+    rows = cache.rows(instances)
+    space = fit_feature_space_from_counts(cache, rows, config.features)
+    X, occurrences = vectorize_counts(cache, rows, space)
+    return instances, space, X, occurrences
+
+
 def fit_verifier(
     docs: Sequence[Document],
     config: PipelineConfig,
@@ -155,43 +172,32 @@ def fit_verifier(
     """Fit feature space, (optionally) oversample, tune C, and train."""
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
-    instances = document_instances(docs, config.segmentation)
-    if not instances:
-        raise ExperimentError("no training instances")
-    counts_list = [cache.counts_for(inst) for inst in instances]
-    space = fit_feature_space_from_counts(counts_list, config.features)
-    vectors = [
-        vectorize_counts(inst.instance_id, counts, space)
-        for inst, counts in zip(instances, counts_list)
-    ]
-    labels = np.asarray(
+    instances, space, X, occurrences = _training_rows(docs, config, cache)
+    y = np.asarray(
         [1 if inst.doc.author == config.target_author else 0 for inst in instances],
         dtype=np.int64,
     )
-    if labels.sum() == 0:
+    if y.sum() == 0:
         raise ExperimentError(
             f"no training instance by target author {config.target_author!r}"
         )
-    if labels.sum() == labels.shape[0]:
+    if y.sum() == y.shape[0]:
         raise ExperimentError("training set has no negative instances")
 
+    instance_ids = tuple(inst.instance_id for inst in instances)
     profiles: DistributionalProfiles | None = None
     if config.dro is not None:
-        X_natural = vectors_to_csr(vectors, space.dim)
         profiles = dro_mod.fit_profiles(
-            X_natural,
+            X,
             latent_dimension=config.dro.latent_dimension,
             space_fingerprint=space.fingerprint(),
         )
+        vectors = sparse_rows(X, instance_ids, occurrences, space)
         extended = oversample(
-            list(zip(vectors, labels.tolist())), profiles, config.dro, master_seed=seed
+            list(zip(vectors, y.tolist())), profiles, config.dro, master_seed=seed
         )
         X, y = extended_to_csr(extended)
         instance_ids = tuple(ex.example_id for ex in extended)
-    else:
-        X = vectors_to_csr(vectors, space.dim)
-        y = labels
-        instance_ids = tuple(inst.instance_id for inst in instances)
 
     chosen_C = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
     classes = (f"not {config.target_author}", config.target_author)
@@ -257,20 +263,11 @@ def fit_attributor(
     seed: int,
 ) -> FittedAttributor:
     """Train a multiclass author attributor (never uses oversampling)."""
-    instances = document_instances(docs, config.segmentation)
-    if not instances:
-        raise ExperimentError("no training instances")
-    counts_list = [cache.counts_for(inst) for inst in instances]
-    space = fit_feature_space_from_counts(counts_list, config.features)
-    vectors = [
-        vectorize_counts(inst.instance_id, counts, space)
-        for inst, counts in zip(instances, counts_list)
-    ]
+    instances, space, X, _ = _training_rows(docs, config, cache)
     labels = [inst.doc.author for inst in instances]
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ExperimentError("attribution needs at least two candidate authors")
-    X = vectors_to_csr(vectors, space.dim)
     index = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.asarray([index[label] for label in labels], dtype=np.int64)
     chosen_C = tune_C(X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes))

@@ -108,6 +108,17 @@ class TestExitCodes:
         config = write_config(tmp, manifest)  # no disputed_id key
         assert main(["verify", "--config", str(config)]) == EXIT_EXPERIMENT
 
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [({}, ["--top-k", "0"]), ({}, ["--top-k", "-1"]), ({"similar_top_k": 0}, [])],
+    )
+    def test_similar_top_k_below_one_rejected(self, corpus_dir, capsys, extra, flags):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest, disputed="disputed-text", extra=extra)
+        assert main(["similar", "--config", str(config), *flags]) == EXIT_CONFIG
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp / "out" / "similarity_report.json").exists()
+
 
 class TestCommands:
     def test_ingest_writes_summary_and_no_cache(self, corpus_dir, capsys):

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stylauth.corpus import build_document, load_corpus
 from stylauth.errors import FeatureError
 from stylauth.features import (
+    CountsStore,
     FeatureBlock,
     FeatureConfig,
     FeatureSpace,
     Instance,
     cosine_similarity,
     distorted_text,
+    extract_all,
     extract_char_ngrams,
     extract_dep_ngrams,
     extract_function_words,
@@ -25,8 +30,9 @@ from stylauth.features import (
     extract_token_lengths,
     extract_verbal_endings,
     fit_feature_space,
+    fit_feature_space_from_counts,
     vectorize,
-    vectors_to_csr,
+    vectorize_counts,
 )
 
 from conftest import write_corpus
@@ -234,6 +240,20 @@ class TestFeatureConfig:
         with pytest.raises(FeatureError):
             FeatureConfig(enabled_blocks={FeatureBlock.MASKED_DVMA})
 
+    def test_duplicate_list_entries_dropped(self, tmp_path):
+        config = FeatureConfig(
+            enabled_blocks={FeatureBlock.FUNCTION_WORDS, FeatureBlock.VERBAL_ENDINGS},
+            function_words=("et", "in", "et"),
+            verbal_endings=("tur", "ntur", "tur"),
+        )
+        assert config.function_words == ("et", "in")
+        assert config.verbal_endings == ("tur", "ntur")
+        space = fit_feature_space([doc_of("et in et amatur")], config)
+        assert space.dim == 4
+        assert "" not in space.column_names()
+        space.save(tmp_path / "space.tsv")
+        assert FeatureSpace.load(tmp_path / "space.tsv", config).dim == 4
+
     def test_restricted_to(self):
         config = FeatureConfig(
             enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS}
@@ -320,6 +340,121 @@ class TestFitFeatureSpace:
         assert np.array_equal(loaded.df, space.df)
 
 
+def _move_first_token_row_to_end(lines):
+    first = next(i for i, line in enumerate(lines) if line.startswith("token_lengths\t"))
+    return lines[:first] + lines[first + 1 :] + [lines[first]]
+
+
+def _bump_block_count(lines, block):
+    return [
+        f"#block\t{block}\t{int(line.split(chr(9))[2]) + 1}"
+        if line.startswith(f"#block\t{block}\t")
+        else line
+        for line in lines
+    ]
+
+
+MALFORMED_SPACE_FILES = {
+    "block_reappears": _move_first_token_row_to_end,
+    "duplicate_row": lambda lines: _bump_block_count(lines, "char_ngrams") + [lines[-1]],
+    "block_count_disagrees": lambda lines: _bump_block_count(lines, "char_ngrams"),
+    "block_not_enabled": lambda lines: lines[:4]
+    + ["#block\tsentence_lengths\t1"]
+    + lines[4:]
+    + ["sentence_lengths\t10\t1\t1.0"],
+    "short_row": lambda lines: lines[:-1] + ["\t".join(lines[-1].split("\t")[:3])],
+    "non_integer_key": lambda lines: [
+        line.replace("token_lengths\t2\t", "token_lengths\tx\t") for line in lines
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACE_FILES))
+def test_load_rejects_malformed_space_file(tmp_path, case):
+    config = FeatureConfig(
+        enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+        ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}},
+    )
+    path = tmp_path / "space.tsv"
+    fit_feature_space([doc_of("ab cde", "d1"), doc_of("b fg", "d2")], config).save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:4] == ["#block\ttoken_lengths\t3", "#block\tchar_ngrams\t8"]
+    edited = MALFORMED_SPACE_FILES[case](lines)
+    assert edited != lines
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    with pytest.raises(FeatureError):
+        FeatureSpace.load(path, config)
+
+
+PROPERTY_WORDS = ("ad", "et", "in", "non")
+
+block_counts = {
+    FeatureBlock.TOKEN_LENGTHS: st.dictionaries(
+        st.integers(1, 12), st.integers(1, 5), max_size=6
+    ),
+    FeatureBlock.CHAR_NGRAMS: st.dictionaries(
+        st.sampled_from(["a", "b", "ab", "ba", " a", "c", "ca"]), st.integers(1, 9), max_size=5
+    ),
+    FeatureBlock.FUNCTION_WORDS: st.dictionaries(
+        st.sampled_from(PROPERTY_WORDS), st.integers(1, 4), max_size=2
+    ),
+}
+
+
+def _reference_tfidf(counts_list, train, config):
+    """Dict-based TF·IDF: (column (block, key) list, df, idf, rows, occurrences)."""
+    columns: list = []
+    df: list[int] = []
+    for block in config.blocks_in_order():
+        seen = Counter(key for i in train for key in counts_list[i][block])
+        keys = sorted(PROPERTY_WORDS) if block is FeatureBlock.FUNCTION_WORDS else sorted(seen)
+        columns += [(block, key) for key in keys]
+        df += [seen[key] for key in keys]
+    idf = [math.log((1 + len(train)) / (1 + d)) + 1 for d in df]
+    index = {column: j for j, column in enumerate(columns)}
+    rows = np.zeros((len(counts_list), len(columns)))
+    for i, counts in enumerate(counts_list):
+        for block in config.blocks_in_order():
+            total = sum(counts[block].values())
+            cols = [index[(block, k)] for k in counts[block] if (block, k) in index]
+            for key, count in counts[block].items():
+                if (block, key) in index:
+                    j = index[(block, key)]
+                    rows[i, j] = count / total * idf[j]
+            norm = math.sqrt(sum(rows[i, j] ** 2 for j in cols))
+            if norm > 0:
+                rows[i, cols] /= norm
+    occurrences = [sum(sum(c.values()) for c in counts.values()) for counts in counts_list]
+    return columns, df, idf, rows, occurrences
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.fixed_dictionaries(block_counts), min_size=1, max_size=6),
+    st.data(),
+)
+def test_matrix_path_matches_dict_reference(counts_list, data):
+    config = FeatureConfig(enabled_blocks=set(block_counts), function_words=PROPERTY_WORDS)
+    train = data.draw(
+        st.lists(st.integers(0, len(counts_list) - 1), min_size=1, unique=True).map(sorted)
+    )
+    store = CountsStore(config)
+    rows = [store.add(counts) for counts in counts_list]
+    space = fit_feature_space_from_counts(store, train, config)
+    X, occurrences = vectorize_counts(store, rows, space)
+
+    columns, df, idf, expected, expected_occurrences = _reference_tfidf(
+        counts_list, train, config
+    )
+    assert space.column_names() == [f"{b.value}:{k}" for b, k in columns]
+    assert set(PROPERTY_WORDS) <= set(space.vocab[FeatureBlock.FUNCTION_WORDS])
+    assert space.df.tolist() == df
+    assert np.allclose(space.idf, idf, rtol=0, atol=1e-12)
+    assert X.shape == expected.shape
+    assert np.allclose(X.toarray(), expected, rtol=0, atol=1e-12)
+    assert occurrences.tolist() == expected_occurrences
+
+
 class TestVectorize:
     def test_single_feature_gets_unit_value(self):
         space = fit_feature_space([doc_of("aa", "d1")], char1_config())
@@ -392,10 +527,13 @@ class TestVectorize:
 class TestMatrixAndCosine:
     def test_matrix_rows_match_vectors(self):
         space = fit_feature_space([doc_of("ab", "d1"), doc_of("bc", "d2")], char1_config())
-        vecs = [vectorize(doc_of("ab", "x"), space), vectorize(doc_of("c", "y"), space)]
-        X = vectors_to_csr(vecs)
+        texts = ("ab", "c")
+        store = CountsStore(space.config)
+        rows = [store.add(extract_all(doc_of(t), space.config)) for t in texts]
+        X, _ = vectorize_counts(store, rows, space)
         assert X.shape == (2, space.dim)
-        assert np.allclose(X.toarray()[0], vecs[0].to_dense())
+        for row, text in zip(X.toarray(), texts):
+            assert np.array_equal(row, vectorize(doc_of(text, "x"), space).to_dense())
 
     def test_cosine_self_is_one(self):
         space = fit_feature_space([doc_of("ab cd", "d1")], char1_config())

@@ -311,10 +311,7 @@ class TestExplain:
             ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}},
         )
         space = fit_feature_space(docs, config)
-        vectors = [vectorize(d, space) for d in docs]
-        from stylauth.features import vectors_to_csr
-
-        X = vectors_to_csr(vectors, space.dim)
+        X = np.vstack([vectorize(d, space).to_dense() for d in docs])
         model = train_binary(
             X, [1, 0], TrainConfig(), space_fingerprint=space.fingerprint()
         )

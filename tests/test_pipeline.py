@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
-from stylauth.features import FeatureBlock, FeatureConfig, Instance
+from stylauth.features import (
+    FeatureBlock,
+    FeatureConfig,
+    Instance,
+    fit_feature_space_from_counts,
+    vectorize_counts,
+)
 from stylauth.learner import TrainConfig, predict_proba
 from stylauth.pipeline import (
     CountsCache,
@@ -80,9 +90,40 @@ class TestCountsCache:
         config = fast_config().features
         cache = CountsCache(config)
         inst = Instance(doc=corpus.get("aldus-00"))
-        first = cache.counts_for(inst)
-        second = cache.counts_for(inst)
-        assert first is second
+        first = cache.rows([inst])
+        second = cache.rows([inst, inst])
+        assert second.tolist() == [first[0], first[0]]
+        assert cache.n_rows == 1
+
+
+    def test_threads_reading_a_filled_cache_agree_with_one_thread(self, corpus):
+        config = fast_config()
+        cache = CountsCache(config.features)
+        rows = cache.rows(document_instances(corpus.labelled(), config.segmentation))
+
+        def fit_and_vectorize():
+            space = fit_feature_space_from_counts(cache, rows, config.features)
+            return vectorize_counts(cache, rows, space)[0].toarray()
+
+        expected = fit_and_vectorize()
+        cache.rows([Instance(doc=corpus.get("disputed-text"))])  # drops the built matrices
+        results: list[np.ndarray] = []
+        threads = [
+            threading.Thread(target=lambda: results.append(fit_and_vectorize()))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        assert all(np.array_equal(result, expected) for result in results)
 
 
 class TestFitVerifier:

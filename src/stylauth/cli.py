@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size")
+        p.add_argument("--threads", type=int, default=None,
+                       help="fold worker threads, at least 1; capped at the CPU and fold counts")
         p.add_argument("--output-dir", default=None, help="override the config output dir")
         p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
 
@@ -300,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             run.seed = args.seed
         if args.threads is not None:
-            run.threads = args.threads
+            run = replace(run, threads=args.threads)
         if args.output_dir is not None:
             run.output_dir = Path(args.output_dir)
         run.output_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ from typing import Any
 
 from .corpus import read_word_list
 from .dro import DroConfig
-from .errors import ConfigError, FeatureError, LearnerError, MissingFileError
+from .errors import ConfigError, DroError, FeatureError, LearnerError, MissingFileError
 from .features import FeatureBlock, FeatureConfig
 from .learner import TrainConfig
 from .pipeline import PipelineConfig, SegmentationConfig
@@ -18,7 +18,6 @@ from .pipeline import PipelineConfig, SegmentationConfig
 @dataclass
 class RunConfig:
     raw: dict  # verbatim copy embedded in every report
-    config_dir: Path
     manifest: Path
     pipeline: PipelineConfig
     seed: int
@@ -26,6 +25,17 @@ class RunConfig:
     disputed_id: str | None
     similar_top_k: int
     threads: int
+
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
+
+
+def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
+    """Reject keys the parser would not read, so a misspelt key cannot pass unnoticed."""
+    unknown = sorted(set(mapping) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
 def _require(mapping: dict, key: str, kind, where: str):
@@ -48,6 +58,8 @@ def _optional(mapping: dict, key: str, kind, default, where: str):
 def _parse_features(section: Any, base: Path) -> FeatureConfig:
     if not isinstance(section, dict):
         raise ConfigError("'features' must be an object")
+    _check_keys(section, {"blocks", "ngram_orders", "function_word_list", "verbal_ending_list"},
+                "features")
     blocks_raw = _require(section, "blocks", list, "features")
     try:
         blocks = frozenset(FeatureBlock(b) for b in blocks_raw)
@@ -89,6 +101,7 @@ def _parse_segmentation(section: Any) -> SegmentationConfig:
         return SegmentationConfig()
     if not isinstance(section, dict):
         raise ConfigError("'segmentation' must be an object")
+    _check_keys(section, {"min_tokens", "include_full_texts"}, "segmentation")
     return SegmentationConfig(
         min_tokens=_optional(section, "min_tokens", int, 400, "segmentation"),
         include_full_texts=_optional(section, "include_full_texts", bool, True, "segmentation"),
@@ -100,15 +113,14 @@ def _parse_dro(section: Any) -> DroConfig | None:
         return None
     if not isinstance(section, dict):
         raise ConfigError("'dro' must be an object")
+    _check_keys(section, {"enabled", "target_positive_ratio"}, "dro")
     if not _optional(section, "enabled", bool, True, "dro"):
         return None
     try:
         return DroConfig(
             target_positive_ratio=_optional(section, "target_positive_ratio", float, 0.20, "dro"),
-            latent_dimension=_optional(section, "latent_dimension", int, None, "dro"),
-            samples_per_extension=_optional(section, "samples_per_extension", int, None, "dro"),
         )
-    except Exception as exc:
+    except DroError as exc:
         raise ConfigError(f"dro: {exc}") from None
 
 
@@ -117,6 +129,7 @@ def _parse_learner(section: Any) -> TrainConfig:
         return TrainConfig()
     if not isinstance(section, dict):
         raise ConfigError("'learner' must be an object")
+    _check_keys(section, {"C", "C_grid", "inner_folds", "tolerance", "max_iterations"}, "learner")
     grid_raw = _optional(section, "C_grid", list, list(TrainConfig().C_grid), "learner")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid_raw):
         raise ConfigError("learner.C_grid must be a list of numbers")
@@ -144,6 +157,8 @@ def load_run_config(path: Path | str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     base = path.parent
+    _check_keys(raw, {"manifest", "target_author", "disputed_id", "seed", "threads", "output_dir",
+                      "similar_top_k", "features", "segmentation", "dro", "learner"}, "config")
 
     manifest_rel = _require(raw, "manifest", str, "config")
     features = _parse_features(raw.get("features"), base)
@@ -157,7 +172,6 @@ def load_run_config(path: Path | str) -> RunConfig:
     output_rel = _optional(raw, "output_dir", str, "stylauth-out", "config")
     return RunConfig(
         raw=raw,
-        config_dir=base,
         manifest=base / manifest_rel,
         pipeline=pipeline,
         seed=_optional(raw, "seed", int, 0, "config"),

@@ -20,6 +20,7 @@ byte-identical across runs and thread schedules.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,25 +36,18 @@ from .rng import spawn_rng
 class DroConfig:
     """Oversampling parameters.
 
-    ``latent_dimension`` of None means one latent coordinate per training
-    instance. ``samples_per_extension`` of None means each vector's own
-    raw occurrence count, so longer texts get lower-variance latent
-    blocks.
+    The latent block has one coordinate per training instance, and each
+    extension draws as many samples as the vector's own raw occurrence
+    count, so longer texts get lower-variance latent blocks.
     """
 
     target_positive_ratio: float = 0.20
-    latent_dimension: int | None = None
-    samples_per_extension: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.target_positive_ratio < 1.0):
             raise DroError(
                 f"target_positive_ratio must be in (0, 1), got {self.target_positive_ratio}"
             )
-        if self.latent_dimension is not None and self.latent_dimension < 1:
-            raise DroError("latent_dimension must be >= 1")
-        if self.samples_per_extension is not None and self.samples_per_extension < 1:
-            raise DroError("samples_per_extension must be >= 1")
 
 
 @dataclass
@@ -78,32 +72,19 @@ class DistributionalProfiles:
         return idx, probs
 
 
-def fit_profiles(
-    X,
-    latent_dimension: int | None = None,
-    space_fingerprint: str = "",
-) -> DistributionalProfiles:
+def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
     """Build profiles from the natural training matrix (rows = instances).
 
-    The latent space defaults to one dimension per training instance; a
-    larger dimension leaves the extra coordinates reachable only through
-    the uniform fallback. A smaller dimension cannot index the training
-    instances and is rejected.
+    The latent space has one dimension per training instance.
     """
     if X.shape[0] == 0:
         raise DroError("cannot fit profiles on an empty training matrix")
-    n = X.shape[0]
-    latent_dim = n if latent_dimension is None else int(latent_dimension)
-    if latent_dim < n:
-        raise DroError(
-            f"latent_dimension {latent_dim} is smaller than the {n} training instances"
-        )
     csc = sp.csc_matrix(X, dtype=np.float64)
     if csc.nnz and csc.data.min() < 0:
         raise DroError("profiles require nonnegative feature weights")
     sums = np.asarray(csc.sum(axis=0)).ravel()
     return DistributionalProfiles(
-        latent_dim=latent_dim,
+        latent_dim=X.shape[0],
         feature_dim=X.shape[1],
         _columns=csc,
         _column_sums=sums,
@@ -257,32 +238,22 @@ def oversample(
     if n_pos == 0:
         raise DroError("cannot oversample: no positive examples")
 
-    out: list[ExtendedExample] = []
-    for vector, label in examples:
-        rng = spawn_rng(master_seed, "dro-extend", vector.instance_id, 0)
-        extended = extend(vector, profiles, config.samples_per_extension, rng)
-        out.append(
-            ExtendedExample(vector=extended, label=label, source_id=vector.instance_id, replica=0)
-        )
-
-    n_synthetic = synthetic_positive_count(n_pos, n_neg, config.target_positive_ratio)
-    if n_synthetic == 0:
-        return out
-    positives = [(v, label) for v, label in examples if label == 1]
+    # (vector, label, replica): originals first, then synthetic copies of
+    # randomly chosen positives, numbered per source from 1.
+    work = [(vector, label, 0) for vector, label in examples]
+    positives = [vector for vector, label in examples if label == 1]
     picker = spawn_rng(master_seed, "dro-pick")
-    chosen = picker.integers(0, len(positives), size=n_synthetic)
-    replica_counter: dict[str, int] = {}
-    for source_pos in chosen:
-        vector, _ = positives[int(source_pos)]
-        replica = replica_counter.get(vector.instance_id, 0) + 1
-        replica_counter[vector.instance_id] = replica
+    n_synthetic = synthetic_positive_count(n_pos, n_neg, config.target_positive_ratio)
+    replicas: Counter[str] = Counter()
+    for source_pos in picker.integers(0, len(positives), size=n_synthetic):
+        vector = positives[int(source_pos)]
+        replicas[vector.instance_id] += 1
+        work.append((vector, 1, replicas[vector.instance_id]))
+    out: list[ExtendedExample] = []
+    for vector, label, replica in work:
         rng = spawn_rng(master_seed, "dro-extend", vector.instance_id, replica)
-        extended = extend(vector, profiles, config.samples_per_extension, rng)
-        out.append(
-            ExtendedExample(
-                vector=extended, label=1, source_id=vector.instance_id, replica=replica
-            )
-        )
+        extended = extend(vector, profiles, None, rng)
+        out.append(ExtendedExample(extended, label, vector.instance_id, replica))
     return out
 
 

@@ -5,7 +5,8 @@ plus the segments derived from those texts (the held-out text contributes
 no segments, and the feature space, IDF statistics, oversampling
 profiles, and hyperparameter C are all refit from scratch inside the
 fold), then applied to the held-out text in full. Folds are independent
-and may run on a thread pool; each derives its own randomness from
+and run on a thread pool of at most ``threads`` workers, capped at the CPU
+count and the number of folds; each derives its own randomness from
 (master seed, held-out id), so reports are byte-identical regardless of
 thread count.
 """
@@ -13,6 +14,7 @@ thread count.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +31,14 @@ from .pipeline import (
 from .rng import stable_seed
 
 log = logging.getLogger(__name__)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -96,9 +106,9 @@ class LooReport:
         table = ContingencyTable.from_predictions(y_true, y_pred)
         return table, f1(table), soft_f1(y_true, posteriors), vanilla_accuracy(table)
 
-    def canonical_dict(self, include_timing: bool = False) -> dict:
-        """Deterministic payload; timing is excluded unless asked for."""
-        payload = {
+    def canonical_dict(self) -> dict:
+        """Deterministic payload: everything but the fold timings."""
+        return {
             "target_author": self.target_author,
             "seed": self.seed,
             "corpus_fingerprint": self.corpus_fingerprint,
@@ -125,9 +135,6 @@ class LooReport:
             "vanilla_accuracy": self.vanilla_accuracy,
             "hardest_texts": [list(row) for row in self.hardest_texts()],
         }
-        if include_timing:
-            payload["fold_seconds"] = dict(self.fold_seconds)
-        return payload
 
 
 def _run_fold(
@@ -162,7 +169,7 @@ def _run_fold(
                 training_instance_ids=fitted.training_instance_ids,
             )
         )
-    prediction = predict_document(fitted, held_out, cache, config, fold_seed)
+    prediction = predict_document(fitted, held_out, cache, fold_seed)
     true_class = target if held_out.author == target else fitted.model.classes[0]
     record = TextPrediction(
         text_id=held_out.id,
@@ -204,6 +211,10 @@ def loo_run(
         folds = labelled
     if len(labelled) < 2:
         raise EvaluationError("leave-one-out needs at least two labelled texts")
+    if not folds:
+        raise EvaluationError("text_ids selects no text to hold out")
+    if threads < 1:
+        raise EvaluationError(f"threads must be at least 1, got {threads}")
     cache = counts_cache_for(config.features, cache)
     # Extract every instance the folds read before dispatching them, so that
     # no two fold threads extract the same instance: each labelled text that
@@ -216,15 +227,8 @@ def loo_run(
     def work(doc: Document):
         return doc.id, _run_fold(corpus, doc, config, cache, seed, fold_listener)
 
-    results: dict[str, tuple[TextPrediction | None, str | None, float]] = {}
-    if threads <= 1:
-        for doc in folds:
-            doc_id, outcome = work(doc)
-            results[doc_id] = outcome
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for doc_id, outcome in pool.map(work, folds):
-                results[doc_id] = outcome
+    with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus(), len(folds))) as pool:
+        results = dict(pool.map(work, folds))
 
     records: list[TextPrediction] = []
     skipped: list[tuple[str, str]] = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ExperimentError
-from .evaluation import LooReport, loo_run
+from .evaluation import LooReport, TextPrediction, loo_run
 from .features import FeatureBlock, Instance, cosine_similarity, fit_feature_space_from_counts
 from .learner import predict_proba
 from .metrics import macro_f1, per_class_tables
@@ -100,15 +100,11 @@ class AblationReport:
         }
 
 
-def _exact_score(report: LooReport) -> tuple[float, ...]:
-    return (report.f1,)
-
-
-def _restricted_score(report: LooReport) -> tuple[float, ...]:
-    confidences = [
-        r.confidence_in_true_class(report.target_author) for r in report.records
-    ]
-    return (report.vanilla_accuracy, float(np.mean(confidences)))
+def _restricted_score(records: Sequence[TextPrediction], target_author: str) -> tuple[float, ...]:
+    """Vanilla accuracy over ``records``, ties broken by mean confidence in the true class."""
+    confidences = [r.confidence_in_true_class(target_author) for r in records]
+    accuracy = sum(r.correct() for r in records) / len(records)
+    return (accuracy, float(np.mean(confidences)))
 
 
 def ablate(
@@ -134,23 +130,28 @@ def ablate(
         blocked = config.with_blocks(blocks)
         return loo_run(corpus, blocked, seed, threads=threads, text_ids=text_ids, cache=cache)
 
+    def score(report: LooReport) -> tuple[float, ...]:
+        if hardest_ids is None:
+            return (report.f1,)
+        records = [r for r in report.records if r.text_id in hardest_ids]
+        return _restricted_score(records, report.target_author)
+
+    # A restricted fold trains on every other text, as the full LOO's fold
+    # did, so in hardest-10 mode the full LOO also scores the initial pool.
+    initial = loo(pool)
     hardest_ids: tuple[str, ...] | None = None
     if mode == ABLATION_HARDEST10:
-        hardest_ids = tuple(row[0] for row in loo(pool).hardest_texts(HARDEST_POOL_SIZE))
+        hardest_ids = tuple(row[0] for row in initial.hardest_texts(HARDEST_POOL_SIZE))
         log.info("hardest texts for ablation: %s", ", ".join(hardest_ids))
 
-    def score_pool(blocks: tuple[FeatureBlock, ...]) -> tuple[float, ...]:
-        report = loo(blocks, hardest_ids)
-        return _exact_score(report) if mode == ABLATION_EXACT else _restricted_score(report)
-
     iterations: list[AblationIteration] = []
-    current_score = score_pool(pool)
+    current_score = score(initial)
     stop_scores: dict[FeatureBlock, tuple[float, ...]] | None = None
     while len(pool) > 1:
         candidate_scores: dict[FeatureBlock, tuple[float, ...]] = {}
         for block in pool:
             candidate = tuple(b for b in pool if b is not block)
-            candidate_scores[block] = score_pool(candidate)
+            candidate_scores[block] = score(loo(candidate, hardest_ids))
         best_block = max(pool, key=lambda b: candidate_scores[b])
         # max() keeps the earliest maximal block, making ties deterministic
         best_score = candidate_scores[best_block]
@@ -255,7 +256,7 @@ def verify_disputed(
     posteriors = []
     for i in range(replicas):
         prediction = predict_document(
-            fitted, disputed, cache, config, stable_seed(seed, "verify"), replica=i
+            fitted, disputed, cache, stable_seed(seed, "verify"), replica=i
         )
         posteriors.append(prediction.positive_posterior)
     median = float(statistics.median(posteriors))

@@ -457,7 +457,7 @@ class FeatureSpace:
     df: np.ndarray
     idf: np.ndarray
     block_offsets: tuple[tuple[FeatureBlock, int, int], ...]
-    _fingerprint: str | None = field(default=None, repr=False)
+    _fingerprint: str = field(repr=False)  # set by _space
 
     @property
     def dim(self) -> int:
@@ -488,13 +488,7 @@ class FeatureSpace:
         return rows
 
     def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(f"n={self.n_instances}\n".encode("ascii"))
-            for row in self._rows():
-                h.update(row.encode("utf-8"))
-                h.update(b"\n")
-            self._fingerprint = h.hexdigest()
+        """Digest of the instance count, the blocks' keys, and the exact df and IDF."""
         return self._fingerprint
 
     def save(self, path: Path | str) -> None:
@@ -553,7 +547,14 @@ def _space(config: FeatureConfig, n_instances: int, keys: Mapping[FeatureBlock, 
         vocab[block] = dict(zip(block_keys, range(start, start + len(block_keys))))
         offsets.append((block, start, start + len(block_keys)))
     df, idf = np.asarray(df, dtype=np.int64), np.asarray(idf, dtype=np.float64)
-    return FeatureSpace(config, n_instances, vocab, df, idf, tuple(offsets))
+    h = hashlib.sha256(f"n={n_instances}\n".encode("ascii"))
+    for block, block_keys in keys.items():
+        # keys hold no newline, and the key count delimits each block
+        h.update(f"{block.value}\t{len(block_keys)}\n".encode("ascii"))
+        h.update("\n".join(map(str, block_keys)).encode("utf-8") + b"\n")
+    h.update(df.tobytes())
+    h.update(idf.tobytes())
+    return FeatureSpace(config, n_instances, vocab, df, idf, tuple(offsets), h.hexdigest())
 
 
 def fit_feature_space_from_counts(

@@ -152,7 +152,7 @@ def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig):
             "ftol": 1e-14,
         },
     )
-    _, grad = fun(result.x, *args)
+    grad = result.jac
     converged = bool(np.max(np.abs(grad)) <= config.tolerance) or bool(result.success)
     if not converged:
         log.warning(

@@ -187,11 +187,7 @@ def fit_verifier(
     instance_ids = tuple(inst.instance_id for inst in instances)
     profiles: DistributionalProfiles | None = None
     if config.dro is not None:
-        profiles = dro_mod.fit_profiles(
-            X,
-            latent_dimension=config.dro.latent_dimension,
-            space_fingerprint=space.fingerprint(),
-        )
+        profiles = dro_mod.fit_profiles(X, space_fingerprint=space.fingerprint())
         vectors = sparse_rows(X, instance_ids, occurrences, space)
         extended = oversample(
             list(zip(vectors, y.tolist())), profiles, config.dro, master_seed=seed
@@ -222,7 +218,6 @@ def predict_document(
     fitted: FittedVerifier,
     doc: Document,
     cache: CountsCache,
-    config: PipelineConfig,
     seed: int,
     replica: int = 0,
 ) -> Prediction:
@@ -234,9 +229,8 @@ def predict_document(
     """
     vector = cache.vectorize(Instance(doc=doc), fitted.space)
     if fitted.profiles is not None:
-        m = config.dro.samples_per_extension if config.dro else None
         rng = spawn_rng(seed, "test-extend", doc.id, replica)
-        x = extend(vector, fitted.profiles, m, rng)
+        x = extend(vector, fitted.profiles, None, rng)
         prediction = predict_proba(fitted.model, x)
     else:
         prediction = predict_proba(fitted.model, vector)

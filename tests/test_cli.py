@@ -16,6 +16,7 @@ from stylauth.cli import (
     EXIT_OK,
     main,
 )
+from stylauth.config import load_run_config
 from stylauth.corpus import load_corpus
 from stylauth.pipeline import SegmentationConfig
 
@@ -97,6 +98,37 @@ class TestExitCodes:
             tmp, manifest, extra={"features": {"blocks": ["nonexistent_block"]}}
         )
         assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "section, key, dro",
+        [
+            (None, "threds", False),
+            ("features", "ngram_order", False),
+            ("segmentation", "min_token", False),
+            ("dro", "target_positve_ratio", True),
+            ("dro", "target_positve_ratio", False),
+            ("dro", "latent_dimension", True),
+            ("dro", "samples_per_extension", False),
+            ("learner", "c_grid", False),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key, dro):
+        path = write_config(tmp_path, tmp_path / "manifest.csv", dro=dro)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        (config[section] if section else config)[key] = 1
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["loo", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        assert (section or "config") in err
+
+    @pytest.mark.parametrize(
+        "extra, flags", [({"threads": 0}, []), ({"threads": -3}, []), ({}, ["--threads", "0"])]
+    )
+    def test_threads_below_one_rejected(self, tmp_path, capsys, extra, flags):
+        config = write_config(tmp_path, tmp_path / "manifest.csv", extra=extra)
+        assert main(["loo", "--config", str(config), *flags]) == EXIT_CONFIG
+        assert "threads must be at least 1" in capsys.readouterr().err
 
     def test_verify_without_disputed_text_fails(self, tmp_path):
         manifest = make_styled_corpus(tmp_path, {"Aldus": 2, "Benno": 2}, n_tokens=150)
@@ -300,3 +332,22 @@ class TestDeterminism:
         b = self._payload(tmp_path / "r2" / "loo_report.json")
         assert a != b
         assert b["meta"]["seed"] == 77
+
+
+def test_readme_run_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Run configuration") :]
+    start = section.index("```json\n") + len("```json\n")
+    example = json.loads(section[start : section.index("```", start)])
+    for key in ("function_word_list", "verbal_ending_list"):
+        resource = tmp_path / example["features"][key]
+        resource.parent.mkdir(parents=True, exist_ok=True)
+        resource.write_text("et\nin\n", encoding="utf-8")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(example), encoding="utf-8")
+    run = load_run_config(path)
+    assert run.raw == example
+    assert run.manifest == tmp_path / example["manifest"]
+    assert run.threads == example["threads"]
+    assert run.pipeline.features.function_words == ("et", "in")
+    assert run.pipeline.dro.target_positive_ratio == example["dro"]["target_positive_ratio"]

@@ -74,16 +74,6 @@ class TestFitProfiles:
         with pytest.raises(DroError):
             fit_profiles(sp.csr_matrix((0, 4)))
 
-    def test_latent_dimension_below_instances_rejected(self):
-        X = sp.csr_matrix(np.ones((4, 2)))
-        with pytest.raises(DroError):
-            fit_profiles(X, latent_dimension=3)
-
-    def test_larger_latent_dimension_allowed(self):
-        X = sp.csr_matrix(np.ones((4, 2)))
-        profiles = fit_profiles(X, latent_dimension=10)
-        assert profiles.latent_dim == 10
-
     def test_negative_weights_rejected(self):
         X = sp.csr_matrix(np.array([[1.0, -0.1]]))
         with pytest.raises(DroError):
@@ -301,7 +291,3 @@ class TestDroConfig:
             DroConfig(target_positive_ratio=0.0)
         with pytest.raises(DroError):
             DroConfig(target_positive_ratio=1.0)
-
-    def test_latent_dimension_validation(self):
-        with pytest.raises(DroError):
-            DroConfig(latent_dimension=0)

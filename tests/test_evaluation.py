@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from stylauth import evaluation
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import EvaluationError
@@ -63,6 +66,25 @@ class TestFolds:
     def test_unknown_text_id_rejected(self, small_corpus):
         with pytest.raises(EvaluationError):
             loo_run(small_corpus, fast_pipeline("Aldus"), seed=1, text_ids=["nope"])
+
+    def test_empty_text_ids_rejected(self, small_corpus):
+        with pytest.raises(EvaluationError):
+            loo_run(small_corpus, fast_pipeline("Aldus"), seed=1, text_ids=[])
+
+    def test_workers_capped_at_cpus_and_folds(self, small_corpus, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        requested = []
+
+        def recording_pool(max_workers):
+            requested.append(max_workers)
+            return ThreadPoolExecutor(max_workers=min(max_workers, cpus))
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", recording_pool)
+        config = fast_pipeline("Aldus")
+        first = small_corpus.labelled()[0].id
+        loo_run(small_corpus, config, seed=1, threads=64)
+        loo_run(small_corpus, config, seed=1, threads=64, text_ids=[first])
+        assert requested == [min(cpus, len(small_corpus.labelled())), 1]
 
     def test_missing_target_author_rejected(self, small_corpus):
         config = fast_pipeline("Aldus")

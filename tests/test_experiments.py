@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from stylauth import evaluation
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
@@ -113,6 +114,23 @@ class TestAblate:
         for it in report.iterations:
             assert it.removed_score >= it.pool_score
         assert FeatureBlock.TOKEN_LENGTHS not in report.final_pool
+
+    def test_hardest10_scores_the_initial_pool_from_the_full_loo(self, orthogonal, monkeypatch):
+        held_out = []
+        run_fold = evaluation._run_fold
+
+        def counting(corpus, doc, *args):
+            held_out.append(doc.id)
+            return run_fold(corpus, doc, *args)
+
+        monkeypatch.setattr(evaluation, "_run_fold", counting)
+        report = ablate(
+            orthogonal, THREE_BLOCKS, orthogonal_config(), mode=ABLATION_HARDEST10, seed=4
+        )
+        candidates = sum(len(it.candidate_scores) for it in report.iterations)
+        candidates += len(report.stop_candidate_scores or {})
+        restricted = candidates * len(report.hardest_text_ids)
+        assert len(held_out) == len(orthogonal.labelled()) + restricted
 
     def test_unknown_mode_rejected(self, orthogonal):
         with pytest.raises(ExperimentError):

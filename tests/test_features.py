@@ -340,6 +340,39 @@ class TestFitFeatureSpace:
         assert np.array_equal(loaded.df, space.df)
 
 
+def _edit_last_row(lines, column, value):
+    fields = lines[-1].split("\t")
+    fields[column] = value
+    return lines[:-1] + ["\t".join(fields)]
+
+
+SPACE_FILE_CHANGES = {
+    "key": lambda lines, last: _edit_last_row(lines, 1, last[1] + "z"),
+    "df": lambda lines, last: _edit_last_row(lines, 2, str(int(last[2]) + 1)),
+    "idf": lambda lines, last: _edit_last_row(
+        lines, 3, repr(float(np.nextafter(float(last[3]), 10.0)))
+    ),
+    "n": lambda lines, last: [line.replace("#instances\t2", "#instances\t3") for line in lines],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_FILE_CHANGES))
+def test_fingerprint_changes_with_one_key_df_idf_or_n(tmp_path, case):
+    config = FeatureConfig(
+        enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+        ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}},
+    )
+    space = fit_feature_space([doc_of("ab cde", "d1"), doc_of("b fg", "d2")], config)
+    path = tmp_path / "space.tsv"
+    space.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edited = SPACE_FILE_CHANGES[case](lines, lines[-1].split("\t"))
+    assert edited != lines
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    changed = FeatureSpace.load(path, config)
+    assert changed.fingerprint() != space.fingerprint()
+
+
 def _move_first_token_row_to_end(lines):
     first = next(i for i, line in enumerate(lines) if line.startswith("token_lengths\t"))
     return lines[:first] + lines[first + 1 :] + [lines[first]]

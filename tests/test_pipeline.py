@@ -134,7 +134,7 @@ class TestFitVerifier:
         assert fitted.model.classes == ("not Aldus", "Aldus")
         assert not fitted.uses_dro
         prediction = predict_document(
-            fitted, corpus.get("disputed-text"), cache, config, seed=7
+            fitted, corpus.get("disputed-text"), cache, seed=7
         )
         assert prediction.instance_id == "disputed-text"
         assert 0.0 <= prediction.positive_posterior <= 1.0

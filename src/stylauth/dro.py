@@ -8,6 +8,12 @@ Extending a vector draws m feature occurrences from the vector's own
 weight distribution, then one latent index from each drawn feature's
 profile, accumulates the draws, and L2-normalizes the latent block.
 
+``fit_profiles`` builds every feature's sampler table once per fit: its
+latent indices and probabilities, as read-only views of two packed
+arrays, and one shared uniform vector for the fallback. Sampling makes
+one ``multinomial`` call per drawn feature, in feature order, on that
+feature's table.
+
 Because a vector can be re-extended with fresh randomness as often as
 desired, minority-class training examples can be multiplied: each
 synthetic copy shares its source's natural block exactly and differs
@@ -52,30 +58,33 @@ class DroConfig:
 
 @dataclass
 class DistributionalProfiles:
-    """Per-feature categorical distributions over latent indices."""
+    """Per-feature categorical distributions over latent indices.
+
+    ``_tables[f]`` is feature f's (latent indices, probabilities) pair, or
+    None for the uniform fallback; ``_uniform`` is that fallback's
+    probability vector. All arrays are read-only and shared by every draw.
+    """
 
     latent_dim: int
     feature_dim: int
-    _columns: sp.csc_matrix  # (n_train, feature_dim); column f = raw profile of f
-    _column_sums: np.ndarray
+    _tables: list[tuple[np.ndarray, np.ndarray] | None]
+    _uniform: np.ndarray
     space_fingerprint: str = ""
 
     def profile(self, feature: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(latent indices, probabilities) for one feature; None => uniform fallback."""
         if not (0 <= feature < self.feature_dim):
             raise DroError(f"feature index {feature} out of range")
-        if self._column_sums[feature] <= 0:
-            return None
-        start, end = self._columns.indptr[feature], self._columns.indptr[feature + 1]
-        idx = self._columns.indices[start:end].astype(np.int64)
-        probs = self._columns.data[start:end] / self._column_sums[feature]
-        return idx, probs
+        return self._tables[feature]
 
 
 def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
     """Build profiles from the natural training matrix (rows = instances).
 
-    The latent space has one dimension per training instance.
+    The latent space has one dimension per training instance. Every
+    feature's sampler table is built here, once per fit: one division of
+    the stored weights by their repeated column sums gives every
+    probability, bitwise as dividing each column by its own sum would.
     """
     if X.shape[0] == 0:
         raise DroError("cannot fit profiles on an empty training matrix")
@@ -83,11 +92,22 @@ def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
     if csc.nnz and csc.data.min() < 0:
         raise DroError("profiles require nonnegative feature weights")
     sums = np.asarray(csc.sum(axis=0)).ravel()
+    indices = csc.indices.astype(np.int64)
+    # Columns summing to 0 divide by 0 here; their tables are None.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = csc.data / np.repeat(sums, np.diff(csc.indptr))
+    uniform = np.full(X.shape[0], 1.0 / X.shape[0])
+    for array in (indices, probs, uniform):
+        array.flags.writeable = False
+    bounds = zip(sums.tolist(), csc.indptr[:-1].tolist(), csc.indptr[1:].tolist())
     return DistributionalProfiles(
         latent_dim=X.shape[0],
         feature_dim=X.shape[1],
-        _columns=csc,
-        _column_sums=sums,
+        _tables=[
+            (indices[start:end], probs[start:end]) if total > 0 else None
+            for total, start, end in bounds
+        ],
+        _uniform=uniform,
         space_fingerprint=space_fingerprint,
     )
 
@@ -126,20 +146,27 @@ def sample_latent_counts(
     m_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Raw latent draw counts for one vector (before normalization)."""
+    """Raw latent draw counts for one vector (before normalization).
+
+    Draws m feature occurrences, then, feature by feature in index order,
+    the latent indices of that feature's occurrences from its table.
+    """
+    if vector.dim != profiles.feature_dim:
+        raise DroError(
+            f"vector dim {vector.dim} does not match profile dim {profiles.feature_dim}"
+        )
     counts = np.zeros(profiles.latent_dim, dtype=np.float64)
     total = float(vector.values.sum())
     if total <= 0:
         return counts
     feature_draws = rng.multinomial(m_samples, vector.values / total)
-    for pos in np.nonzero(feature_draws)[0]:
-        k = int(feature_draws[pos])
-        prof = profiles.profile(int(vector.indices[pos]))
-        if prof is None:
-            drawn = rng.multinomial(k, np.full(profiles.latent_dim, 1.0 / profiles.latent_dim))
-            counts += drawn
+    drawn = np.nonzero(feature_draws)[0]
+    for feature, k in zip(vector.indices[drawn].tolist(), feature_draws[drawn].tolist()):
+        table = profiles._tables[feature]
+        if table is None:
+            counts += rng.multinomial(k, profiles._uniform)
         else:
-            idx, probs = prof
+            idx, probs = table
             counts[idx] += rng.multinomial(k, probs)
     return counts
 

@@ -71,6 +71,17 @@ class FoldDebug:
     training_instance_ids: tuple[str, ...]
 
 
+def _metrics(
+    records: Sequence[TextPrediction], target_author: str
+) -> tuple[ContingencyTable, float, float, float]:
+    """(contingency table, F1, soft F1, vanilla accuracy) of LOO records."""
+    y_true = [1 if r.true_class == target_author else 0 for r in records]
+    y_pred = [1 if r.predicted_class == target_author else 0 for r in records]
+    posteriors = [r.positive_posterior for r in records]
+    table = ContingencyTable.from_predictions(y_true, y_pred)
+    return table, f1(table), soft_f1(y_true, posteriors), vanilla_accuracy(table)
+
+
 @dataclass
 class LooReport:
     target_author: str
@@ -100,11 +111,7 @@ class LooReport:
 
     def recompute_metrics(self) -> tuple[ContingencyTable, float, float, float]:
         """Rebuild all aggregate numbers from the per-text records."""
-        y_true = [1 if r.true_class == self.target_author else 0 for r in self.records]
-        y_pred = [1 if r.predicted_class == self.target_author else 0 for r in self.records]
-        posteriors = [r.positive_posterior for r in self.records]
-        table = ContingencyTable.from_predictions(y_true, y_pred)
-        return table, f1(table), soft_f1(y_true, posteriors), vanilla_accuracy(table)
+        return _metrics(self.records, self.target_author)
 
     def canonical_dict(self) -> dict:
         """Deterministic payload: everything but the fold timings."""
@@ -243,21 +250,17 @@ def loo_run(
 
     if not records:
         raise EvaluationError("every fold was skipped; nothing to evaluate")
-    target = config.target_author
-    y_true = [1 if r.true_class == target else 0 for r in records]
-    y_pred = [1 if r.predicted_class == target else 0 for r in records]
-    posteriors = [r.positive_posterior for r in records]
-    table = ContingencyTable.from_predictions(y_true, y_pred)
+    table, f1_score, soft_f1_score, accuracy = _metrics(records, config.target_author)
     return LooReport(
-        target_author=target,
+        target_author=config.target_author,
         seed=seed,
         corpus_fingerprint=corpus.fingerprint(),
         records=tuple(records),
         skipped=tuple(skipped),
         table=table,
-        f1=f1(table),
-        soft_f1=soft_f1(y_true, posteriors),
-        vanilla_accuracy=vanilla_accuracy(table),
+        f1=f1_score,
+        soft_f1=soft_f1_score,
+        vanilla_accuracy=accuracy,
         fold_seconds=fold_seconds,
     )
 

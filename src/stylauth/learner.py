@@ -5,7 +5,11 @@ The objective is the sum of per-example negative log-likelihoods plus
 on analytic gradients, which is deterministic for fixed inputs, so any
 randomness in the surrounding pipeline comes only from explicit seeds.
 The objective/gradient functions are module-level so they can be checked
-against finite differences.
+against finite differences; a fit makes ``X.T`` once and passes it to
+every evaluation. Inner cross-validation fits each inner fold along the
+C grid in ascending order, starting every fit from the previous C's
+solution (the regularization-path warm start of glmnet, Friedman, Hastie
+& Tibshirani, 2010); final fits start from zeros.
 """
 
 from __future__ import annotations
@@ -99,9 +103,12 @@ class Prediction:
 
 
 def binary_objective(
-    params: np.ndarray, X, y: np.ndarray, C: float
+    params: np.ndarray, X, y: np.ndarray, C: float, XT=None
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient; params = [w_0..w_{d-1}, bias]."""
+    """Loss and gradient; params = [w_0..w_{d-1}, bias].
+
+    ``XT`` is ``X.T`` made once per fit; by default it is made per call.
+    """
     w = params[:-1]
     b = params[-1]
     z = X @ w + b
@@ -109,15 +116,18 @@ def binary_objective(
     loss = float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * float(w @ w)
     r = expit(z) - y
     grad = np.empty_like(params)
-    grad[:-1] = X.T @ r + w / C
+    grad[:-1] = (X.T if XT is None else XT) @ r + w / C
     grad[-1] = r.sum()
     return loss, grad
 
 
 def multiclass_objective(
-    params: np.ndarray, X, y_idx: np.ndarray, n_classes: int, C: float
+    params: np.ndarray, X, y_idx: np.ndarray, n_classes: int, C: float, XT=None
 ) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy; params reshape to (k, d+1), last column = bias."""
+    """Softmax cross-entropy; params reshape to (k, d+1), last column = bias.
+
+    ``XT`` is ``X.T`` made once per fit; by default it is made per call.
+    """
     n, d = X.shape
     theta = params.reshape(n_classes, d + 1)
     W = theta[:, :-1]
@@ -128,7 +138,7 @@ def multiclass_objective(
     P = np.exp(Z - lse[:, None])
     P[np.arange(n), y_idx] -= 1.0
     grad = np.empty_like(theta)
-    grad[:, :-1] = (X.T @ P).T + W / C
+    grad[:, :-1] = ((X.T if XT is None else XT) @ P).T + W / C
     grad[:, -1] = P.sum(axis=0)
     return loss, grad.ravel()
 
@@ -171,8 +181,12 @@ def train_binary(
     classes: tuple[str, str] = ("negative", "positive"),
     C: float | None = None,
     space_fingerprint: str = "",
+    x0: np.ndarray | None = None,
 ) -> TrainedModel:
-    """Fit a binary verifier; y holds 0 (negative) / 1 (positive) labels."""
+    """Fit a binary verifier; y holds 0 (negative) / 1 (positive) labels.
+
+    The optimizer starts from ``x0`` ([weights, bias]) or else from zeros.
+    """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != X.shape[0]:
         raise LearnerError("label count does not match matrix rows")
@@ -181,8 +195,9 @@ def train_binary(
         raise LearnerError("training data must contain both classes")
     _check_matrix(X)
     c = float(C if C is not None else config.C)
-    x0 = np.zeros(X.shape[1] + 1)
-    result, converged = _minimize(binary_objective, x0, (X, y, c), config)
+    if x0 is None:
+        x0 = np.zeros(X.shape[1] + 1)
+    result, converged = _minimize(binary_objective, x0, (X, y, c, X.T), config)
     return TrainedModel(
         classes=classes,
         weights=result.x[:-1].copy(),
@@ -200,8 +215,13 @@ def train_multiclass(
     config: TrainConfig,
     C: float | None = None,
     space_fingerprint: str = "",
+    x0: np.ndarray | None = None,
 ) -> TrainedModel:
-    """Fit a multinomial attributor over the distinct labels in y."""
+    """Fit a multinomial attributor over the distinct labels in y.
+
+    The optimizer starts from ``x0`` (the (k, d+1) parameters, raveled,
+    last column = bias) or else from zeros.
+    """
     labels = list(y)
     if len(labels) != X.shape[0]:
         raise LearnerError("label count does not match matrix rows")
@@ -213,8 +233,9 @@ def train_multiclass(
     y_idx = np.asarray([index[label] for label in labels], dtype=np.int64)
     c = float(C if C is not None else config.C)
     k, d = len(classes), X.shape[1]
-    x0 = np.zeros(k * (d + 1))
-    result, converged = _minimize(multiclass_objective, x0, (X, y_idx, k, c), config)
+    if x0 is None:
+        x0 = np.zeros(k * (d + 1))
+    result, converged = _minimize(multiclass_objective, x0, (X, y_idx, k, c, X.T), config)
     theta = result.x.reshape(k, d + 1)
     return TrainedModel(
         classes=classes,
@@ -305,7 +326,9 @@ def inner_cv_scores(
 
     Binary problems are scored with positive-class F1, multiclass with
     macro F1, matching the outer evaluation objective. Fold assignment is
-    stratified and shared across the grid.
+    stratified and shared across the grid. Each inner fold is sliced once
+    and fitted along the grid in ascending C, each fit starting from the
+    previous C's solution (a warm-started regularization path).
     """
     counts = np.bincount(y_idx, minlength=n_classes)
     min_class = int(counts[counts > 0].min())
@@ -322,32 +345,35 @@ def inner_cv_scores(
     folds = _stratified_fold_ids(y_idx, k, rng)
     X = sp.csr_matrix(X) if sp.issparse(X) else np.asarray(X)
 
-    scores: dict[float, float] = {}
-    for c in config.C_grid:
-        predicted = np.empty(y_idx.shape[0], dtype=np.int64)
-        for j in range(k):
-            train_mask = folds != j
-            X_tr, y_tr = X[train_mask], y_idx[train_mask]
-            X_va = X[~train_mask]
-            if np.unique(y_tr).shape[0] < 2:
-                predicted[~train_mask] = 0
-                continue
+    predicted = {c: np.zeros(y_idx.shape[0], dtype=np.int64) for c in config.C_grid}
+    for j in range(k):
+        train_mask = folds != j
+        X_tr, y_tr = X[train_mask], y_idx[train_mask]
+        X_va = X[~train_mask]
+        if np.unique(y_tr).shape[0] < 2:
+            continue  # its validation rows stay predicted as class 0
+        labels = [str(v) for v in y_tr]
+        x0 = None
+        for c in config.C_grid:
             if n_classes == 2:
-                model = train_binary(X_tr, y_tr, config, C=c)
+                model = train_binary(X_tr, y_tr, config, C=c, x0=x0)
+                x0 = np.concatenate([model.weights, model.bias])
+                fold_pred = (predict_proba_matrix(model, X_va)[:, 1] > 0.5).astype(np.int64)
             else:
-                model = train_multiclass(X_tr, [str(v) for v in y_tr], config, C=c)
-            probs = predict_proba_matrix(model, X_va)
-            if n_classes == 2:
-                predicted[~train_mask] = (probs[:, 1] > 0.5).astype(np.int64)
-            else:
+                model = train_multiclass(X_tr, labels, config, C=c, x0=x0)
+                x0 = np.column_stack([model.weights, model.bias]).ravel()
                 class_ids = np.array([int(v) for v in model.classes])
-                predicted[~train_mask] = class_ids[np.argmax(probs, axis=1)]
+                fold_pred = class_ids[np.argmax(predict_proba_matrix(model, X_va), axis=1)]
+            predicted[c][~train_mask] = fold_pred
+
+    scores: dict[float, float] = {}
+    for c, pred in predicted.items():
         if n_classes == 2:
-            scores[c] = f1(ContingencyTable.from_predictions(y_idx.tolist(), predicted.tolist()))
+            scores[c] = f1(ContingencyTable.from_predictions(y_idx.tolist(), pred.tolist()))
         else:
             tables = [
                 ContingencyTable.from_predictions(
-                    (y_idx == cls).astype(int).tolist(), (predicted == cls).astype(int).tolist()
+                    (y_idx == cls).astype(int).tolist(), (pred == cls).astype(int).tolist()
                 )
                 for cls in range(n_classes)
             ]

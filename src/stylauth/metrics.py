@@ -87,7 +87,7 @@ class SoftContingencyTable:
 
 
 def f1(table: ContingencyTable | SoftContingencyTable) -> float:
-    """Harmonic mediation of precision and recall; 1.0 on the empty-positive case."""
+    """Harmonic mean of precision and recall; 1.0 on the empty-positive case."""
     denom = 2.0 * table.tp + table.fp + table.fn
     if denom == 0:
         return 1.0

@@ -164,6 +164,88 @@ class TestExtend:
         assert result.pvalue > 0.01
 
 
+def reference_profiles(X) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Each feature's (latent indices, probabilities), divided by its own sum."""
+    csc = sp.csc_matrix(X, dtype=np.float64)
+    sums = np.asarray(csc.sum(axis=0)).ravel()
+    out = []
+    for f in range(X.shape[1]):
+        start, end = csc.indptr[f], csc.indptr[f + 1]
+        idx = csc.indices[start:end].astype(np.int64)
+        out.append(None if sums[f] <= 0 else (idx, csc.data[start:end] / sums[f]))
+    return out
+
+
+def reference_latent_counts(vector, X, m, rng) -> np.ndarray:
+    """Per-feature sampling loop: a fresh profile per draw, np.full fallback."""
+    n = X.shape[0]
+    counts = np.zeros(n)
+    total = float(vector.values.sum())
+    if total <= 0:
+        return counts
+    feature_draws = rng.multinomial(m, vector.values / total)
+    for pos in np.nonzero(feature_draws)[0]:
+        k = int(feature_draws[pos])
+        prof = reference_profiles(X)[int(vector.indices[pos])]
+        if prof is None:
+            counts += rng.multinomial(k, np.full(n, 1.0 / n))
+        else:
+            idx, probs = prof
+            counts[idx] += rng.multinomial(k, probs)
+    return counts
+
+
+class TestSamplerTables:
+    def _fixture(self):
+        keep = np.ones(40)
+        keep[7] = 0.0  # an all-zero column: uniform fallback
+        X = sp.random(30, 40, density=0.2, random_state=11, format="csr") @ sp.diags(keep)
+        X = sp.csr_matrix(X)
+        X.eliminate_zeros()
+        rng = np.random.default_rng(12)
+        indices = np.sort(rng.choice(40, size=25, replace=False))
+        indices = np.union1d(indices, [7])
+        vector = make_vector(indices, rng.random(indices.shape[0]) + 0.01, 40)
+        return X, vector
+
+    @pytest.mark.parametrize("m", [1, 5, 200, 20_000])
+    def test_draws_match_per_feature_reference(self, m):
+        X, vector = self._fixture()
+        profiles = fit_profiles(X)
+        assert profiles.profile(7) is None
+        for seed in range(6):
+            got = sample_latent_counts(vector, profiles, m, spawn_rng(seed, "tables"))
+            want = reference_latent_counts(vector, X, m, spawn_rng(seed, "tables"))
+            assert np.array_equal(got, want)
+
+    def test_profiles_match_per_feature_division(self):
+        X, _ = self._fixture()
+        profiles = fit_profiles(X)
+        for f, want in enumerate(reference_profiles(X)):
+            got = profiles.profile(f)
+            if want is None:
+                assert got is None
+            else:
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_profile_arrays_are_read_only(self):
+        X, _ = self._fixture()
+        profiles = fit_profiles(X)
+        idx, probs = profiles.profile(0)
+        for array in (idx, probs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_out_of_range_feature_rejected(self):
+        X, _ = self._fixture()
+        profiles = fit_profiles(X)
+        for feature in (-1, 40):
+            with pytest.raises(DroError):
+                profiles.profile(feature)
+
+
 class TestSyntheticCount:
     def test_reference_imbalance(self):
         # 121 positives vs 5309 negatives at a 20/80 target

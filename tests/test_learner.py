@@ -10,10 +10,13 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from stylauth.errors import LearnerError
+from stylauth.metrics import ContingencyTable, f1, macro_f1
 from stylauth.features import FeatureBlock, FeatureConfig, SparseVector, fit_feature_space, vectorize
 from stylauth.corpus import build_document
+from stylauth import learner
 from stylauth.learner import (
     TrainConfig,
+    _stratified_fold_ids,
     TrainedModel,
     binary_objective,
     explain,
@@ -75,6 +78,23 @@ class TestObjectives:
         loss_s, grad_s = binary_objective(params, sp.csr_matrix(X), y, 1.0)
         assert loss_s == pytest.approx(loss_d)
         assert grad_s == pytest.approx(grad_d)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_precomputed_transpose_is_bitwise_equal(self, sparse):
+        rng = np.random.default_rng(46)
+        X = rng.normal(size=(9, 6)) * (rng.random(size=(9, 6)) > 0.4)
+        X = sp.csr_matrix(X) if sparse else X
+        y = rng.integers(0, 2, size=9).astype(float)
+        y_idx = rng.integers(0, 3, size=9)
+        cases = [
+            (binary_objective, rng.normal(size=7), (X, y, 0.8)),
+            (multiclass_objective, rng.normal(size=3 * 7), (X, y_idx, 3, 0.8)),
+        ]
+        for objective, params, args in cases:
+            loss, grad = objective(params, *args)
+            loss_t, grad_t = objective(params, *args, X.T)
+            assert loss_t == loss
+            assert grad_t.tobytes() == grad.tobytes()
 
     def test_objective_non_increasing_over_iterations(self):
         rng = np.random.default_rng(45)
@@ -290,6 +310,79 @@ class TestTuneC:
             c = tune_C(X, y, config, np.random.default_rng(2))
         assert c in (0.1, 1.0)
         assert any("reducing inner folds" in r.message for r in caplog.records)
+
+    @staticmethod
+    def _cold_start_scores(X, y_idx, n_classes, config, rng):
+        """Inner-CV scores with every fit started from zeros, and the total n_iter."""
+        folds = _stratified_fold_ids(y_idx, config.inner_folds, rng)
+        scores, n_iter = {}, 0
+        for c in config.C_grid:
+            predicted = np.zeros(y_idx.shape[0], dtype=np.int64)
+            for j in range(config.inner_folds):
+                train, valid = folds != j, folds == j
+                if n_classes == 2:
+                    model = train_binary(X[train], y_idx[train], config, C=c)
+                    probs = predict_proba_matrix(model, X[valid])
+                    predicted[valid] = (probs[:, 1] > 0.5).astype(np.int64)
+                else:
+                    labels = [str(v) for v in y_idx[train]]
+                    model = train_multiclass(X[train], labels, config, C=c)
+                    probs = predict_proba_matrix(model, X[valid])
+                    class_ids = np.array([int(v) for v in model.classes])
+                    predicted[valid] = class_ids[np.argmax(probs, axis=1)]
+                n_iter += model.n_iter
+            tables = [
+                ContingencyTable.from_predictions(
+                    (y_idx == cls).astype(int).tolist(), (predicted == cls).astype(int).tolist()
+                )
+                for cls in range(n_classes)
+            ]
+            scores[c] = f1(tables[1]) if n_classes == 2 else macro_f1(tables)
+        return scores, n_iter
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_warm_start_matches_cold_start_in_fewer_iterations(self, n_classes, monkeypatch):
+        rng = np.random.default_rng(53 + n_classes)
+        centers = rng.normal(scale=1.5, size=(n_classes, 40))
+        y_idx = np.repeat(np.arange(n_classes), 60 // n_classes)
+        X = np.abs(centers[y_idx] + 2.0 * rng.normal(size=(y_idx.shape[0], 40)))
+        X = sp.csr_matrix(X * (rng.random(size=X.shape) > 0.6))
+        config = TrainConfig(inner_folds=4)
+        want, cold_iters = self._cold_start_scores(
+            X, y_idx, n_classes, config, np.random.default_rng(5)
+        )
+
+        warm_iters = []
+        for name in ("train_binary", "train_multiclass"):
+            fit = getattr(learner, name)
+
+            def counted(*args, _fit=fit, **kwargs):
+                model = _fit(*args, **kwargs)
+                warm_iters.append(model.n_iter)
+                return model
+
+            monkeypatch.setattr(learner, name, counted)
+        got = inner_cv_scores(X, y_idx, n_classes, config, np.random.default_rng(5))
+        assert got == want
+        assert len(warm_iters) == len(config.C_grid) * config.inner_folds
+        assert sum(warm_iters) < cold_iters
+
+    def test_train_binary_starts_from_zeros_by_default(self):
+        rng = np.random.default_rng(54)
+        X = sp.csr_matrix(np.abs(rng.normal(size=(30, 8))) * (rng.random(size=(30, 8)) > 0.5))
+        y = (rng.random(30) > 0.5).astype(float)
+        config = TrainConfig()
+        model = train_binary(X, y, config, C=3.0)
+        result = minimize(
+            binary_objective,
+            np.zeros(9),
+            args=(X, y, 3.0),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": config.max_iterations, "gtol": config.tolerance, "ftol": 1e-14},
+        )
+        assert model.weights.tobytes() == result.x[:-1].tobytes()
+        assert model.bias.tobytes() == result.x[-1:].tobytes()
 
     def test_fallback_when_cv_impossible(self, caplog):
         X = np.array([[1.0], [-1.0], [-2.0]])

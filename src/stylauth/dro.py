@@ -8,11 +8,16 @@ Extending a vector draws m feature occurrences from the vector's own
 weight distribution, then one latent index from each drawn feature's
 profile, accumulates the draws, and L2-normalizes the latent block.
 
-``fit_profiles`` builds every feature's sampler table once per fit: its
-latent indices and probabilities, as read-only views of two packed
-arrays, and one shared uniform vector for the fallback. Sampling makes
-one ``multinomial`` call per drawn feature, in feature order, on that
-feature's table.
+``fit_profiles`` packs every feature's profile once per fit into one
+cumulative table, in which feature f's cumulative probabilities occupy
+the interval (f, f+1] and its last one is exactly f+1. A draw from
+feature f is then the uniform f + U(0, 1) looked up in that table: one
+``multinomial`` call spreads the m draws over the vector's features, one
+``random`` call gives their uniforms, and one ``searchsorted`` locates
+them all (inverse-transform sampling). Each position is clipped into its
+own feature's entries, because f + U can round up to f+1. A feature
+with no weight in training stores no entries and draws floor(U * n)
+over the n latent indices instead.
 
 Because a vector can be re-extended with fresh randomness as often as
 desired, minority-class training examples can be multiplied: each
@@ -58,33 +63,43 @@ class DroConfig:
 
 @dataclass
 class DistributionalProfiles:
-    """Per-feature categorical distributions over latent indices.
+    """Per-feature categorical distributions over latent indices, packed.
 
-    ``_tables[f]`` is feature f's (latent indices, probabilities) pair, or
-    None for the uniform fallback; ``_uniform`` is that fallback's
-    probability vector. All arrays are read-only and shared by every draw.
+    Feature f's entries are ``_indptr[f]:_indptr[f+1]`` of ``_indices``
+    (latent indices), ``_probs`` (their probabilities, positive) and
+    ``_cum`` (f plus the running sum of those probabilities, with the
+    last entry exactly f+1). ``_cum`` is nondecreasing over the whole
+    array, so one ``searchsorted`` serves every feature. A feature
+    without entries falls back to the uniform profile over all latent
+    indices, which is never stored. All arrays are read-only.
     """
 
     latent_dim: int
     feature_dim: int
-    _tables: list[tuple[np.ndarray, np.ndarray] | None]
-    _uniform: np.ndarray
+    _indptr: np.ndarray
+    _indices: np.ndarray
+    _probs: np.ndarray
+    _cum: np.ndarray
     space_fingerprint: str = ""
 
     def profile(self, feature: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(latent indices, probabilities) for one feature; None => uniform fallback."""
         if not (0 <= feature < self.feature_dim):
             raise DroError(f"feature index {feature} out of range")
-        return self._tables[feature]
+        start, end = self._indptr[feature], self._indptr[feature + 1]
+        if start == end:
+            return None
+        return self._indices[start:end], self._probs[start:end]
 
 
 def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
     """Build profiles from the natural training matrix (rows = instances).
 
-    The latent space has one dimension per training instance. Every
-    feature's sampler table is built here, once per fit: one division of
-    the stored weights by their repeated column sums gives every
-    probability, bitwise as dividing each column by its own sum would.
+    The latent space has one dimension per training instance. The packed
+    table is built here, once per fit: one division of the positive
+    weights by their repeated column sums gives every probability,
+    bitwise as dividing each column by its own sum would. Zero weights
+    are dropped, so a column summing to 0 stores nothing.
     """
     if X.shape[0] == 0:
         raise DroError("cannot fit profiles on an empty training matrix")
@@ -92,22 +107,29 @@ def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
     if csc.nnz and csc.data.min() < 0:
         raise DroError("profiles require nonnegative feature weights")
     sums = np.asarray(csc.sum(axis=0)).ravel()
-    indices = csc.indices.astype(np.int64)
-    # Columns summing to 0 divide by 0 here; their tables are None.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = csc.data / np.repeat(sums, np.diff(csc.indptr))
-    uniform = np.full(X.shape[0], 1.0 / X.shape[0])
-    for array in (indices, probs, uniform):
+    keep = csc.data > 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[csc.indptr]
+    sizes = np.diff(indptr)
+    indices = csc.indices[keep].astype(np.int64)
+    probs = csc.data[keep] / np.repeat(sums, sizes)
+    # Running sums restart at each column: subtract the global running
+    # sum reached before the column, then shift column f into (f, f+1].
+    running = np.cumsum(probs)
+    cum = running - np.repeat(np.concatenate(([0.0], running))[indptr[:-1]], sizes)
+    column_of = np.repeat(np.arange(X.shape[1], dtype=np.float64), sizes)
+    cum += column_of
+    np.minimum(cum, column_of + 1.0, out=cum)
+    filled = np.nonzero(sizes)[0]
+    cum[indptr[filled + 1] - 1] = filled + 1.0
+    for array in (indptr, indices, probs, cum):
         array.flags.writeable = False
-    bounds = zip(sums.tolist(), csc.indptr[:-1].tolist(), csc.indptr[1:].tolist())
     return DistributionalProfiles(
         latent_dim=X.shape[0],
         feature_dim=X.shape[1],
-        _tables=[
-            (indices[start:end], probs[start:end]) if total > 0 else None
-            for total, start, end in bounds
-        ],
-        _uniform=uniform,
+        _indptr=indptr,
+        _indices=indices,
+        _probs=probs,
+        _cum=cum,
         space_fingerprint=space_fingerprint,
     )
 
@@ -148,27 +170,38 @@ def sample_latent_counts(
 ) -> np.ndarray:
     """Raw latent draw counts for one vector (before normalization).
 
-    Draws m feature occurrences, then, feature by feature in index order,
-    the latent indices of that feature's occurrences from its table.
+    Draws m feature occurrences, then one uniform per occurrence, in
+    feature index order, and looks each feature-plus-uniform up in the
+    packed cumulative table.
     """
     if vector.dim != profiles.feature_dim:
         raise DroError(
             f"vector dim {vector.dim} does not match profile dim {profiles.feature_dim}"
         )
-    counts = np.zeros(profiles.latent_dim, dtype=np.float64)
+    n = profiles.latent_dim
     total = float(vector.values.sum())
     if total <= 0:
-        return counts
+        return np.zeros(n, dtype=np.float64)
     feature_draws = rng.multinomial(m_samples, vector.values / total)
     drawn = np.nonzero(feature_draws)[0]
-    for feature, k in zip(vector.indices[drawn].tolist(), feature_draws[drawn].tolist()):
-        table = profiles._tables[feature]
-        if table is None:
-            counts += rng.multinomial(k, profiles._uniform)
-        else:
-            idx, probs = table
-            counts[idx] += rng.multinomial(k, probs)
-    return counts
+    features = vector.indices[drawn]
+    k = feature_draws[drawn]
+    u = rng.random(m_samples)
+    pos = np.searchsorted(profiles._cum, np.repeat(features, k) + u, side="right")
+    starts = np.repeat(profiles._indptr[features], k)
+    ends = np.repeat(profiles._indptr[features + 1], k)
+    # For u near 1, f + u can round up to f+1 and land past the column's
+    # last entry; the clip keeps every draw in its own column.
+    np.clip(pos, starts, ends - 1, out=pos)
+    fallback = starts == ends
+    if fallback.any():
+        # u < 1 keeps the rounded u * n below n, so floor(u * n) is in range.
+        latent = (u * n).astype(np.int64)
+        table = ~fallback
+        latent[table] = profiles._indices[pos[table]]
+    else:
+        latent = profiles._indices[pos]
+    return np.bincount(latent, minlength=n).astype(np.float64)
 
 
 def extend(

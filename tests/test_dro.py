@@ -177,21 +177,26 @@ def reference_profiles(X) -> list[tuple[np.ndarray, np.ndarray] | None]:
 
 
 def reference_latent_counts(vector, X, m, rng) -> np.ndarray:
-    """Per-feature sampling loop: a fresh profile per draw, np.full fallback."""
+    """Per-feature inverse-CDF loop: each draw's uniform looked up in its
+    feature's own cumulative sum, floor(u * n) for the uniform fallback."""
     n = X.shape[0]
     counts = np.zeros(n)
     total = float(vector.values.sum())
     if total <= 0:
         return counts
     feature_draws = rng.multinomial(m, vector.values / total)
+    uniforms = iter(rng.random(m).tolist())
     for pos in np.nonzero(feature_draws)[0]:
-        k = int(feature_draws[pos])
         prof = reference_profiles(X)[int(vector.indices[pos])]
-        if prof is None:
-            counts += rng.multinomial(k, np.full(n, 1.0 / n))
-        else:
-            idx, probs = prof
-            counts[idx] += rng.multinomial(k, probs)
+        for _ in range(int(feature_draws[pos])):
+            u = next(uniforms)
+            if prof is None:
+                counts[int(u * n)] += 1
+            else:
+                idx, probs = prof
+                cum = np.cumsum(probs)
+                cum[-1] = 1.0
+                counts[idx[min(int(np.searchsorted(cum, u, side="right")), len(idx) - 1)]] += 1
     return counts
 
 
@@ -217,6 +222,23 @@ class TestSamplerTables:
             got = sample_latent_counts(vector, profiles, m, spawn_rng(seed, "tables"))
             want = reference_latent_counts(vector, X, m, spawn_rng(seed, "tables"))
             assert np.array_equal(got, want)
+
+    def test_each_feature_draws_from_its_profile(self):
+        X, _ = self._fixture()
+        profiles = fit_profiles(X)
+        assert profiles.profile(7) is None
+        m = 20_000
+        for f, want in enumerate(reference_profiles(X)):
+            vector = make_vector([f], [1.0], 40)
+            counts = sample_latent_counts(vector, profiles, m, spawn_rng(f, "profile-draws"))
+            assert counts.sum() == m
+            if want is None:
+                assert chisquare(counts).pvalue > 0.01  # uniform over all 30 rows
+            else:
+                idx, probs = want
+                outside = np.delete(counts, idx)
+                assert not outside.any(), f"feature {f} drew outside its support"
+                assert chisquare(counts[idx], f_exp=probs * m).pvalue > 0.01, f"feature {f}"
 
     def test_profiles_match_per_feature_division(self):
         X, _ = self._fixture()
@@ -244,6 +266,59 @@ class TestSamplerTables:
         for feature in (-1, 40):
             with pytest.raises(DroError):
                 profiles.profile(feature)
+
+
+class EdgeUniforms:
+    """A generator whose uniforms all sit on one edge of [0, 1)."""
+
+    def __init__(self, edge: float):
+        self.edge = edge
+
+    def multinomial(self, n, pvals):
+        return np.random.default_rng(0).multinomial(n, pvals)
+
+    def random(self, size):
+        return np.full(size, self.edge)
+
+
+class TestCumulativeTableEdges:
+    N_FEATURES = 2056
+
+    def _profiles(self):
+        rng = np.random.default_rng(23)
+        n = 6
+        stored = rng.random((n, self.N_FEATURES)) < 0.5
+        stored[rng.integers(0, n, self.N_FEATURES), np.arange(self.N_FEATURES)] = True
+        X = np.where(stored, rng.random((n, self.N_FEATURES)) + 0.01, 0.0)
+        X[:, -8:] = 0.0  # the last column stays all zero: uniform fallback
+        for col, row in enumerate([0, 1, 2, 3, 4, 5, 0]):
+            X[row, self.N_FEATURES - 8 + col] = 1.0  # point masses on changing rows
+        X[:, -12] = 0.0  # an all-zero column amid full ones
+        return X, fit_profiles(sp.csr_matrix(X))
+
+    def test_last_cumulative_entry_is_exactly_column_end(self):
+        _, profiles = self._profiles()
+        indptr, cum = profiles._indptr, profiles._cum
+        filled = 0
+        for f in range(self.N_FEATURES):
+            if indptr[f + 1] > indptr[f]:
+                assert cum[indptr[f + 1] - 1] == f + 1.0
+                filled += 1
+        assert filled == self.N_FEATURES - 2
+        assert np.all(np.diff(cum) >= 0)
+
+    @pytest.mark.parametrize("edge", [0.0, np.nextafter(1.0, 0.0)])
+    def test_edge_uniforms_stay_in_their_column(self, edge):
+        X, profiles = self._profiles()
+        m = 50
+        for f in list(range(self.N_FEATURES - 16, self.N_FEATURES)) + [0, 1, 1023, 1024]:
+            vector = make_vector([f], [1.0], self.N_FEATURES)
+            counts = sample_latent_counts(vector, profiles, m, EdgeUniforms(edge))
+            assert counts.sum() == m
+            support = np.nonzero(X[:, f])[0]
+            if support.size == 0:
+                support = np.arange(X.shape[0])
+            assert set(np.nonzero(counts)[0]) <= set(support.tolist()), f"feature {f}"
 
 
 class TestSyntheticCount:

@@ -165,6 +165,8 @@ def cmd_ablate(run: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
+    if args.replicas < 1:
+        raise ConfigError(f"--replicas must be at least 1, got {args.replicas}")
     corpus = load_corpus(run.manifest)
     if run.disputed_id is None:
         raise StylauthError("config has no disputed_id; nothing to verify")

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .corpus import Corpus, Document, segment
 from .errors import EvaluationError
-from .features import FeatureSpace, Instance
+from .features import Instance
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedVerifier, PipelineConfig, counts_cache_for, document_instances,
@@ -59,16 +59,6 @@ class TextPrediction:
         if self.true_class == positive_class:
             return self.positive_posterior
         return 1.0 - self.positive_posterior
-
-
-@dataclass
-class FoldDebug:
-    """Internal state of one fold, surfaced to listeners for audits."""
-
-    text_id: str
-    space: FeatureSpace
-    fitted: FittedVerifier
-    training_instance_ids: tuple[str, ...]
 
 
 def _metrics(
@@ -150,7 +140,7 @@ def _run_fold(
     config: PipelineConfig,
     cache: CountsCache,
     master_seed: int,
-    fold_listener: Callable[[FoldDebug], None] | None,
+    fold_listener: Callable[[str, FittedVerifier], None] | None,
 ) -> tuple[TextPrediction | None, str | None, float]:
     """One fold; returns (record, skip reason, wall seconds)."""
     start = time.perf_counter()
@@ -168,14 +158,7 @@ def _run_fold(
 
     fitted = fit_verifier(train_docs, config, cache, fold_seed)
     if fold_listener is not None:
-        fold_listener(
-            FoldDebug(
-                text_id=held_out.id,
-                space=fitted.space,
-                fitted=fitted,
-                training_instance_ids=fitted.training_instance_ids,
-            )
-        )
+        fold_listener(held_out.id, fitted)
     prediction = predict_document(fitted, held_out, cache, fold_seed)
     true_class = target if held_out.author == target else fitted.model.classes[0]
     record = TextPrediction(
@@ -194,7 +177,7 @@ def loo_run(
     config: PipelineConfig,
     seed: int,
     threads: int = 1,
-    fold_listener: Callable[[FoldDebug], None] | None = None,
+    fold_listener: Callable[[str, FittedVerifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
 ) -> LooReport:
@@ -204,6 +187,7 @@ def loo_run(
     still trains on everything else); by default every labelled text gets
     a fold. Disputed texts never participate. A shared ``cache`` must
     extract the config's blocks as the config does (``counts_cache_for``).
+    ``fold_listener(text_id, fitted)`` sees each fold's fitted verifier.
     """
     if config.target_author is None:
         raise EvaluationError("loo_run needs a target_author in the pipeline config")

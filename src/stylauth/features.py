@@ -30,7 +30,6 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,9 +76,6 @@ LIST_BLOCKS = frozenset({FeatureBlock.FUNCTION_WORDS, FeatureBlock.VERBAL_ENDING
 FUNCTION_WORD_BLOCKS = frozenset(
     {FeatureBlock.FUNCTION_WORDS, FeatureBlock.MASKED_DVMA, FeatureBlock.MASKED_DVEX}
 )
-
-# Blocks whose keys are integers (everything else uses string keys).
-_INT_KEY_BLOCKS = frozenset({FeatureBlock.TOKEN_LENGTHS, FeatureBlock.SENTENCE_LENGTHS})
 
 MAX_NGRAM_ORDER = 3
 
@@ -476,66 +472,9 @@ class FeatureSpace:
                 names[col] = f"{block.value}:{key}"
         return names
 
-    def _rows(self) -> list[str]:
-        rows = []
-        for block, _start, _end in self.block_offsets:
-            mapping = self.vocab[block]
-            for key in sorted(mapping, key=mapping.__getitem__):
-                col = mapping[key]
-                rows.append(
-                    f"{block.value}\t{key}\t{int(self.df[col])}\t{float(self.idf[col])!r}"
-                )
-        return rows
-
     def fingerprint(self) -> str:
         """Digest of the instance count, the blocks' keys, and the exact df and IDF."""
         return self._fingerprint
-
-    def save(self, path: Path | str) -> None:
-        """Write a versioned audit file: one (block, feature, df, idf) row each."""
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("#stylauth-feature-space\tv1\n")
-            fh.write(f"#instances\t{self.n_instances}\n")
-            for block, start, end in self.block_offsets:
-                fh.write(f"#block\t{block.value}\t{end - start}\n")
-            for row in self._rows():
-                fh.write(row + "\n")
-
-    @classmethod
-    def load(cls, path: Path | str, config: FeatureConfig) -> "FeatureSpace":
-        """Read a file written by ``save`` for a config with the same blocks."""
-        path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("#stylauth-feature-space"):
-            raise FeatureError(f"{path}: not a feature-space file")
-        n_instances = 0
-        sizes: dict[FeatureBlock, int] = {}
-        rows: list[tuple[FeatureBlock, FeatureKey, int, float]] = []
-        for line in lines[1:]:
-            fields = line.split("\t")
-            try:
-                if fields[0] == "#instances":
-                    n_instances = int(fields[1])
-                elif fields[0] == "#block":
-                    sizes[FeatureBlock(fields[1])] = int(fields[2])
-                elif line and not line.startswith("#"):
-                    block_s, key_s, df_s, idf_s = fields
-                    block = FeatureBlock(block_s)
-                    key: FeatureKey = int(key_s) if block in _INT_KEY_BLOCKS else key_s
-                    rows.append((block, key, int(df_s), float(idf_s)))
-            except (ValueError, IndexError) as exc:
-                raise FeatureError(f"{path}: malformed line {line!r}: {exc}") from None
-        blocks = config.blocks_in_order()
-        expected = [b for b in blocks for _ in range(sizes.get(b, 0))]
-        listed_once = len({r[:2] for r in rows}) == len(rows)
-        if tuple(sizes) != blocks or [r[0] for r in rows] != expected or not listed_once:
-            raise FeatureError(
-                f"{path}: the #block lines must name the config's blocks, and the rows "
-                "must follow them block by block, each feature once"
-            )
-        keys = {b: [r[1] for r in rows if r[0] is b] for b in blocks}
-        return _space(config, n_instances, keys, [r[2] for r in rows], [r[3] for r in rows])
 
 
 def _space(config: FeatureConfig, n_instances: int, keys: Mapping[FeatureBlock, list],
@@ -606,7 +545,6 @@ class SparseVector:
     indices: np.ndarray  # strictly increasing int64 columns
     values: np.ndarray  # float64, no explicit zeros
     dim: int
-    block_offsets: tuple[tuple[FeatureBlock, int, int], ...]
     space_fingerprint: str
     occurrence_count: int
 
@@ -666,7 +604,7 @@ def sparse_rows(
     fingerprint = space.fingerprint()
     return [
         SparseVector(instance_id, X.indices[a:b].astype(np.int64), X.data[a:b], space.dim,
-                     space.block_offsets, fingerprint, int(count))
+                     fingerprint, int(count))
         for instance_id, a, b, count in zip(instance_ids, X.indptr[:-1], X.indptr[1:], occurrences)
     ]
 

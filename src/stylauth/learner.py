@@ -14,10 +14,8 @@ solution (the regularization-path warm start of glmnet, Friedman, Hastie
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -408,7 +406,7 @@ def tune_C(
 
 
 # ---------------------------------------------------------------------------
-# Explanation and serialization
+# Explanation
 # ---------------------------------------------------------------------------
 
 
@@ -424,36 +422,3 @@ def explain(
     order = np.argsort(-np.abs(contributions))[:top_k]
     return [(feature_names[int(x.indices[i])], float(contributions[i])) for i in order]
 
-
-MODEL_FORMAT = "stylauth-model"
-MODEL_VERSION = 1
-
-
-def save_model(model: TrainedModel, path: Path | str) -> None:
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "classes": list(model.classes),
-        "C": model.C,
-        "space_fingerprint": model.space_fingerprint,
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-        "converged": model.converged,
-        "n_iter": model.n_iter,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_model(path: Path | str) -> TrainedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-        raise LearnerError(f"{path}: not a version-{MODEL_VERSION} model file")
-    return TrainedModel(
-        classes=tuple(payload["classes"]),
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        bias=np.atleast_1d(np.asarray(payload["bias"], dtype=np.float64)),
-        C=float(payload["C"]),
-        space_fingerprint=payload["space_fingerprint"],
-        converged=bool(payload["converged"]),
-        n_iter=int(payload["n_iter"]),
-    )

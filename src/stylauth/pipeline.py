@@ -246,7 +246,6 @@ class FittedAttributor:
     space: FeatureSpace
     model: TrainedModel
     candidate_authors: tuple[str, ...]
-    training_instance_ids: tuple[str, ...]
     chosen_C: float
 
 
@@ -272,6 +271,5 @@ def fit_attributor(
         space=space,
         model=model,
         candidate_authors=classes,
-        training_instance_ids=tuple(inst.instance_id for inst in instances),
         chosen_C=chosen_C,
     )

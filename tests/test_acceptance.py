@@ -163,7 +163,6 @@ def _random_vectors(rng, n, d, occurrences=40):
                 indices=idx.astype(np.int64),
                 values=vals,
                 dim=d,
-                block_offsets=(),
                 space_fingerprint="",
                 occurrence_count=occurrences,
             )
@@ -209,7 +208,6 @@ def test_criterion_3_dro_contracts():
             indices=np.array([0], dtype=np.int64),
             values=np.array([1.0]),
             dim=1,
-            block_offsets=(),
             space_fingerprint="",
             occurrence_count=5,
         )
@@ -255,19 +253,17 @@ def test_criterion_4_loo_leakage_and_determinism(tmp_path):
         config = _fast_config("Aldus", dro=True)
 
         captured = {}
-        report = loo_run(
-            corpus, config, seed=13, fold_listener=lambda d: captured.__setitem__(d.text_id, d)
-        )
+        report = loo_run(corpus, config, seed=13, fold_listener=captured.__setitem__)
         assert len(report.records) == 12
         for doc in corpus.labelled():
-            debug = captured[doc.id]
-            training = set(debug.training_instance_ids)
+            fitted = captured[doc.id]
+            training = set(fitted.training_instance_ids)
             forbidden = held_out_segment_ids(doc, config.segmentation.min_tokens)
             assert not (forbidden & training), f"{doc.id} leaked into its own fold"
             assert all(t.split("#")[0] != doc.id for t in training)
             originals = [t for t in training if "#" not in t]
-            assert debug.space.n_instances == len(originals)
-            assert debug.fitted.profiles.latent_dim == len(originals)
+            assert fitted.space.n_instances == len(originals)
+            assert fitted.profiles.latent_dim == len(originals)
         marker = "qqq"
         assert marker not in captured["benno-01"].space.vocab[FeatureBlock.CHAR_NGRAMS]
         assert marker in captured["benno-00"].space.vocab[FeatureBlock.CHAR_NGRAMS]

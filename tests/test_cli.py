@@ -151,6 +151,14 @@ class TestExitCodes:
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp / "out" / "similarity_report.json").exists()
 
+    @pytest.mark.parametrize("replicas", ["0", "-1"])
+    def test_verify_replicas_below_one_rejected(self, corpus_dir, capsys, replicas):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest, disputed="disputed-text")
+        assert main(["verify", "--config", str(config), "--replicas", replicas]) == EXIT_CONFIG
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp / "out" / "verdict.json").exists()
+
 
 class TestCommands:
     def test_ingest_writes_summary_and_no_cache(self, corpus_dir, capsys):

@@ -30,7 +30,6 @@ def make_vector(indices, values, dim, instance_id="v", occurrences=None) -> Spar
         indices=indices,
         values=values,
         dim=dim,
-        block_offsets=(),
         space_fingerprint="",
         occurrence_count=occurrences if occurrences is not None else len(indices),
     )

@@ -108,15 +108,15 @@ class TestLeakage:
     def test_held_out_text_and_segments_never_train(self, small_corpus):
         captured = {}
 
-        def listener(debug):
-            captured[debug.text_id] = debug
+        def listener(text_id, fitted):
+            captured[text_id] = fitted
 
         config = fast_pipeline("Aldus", dro=True)
         loo_run(small_corpus, config, seed=3, fold_listener=listener)
         for doc in small_corpus.labelled():
-            debug = captured[doc.id]
+            fitted = captured[doc.id]
             forbidden = held_out_segment_ids(doc, config.segmentation.min_tokens)
-            training = set(debug.training_instance_ids)
+            training = set(fitted.training_instance_ids)
             assert not (forbidden & training)
             # synthetic replicas must not stem from the held-out text either
             for tid in training:
@@ -151,8 +151,8 @@ class TestLeakage:
 
         captured = {}
 
-        def listener(debug):
-            captured[debug.text_id] = debug.space
+        def listener(text_id, fitted):
+            captured[text_id] = fitted.space
 
         loo_run(corpus, fast_pipeline("Aldus", min_tokens=30), seed=0, fold_listener=listener)
         marker = "xyx"
@@ -162,14 +162,14 @@ class TestLeakage:
     def test_dro_profiles_sized_to_fold_training_set(self, small_corpus):
         captured = {}
 
-        def listener(debug):
-            captured[debug.text_id] = debug
+        def listener(text_id, fitted):
+            captured[text_id] = fitted
 
         config = fast_pipeline("Aldus", dro=True)
         loo_run(small_corpus, config, seed=3, fold_listener=listener)
-        for doc_id, debug in captured.items():
-            originals = [t for t in debug.training_instance_ids if "#" not in t]
-            assert debug.fitted.profiles.latent_dim == len(originals)
+        for doc_id, fitted in captured.items():
+            originals = [t for t in fitted.training_instance_ids if "#" not in t]
+            assert fitted.profiles.latent_dim == len(originals)
 
 
 class TestReport:

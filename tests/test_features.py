@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stylauth import features
 from stylauth.corpus import build_document, load_corpus
 from stylauth.errors import FeatureError
 from stylauth.features import (
     CountsStore,
     FeatureBlock,
     FeatureConfig,
-    FeatureSpace,
     Instance,
     cosine_similarity,
     distorted_text,
@@ -240,7 +240,7 @@ class TestFeatureConfig:
         with pytest.raises(FeatureError):
             FeatureConfig(enabled_blocks={FeatureBlock.MASKED_DVMA})
 
-    def test_duplicate_list_entries_dropped(self, tmp_path):
+    def test_duplicate_list_entries_dropped(self):
         config = FeatureConfig(
             enabled_blocks={FeatureBlock.FUNCTION_WORDS, FeatureBlock.VERBAL_ENDINGS},
             function_words=("et", "in", "et"),
@@ -251,8 +251,6 @@ class TestFeatureConfig:
         space = fit_feature_space([doc_of("et in et amatur")], config)
         assert space.dim == 4
         assert "" not in space.column_names()
-        space.save(tmp_path / "space.tsv")
-        assert FeatureSpace.load(tmp_path / "space.tsv", config).dim == 4
 
     def test_restricted_to(self):
         config = FeatureConfig(
@@ -326,97 +324,37 @@ class TestFitFeatureSpace:
         s2 = fit_feature_space(docs[::-1], char1_config())
         assert s1.fingerprint() == s2.fingerprint()
 
-    def test_save_load_roundtrip(self, tmp_path):
-        config = FeatureConfig(
-            enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
-            ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
-        )
-        space = fit_feature_space([doc_of("ab cde", "d1"), doc_of("b fg", "d2")], config)
-        path = tmp_path / "space.tsv"
-        space.save(path)
-        loaded = FeatureSpace.load(path, config)
-        assert loaded.fingerprint() == space.fingerprint()
-        assert loaded.dim == space.dim
-        assert np.array_equal(loaded.df, space.df)
+
+def _with_last(values, last):
+    changed = np.array(values, copy=True)
+    changed[-1] = last
+    return changed
 
 
-def _edit_last_row(lines, column, value):
-    fields = lines[-1].split("\t")
-    fields[column] = value
-    return lines[:-1] + ["\t".join(fields)]
+CHAR = FeatureBlock.CHAR_NGRAMS
 
-
-SPACE_FILE_CHANGES = {
-    "key": lambda lines, last: _edit_last_row(lines, 1, last[1] + "z"),
-    "df": lambda lines, last: _edit_last_row(lines, 2, str(int(last[2]) + 1)),
-    "idf": lambda lines, last: _edit_last_row(
-        lines, 3, repr(float(np.nextafter(float(last[3]), 10.0)))
+SPACE_CHANGES = {
+    "key": lambda n, keys, df, idf: (
+        n, {**keys, CHAR: keys[CHAR][:-1] + [keys[CHAR][-1] + "z"]}, df, idf
     ),
-    "n": lambda lines, last: [line.replace("#instances\t2", "#instances\t3") for line in lines],
+    "df": lambda n, keys, df, idf: (n, keys, _with_last(df, df[-1] + 1), idf),
+    "idf": lambda n, keys, df, idf: (n, keys, df, _with_last(idf, np.nextafter(idf[-1], 10.0))),
+    "n": lambda n, keys, df, idf: (n + 1, keys, df, idf),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SPACE_FILE_CHANGES))
-def test_fingerprint_changes_with_one_key_df_idf_or_n(tmp_path, case):
+@pytest.mark.parametrize("case", sorted(SPACE_CHANGES))
+def test_fingerprint_changes_with_one_key_df_idf_or_n(case):
     config = FeatureConfig(
         enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
         ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}},
     )
     space = fit_feature_space([doc_of("ab cde", "d1"), doc_of("b fg", "d2")], config)
-    path = tmp_path / "space.tsv"
-    space.save(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    edited = SPACE_FILE_CHANGES[case](lines, lines[-1].split("\t"))
-    assert edited != lines
-    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
-    changed = FeatureSpace.load(path, config)
+    keys = {block: sorted(m, key=m.__getitem__) for block, m in space.vocab.items()}
+    parts = (space.n_instances, keys, space.df, space.idf)
+    assert features._space(config, *parts).fingerprint() == space.fingerprint()
+    changed = features._space(config, *SPACE_CHANGES[case](*parts))
     assert changed.fingerprint() != space.fingerprint()
-
-
-def _move_first_token_row_to_end(lines):
-    first = next(i for i, line in enumerate(lines) if line.startswith("token_lengths\t"))
-    return lines[:first] + lines[first + 1 :] + [lines[first]]
-
-
-def _bump_block_count(lines, block):
-    return [
-        f"#block\t{block}\t{int(line.split(chr(9))[2]) + 1}"
-        if line.startswith(f"#block\t{block}\t")
-        else line
-        for line in lines
-    ]
-
-
-MALFORMED_SPACE_FILES = {
-    "block_reappears": _move_first_token_row_to_end,
-    "duplicate_row": lambda lines: _bump_block_count(lines, "char_ngrams") + [lines[-1]],
-    "block_count_disagrees": lambda lines: _bump_block_count(lines, "char_ngrams"),
-    "block_not_enabled": lambda lines: lines[:4]
-    + ["#block\tsentence_lengths\t1"]
-    + lines[4:]
-    + ["sentence_lengths\t10\t1\t1.0"],
-    "short_row": lambda lines: lines[:-1] + ["\t".join(lines[-1].split("\t")[:3])],
-    "non_integer_key": lambda lines: [
-        line.replace("token_lengths\t2\t", "token_lengths\tx\t") for line in lines
-    ],
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_SPACE_FILES))
-def test_load_rejects_malformed_space_file(tmp_path, case):
-    config = FeatureConfig(
-        enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
-        ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}},
-    )
-    path = tmp_path / "space.tsv"
-    fit_feature_space([doc_of("ab cde", "d1"), doc_of("b fg", "d2")], config).save(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[2:4] == ["#block\ttoken_lengths\t3", "#block\tchar_ngrams\t8"]
-    edited = MALFORMED_SPACE_FILES[case](lines)
-    assert edited != lines
-    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
-    with pytest.raises(FeatureError):
-        FeatureSpace.load(path, config)
 
 
 PROPERTY_WORDS = ("ad", "et", "in", "non")

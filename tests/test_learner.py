@@ -21,11 +21,9 @@ from stylauth.learner import (
     binary_objective,
     explain,
     inner_cv_scores,
-    load_model,
     multiclass_objective,
     predict_proba,
     predict_proba_matrix,
-    save_model,
     train_binary,
     train_multiclass,
     tune_C,
@@ -255,7 +253,6 @@ class TestPredict:
             indices=np.array([0]),
             values=np.array([1.0]),
             dim=1,
-            block_offsets=(),
             space_fingerprint="different",
             occurrence_count=1,
         )
@@ -417,7 +414,6 @@ class TestExplain:
             indices=np.empty(0, dtype=np.int64),
             values=np.empty(0),
             dim=space.dim,
-            block_offsets=space.block_offsets,
             space_fingerprint=space.fingerprint(),
             occurrence_count=0,
         )
@@ -447,47 +443,9 @@ class TestExplain:
             indices=np.array([0]),
             values=np.array([1.0]),
             dim=1,
-            block_offsets=(),
             space_fingerprint="",
             occurrence_count=1,
         )
         with pytest.raises(LearnerError):
             explain(model, vector, ["f0"])
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        X = np.array([[-1.0, 0.5], [1.0, -0.5], [-2.0, 1.0], [2.0, 0.0]])
-        model = train_binary(X, [0, 1, 0, 1], TrainConfig(), space_fingerprint="fp")
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.classes == model.classes
-        assert loaded.C == model.C
-        assert loaded.space_fingerprint == "fp"
-        assert np.allclose(loaded.weights, model.weights)
-        assert np.allclose(loaded.bias, model.bias)
-
-    def test_loaded_model_still_checks_fingerprint(self, tmp_path):
-        X = np.array([[-1.0], [1.0]])
-        model = train_binary(X, [0, 1], TrainConfig(), space_fingerprint="fp")
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        vector = SparseVector(
-            instance_id="x",
-            indices=np.array([0]),
-            values=np.array([1.0]),
-            dim=1,
-            block_offsets=(),
-            space_fingerprint="other",
-            occurrence_count=1,
-        )
-        with pytest.raises(LearnerError):
-            predict_proba(loaded, vector)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(LearnerError):
-            load_model(path)

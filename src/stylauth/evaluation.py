@@ -51,6 +51,7 @@ class TextPrediction:
     predicted_class: str
     positive_posterior: float
     fitted_C: float
+    inner_cv_f1: tuple[tuple[float, float], ...]  # (C, inner-CV F1), ascending C
 
     def correct(self) -> bool:
         return self.true_class == self.predicted_class
@@ -117,6 +118,7 @@ class LooReport:
                     "predicted_class": r.predicted_class,
                     "positive_posterior": r.positive_posterior,
                     "fitted_C": r.fitted_C,
+                    "inner_cv_f1": [list(pair) for pair in r.inner_cv_f1],
                 }
                 for r in self.records
             ],
@@ -168,6 +170,7 @@ def _run_fold(
         predicted_class=prediction.predicted_class,
         positive_posterior=prediction.positive_posterior,
         fitted_C=fitted.chosen_C,
+        inner_cv_f1=fitted.inner_cv_f1,
     )
     return record, None, time.perf_counter() - start
 

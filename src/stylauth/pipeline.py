@@ -144,6 +144,7 @@ class FittedVerifier:
     profiles: DistributionalProfiles | None
     training_instance_ids: tuple[str, ...]
     chosen_C: float
+    inner_cv_f1: tuple[tuple[float, float], ...]  # (C, F1) per grid value, ascending C
 
     @property
     def uses_dro(self) -> bool:
@@ -195,7 +196,7 @@ def fit_verifier(
         X, y = extended_to_csr(extended)
         instance_ids = tuple(ex.example_id for ex in extended)
 
-    chosen_C = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
+    chosen_C, inner_scores = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
     classes = (f"not {config.target_author}", config.target_author)
     model = train_binary(
         X,
@@ -211,6 +212,7 @@ def fit_verifier(
         profiles=profiles,
         training_instance_ids=instance_ids,
         chosen_C=chosen_C,
+        inner_cv_f1=tuple(inner_scores.items()),
     )
 
 
@@ -263,7 +265,9 @@ def fit_attributor(
         raise ExperimentError("attribution needs at least two candidate authors")
     index = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.asarray([index[label] for label in labels], dtype=np.int64)
-    chosen_C = tune_C(X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes))
+    chosen_C, _ = tune_C(
+        X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes)
+    )
     model = train_multiclass(
         X, labels, config.learner, C=chosen_C, space_fingerprint=space.fingerprint()
     )

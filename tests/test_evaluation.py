@@ -208,6 +208,20 @@ class TestDeterminism:
         threaded = loo_run(small_corpus, config, seed=9, threads=4)
         assert json.dumps(serial.canonical_dict()) == json.dumps(threaded.canonical_dict())
 
+    def test_inner_cv_scores_reported_per_fold(self, small_corpus):
+        grid = (0.1, 1.0, 10.0)
+        config = fast_pipeline("Aldus", dro=True, c_grid=grid)
+        reports = [
+            loo_run(small_corpus, config, seed=9, threads=threads) for threads in (1, 1, 4)
+        ]
+        payloads = {json.dumps(r.canonical_dict()) for r in reports}
+        assert len(payloads) == 1
+        for record in reports[0].canonical_dict()["records"]:
+            pairs = record["inner_cv_f1"]
+            assert [c for c, _ in pairs] == list(grid)
+            best = max(score for _, score in pairs)
+            assert record["fitted_C"] == next(c for c, score in pairs if score == best)
+
     def test_different_seed_may_change_dro_outcome(self, small_corpus):
         config = fast_pipeline("Aldus", dro=True)
         a = loo_run(small_corpus, config, seed=1)

@@ -276,7 +276,7 @@ class TestTuneC:
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         config = TrainConfig(C_grid=(0.5,))
         rng = np.random.default_rng(0)
-        assert tune_C(X, [0, 1, 0, 1], config, rng) == 0.5
+        assert tune_C(X, [0, 1, 0, 1], config, rng) == (0.5, {})
 
     def test_ties_break_toward_smaller_c(self):
         # a constant-features problem scores identically for every C
@@ -284,7 +284,7 @@ class TestTuneC:
         y = [0, 1] * 4
         config = TrainConfig(C_grid=(0.1, 1.0, 10.0), inner_folds=2)
         rng = np.random.default_rng(1)
-        assert tune_C(X, y, config, rng) == 0.1
+        assert tune_C(X, y, config, rng)[0] == 0.1
 
     def test_chosen_c_attains_best_inner_score(self):
         rng = np.random.default_rng(52)
@@ -292,9 +292,10 @@ class TestTuneC:
         y = ((X[:, 0] + 0.8 * rng.normal(size=60)) > 0).astype(int)
         y[:2] = [0, 1]
         config = TrainConfig(C_grid=(0.01, 0.1, 1.0, 10.0), inner_folds=3)
-        chosen = tune_C(X, y, config, np.random.default_rng(9))
+        chosen, tuned_scores = tune_C(X, y, config, np.random.default_rng(9))
         scores = inner_cv_scores(X, y, 2, config, np.random.default_rng(9))
         assert scores is not None
+        assert list(tuned_scores.items()) == [(c, scores[c]) for c in config.C_grid]
         assert scores[chosen] == max(scores.values())
         tied = [c for c, s in scores.items() if s == scores[chosen]]
         assert chosen == min(tied)
@@ -304,7 +305,7 @@ class TestTuneC:
         y = [1] * 3 + [0] * 12
         config = TrainConfig(C_grid=(0.1, 1.0), inner_folds=5)
         with caplog.at_level("WARNING"):
-            c = tune_C(X, y, config, np.random.default_rng(2))
+            c, _ = tune_C(X, y, config, np.random.default_rng(2))
         assert c in (0.1, 1.0)
         assert any("reducing inner folds" in r.message for r in caplog.records)
 
@@ -361,6 +362,13 @@ class TestTuneC:
             monkeypatch.setattr(learner, name, counted)
         got = inner_cv_scores(X, y_idx, n_classes, config, np.random.default_rng(5))
         assert got == want
+        if n_classes == 2:
+            # binary inner CV at this size fits in Gram space, not through
+            # train_binary; the warm-started L-BFGS path runs above the bound
+            assert warm_iters == []
+            monkeypatch.setattr(learner, "_GRAM_MAX_ROWS", X.shape[0] - 1)
+            got = inner_cv_scores(X, y_idx, n_classes, config, np.random.default_rng(5))
+            assert got == want
         assert len(warm_iters) == len(config.C_grid) * config.inner_folds
         assert sum(warm_iters) < cold_iters
 
@@ -386,8 +394,93 @@ class TestTuneC:
         y = [1, 0, 0]
         config = TrainConfig(C=7.0, C_grid=(0.1, 1.0))
         with caplog.at_level("WARNING"):
-            c = tune_C(X, y, config, np.random.default_rng(3))
-        assert c == 7.0
+            c, scores = tune_C(X, y, config, np.random.default_rng(3))
+        assert (c, scores) == (7.0, {})
+
+
+def _gram_fixture(name: str) -> tuple[object, np.ndarray]:
+    rng = np.random.default_rng(60)
+    if name == "separable":
+        X = rng.normal(size=(24, 6))
+        return X, (X[:, 0] > 0).astype(np.int64)
+    X = np.abs(rng.normal(size=(30, 50))) * (rng.random(size=(30, 50)) > 0.7)
+    y = (X[:, :5].sum(axis=1) + rng.normal(size=30) > 1.0).astype(np.int64)
+    if name == "duplicated-rows":  # like synthetic positives sharing their natural block
+        X = np.vstack([X, X[y == 1][:6]])
+        y = np.concatenate([y, np.ones(6, dtype=np.int64)])
+    return sp.csr_matrix(X), y
+
+
+class TestGramPath:
+    @pytest.mark.parametrize("name", ["sparse", "duplicated-rows", "separable"])
+    def test_primal_gradient_within_tolerance_along_the_grid(self, name):
+        X, y = _gram_fixture(name)
+        config = TrainConfig()
+        K = X @ X.T
+        K = K.toarray() if sp.issparse(K) else K
+        alpha, b = np.zeros(X.shape[0]), 0.0
+        for c in config.C_grid:
+            alpha, b = learner._gram_newton(K, y.astype(float), c, config, alpha, b)
+            w = X.T @ alpha
+            _, grad = binary_objective(np.append(w, b), X, y.astype(float), c)
+            assert np.max(np.abs(grad)) <= config.tolerance, c
+
+    def test_sparse_gram_matrix_built_in_column_blocks(self, monkeypatch):
+        X, _ = _gram_fixture("sparse")
+        monkeypatch.setattr(learner, "_GRAM_CHUNK_COLUMNS", 7)  # 50 columns: a partial last block
+        dense = X.toarray()
+        np.testing.assert_allclose(learner._gram_matrix(X), dense @ dense.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["sparse", "duplicated-rows", "separable"])
+    def test_scores_equal_cold_start_lbfgs(self, name, monkeypatch):
+        X, y = _gram_fixture(name)
+        config = TrainConfig(inner_folds=3)
+        want, _ = TestTuneC._cold_start_scores(X, y, 2, config, np.random.default_rng(6))
+        fits = []
+        monkeypatch.setattr(learner, "train_binary", lambda *a, **k: fits.append(1))
+        assert inner_cv_scores(X, y, 2, config, np.random.default_rng(6)) == want
+        assert fits == []
+
+    @pytest.mark.parametrize("extra_rows, fits", [(0, 0), (1, 4)])
+    def test_lbfgs_above_the_row_bound(self, extra_rows, fits, monkeypatch):
+        rng = np.random.default_rng(61)
+        n = learner._GRAM_MAX_ROWS + extra_rows
+        X = rng.normal(size=(n, 3))
+        y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
+        calls = []
+        train = learner.train_binary
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "train_binary", counted)
+        config = TrainConfig(C_grid=(0.1, 1.0), inner_folds=2)
+        inner_cv_scores(X, y, 2, config, np.random.default_rng(7))
+        assert len(calls) == fits
+
+    def test_all_zero_matrix_ties_toward_smallest_c(self):
+        X = sp.csr_matrix((10, 4))
+        y = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        chosen, scores = tune_C(X, y, TrainConfig(inner_folds=3), np.random.default_rng(8))
+        assert len(set(scores.values())) == 1
+        assert chosen == min(scores)
+
+    def test_non_finite_matrix_rejected(self):
+        X = np.array([[1.0], [np.inf], [0.5], [-1.0]])
+        with pytest.raises(LearnerError):
+            inner_cv_scores(X, np.array([0, 1, 0, 1]), 2, TrainConfig(inner_folds=2),
+                            np.random.default_rng(9))
+
+    def test_iteration_cap_logs_the_lbfgs_warning(self, caplog):
+        X, y = _gram_fixture("sparse")
+        config = TrainConfig(max_iterations=1, inner_folds=3)
+        with caplog.at_level("WARNING"):
+            inner_cv_scores(X, y, 2, config, np.random.default_rng(10))
+        stopped = [r.getMessage() for r in caplog.records if "optimizer stopped" in r.message]
+        assert stopped
+        assert all(m.startswith("optimizer stopped after 1 iterations with gradient norm")
+                   for m in stopped)
 
 
 class TestExplain:

@@ -30,7 +30,6 @@ from .features import (
     FeatureConfig,
     FeatureSpace,
     Instance,
-    SparseVector,
     cosine_similarity,
     fit_feature_space,
     vectorize,
@@ -76,7 +75,6 @@ __all__ = [
     "FeatureConfig",
     "FeatureSpace",
     "Instance",
-    "SparseVector",
     "cosine_similarity",
     "fit_feature_space",
     "vectorize",

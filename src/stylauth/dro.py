@@ -1,31 +1,34 @@
 """Distributional random oversampling (DRO).
 
-Vectors are extended with a latent block whose coordinates index training
+Rows of the natural TFIDF matrix (CSR, as ``vectorize_counts`` makes
+it) are extended with a latent block whose coordinates index training
 instances. Every natural feature f carries a categorical profile pi_f
 over those latent indices, proportional to f's weight in each training
 instance; features unseen in training fall back to a uniform profile.
-Extending a vector draws m feature occurrences from the vector's own
-weight distribution, then one latent index from each drawn feature's
-profile, accumulates the draws, and L2-normalizes the latent block.
+Extending a row draws m feature occurrences from the row's own weight
+distribution, m being its raw occurrence count, then one latent index
+from each drawn feature's profile, accumulates the draws, and
+L2-normalizes the latent block.
 
 ``fit_profiles`` packs every feature's profile once per fit into one
 cumulative table, in which feature f's cumulative probabilities occupy
 the interval (f, f+1] and its last one is exactly f+1. A draw from
 feature f is then the uniform f + U(0, 1) looked up in that table: one
-``multinomial`` call spreads the m draws over the vector's features, one
+``multinomial`` call spreads the m draws over the row's features, one
 ``random`` call gives their uniforms, and one ``searchsorted`` locates
 them all (inverse-transform sampling). Each position is clipped into its
 own feature's entries, because f + U can round up to f+1. A feature
 with no weight in training stores no entries and draws floor(U * n)
 over the n latent indices instead.
 
-Because a vector can be re-extended with fresh randomness as often as
-desired, minority-class training examples can be multiplied: each
-synthetic copy shares its source's natural block exactly and differs
-only in the latent block. Negatives are extended exactly once, so only
-the positive class grows. All randomness is derived from a master seed
-plus (instance id, replica index), which makes the extended dataset
-byte-identical across runs and thread schedules.
+Because a row can be re-extended with fresh randomness as often as
+desired, minority-class training examples can be multiplied: an
+extended example keeps its source's row index, so a synthetic copy's
+natural block is its source's row, and only the latent block differs.
+Negatives are extended exactly once, so only the positive class grows.
+All randomness is derived from a master seed plus (instance id, replica
+index), which makes the extended dataset byte-identical across runs and
+thread schedules.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DroError
-from .features import SparseVector
 from .rng import spawn_rng
 
 
@@ -48,7 +50,7 @@ class DroConfig:
     """Oversampling parameters.
 
     The latent block has one coordinate per training instance, and each
-    extension draws as many samples as the vector's own raw occurrence
+    extension draws as many samples as the row's own raw occurrence
     count, so longer texts get lower-variance latent blocks.
     """
 
@@ -134,57 +136,26 @@ def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
     )
 
 
-@dataclass
-class ExtendedVector:
-    """A natural vector plus its sampled latent block.
-
-    The natural block is the very object that was extended, never a
-    copy, so it is byte-identical by construction.
-    """
-
-    natural: SparseVector
-    latent_indices: np.ndarray
-    latent_values: np.ndarray
-    latent_dim: int
-
-    @property
-    def instance_id(self) -> str:
-        return self.natural.instance_id
-
-    @property
-    def dim(self) -> int:
-        return self.natural.dim + self.latent_dim
-
-    def combined(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices/values over the concatenated natural+latent space."""
-        idx = np.concatenate([self.natural.indices, self.latent_indices + self.natural.dim])
-        vals = np.concatenate([self.natural.values, self.latent_values])
-        return idx, vals
-
-
 def sample_latent_counts(
-    vector: SparseVector,
+    indices: np.ndarray,
+    data: np.ndarray,
     profiles: DistributionalProfiles,
     m_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Raw latent draw counts for one vector (before normalization).
+    """Raw latent draw counts for one row, given by its columns and weights.
 
     Draws m feature occurrences, then one uniform per occurrence, in
     feature index order, and looks each feature-plus-uniform up in the
     packed cumulative table.
     """
-    if vector.dim != profiles.feature_dim:
-        raise DroError(
-            f"vector dim {vector.dim} does not match profile dim {profiles.feature_dim}"
-        )
     n = profiles.latent_dim
-    total = float(vector.values.sum())
+    total = float(data.sum())
     if total <= 0:
         return np.zeros(n, dtype=np.float64)
-    feature_draws = rng.multinomial(m_samples, vector.values / total)
+    feature_draws = rng.multinomial(m_samples, data / total)
     drawn = np.nonzero(feature_draws)[0]
-    features = vector.indices[drawn]
+    features = indices[drawn]
     k = feature_draws[drawn]
     u = rng.random(m_samples)
     pos = np.searchsorted(profiles._cum, np.repeat(features, k) + u, side="right")
@@ -204,47 +175,45 @@ def sample_latent_counts(
     return np.bincount(latent, minlength=n).astype(np.float64)
 
 
-def extend(
-    vector: SparseVector,
+def _latent_block(
+    indices: np.ndarray,
+    data: np.ndarray,
+    m_samples: int,
     profiles: DistributionalProfiles,
-    m_samples: int | None,
     rng: np.random.Generator,
-) -> ExtendedVector:
-    """Append a sampled, L2-normalized latent block to one vector.
-
-    A zero vector gets a zero latent block. Otherwise m_samples must be
-    positive; None means the vector's own occurrence count.
-    """
-    if vector.dim != profiles.feature_dim:
-        raise DroError(
-            f"vector dim {vector.dim} does not match profile dim {profiles.feature_dim}"
-        )
-    if (
-        profiles.space_fingerprint
-        and vector.space_fingerprint
-        and profiles.space_fingerprint != vector.space_fingerprint
-    ):
-        raise DroError("vector and profiles were built from different feature spaces")
-    if vector.is_zero() or vector.values.sum() <= 0:
-        return ExtendedVector(
-            natural=vector,
-            latent_indices=np.empty(0, dtype=np.int64),
-            latent_values=np.empty(0, dtype=np.float64),
-            latent_dim=profiles.latent_dim,
-        )
-    m = vector.occurrence_count if m_samples is None else int(m_samples)
-    if m <= 0:
-        raise DroError(f"m_samples must be positive for a nonzero vector, got {m}")
-    counts = sample_latent_counts(vector, profiles, m, rng)
-    idx = np.nonzero(counts)[0].astype(np.int64)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(latent indices, L2-normalized values) sampled for one row; empty for a zero row."""
+    if data.sum() <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if m_samples <= 0:
+        raise DroError(f"m_samples must be positive for a nonzero row, got {m_samples}")
+    counts = sample_latent_counts(indices, data, profiles, m_samples, rng)
+    idx = np.flatnonzero(counts)
     vals = counts[idx]
-    vals = vals / np.sqrt(np.sum(vals * vals))
-    return ExtendedVector(
-        natural=vector,
-        latent_indices=idx,
-        latent_values=vals,
-        latent_dim=profiles.latent_dim,
-    )
+    return idx, vals / np.sqrt(np.sum(vals * vals))
+
+
+def extend(
+    x: sp.csr_matrix,
+    profiles: DistributionalProfiles,
+    m_samples: int,
+    rng: np.random.Generator,
+    space_fingerprint: str = "",
+) -> sp.csr_matrix:
+    """One-row CSR matrix ``x`` with a sampled, L2-normalized latent block appended.
+
+    ``m_samples`` draws are made; the pipeline passes the row's raw
+    occurrence count. A zero row gets a zero latent block, and any other
+    row needs a positive ``m_samples``. A nonempty ``space_fingerprint``,
+    the space ``x`` was vectorized in, must match the profiles' one.
+    """
+    if not sp.issparse(x) or x.format != "csr" or x.shape != (1, profiles.feature_dim):
+        raise DroError(f"expected a one-row CSR matrix of width {profiles.feature_dim}")
+    if space_fingerprint and profiles.space_fingerprint not in ("", space_fingerprint):
+        raise DroError("row and profiles were built from different feature spaces")
+    idx, vals = _latent_block(x.indices, x.data, m_samples, profiles, rng)
+    latent = sp.csr_matrix((vals, idx, [0, idx.shape[0]]), shape=(1, profiles.latent_dim))
+    return sp.hstack([x, latent], format="csr")
 
 
 def synthetic_positive_count(n_pos: int, n_neg: int, target_ratio: float) -> int:
@@ -262,7 +231,9 @@ def synthetic_positive_count(n_pos: int, n_neg: int, target_ratio: float) -> int
 
 @dataclass
 class ExtendedExample:
-    vector: ExtendedVector
+    row: int  # the source row of the natural matrix
+    latent_indices: np.ndarray
+    latent_values: np.ndarray
     label: int
     source_id: str  # original instance the example derives from
     replica: int  # 0 for originals, >= 1 for synthetic copies
@@ -279,18 +250,25 @@ class ExtendedExample:
 
 
 def oversample(
-    examples: Sequence[tuple[SparseVector, int]],
+    X: sp.csr_matrix,
+    y: Sequence[int],
+    instance_ids: Sequence[str],
+    occurrences: Sequence[int],
     profiles: DistributionalProfiles,
     config: DroConfig,
     master_seed: int,
 ) -> list[ExtendedExample]:
-    """Extend every example once and synthesize positives up to the target ratio.
+    """Extend every row of X once and synthesize positives up to the target ratio.
 
+    Row i is instance ``instance_ids[i]`` with label ``y[i]`` and raw
+    occurrence count ``occurrences[i]``, which sets its number of draws.
     Labels must be binary with 1 marking the (minority) positive class.
     Synthetic positives re-extend randomly chosen original positives with
-    fresh randomness; their natural blocks are shared with the source.
+    fresh randomness; they keep their source's row.
     """
-    labels = [int(label) for _, label in examples]
+    if X.shape[1] != profiles.feature_dim:
+        raise DroError(f"matrix dim {X.shape[1]} does not match profile dim {profiles.feature_dim}")
+    labels = [int(label) for label in y]
     if any(label not in (0, 1) for label in labels):
         raise DroError("oversample expects binary 0/1 labels")
     n_pos = sum(labels)
@@ -298,42 +276,41 @@ def oversample(
     if n_pos == 0:
         raise DroError("cannot oversample: no positive examples")
 
-    # (vector, label, replica): originals first, then synthetic copies of
+    # (row, label, replica): originals first, then synthetic copies of
     # randomly chosen positives, numbered per source from 1.
-    work = [(vector, label, 0) for vector, label in examples]
-    positives = [vector for vector, label in examples if label == 1]
+    work = [(row, label, 0) for row, label in enumerate(labels)]
+    positives = [row for row, label in enumerate(labels) if label == 1]
     picker = spawn_rng(master_seed, "dro-pick")
     n_synthetic = synthetic_positive_count(n_pos, n_neg, config.target_positive_ratio)
-    replicas: Counter[str] = Counter()
+    replicas: Counter[int] = Counter()
     for source_pos in picker.integers(0, len(positives), size=n_synthetic):
-        vector = positives[int(source_pos)]
-        replicas[vector.instance_id] += 1
-        work.append((vector, 1, replicas[vector.instance_id]))
+        row = positives[int(source_pos)]
+        replicas[row] += 1
+        work.append((row, 1, replicas[row]))
     out: list[ExtendedExample] = []
-    for vector, label, replica in work:
-        rng = spawn_rng(master_seed, "dro-extend", vector.instance_id, replica)
-        extended = extend(vector, profiles, None, rng)
-        out.append(ExtendedExample(extended, label, vector.instance_id, replica))
+    for row, label, replica in work:
+        rng = spawn_rng(master_seed, "dro-extend", instance_ids[row], replica)
+        a, b = X.indptr[row], X.indptr[row + 1]
+        idx, vals = _latent_block(X.indices[a:b], X.data[a:b], occurrences[row], profiles, rng)
+        out.append(ExtendedExample(row, idx, vals, label, instance_ids[row], replica))
     return out
 
 
-def extended_to_csr(examples: Sequence[ExtendedExample]) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Stack extended examples into (matrix, labels) for training."""
+def extended_to_csr(
+    X: sp.csr_matrix, examples: Sequence[ExtendedExample], latent_dim: int
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Training (matrix, labels): each example's row of X, then its latent block."""
     if not examples:
         raise DroError("cannot build a matrix from zero examples")
-    dim = examples[0].vector.dim
-    indptr = np.zeros(len(examples) + 1, dtype=np.int64)
-    all_idx: list[np.ndarray] = []
-    all_val: list[np.ndarray] = []
-    for i, ex in enumerate(examples):
-        if ex.vector.dim != dim:
-            raise DroError("extended examples have inconsistent dimensions")
-        idx, vals = ex.vector.combined()
-        all_idx.append(idx)
-        all_val.append(vals)
-        indptr[i + 1] = indptr[i] + idx.shape[0]
-    data = np.concatenate(all_val)
-    cols = np.concatenate(all_idx)
-    matrix = sp.csr_matrix((data, cols, indptr), shape=(len(examples), dim))
+    sizes = [ex.latent_indices.shape[0] for ex in examples]
+    latent = sp.csr_matrix(
+        (
+            np.concatenate([ex.latent_values for ex in examples]),
+            np.concatenate([ex.latent_indices for ex in examples]),
+            np.concatenate(([0], np.cumsum(sizes))),
+        ),
+        shape=(len(examples), latent_dim),
+    )
+    matrix = sp.hstack([X[[ex.row for ex in examples]], latent], format="csr")
     labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
     return matrix, labels

@@ -52,6 +52,10 @@ class TextPrediction:
     positive_posterior: float
     fitted_C: float
     inner_cv_f1: tuple[tuple[float, float], ...]  # (C, inner-CV F1), ascending C
+    training_rows: int  # after oversampling
+    synthetic_positives: int
+    converged: bool  # of the final fit
+    n_iter: int
 
     def correct(self) -> bool:
         return self.true_class == self.predicted_class
@@ -119,6 +123,10 @@ class LooReport:
                     "positive_posterior": r.positive_posterior,
                     "fitted_C": r.fitted_C,
                     "inner_cv_f1": [list(pair) for pair in r.inner_cv_f1],
+                    "training_rows": r.training_rows,
+                    "synthetic_positives": r.synthetic_positives,
+                    "converged": r.converged,
+                    "n_iter": r.n_iter,
                 }
                 for r in self.records
             ],
@@ -171,6 +179,10 @@ def _run_fold(
         positive_posterior=prediction.positive_posterior,
         fitted_C=fitted.chosen_C,
         inner_cv_f1=fitted.inner_cv_f1,
+        training_rows=len(fitted.training_instance_ids),
+        synthetic_positives=fitted.synthetic_positives,
+        converged=fitted.model.converged,
+        n_iter=fitted.model.n_iter,
     )
     return record, None, time.perf_counter() - start
 

@@ -328,8 +328,8 @@ def attribute_disputed(
     cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus, authors=candidates)
     fitted = fit_attributor(docs, config, cache, stable_seed(seed, "attribute"))
-    vector = cache.vectorize(Instance(doc=disputed), fitted.space)
-    prediction = predict_proba(fitted.model, vector)
+    x, _ = cache.vectorize([Instance(doc=disputed)], fitted.space)
+    prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
     order = np.argsort(-prediction.posteriors)
     ranking = tuple(
         (prediction.classes[int(i)], float(prediction.posteriors[int(i)])) for i in order
@@ -402,8 +402,8 @@ def attribution_contingency(
         fitted = fit_attributor(
             fold_docs, config, cache, stable_seed(seed, "aa-loo", doc.id)
         )
-        vector = cache.vectorize(Instance(doc=doc), fitted.space)
-        prediction = predict_proba(fitted.model, vector)
+        x, _ = cache.vectorize([Instance(doc=doc)], fitted.space)
+        prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
         predicted = prediction.predicted_class
         conf_true = (
             prediction.posterior_of(doc.author)
@@ -456,7 +456,7 @@ def rank_similar(
 ) -> SimilarityRanking:
     """Rank labelled full texts by cosine similarity to the disputed text.
 
-    Vectors are natural TFIDF representations over a space fitted on all
+    Rows are natural TFIDF representations over a space fitted on all
     labelled texts and segments; latent oversampling features are never
     involved in similarity.
     """
@@ -467,14 +467,15 @@ def rank_similar(
     docs = training_documents(corpus)
     rows = cache.rows(document_instances(docs, config.segmentation))
     space = fit_feature_space_from_counts(cache, rows, config.features)
-    disputed_vector, *vectors = cache.vectors([Instance(doc=d) for d in (disputed, *docs)], space)
-    if disputed_vector.is_zero():
+    X, _ = cache.vectorize([Instance(doc=d) for d in (disputed, *docs)], space)
+    disputed_row = X[0]
+    if disputed_row.nnz == 0:
         raise ExperimentError(
             f"the disputed text {disputed_id!r} has an all-zero vector in this space"
         )
     scored = [
-        (doc.id, doc.author, doc.title, cosine_similarity(disputed_vector, vector))
-        for doc, vector in zip(docs, vectors)
+        (doc.id, doc.author, doc.title, cosine_similarity(disputed_row, X[i]))
+        for i, doc in enumerate(docs, start=1)
     ]
     scored.sort(key=lambda row: (-row[3], row[0]))
     if top_k is not None:

@@ -21,7 +21,10 @@ list-backed blocks), in sorted key order, and IDF uses the smoothed form
 ln((1+N)/(1+df)) + 1 so that it is always finite and positive.
 Vectorization computes within-block relative frequencies, multiplies by
 IDF, and L2-normalizes each block sub-vector independently so blocks of
-wildly different dimensionality contribute comparable mass.
+wildly different dimensionality contribute comparable mass. Its result,
+one CSR row per instance, is the only row form downstream: oversampling,
+training, prediction and similarity all read CSR matrices, and a single
+instance is a one-row matrix.
 """
 
 from __future__ import annotations
@@ -532,35 +535,6 @@ def fit_feature_space(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SparseVector:
-    """TFIDF representation of one instance over a fitted space.
-
-    ``occurrence_count`` is the total number of raw feature occurrences
-    the extractors saw (including features outside the vocabulary); it
-    later sizes the latent sampling budget during oversampling.
-    """
-
-    instance_id: str
-    indices: np.ndarray  # strictly increasing int64 columns
-    values: np.ndarray  # float64, no explicit zeros
-    dim: int
-    space_fingerprint: str
-    occurrence_count: int
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-    def is_zero(self) -> bool:
-        return self.nnz == 0
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim, dtype=np.float64)
-        dense[self.indices] = self.values
-        return dense
-
-
 def vectorize_counts(
     store: CountsStore, rows: Sequence[int], space: FeatureSpace
 ) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -568,7 +542,8 @@ def vectorize_counts(
 
     TF divides by the block's whole count, features unseen in training
     included, and each block of each row is L2-normalized. An occurrence
-    count is the row's raw total over the space's blocks.
+    count is the row's raw total over the space's blocks. Each row's
+    columns ascend and its values are positive.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = int(rows.shape[0])
@@ -597,36 +572,26 @@ def vectorize_counts(
     return X, occurrences
 
 
-def sparse_rows(
-    X: sp.csr_matrix, instance_ids: Sequence[str], occurrences: np.ndarray, space: FeatureSpace
-) -> list[SparseVector]:
-    """The rows of a ``vectorize_counts`` matrix as SparseVectors."""
-    fingerprint = space.fingerprint()
-    return [
-        SparseVector(instance_id, X.indices[a:b].astype(np.int64), X.data[a:b], space.dim,
-                     fingerprint, int(count))
-        for instance_id, a, b, count in zip(instance_ids, X.indptr[:-1], X.indptr[1:], occurrences)
-    ]
-
-
-def vectorize(instance: Instance | Document, space: FeatureSpace) -> SparseVector:
-    """Extract and TFIDF-weight one instance against a fitted space."""
-    inst = _as_instance(instance)
+def vectorize(
+    instances: Sequence[Instance | Document], space: FeatureSpace
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """TFIDF matrix and occurrence counts of ``instances``, as ``vectorize_counts``
+    gives them, from a one-off store.
+    """
     store = CountsStore(space.config)
-    row = store.add(extract_all(inst, space.config))
-    X, occurrences = vectorize_counts(store, [row], space)
-    return sparse_rows(X, [inst.instance_id], occurrences, space)[0]
+    rows = [store.add(extract_all(inst, space.config)) for inst in instances]
+    return vectorize_counts(store, rows, space)
 
 
-def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
-    """Cosine of the angle between two sparse vectors (0.0 if either is zero)."""
-    if a.dim != b.dim:
-        raise FeatureError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.is_zero() or b.is_zero():
+def cosine_similarity(a: sp.csr_matrix, b: sp.csr_matrix) -> float:
+    """Cosine of the angle between two one-row CSR matrices (0.0 if either is zero)."""
+    if a.shape[0] != 1 or b.shape != a.shape:
+        raise FeatureError(f"expected two one-row matrices of one width: {a.shape}, {b.shape}")
+    if a.nnz == 0 or b.nnz == 0:
         return 0.0
-    dense = np.zeros(a.dim, dtype=np.float64)
-    dense[a.indices] = a.values
-    dot = float(np.dot(dense[b.indices], b.values))
-    na = float(np.sqrt(np.dot(a.values, a.values)))
-    nb = float(np.sqrt(np.dot(b.values, b.values)))
+    dense = np.zeros(a.shape[1], dtype=np.float64)
+    dense[a.indices] = a.data
+    dot = float(np.dot(dense[b.indices], b.data))
+    na = float(np.sqrt(np.dot(a.data, a.data)))
+    nb = float(np.sqrt(np.dot(b.data, b.data)))
     return dot / (na * nb)

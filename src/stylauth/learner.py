@@ -20,6 +20,9 @@ minimizer, so the predictions can differ only for a validation score
 that close to zero. Final fits stay on L-BFGS, because the two solvers'
 weights differ within that tolerance, and reported posteriors and
 ablation scores are pinned tighter than that.
+
+``predict_proba`` and ``explain`` read one instance as a one-row CSR
+matrix, the row form that ``features.vectorize_counts`` makes.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
-from .dro import ExtendedVector
 from .errors import LearnerError
-from .features import SparseVector
 from .metrics import ContingencyTable, f1, macro_f1
 
 log = logging.getLogger(__name__)
@@ -87,7 +88,6 @@ class TrainedModel:
 
 @dataclass
 class Prediction:
-    instance_id: str
     classes: tuple[str, ...]
     posteriors: np.ndarray
 
@@ -266,39 +266,33 @@ def train_multiclass(
 # ---------------------------------------------------------------------------
 
 
-def _vector_parts(x) -> tuple[str, np.ndarray, np.ndarray, int, str]:
-    """(instance_id, indices, values, dim, natural-space fingerprint) of any input."""
-    if isinstance(x, SparseVector):
-        return x.instance_id, x.indices, x.values, x.dim, x.space_fingerprint
-    if isinstance(x, ExtendedVector):
-        idx, vals = x.combined()
-        return x.instance_id, idx, vals, x.dim, x.natural.space_fingerprint
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise LearnerError("expected a 1-D vector")
-    idx = np.nonzero(arr)[0]
-    return "", idx, arr[idx], arr.shape[0], ""
+def _check_row(x, dim: int) -> None:
+    if not sp.issparse(x) or x.format != "csr" or x.shape != (1, dim):
+        shape = getattr(x, "shape", None)
+        raise LearnerError(f"expected a one-row CSR matrix of width {dim}, got {shape}")
 
 
-def predict_proba(model: TrainedModel, x) -> Prediction:
-    """Posterior distribution over the model's classes for one instance."""
-    instance_id, idx, vals, dim, fingerprint = _vector_parts(x)
-    if dim != model.dim:
-        raise LearnerError(f"vector dim {dim} does not match model dim {model.dim}")
-    if fingerprint and model.space_fingerprint and fingerprint != model.space_fingerprint:
+def predict_proba(model: TrainedModel, x: sp.csr_matrix, space_fingerprint: str = "") -> Prediction:
+    """Posterior distribution over the model's classes for a one-row CSR matrix.
+
+    A nonempty ``space_fingerprint``, the space ``x`` was vectorized in,
+    must match the model's one.
+    """
+    _check_row(x, model.dim)
+    if space_fingerprint and model.space_fingerprint not in ("", space_fingerprint):
         raise LearnerError(
-            "feature-space fingerprint mismatch: the vector was built against a "
+            "feature-space fingerprint mismatch: the row was built against a "
             "different space than the model was trained on"
         )
     if model.is_binary:
-        score = float(model.weights[idx] @ vals) + float(model.bias[0])
+        score = float(model.weights[x.indices] @ x.data) + float(model.bias[0])
         p = float(expit(score))
         posteriors = np.array([1.0 - p, p])
     else:
-        scores = model.weights[:, idx] @ vals + model.bias
+        scores = model.weights[:, x.indices] @ x.data + model.bias
         scores = scores - logsumexp(scores)
         posteriors = np.exp(scores)
-    return Prediction(instance_id=instance_id, classes=model.classes, posteriors=posteriors)
+    return Prediction(classes=model.classes, posteriors=posteriors)
 
 
 def predict_proba_matrix(model: TrainedModel, X) -> np.ndarray:
@@ -551,14 +545,18 @@ def tune_C(
 
 
 def explain(
-    model: TrainedModel, x: SparseVector, feature_names: Sequence[str], top_k: int = 20
+    model: TrainedModel, x: sp.csr_matrix, feature_names: Sequence[str], top_k: int = 20
 ) -> list[tuple[str, float]]:
-    """Top contributions weight*value of a binary decision, by absolute size."""
+    """Top contributions weight*value of a binary decision on a one-row CSR
+    matrix, by absolute size; ``feature_names`` names every model column.
+    """
     if not model.is_binary:
         raise LearnerError("explain is defined for binary models")
-    if x.dim != model.dim:
-        raise LearnerError(f"vector dim {x.dim} does not match model dim {model.dim}")
-    contributions = model.weights[x.indices] * x.values
+    if top_k < 1:
+        raise LearnerError(f"top_k must be at least 1, got {top_k}")
+    if len(feature_names) != model.dim:
+        raise LearnerError(f"{len(feature_names)} feature names for model dim {model.dim}")
+    _check_row(x, model.dim)
+    contributions = model.weights[x.indices] * x.data
     order = np.argsort(-np.abs(contributions))[:top_k]
     return [(feature_names[int(x.indices[i])], float(contributions[i])) for i in order]
-

@@ -28,11 +28,9 @@ from .features import (
     FeatureConfig,
     FeatureSpace,
     Instance,
-    SparseVector,
     extract_all,
     extraction_params,
     fit_feature_space_from_counts,
-    sparse_rows,
     vectorize_counts,
 )
 from .learner import Prediction, TrainConfig, TrainedModel, predict_proba, train_binary, train_multiclass, tune_C
@@ -83,12 +81,11 @@ class CountsCache(CountsStore):
             out.append(self._row_of[instance.instance_id])
         return np.asarray(out, dtype=np.int64)
 
-    def vectors(self, instances: Sequence[Instance], space: FeatureSpace) -> list[SparseVector]:
-        X, occurrences = vectorize_counts(self, self.rows(instances), space)
-        return sparse_rows(X, [inst.instance_id for inst in instances], occurrences, space)
-
-    def vectorize(self, instance: Instance, space: FeatureSpace) -> SparseVector:
-        return self.vectors([instance], space)[0]
+    def vectorize(
+        self, instances: Iterable[Instance], space: FeatureSpace
+    ) -> tuple[sp.csr_matrix, np.ndarray]:
+        """TFIDF rows of ``instances`` over ``space`` and their occurrence counts."""
+        return vectorize_counts(self, self.rows(instances), space)
 
 
 def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> CountsCache:
@@ -145,6 +142,7 @@ class FittedVerifier:
     training_instance_ids: tuple[str, ...]
     chosen_C: float
     inner_cv_f1: tuple[tuple[float, float], ...]  # (C, F1) per grid value, ascending C
+    synthetic_positives: int  # rows DRO added to the training set
 
     @property
     def uses_dro(self) -> bool:
@@ -187,14 +185,13 @@ def fit_verifier(
 
     instance_ids = tuple(inst.instance_id for inst in instances)
     profiles: DistributionalProfiles | None = None
+    synthetic = 0
     if config.dro is not None:
         profiles = dro_mod.fit_profiles(X, space_fingerprint=space.fingerprint())
-        vectors = sparse_rows(X, instance_ids, occurrences, space)
-        extended = oversample(
-            list(zip(vectors, y.tolist())), profiles, config.dro, master_seed=seed
-        )
-        X, y = extended_to_csr(extended)
+        extended = oversample(X, y, instance_ids, occurrences, profiles, config.dro, seed)
+        X, y = extended_to_csr(X, extended, profiles.latent_dim)
         instance_ids = tuple(ex.example_id for ex in extended)
+        synthetic = sum(ex.synthetic for ex in extended)
 
     chosen_C, inner_scores = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
     classes = (f"not {config.target_author}", config.target_author)
@@ -213,6 +210,7 @@ def fit_verifier(
         training_instance_ids=instance_ids,
         chosen_C=chosen_C,
         inner_cv_f1=tuple(inner_scores.items()),
+        synthetic_positives=synthetic,
     )
 
 
@@ -225,20 +223,16 @@ def predict_document(
 ) -> Prediction:
     """Classify one unsegmented text with a fitted verifier.
 
-    With oversampling enabled the text's vector is extended against the
+    With oversampling enabled the text's row is extended against the
     training-fitted profiles; the replica index varies the extension
     randomness while keeping it reproducible.
     """
-    vector = cache.vectorize(Instance(doc=doc), fitted.space)
+    x, occurrences = cache.vectorize([Instance(doc=doc)], fitted.space)
+    fingerprint = fitted.space.fingerprint()
     if fitted.profiles is not None:
         rng = spawn_rng(seed, "test-extend", doc.id, replica)
-        x = extend(vector, fitted.profiles, None, rng)
-        prediction = predict_proba(fitted.model, x)
-    else:
-        prediction = predict_proba(fitted.model, vector)
-    return Prediction(
-        instance_id=doc.id, classes=prediction.classes, posteriors=prediction.posteriors
-    )
+        x = extend(x, fitted.profiles, occurrences[0], rng, fingerprint)
+    return predict_proba(fitted.model, x, fingerprint)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from stylauth.corpus import build_document, load_corpus, segment
 from stylauth.dro import (
     DroConfig,
     extend,
+    extended_to_csr,
     fit_profiles,
     oversample,
     sample_latent_counts,
@@ -31,12 +32,7 @@ from stylauth.dro import (
 )
 from stylauth.evaluation import held_out_segment_ids, loo_run
 from stylauth.experiments import ABLATION_EXACT, ablate, attribute_disputed, rank_similar
-from stylauth.features import (
-    FeatureBlock,
-    FeatureConfig,
-    SparseVector,
-    fit_feature_space,
-)
+from stylauth.features import FeatureBlock, FeatureConfig, fit_feature_space
 from stylauth.learner import TrainConfig, binary_objective, multiclass_objective
 from stylauth.metrics import ContingencyTable, f1, macro_f1, soft_f1, vanilla_accuracy
 from stylauth.pipeline import PipelineConfig, SegmentationConfig, document_instances
@@ -150,24 +146,15 @@ def test_criterion_2_gradients():
 # ---------------------------------------------------------------------------
 
 
-def _random_vectors(rng, n, d, occurrences=40):
-    vectors = []
-    for i in range(n):
+def _random_rows(rng, n, d) -> sp.csr_matrix:
+    rows = []
+    for _ in range(n):
         nnz = int(rng.integers(1, d))
         idx = np.sort(rng.choice(d, size=nnz, replace=False))
         vals = np.abs(rng.normal(size=nnz)) + 0.01
         vals /= np.sqrt((vals**2).sum())
-        vectors.append(
-            SparseVector(
-                instance_id=f"inst-{i}",
-                indices=idx.astype(np.int64),
-                values=vals,
-                dim=d,
-                space_fingerprint="",
-                occurrence_count=occurrences,
-            )
-        )
-    return vectors
+        rows.append(sp.csr_matrix((vals, idx, [0, nnz]), shape=(1, d)))
+    return sp.vstack(rows, format="csr")
 
 
 def test_criterion_3_dro_contracts():
@@ -179,12 +166,12 @@ def test_criterion_3_dro_contracts():
         assert 121 + 1206 == 1327 and 1327 + 5309 == 6636
 
         # live run on a small set
-        vectors = _random_vectors(rng, 24, 8)
+        X = _random_rows(rng, 24, 8)
         labels = [1] * 4 + [0] * 20
-        X = sp.csr_matrix(np.vstack([v.to_dense() for v in vectors]))
+        ids = [f"inst-{i}" for i in range(24)]
         profiles = fit_profiles(X)
         out = oversample(
-            list(zip(vectors, labels)), profiles, DroConfig(target_positive_ratio=0.2), 9
+            X, labels, ids, [40] * 24, profiles, DroConfig(target_positive_ratio=0.2), 9
         )
         n_pos = sum(ex.label for ex in out)
         n_neg = len(out) - n_pos
@@ -193,33 +180,28 @@ def test_criterion_3_dro_contracts():
         assert bound - 1.0 <= n_pos <= bound + 1.0
 
         # (a) natural blocks byte-exact, originals and synthetics alike
-        by_id = {v.instance_id: v for v in vectors}
-        for ex in out:
-            source = by_id[ex.source_id]
-            assert ex.vector.natural.values.tobytes() == source.values.tobytes()
-            assert ex.vector.natural.indices.tobytes() == source.indices.tobytes()
+        M, _ = extended_to_csr(X, out, profiles.latent_dim)
+        for i, ex in enumerate(out):
+            source = X[ids.index(ex.source_id)]
+            assert M[i, :8].data.tobytes() == source.data.tobytes()
+            assert M[i, :8].indices.tobytes() == source.indices.tobytes()
 
         # (c) point-mass profile forces a deterministic latent unit vector
         X_pm = np.zeros((5, 1))
         X_pm[2, 0] = 1.0
         pm_profiles = fit_profiles(sp.csr_matrix(X_pm))
-        one_feature = SparseVector(
-            instance_id="single",
-            indices=np.array([0], dtype=np.int64),
-            values=np.array([1.0]),
-            dim=1,
-            space_fingerprint="",
-            occurrence_count=5,
-        )
+        one_feature = sp.csr_matrix(np.array([[1.0]]))
         for m in (1, 10, 1000):
             ext = extend(one_feature, pm_profiles, m, spawn_rng(m, "pm"))
-            assert ext.latent_indices.tolist() == [2]
-            assert ext.latent_values.tolist() == [1.0]
+            assert (ext.indices[1:] - 1).tolist() == [2]
+            assert ext.data[1:].tolist() == [1.0]
 
         # (d) empirical latent distribution converges to the profile
         weights = np.array([0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
         prof = fit_profiles(sp.csr_matrix(weights.reshape(6, 1)))
-        counts = sample_latent_counts(one_feature, prof, 10_000, spawn_rng(3003, "chi"))
+        counts = sample_latent_counts(
+            one_feature.indices, one_feature.data, prof, 10_000, spawn_rng(3003, "chi")
+        )
         assert chisquare(counts, f_exp=weights * 10_000).pvalue > 0.01
 
 

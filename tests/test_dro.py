@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 
 from stylauth.dro import (
     DroConfig,
-    ExtendedVector,
     extend,
     extended_to_csr,
     fit_profiles,
@@ -18,21 +17,20 @@ from stylauth.dro import (
     synthetic_positive_count,
 )
 from stylauth.errors import DroError
-from stylauth.features import SparseVector
 from stylauth.rng import spawn_rng
 
 
-def make_vector(indices, values, dim, instance_id="v", occurrences=None) -> SparseVector:
-    indices = np.asarray(indices, dtype=np.int64)
+def make_row(indices, values, dim) -> sp.csr_matrix:
+    """A one-row CSR matrix with the given columns and values."""
     values = np.asarray(values, dtype=np.float64)
-    return SparseVector(
-        instance_id=instance_id,
-        indices=indices,
-        values=values,
-        dim=dim,
-        space_fingerprint="",
-        occurrence_count=occurrences if occurrences is not None else len(indices),
-    )
+    return sp.csr_matrix((values, np.asarray(indices, dtype=np.int64), [0, values.shape[0]]),
+                         shape=(1, dim))
+
+
+def latent_block(extended: sp.csr_matrix, natural_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(latent indices, values) of an extended row."""
+    latent = extended.indices >= natural_dim
+    return extended.indices[latent] - natural_dim, extended.data[latent]
 
 
 class TestFitProfiles:
@@ -87,67 +85,72 @@ class TestExtend:
 
     def test_zero_vector_gets_zero_latent_block(self):
         profiles = self._profiles()
-        vector = make_vector([], [], 3, occurrences=0)
-        extended = extend(vector, profiles, None, spawn_rng(0, "t"))
-        assert extended.latent_indices.size == 0
-        assert extended.dim == 3 + profiles.latent_dim
+        extended = extend(make_row([], [], 3), profiles, 0, spawn_rng(0, "t"))
+        assert latent_block(extended, 3)[0].size == 0
+        assert extended.shape == (1, 3 + profiles.latent_dim)
 
     def test_point_mass_profile_forces_unit_vector(self):
         X = np.zeros((5, 1))
         X[2, 0] = 1.0
         profiles = fit_profiles(sp.csr_matrix(X))
-        vector = make_vector([0], [0.9], 1)
+        x = make_row([0], [0.9], 1)
         for m in (1, 7, 500):
-            extended = extend(vector, profiles, m, spawn_rng(m, "t"))
-            assert extended.latent_indices.tolist() == [2]
-            assert extended.latent_values.tolist() == [1.0]
+            extended = extend(x, profiles, m, spawn_rng(m, "t"))
+            latent_indices, latent_values = latent_block(extended, 1)
+            assert latent_indices.tolist() == [2]
+            assert latent_values.tolist() == [1.0]
 
     def test_latent_block_is_l2_normalized(self):
         profiles = self._profiles()
-        vector = make_vector([0, 1, 2], [0.5, 0.3, 0.2], 3)
-        extended = extend(vector, profiles, 200, spawn_rng(1, "t"))
-        norm = float(np.sqrt(np.sum(extended.latent_values**2)))
+        x = make_row([0, 1, 2], [0.5, 0.3, 0.2], 3)
+        _, latent_values = latent_block(extend(x, profiles, 200, spawn_rng(1, "t")), 3)
+        norm = float(np.sqrt(np.sum(latent_values**2)))
         assert norm == pytest.approx(1.0)
 
-    def test_natural_block_is_the_same_object(self):
+    def test_natural_block_is_the_row_unchanged(self):
         profiles = self._profiles()
-        vector = make_vector([0, 2], [0.7, 0.3], 3)
-        extended = extend(vector, profiles, 50, spawn_rng(2, "t"))
-        assert extended.natural is vector
+        x = make_row([0, 2], [0.7, 0.3], 3)
+        natural = extend(x, profiles, 50, spawn_rng(2, "t"))[:, :3]
+        assert natural.indices.tolist() == x.indices.tolist()
+        assert natural.data.tobytes() == x.data.tobytes()
 
     def test_fixed_seed_reproducible(self):
         profiles = self._profiles()
-        vector = make_vector([0, 1], [0.6, 0.4], 3)
-        a = extend(vector, profiles, 100, spawn_rng(5, "path"))
-        b = extend(vector, profiles, 100, spawn_rng(5, "path"))
-        assert np.array_equal(a.latent_indices, b.latent_indices)
-        assert a.latent_values.tobytes() == b.latent_values.tobytes()
+        x = make_row([0, 1], [0.6, 0.4], 3)
+        a = latent_block(extend(x, profiles, 100, spawn_rng(5, "path")), 3)
+        b = latent_block(extend(x, profiles, 100, spawn_rng(5, "path")), 3)
+        assert np.array_equal(a[0], b[0])
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_zero_samples_with_nonzero_vector_rejected(self):
         profiles = self._profiles()
-        vector = make_vector([0], [1.0], 3)
         with pytest.raises(DroError):
-            extend(vector, profiles, 0, spawn_rng(0, "t"))
+            extend(make_row([0], [1.0], 3), profiles, 0, spawn_rng(0, "t"))
 
     def test_dimension_mismatch_rejected(self):
         profiles = self._profiles(d=3)
-        vector = make_vector([0], [1.0], 7)
         with pytest.raises(DroError):
-            extend(vector, profiles, 5, spawn_rng(0, "t"))
+            extend(make_row([0], [1.0], 7), profiles, 5, spawn_rng(0, "t"))
+
+    @pytest.mark.parametrize(
+        "x", [np.ones((1, 3)), sp.csc_matrix(np.ones((1, 3))), sp.csr_matrix(np.ones((2, 3)))]
+    )
+    def test_non_row_input_rejected(self, x):
+        with pytest.raises(DroError):
+            extend(x, self._profiles(d=3), 5, spawn_rng(0, "t"))
 
     def test_fingerprint_mismatch_rejected(self):
         X = sp.csr_matrix(np.ones((2, 1)))
         profiles = fit_profiles(X, space_fingerprint="space-a")
-        vector = make_vector([0], [1.0], 1)
-        vector.space_fingerprint = "space-b"
+        x = make_row([0], [1.0], 1)
+        extend(x, profiles, 5, spawn_rng(0, "t"), space_fingerprint="space-a")
         with pytest.raises(DroError):
-            extend(vector, profiles, 5, spawn_rng(0, "t"))
+            extend(x, profiles, 5, spawn_rng(0, "t"), space_fingerprint="space-b")
 
-    def test_combined_indices_offset_latent_block(self):
+    def test_latent_indices_offset_past_natural_block(self):
         profiles = self._profiles()
-        vector = make_vector([1], [1.0], 3)
-        extended = extend(vector, profiles, 30, spawn_rng(3, "t"))
-        idx, vals = extended.combined()
+        extended = extend(make_row([1], [1.0], 3), profiles, 30, spawn_rng(3, "t"))
+        idx, vals = extended.indices, extended.data
         assert idx[0] == 1
         assert np.all(idx[1:] >= 3)
         assert len(idx) == len(vals)
@@ -157,8 +160,8 @@ class TestExtend:
         weights = np.array([0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
         X = sp.csr_matrix(weights.reshape(6, 1))
         profiles = fit_profiles(X)
-        vector = make_vector([0], [1.0], 1)
-        counts = sample_latent_counts(vector, profiles, 10_000, spawn_rng(99, "chi"))
+        x = make_row([0], [1.0], 1)
+        counts = sample_latent_counts(x.indices, x.data, profiles, 10_000, spawn_rng(99, "chi"))
         result = chisquare(counts, f_exp=weights * 10_000)
         assert result.pvalue > 0.01
 
@@ -175,18 +178,18 @@ def reference_profiles(X) -> list[tuple[np.ndarray, np.ndarray] | None]:
     return out
 
 
-def reference_latent_counts(vector, X, m, rng) -> np.ndarray:
+def reference_latent_counts(x, X, m, rng) -> np.ndarray:
     """Per-feature inverse-CDF loop: each draw's uniform looked up in its
     feature's own cumulative sum, floor(u * n) for the uniform fallback."""
     n = X.shape[0]
     counts = np.zeros(n)
-    total = float(vector.values.sum())
+    total = float(x.data.sum())
     if total <= 0:
         return counts
-    feature_draws = rng.multinomial(m, vector.values / total)
+    feature_draws = rng.multinomial(m, x.data / total)
     uniforms = iter(rng.random(m).tolist())
     for pos in np.nonzero(feature_draws)[0]:
-        prof = reference_profiles(X)[int(vector.indices[pos])]
+        prof = reference_profiles(X)[int(x.indices[pos])]
         for _ in range(int(feature_draws[pos])):
             u = next(uniforms)
             if prof is None:
@@ -209,17 +212,16 @@ class TestSamplerTables:
         rng = np.random.default_rng(12)
         indices = np.sort(rng.choice(40, size=25, replace=False))
         indices = np.union1d(indices, [7])
-        vector = make_vector(indices, rng.random(indices.shape[0]) + 0.01, 40)
-        return X, vector
+        return X, make_row(indices, rng.random(indices.shape[0]) + 0.01, 40)
 
     @pytest.mark.parametrize("m", [1, 5, 200, 20_000])
     def test_draws_match_per_feature_reference(self, m):
-        X, vector = self._fixture()
+        X, x = self._fixture()
         profiles = fit_profiles(X)
         assert profiles.profile(7) is None
         for seed in range(6):
-            got = sample_latent_counts(vector, profiles, m, spawn_rng(seed, "tables"))
-            want = reference_latent_counts(vector, X, m, spawn_rng(seed, "tables"))
+            got = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "tables"))
+            want = reference_latent_counts(x, X, m, spawn_rng(seed, "tables"))
             assert np.array_equal(got, want)
 
     def test_each_feature_draws_from_its_profile(self):
@@ -228,8 +230,9 @@ class TestSamplerTables:
         assert profiles.profile(7) is None
         m = 20_000
         for f, want in enumerate(reference_profiles(X)):
-            vector = make_vector([f], [1.0], 40)
-            counts = sample_latent_counts(vector, profiles, m, spawn_rng(f, "profile-draws"))
+            x = make_row([f], [1.0], 40)
+            rng = spawn_rng(f, "profile-draws")
+            counts = sample_latent_counts(x.indices, x.data, profiles, m, rng)
             assert counts.sum() == m
             if want is None:
                 assert chisquare(counts).pvalue > 0.01  # uniform over all 30 rows
@@ -311,8 +314,8 @@ class TestCumulativeTableEdges:
         X, profiles = self._profiles()
         m = 50
         for f in list(range(self.N_FEATURES - 16, self.N_FEATURES)) + [0, 1, 1023, 1024]:
-            vector = make_vector([f], [1.0], self.N_FEATURES)
-            counts = sample_latent_counts(vector, profiles, m, EdgeUniforms(edge))
+            x = make_row([f], [1.0], self.N_FEATURES)
+            counts = sample_latent_counts(x.indices, x.data, profiles, m, EdgeUniforms(edge))
             assert counts.sum() == m
             support = np.nonzero(X[:, f])[0]
             if support.size == 0:
@@ -356,27 +359,29 @@ class TestSyntheticCount:
 
 
 class TestOversample:
+    OCCURRENCES = 30
+
     def _training_set(self, n_pos=3, n_neg=9, d=6, seed=13):
+        """(X, labels, instance ids, occurrence counts, profiles)."""
         rng = np.random.default_rng(seed)
-        vectors = []
+        rows = []
         labels = []
         for i in range(n_pos + n_neg):
             nnz = int(rng.integers(1, d))
             idx = np.sort(rng.choice(d, size=nnz, replace=False))
             vals = np.abs(rng.normal(size=nnz)) + 0.01
             vals /= np.sqrt((vals**2).sum())
-            vectors.append(make_vector(idx, vals, d, instance_id=f"inst-{i}", occurrences=30))
+            rows.append(make_row(idx, vals, d))
             labels.append(1 if i < n_pos else 0)
-        X = sp.csr_matrix(
-            np.vstack([v.to_dense() for v in vectors])
-        )
-        profiles = fit_profiles(X)
-        return list(zip(vectors, labels)), profiles
+        X = sp.vstack(rows, format="csr")
+        ids = [f"inst-{i}" for i in range(n_pos + n_neg)]
+        occurrences = [self.OCCURRENCES] * len(ids)
+        return X, labels, ids, occurrences, fit_profiles(X)
 
     def test_counts_meet_target_within_one(self):
-        examples, profiles = self._training_set()
+        X, y, ids, occurrences, profiles = self._training_set()
         config = DroConfig(target_positive_ratio=0.4)
-        out = oversample(examples, profiles, config, master_seed=1)
+        out = oversample(X, y, ids, occurrences, profiles, config, 1)
         n_pos = sum(1 for ex in out if ex.label == 1)
         n_neg = sum(1 for ex in out if ex.label == 0)
         assert n_neg == 9  # negatives never multiplied
@@ -384,61 +389,83 @@ class TestOversample:
         assert bound - 1.0 <= n_pos <= bound + 1.0
 
     def test_every_original_present_once(self):
-        examples, profiles = self._training_set()
-        out = oversample(examples, profiles, DroConfig(), master_seed=1)
+        X, y, ids, occurrences, profiles = self._training_set()
+        out = oversample(X, y, ids, occurrences, profiles, DroConfig(), 1)
         originals = [ex for ex in out if not ex.synthetic]
-        assert [ex.source_id for ex in originals] == [v.instance_id for v, _ in examples]
+        assert [ex.source_id for ex in originals] == ids
+        assert [ex.row for ex in originals] == list(range(len(ids)))
 
     def test_synthetic_natural_blocks_byte_identical_to_source(self):
-        examples, profiles = self._training_set()
-        by_id = {v.instance_id: v for v, _ in examples}
-        out = oversample(examples, profiles, DroConfig(target_positive_ratio=0.5), master_seed=2)
-        synth = [ex for ex in out if ex.synthetic]
+        X, y, ids, occurrences, profiles = self._training_set()
+        config = DroConfig(target_positive_ratio=0.5)
+        out = oversample(X, y, ids, occurrences, profiles, config, 2)
+        M, _ = extended_to_csr(X, out, profiles.latent_dim)
+        synth = [(i, ex) for i, ex in enumerate(out) if ex.synthetic]
         assert synth, "expected synthetic examples"
-        for ex in synth:
-            source = by_id[ex.source_id]
-            assert ex.vector.natural is source
-            assert ex.vector.natural.values.tobytes() == source.values.tobytes()
+        for i, ex in synth:
+            source = X[ids.index(ex.source_id)]
+            assert ex.row == ids.index(ex.source_id)
+            assert M[i, :6].data.tobytes() == source.data.tobytes()
             assert ex.label == 1
 
     def test_synthetic_latents_differ_from_source(self):
-        examples, profiles = self._training_set()
-        out = oversample(examples, profiles, DroConfig(target_positive_ratio=0.5), master_seed=3)
+        X, y, ids, occurrences, profiles = self._training_set()
+        config = DroConfig(target_positive_ratio=0.5)
+        out = oversample(X, y, ids, occurrences, profiles, config, 3)
         by_example_id = {ex.example_id: ex for ex in out}
         synth = [ex for ex in out if ex.synthetic]
         differing = 0
         for ex in synth:
             original = by_example_id[ex.source_id]
-            if ex.vector.latent_values.tobytes() != original.vector.latent_values.tobytes():
+            if ex.latent_values.tobytes() != original.latent_values.tobytes():
                 differing += 1
         assert differing >= len(synth) - 1  # collisions are vanishingly rare
 
     def test_no_positives_rejected(self):
-        examples, profiles = self._training_set(n_pos=2)
-        negative_only = [(v, 0) for v, _ in examples]
+        X, y, ids, occurrences, profiles = self._training_set(n_pos=2)
         with pytest.raises(DroError):
-            oversample(negative_only, profiles, DroConfig(), master_seed=0)
+            oversample(X, [0] * len(y), ids, occurrences, profiles, DroConfig(), 0)
+
+    def test_dimension_mismatch_rejected(self):
+        X, y, ids, occurrences, profiles = self._training_set()
+        with pytest.raises(DroError):
+            oversample(X[:, :5], y, ids, occurrences, profiles, DroConfig(), 0)
 
     def test_byte_identical_across_runs(self):
-        examples, profiles = self._training_set()
+        X, y, ids, occurrences, profiles = self._training_set()
         config = DroConfig(target_positive_ratio=0.5)
-        a = oversample(examples, profiles, config, master_seed=77)
-        b = oversample(examples, profiles, config, master_seed=77)
+        a = oversample(X, y, ids, occurrences, profiles, config, 77)
+        b = oversample(X, y, ids, occurrences, profiles, config, 77)
         assert len(a) == len(b)
         for ex_a, ex_b in zip(a, b):
             assert ex_a.example_id == ex_b.example_id
-            assert ex_a.vector.latent_values.tobytes() == ex_b.vector.latent_values.tobytes()
-            assert ex_a.vector.latent_indices.tobytes() == ex_b.vector.latent_indices.tobytes()
+            assert ex_a.latent_values.tobytes() == ex_b.latent_values.tobytes()
+            assert ex_a.latent_indices.tobytes() == ex_b.latent_indices.tobytes()
 
     def test_matrix_assembly(self):
-        examples, profiles = self._training_set()
-        out = oversample(examples, profiles, DroConfig(target_positive_ratio=0.4), master_seed=5)
-        X, y = extended_to_csr(out)
-        assert X.shape == (len(out), 6 + profiles.latent_dim)
-        assert y.sum() == sum(1 for ex in out if ex.label == 1)
-        natural = X[:, :6].toarray()
+        X, y, ids, occurrences, profiles = self._training_set()
+        config = DroConfig(target_positive_ratio=0.4)
+        out = oversample(X, y, ids, occurrences, profiles, config, 5)
+        M, labels = extended_to_csr(X, out, profiles.latent_dim)
+        assert M.shape == (len(out), 6 + profiles.latent_dim)
+        assert labels.sum() == sum(1 for ex in out if ex.label == 1)
+        natural = M[:, :6].toarray()
         for i, ex in enumerate(out):
-            assert natural[i] == pytest.approx(ex.vector.natural.to_dense())
+            assert np.array_equal(natural[i], X[ex.row].toarray()[0])
+
+    def test_latent_blocks_match_extend(self):
+        X, y, ids, occurrences, profiles = self._training_set()
+        seed = 6
+        out = oversample(X, y, ids, occurrences, profiles, DroConfig(0.5), seed)
+        M, _ = extended_to_csr(X, out, profiles.latent_dim)
+        assert any(ex.synthetic for ex in out)
+        for i, ex in enumerate(out):
+            rng = spawn_rng(seed, "dro-extend", ex.source_id, ex.replica)
+            extended = extend(X[ex.row], profiles, occurrences[ex.row], rng)
+            latent_indices, latent_values = latent_block(extended, 6)
+            assert latent_indices.tolist() == ex.latent_indices.tolist()
+            assert latent_values.tobytes() == ex.latent_values.tobytes()
+            assert np.array_equal(M[i].toarray(), extended.toarray())
 
 
 class TestDroConfig:

@@ -194,6 +194,28 @@ class TestReport:
         positives = report.table.tp + report.table.fn
         assert positives == 4  # texts by the target author
 
+    def test_fold_diagnostics_match_fitted_verifier(self, small_corpus):
+        captured = {}
+
+        def listener(text_id, fitted):
+            captured[text_id] = fitted
+
+        report = loo_run(small_corpus, fast_pipeline("Aldus", dro=True), seed=3,
+                         fold_listener=listener)
+        records = report.canonical_dict()["records"]
+        for record in records:
+            fitted = captured[record["text_id"]]
+            synthetic = [t for t in fitted.training_instance_ids if "#dro" in t]
+            assert record["training_rows"] == len(fitted.training_instance_ids)
+            assert record["synthetic_positives"] == len(synthetic)
+            assert record["converged"] is fitted.model.converged
+            assert record["n_iter"] == fitted.model.n_iter >= 1
+        assert any(record["synthetic_positives"] > 0 for record in records)
+
+    def test_no_synthetic_positives_without_dro(self, small_corpus):
+        report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=3)
+        assert all(r.synthetic_positives == 0 for r in report.records)
+
 
 class TestDeterminism:
     def test_same_seed_same_report(self, small_corpus):

@@ -429,20 +429,21 @@ def test_matrix_path_matches_dict_reference(counts_list, data):
 class TestVectorize:
     def test_single_feature_gets_unit_value(self):
         space = fit_feature_space([doc_of("aa", "d1")], char1_config())
-        vec = vectorize(doc_of("aa", "x"), space)
-        assert vec.nnz == 1
-        assert vec.values[0] == pytest.approx(1.0)
+        x, _ = vectorize([doc_of("aa", "x")], space)
+        assert x.nnz == 1
+        assert x.data[0] == pytest.approx(1.0)
 
     def test_zero_vector_when_nothing_extractable(self):
         space = fit_feature_space([doc_of("ab", "d1")], char1_config())
-        vec = vectorize(doc_of("zz", "x"), space)  # z unseen in training
-        assert vec.is_zero()
+        x, _ = vectorize([doc_of("zz", "x")], space)  # z unseen in training
+        assert x.shape == (1, space.dim)
+        assert x.nnz == 0
 
     def test_equal_tf_equal_idf_gives_equal_coordinates(self):
         # both characters occur in the single training doc -> equal IDF
         space = fit_feature_space([doc_of("ab", "d1")], char1_config())
-        vec = vectorize(doc_of("ab", "x"), space)
-        assert vec.values == pytest.approx([1 / math.sqrt(2), 1 / math.sqrt(2)])
+        x, _ = vectorize([doc_of("ab", "x")], space)
+        assert x.data == pytest.approx([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_block_norm_is_zero_or_one(self):
         config = FeatureConfig(
@@ -452,25 +453,25 @@ class TestVectorize:
         space = fit_feature_space(
             [doc_of("ab cde fg", "d1"), doc_of("hh iii", "d2")], config
         )
-        vec = vectorize(doc_of("ab hh", "x"), space)
+        x, _ = vectorize([doc_of("ab hh", "x")], space)
         for block, start, end in space.block_offsets:
-            mask = (vec.indices >= start) & (vec.indices < end)
-            norm = float(np.sqrt(np.sum(vec.values[mask] ** 2)))
+            mask = (x.indices >= start) & (x.indices < end)
+            norm = float(np.sqrt(np.sum(x.data[mask] ** 2)))
             assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0)
 
     def test_unseen_features_dropped(self):
         space = fit_feature_space([doc_of("ab", "d1")], char1_config())
-        vec = vectorize(doc_of("abz", "x"), space)
+        x, _ = vectorize([doc_of("abz", "x")], space)
         names = space.column_names()
-        present = {names[int(i)] for i in vec.indices}
+        present = {names[int(i)] for i in x.indices}
         assert "char_ngrams:z" not in present
 
     def test_fixed_space_vector_independent_of_other_documents(self):
         space = fit_feature_space([doc_of("ab", "d1"), doc_of("bc", "d2")], char1_config())
-        v1 = vectorize(doc_of("abc", "x"), space)
-        v2 = vectorize(doc_of("abc", "x"), space)
-        assert np.array_equal(v1.indices, v2.indices)
-        assert np.array_equal(v1.values, v2.values)
+        v1, _ = vectorize([doc_of("abc", "x")], space)
+        v2, _ = vectorize([doc_of("ab", "d1"), doc_of("abc", "x")], space)
+        assert np.array_equal(v1.indices, v2[1].indices)
+        assert np.array_equal(v1.data, v2[1].data)
 
     def test_refit_without_doc_never_contains_its_unique_features(self):
         docs = [doc_of("ab", "d1"), doc_of("bc", "d2"), doc_of("zq", "d3")]
@@ -482,8 +483,8 @@ class TestVectorize:
 
     def test_occurrence_count_includes_unseen(self):
         space = fit_feature_space([doc_of("ab", "d1")], char1_config())
-        vec = vectorize(doc_of("abzz", "x"), space)
-        assert vec.occurrence_count == 4
+        _, occurrences = vectorize([doc_of("abzz", "x")], space)
+        assert occurrences.tolist() == [4]
 
     def test_indices_strictly_increasing(self):
         config = FeatureConfig(
@@ -491,8 +492,8 @@ class TestVectorize:
             ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
         )
         space = fit_feature_space([doc_of("ab cd ef", "d1")], config)
-        vec = vectorize(doc_of("ab ef", "x"), space)
-        assert np.all(np.diff(vec.indices) > 0)
+        x, _ = vectorize([doc_of("ab ef", "x")], space)
+        assert np.all(np.diff(x.indices) > 0)
 
 
 class TestMatrixAndCosine:
@@ -504,24 +505,32 @@ class TestMatrixAndCosine:
         X, _ = vectorize_counts(store, rows, space)
         assert X.shape == (2, space.dim)
         for row, text in zip(X.toarray(), texts):
-            assert np.array_equal(row, vectorize(doc_of(text, "x"), space).to_dense())
+            assert np.array_equal(row, vectorize([doc_of(text, "x")], space)[0].toarray()[0])
 
     def test_cosine_self_is_one(self):
         space = fit_feature_space([doc_of("ab cd", "d1")], char1_config())
-        vec = vectorize(doc_of("ab", "x"), space)
-        assert cosine_similarity(vec, vec) == pytest.approx(1.0)
+        x, _ = vectorize([doc_of("ab", "x")], space)
+        assert cosine_similarity(x, x) == pytest.approx(1.0)
 
     def test_cosine_disjoint_is_zero(self):
         space = fit_feature_space([doc_of("ab", "d1"), doc_of("cd", "d2")], char1_config())
-        v1 = vectorize(doc_of("ab", "x"), space)
-        v2 = vectorize(doc_of("cd", "y"), space)
-        assert cosine_similarity(v1, v2) == 0.0
+        X, _ = vectorize([doc_of("ab", "x"), doc_of("cd", "y")], space)
+        assert cosine_similarity(X[0], X[1]) == 0.0
 
     def test_cosine_symmetric(self):
         space = fit_feature_space([doc_of("ab cd ef", "d1")], char1_config())
         rng = np.random.default_rng(3)
         texts = ["ab cd", "cd ef", "ab ef cd", "ef"]
-        vecs = [vectorize(doc_of(t, f"x{i}"), space) for i, t in enumerate(texts)]
-        for a in vecs:
-            for b in vecs:
+        X, _ = vectorize([doc_of(t, f"x{i}") for i, t in enumerate(texts)], space)
+        rows = [X[i] for i in range(len(texts))]
+        for a in rows:
+            for b in rows:
                 assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
+
+    def test_cosine_rejects_mismatched_shapes(self):
+        space = fit_feature_space([doc_of("ab cd", "d1")], char1_config())
+        X, _ = vectorize([doc_of("ab", "x"), doc_of("cd", "y")], space)
+        with pytest.raises(FeatureError):
+            cosine_similarity(X, X[0])
+        with pytest.raises(FeatureError):
+            cosine_similarity(X[0], X[1, :2])

@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 
 from stylauth.errors import LearnerError
 from stylauth.metrics import ContingencyTable, f1, macro_f1
-from stylauth.features import FeatureBlock, FeatureConfig, SparseVector, fit_feature_space, vectorize
+from stylauth.features import FeatureBlock, FeatureConfig, fit_feature_space, vectorize
 from stylauth.corpus import build_document
 from stylauth import learner
 from stylauth.learner import (
@@ -28,6 +28,11 @@ from stylauth.learner import (
     train_multiclass,
     tune_C,
 )
+
+
+def row(values) -> sp.csr_matrix:
+    """One instance as a one-row CSR matrix."""
+    return sp.csr_matrix(np.asarray(values, dtype=np.float64).reshape(1, -1))
 
 
 def central_differences(fun, params: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -122,8 +127,8 @@ class TestTrainBinary:
         X = np.array([[-1.0], [1.0]])
         model = train_binary(X, [0, 1], TrainConfig())
         assert model.weights[0] > 0
-        pos = predict_proba(model, np.array([1.0]))
-        neg = predict_proba(model, np.array([-1.0]))
+        pos = predict_proba(model, row([1.0]))
+        neg = predict_proba(model, row([-1.0]))
         assert pos.positive_posterior > 0.5 > neg.positive_posterior
 
     def test_extreme_regularization_flattens_posteriors(self):
@@ -132,7 +137,7 @@ class TestTrainBinary:
         y = [0, 1] * 10
         model = train_binary(X, y, TrainConfig(), C=1e-9)
         assert np.max(np.abs(model.weights)) < 1e-6
-        p = predict_proba(model, X[0]).positive_posterior
+        p = predict_proba(model, row(X[0])).positive_posterior
         assert p == pytest.approx(0.5, abs=1e-3)
 
     def test_single_class_rejected(self):
@@ -154,8 +159,8 @@ class TestTrainBinary:
         m1 = train_binary(X, y, TrainConfig())
         m2 = train_binary(X[perm], y[perm], TrainConfig())
         probe = rng.normal(size=4)
-        p1 = predict_proba(m1, probe).positive_posterior
-        p2 = predict_proba(m2, probe).positive_posterior
+        p1 = predict_proba(m1, row(probe)).positive_posterior
+        p2 = predict_proba(m2, row(probe)).positive_posterior
         assert p1 == pytest.approx(p2, abs=1e-8)
 
     def test_column_permutation_consistency(self):
@@ -167,8 +172,8 @@ class TestTrainBinary:
         m1 = train_binary(X, y, TrainConfig())
         m2 = train_binary(X[:, perm], y, TrainConfig())
         probe = rng.normal(size=5)
-        p1 = predict_proba(m1, probe).positive_posterior
-        p2 = predict_proba(m2, probe[perm]).positive_posterior
+        p1 = predict_proba(m1, row(probe)).positive_posterior
+        p2 = predict_proba(m2, row(probe[perm])).positive_posterior
         assert p1 == pytest.approx(p2, abs=1e-8)
 
     def test_convergence_reported(self):
@@ -182,13 +187,13 @@ class TestTrainMulticlass:
     def test_three_separated_classes(self):
         X = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, -5.0]])
         model = train_multiclass(X, ["a", "b", "c"], TrainConfig(), C=100.0)
-        for row, expected in zip(X, ["a", "b", "c"]):
-            assert predict_proba(model, row).predicted_class == expected
+        for x, expected in zip(X, ["a", "b", "c"]):
+            assert predict_proba(model, row(x)).predicted_class == expected
 
     def test_posterior_length_is_class_count(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         model = train_multiclass(X, ["a", "b", "a", "c"], TrainConfig())
-        prediction = predict_proba(model, np.array([2.5]))
+        prediction = predict_proba(model, row([2.5]))
         assert len(prediction.posteriors) == 3
         assert prediction.posteriors.sum() == pytest.approx(1.0)
 
@@ -203,7 +208,7 @@ class TestTrainMulticlass:
         model = train_multiclass(X, labels, TrainConfig())
         probe = rng.normal(size=4)
         scores = model.weights @ probe + model.bias
-        prediction = predict_proba(model, probe)
+        prediction = predict_proba(model, row(probe))
         assert prediction.predicted_class == model.classes[int(np.argmax(scores))]
 
 
@@ -218,7 +223,7 @@ class TestPredict:
             converged=True,
             n_iter=0,
         )
-        assert predict_proba(model, np.ones(3)).positive_posterior == pytest.approx(0.5)
+        assert predict_proba(model, row(np.ones(3))).positive_posterior == pytest.approx(0.5)
 
     def test_log_three_score_gives_three_quarters(self):
         model = TrainedModel(
@@ -230,34 +235,35 @@ class TestPredict:
             converged=True,
             n_iter=0,
         )
-        assert predict_proba(model, np.array([1.0])).positive_posterior == pytest.approx(0.75)
+        assert predict_proba(model, row([1.0])).positive_posterior == pytest.approx(0.75)
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(50)
         X = rng.normal(size=(12, 3))
         model = train_multiclass(X, [str(i % 4) for i in range(12)], TrainConfig())
-        prediction = predict_proba(model, rng.normal(size=3))
+        prediction = predict_proba(model, row(rng.normal(size=3)))
         assert prediction.posteriors.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         model = train_binary(np.array([[-1.0], [1.0]]), [0, 1], TrainConfig())
         with pytest.raises(LearnerError):
-            predict_proba(model, np.ones(3))
+            predict_proba(model, row(np.ones(3)))
+
+    @pytest.mark.parametrize(
+        "x", [np.array([1.0]), np.array([[1.0]]), sp.csc_matrix([[1.0]]), row([[1.0], [2.0]])]
+    )
+    def test_non_row_input_rejected(self, x):
+        model = train_binary(np.array([[-1.0], [1.0]]), [0, 1], TrainConfig())
+        with pytest.raises(LearnerError):
+            predict_proba(model, x)
 
     def test_fingerprint_mismatch_rejected(self):
         model = train_binary(
             np.array([[-1.0], [1.0]]), [0, 1], TrainConfig(), space_fingerprint="abc"
         )
-        vector = SparseVector(
-            instance_id="x",
-            indices=np.array([0]),
-            values=np.array([1.0]),
-            dim=1,
-            space_fingerprint="different",
-            occurrence_count=1,
-        )
+        predict_proba(model, row([1.0]), space_fingerprint="abc")
         with pytest.raises(LearnerError):
-            predict_proba(model, vector)
+            predict_proba(model, row([1.0]), space_fingerprint="different")
 
     def test_matrix_predictions_match_single(self):
         rng = np.random.default_rng(51)
@@ -267,7 +273,7 @@ class TestPredict:
         model = train_binary(X, y, TrainConfig())
         probs = predict_proba_matrix(model, X)
         for i in range(10):
-            single = predict_proba(model, X[i]).posteriors
+            single = predict_proba(model, row(X[i])).posteriors
             assert probs[i] == pytest.approx(single)
 
 
@@ -494,7 +500,7 @@ class TestExplain:
             ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}},
         )
         space = fit_feature_space(docs, config)
-        X = np.vstack([vectorize(d, space).to_dense() for d in docs])
+        X, _ = vectorize(docs, space)
         model = train_binary(
             X, [1, 0], TrainConfig(), space_fingerprint=space.fingerprint()
         )
@@ -502,43 +508,52 @@ class TestExplain:
 
     def test_zero_vector_has_no_contributions(self):
         space, model = self._fitted()
-        zero = SparseVector(
-            instance_id="z",
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0),
-            dim=space.dim,
-            space_fingerprint=space.fingerprint(),
-            occurrence_count=0,
-        )
+        zero = sp.csr_matrix((1, space.dim))
         assert explain(model, zero, space.column_names()) == []
 
     def test_single_active_feature_ranked_first(self):
         space, model = self._fitted()
         doc = build_document("probe", "x", "T", "aaa")
-        vector = vectorize(doc, space)
-        ranked = explain(model, vector, space.column_names(), top_k=5)
+        x, _ = vectorize([doc], space)
+        ranked = explain(model, x, space.column_names(), top_k=5)
         assert ranked[0][0] == "char_ngrams:a"
 
     def test_contributions_sum_to_decision_score(self):
         space, model = self._fitted()
         doc = build_document("probe", "x", "T", "aa cc dd bb")
-        vector = vectorize(doc, space)
-        ranked = explain(model, vector, space.column_names(), top_k=space.dim)
+        x, _ = vectorize([doc], space)
+        ranked = explain(model, x, space.column_names(), top_k=space.dim)
         total = sum(c for _, c in ranked) + float(model.bias[0])
-        p = predict_proba(model, vector).positive_posterior
+        p = predict_proba(model, x, space.fingerprint()).positive_posterior
         assert 1.0 / (1.0 + math.exp(-total)) == pytest.approx(p)
 
     def test_multiclass_rejected(self):
         X = np.array([[1.0], [2.0], [3.0]])
         model = train_multiclass(X, ["a", "b", "c"], TrainConfig())
-        vector = SparseVector(
-            instance_id="x",
-            indices=np.array([0]),
-            values=np.array([1.0]),
-            dim=1,
-            space_fingerprint="",
-            occurrence_count=1,
-        )
         with pytest.raises(LearnerError):
-            explain(model, vector, ["f0"])
+            explain(model, row([1.0]), ["f0"])
+
+    def test_every_contribution_returned_up_to_top_k(self):
+        model = TrainedModel(("neg", "pos"), np.array([1.0, -3.0, 2.0]), np.array([0.0]),
+                             1.0, "", True, 0)
+        names = ["f0", "f1", "f2"]
+        ranked = explain(model, row([1.0, 1.0, 1.0]), names, top_k=3)
+        assert ranked == [("f1", -3.0), ("f2", 2.0), ("f0", 1.0)]
+        assert explain(model, row([1.0, 1.0, 1.0]), names, top_k=1) == [("f1", -3.0)]
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        space, model = self._fitted()
+        x, _ = vectorize([build_document("probe", "x", "T", "aa cc")], space)
+        with pytest.raises(LearnerError):
+            explain(model, x, space.column_names(), top_k=top_k)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_feature_names_must_name_every_column(self, extra):
+        space, model = self._fitted()
+        x, _ = vectorize([build_document("probe", "x", "T", "aa cc")], space)
+        names = space.column_names()
+        names = names[:extra] if extra < 0 else names + ["spare"] * extra
+        with pytest.raises(LearnerError):
+            explain(model, x, names)
 

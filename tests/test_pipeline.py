@@ -136,7 +136,7 @@ class TestFitVerifier:
         prediction = predict_document(
             fitted, corpus.get("disputed-text"), cache, seed=7
         )
-        assert prediction.instance_id == "disputed-text"
+        assert prediction.classes == fitted.model.classes
         assert 0.0 <= prediction.positive_posterior <= 1.0
 
     def test_dro_expands_training_set(self, corpus):
@@ -172,8 +172,8 @@ class TestFitAttributor:
         cache = CountsCache(config.features)
         fitted = fit_attributor(training_documents(corpus), config, cache, seed=7)
         assert fitted.candidate_authors == ("Aldus", "Benno")
-        vector = cache.vectorize(Instance(doc=corpus.get("disputed-text")), fitted.space)
-        prediction = predict_proba(fitted.model, vector)
+        x, _ = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space)
+        prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
         assert prediction.posteriors.sum() == pytest.approx(1.0)
 
     def test_single_author_rejected(self, corpus):

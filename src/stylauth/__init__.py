@@ -17,7 +17,7 @@ from .corpus import (
 )
 from .dro import DroConfig, extend, fit_profiles, oversample
 from .errors import StylauthError
-from .evaluation import LooReport, loo_run
+from .evaluation import LooReport, loo_pools, loo_run
 from .experiments import (
     ablate,
     attribute_disputed,
@@ -65,6 +65,7 @@ __all__ = [
     "oversample",
     "StylauthError",
     "LooReport",
+    "loo_pools",
     "loo_run",
     "ablate",
     "attribute_disputed",

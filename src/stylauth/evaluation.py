@@ -9,6 +9,11 @@ and run on a thread pool of at most ``threads`` workers, capped at the CPU
 count and the number of folds; each derives its own randomness from
 (master seed, held-out id), so reports are byte-identical regardless of
 thread count.
+
+One pass over the folds can score several feature-block pools
+(``loo_pools``): a fold fits its space and vectorizes once, over the
+config's blocks, and each pool slices its columns from those rows, which
+equals fitting the pool's space directly. ``loo_run`` is the one-pool case.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from typing import Callable, Sequence
 
 from .corpus import Corpus, Document, segment
 from .errors import EvaluationError
-from .features import Instance
+from .features import FeatureBlock, Instance
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedVerifier, PipelineConfig, counts_cache_for, document_instances,
-    fit_verifier, predict_document, training_documents,
+    fit_verifier, predict_document, training_documents, training_vectors,
 )
 from .rng import stable_seed
 
@@ -148,11 +153,17 @@ def _run_fold(
     corpus: Corpus,
     held_out: Document,
     config: PipelineConfig,
+    pools: Sequence[Sequence[FeatureBlock]],
     cache: CountsCache,
     master_seed: int,
     fold_listener: Callable[[str, FittedVerifier], None] | None,
-) -> tuple[TextPrediction | None, str | None, float]:
-    """One fold; returns (record, skip reason, wall seconds)."""
+) -> list[tuple[TextPrediction | None, str | None, float]]:
+    """One fold for each pool: (record, skip reason, wall seconds) per pool.
+
+    The fold fits its space and vectorizes once over the config's blocks;
+    each pool slices its columns from those rows. A pool's seconds include
+    that shared work.
+    """
     start = time.perf_counter()
     fold_seed = stable_seed(master_seed, "loo", held_out.id)
     train_docs = training_documents(corpus, exclude_ids=[held_out.id])
@@ -164,48 +175,62 @@ def _run_fold(
             f"class {'positive' if not has_pos else 'negative'} absent from training set"
         )
         log.warning("skipping fold %s: %s", held_out.id, reason)
-        return None, reason, time.perf_counter() - start
+        return [(None, reason, time.perf_counter() - start)] * len(pools)
 
-    fitted = fit_verifier(train_docs, config, cache, fold_seed)
-    if fold_listener is not None:
-        fold_listener(held_out.id, fitted)
-    prediction = predict_document(fitted, held_out, cache, fold_seed)
-    true_class = target if held_out.author == target else fitted.model.classes[0]
-    record = TextPrediction(
-        text_id=held_out.id,
-        author=held_out.author,
-        true_class=true_class,
-        predicted_class=prediction.predicted_class,
-        positive_posterior=prediction.positive_posterior,
-        fitted_C=fitted.chosen_C,
-        inner_cv_f1=fitted.inner_cv_f1,
-        training_rows=len(fitted.training_instance_ids),
-        synthetic_positives=fitted.synthetic_positives,
-        converged=fitted.model.converged,
-        n_iter=fitted.model.n_iter,
-    )
-    return record, None, time.perf_counter() - start
+    full_train = training_vectors(train_docs, config, cache)
+    full_text = cache.vectorize([Instance(doc=held_out)], full_train.space)
+    shared = time.perf_counter() - start
+    out = []
+    for blocks in pools:
+        pool_start = time.perf_counter()
+        space, columns = full_train.space.restricted_to(blocks)
+        fitted = fit_verifier(full_train.restricted(space, columns, cache), config, fold_seed)
+        if fold_listener is not None:
+            fold_listener(held_out.id, fitted)
+        text = full_text.restricted(space, columns, cache)
+        prediction = predict_document(fitted, text, fold_seed)
+        true_class = target if held_out.author == target else fitted.model.classes[0]
+        record = TextPrediction(
+            text_id=held_out.id,
+            author=held_out.author,
+            true_class=true_class,
+            predicted_class=prediction.predicted_class,
+            positive_posterior=prediction.positive_posterior,
+            fitted_C=fitted.chosen_C,
+            inner_cv_f1=fitted.inner_cv_f1,
+            training_rows=len(fitted.training_instance_ids),
+            synthetic_positives=fitted.synthetic_positives,
+            converged=fitted.model.converged,
+            n_iter=fitted.model.n_iter,
+        )
+        del fitted, text  # one pool's model and rows alive at a time
+        out.append((record, None, shared + time.perf_counter() - pool_start))
+    return out
 
 
-def loo_run(
+def loo_pools(
     corpus: Corpus,
     config: PipelineConfig,
+    pools: Sequence[Sequence[FeatureBlock]],
     seed: int,
     threads: int = 1,
     fold_listener: Callable[[str, FittedVerifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
-) -> LooReport:
-    """Leave-one-out evaluation over labelled texts.
+) -> list[LooReport]:
+    """Leave-one-out evaluation of each block pool: one report per pool.
 
-    ``text_ids`` restricts which texts are held out (each remaining fold
-    still trains on everything else); by default every labelled text gets
-    a fold. Disputed texts never participate. A shared ``cache`` must
-    extract the config's blocks as the config does (``counts_cache_for``).
-    ``fold_listener(text_id, fitted)`` sees each fold's fitted verifier.
+    Each pool is a subset of the config's blocks, and its report equals
+    ``loo_run`` on ``config.with_blocks(pool)``; one pass over the folds
+    scores them all. ``text_ids`` restricts which texts are held out (each
+    remaining fold still trains on everything else); by default every
+    labelled text gets a fold. Disputed texts never participate. A shared
+    ``cache`` must extract the config's blocks as the config does
+    (``counts_cache_for``). ``fold_listener(text_id, fitted)`` sees each
+    fold's fitted verifier, once per pool.
     """
     if config.target_author is None:
-        raise EvaluationError("loo_run needs a target_author in the pipeline config")
+        raise EvaluationError("leave-one-out needs a target_author in the pipeline config")
     labelled = corpus.labelled()
     if text_ids is not None:
         wanted = set(text_ids)
@@ -221,6 +246,11 @@ def loo_run(
         raise EvaluationError("text_ids selects no text to hold out")
     if threads < 1:
         raise EvaluationError(f"threads must be at least 1, got {threads}")
+    for blocks in pools:
+        if not blocks or not set(blocks) <= config.features.enabled_blocks:
+            raise EvaluationError(
+                f"pool {[b.value for b in blocks]} is not a nonempty subset of the config's blocks"
+            )
     cache = counts_cache_for(config.features, cache)
     # Extract every instance the folds read before dispatching them, so that
     # no two fold threads extract the same instance: each labelled text that
@@ -231,16 +261,28 @@ def loo_run(
     cache.rows(Instance(doc=d) for d in folds)
 
     def work(doc: Document):
-        return doc.id, _run_fold(corpus, doc, config, cache, seed, fold_listener)
+        return doc.id, _run_fold(corpus, doc, config, pools, cache, seed, fold_listener)
 
     with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus(), len(folds))) as pool:
         results = dict(pool.map(work, folds))
+    return [
+        _report(corpus, config.target_author, seed, folds, [results[d.id][i] for d in folds])
+        for i in range(len(pools))
+    ]
 
+
+def _report(
+    corpus: Corpus,
+    target_author: str,
+    seed: int,
+    folds: Sequence[Document],
+    outcomes: Sequence[tuple[TextPrediction | None, str | None, float]],
+) -> LooReport:
+    """One pool's report from its folds' outcomes, in corpus order."""
     records: list[TextPrediction] = []
     skipped: list[tuple[str, str]] = []
     fold_seconds: dict[str, float] = {}
-    for doc in folds:  # corpus order keeps reports stable
-        record, reason, seconds = results[doc.id]
+    for doc, (record, reason, seconds) in zip(folds, outcomes):
         fold_seconds[doc.id] = seconds
         if record is None:
             skipped.append((doc.id, reason or "skipped"))
@@ -249,9 +291,9 @@ def loo_run(
 
     if not records:
         raise EvaluationError("every fold was skipped; nothing to evaluate")
-    table, f1_score, soft_f1_score, accuracy = _metrics(records, config.target_author)
+    table, f1_score, soft_f1_score, accuracy = _metrics(records, target_author)
     return LooReport(
-        target_author=config.target_author,
+        target_author=target_author,
         seed=seed,
         corpus_fingerprint=corpus.fingerprint(),
         records=tuple(records),
@@ -262,6 +304,25 @@ def loo_run(
         vanilla_accuracy=accuracy,
         fold_seconds=fold_seconds,
     )
+
+
+def loo_run(
+    corpus: Corpus,
+    config: PipelineConfig,
+    seed: int,
+    threads: int = 1,
+    fold_listener: Callable[[str, FittedVerifier], None] | None = None,
+    text_ids: Sequence[str] | None = None,
+    cache: CountsCache | None = None,
+) -> LooReport:
+    """Leave-one-out evaluation over labelled texts: ``loo_pools`` with one
+    pool, the config's blocks.
+    """
+    (report,) = loo_pools(
+        corpus, config, [config.features.blocks_in_order()], seed,
+        threads=threads, fold_listener=fold_listener, text_ids=text_ids, cache=cache,
+    )
+    return report
 
 
 def held_out_segment_ids(doc: Document, min_tokens: int) -> set[str]:

@@ -9,7 +9,10 @@ leave-one-out F1. The hardest-10 mode first runs one full-pool LOO, keeps
 the ten texts with the lowest confidence in their true class, and scores
 candidate pools by LOO restricted to those ten texts (vanilla accuracy,
 ties broken by mean confidence in the true class), which trades
-exhaustiveness for tractable runtimes on large corpora.
+exhaustiveness for tractable runtimes on large corpora. One pass over the
+folds scores every candidate pool of a step (``loo_pools``): each fold
+fits its features once over the current pool and slices them per
+candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ExperimentError
-from .evaluation import LooReport, TextPrediction, loo_run
+from .evaluation import LooReport, TextPrediction, loo_pools, loo_run
 from .features import FeatureBlock, Instance, cosine_similarity, fit_feature_space_from_counts
 from .learner import predict_proba
 from .metrics import macro_f1, per_class_tables
@@ -36,6 +39,7 @@ from .pipeline import (
     fit_verifier,
     predict_document,
     training_documents,
+    training_vectors,
 )
 from .rng import stable_seed
 
@@ -126,10 +130,6 @@ def ablate(
     # built for the initial pool serves them all.
     cache = CountsCache(config.with_blocks(pool).features)
 
-    def loo(blocks: tuple[FeatureBlock, ...], text_ids: Sequence[str] | None = None) -> LooReport:
-        blocked = config.with_blocks(blocks)
-        return loo_run(corpus, blocked, seed, threads=threads, text_ids=text_ids, cache=cache)
-
     def score(report: LooReport) -> tuple[float, ...]:
         if hardest_ids is None:
             return (report.f1,)
@@ -138,7 +138,7 @@ def ablate(
 
     # A restricted fold trains on every other text, as the full LOO's fold
     # did, so in hardest-10 mode the full LOO also scores the initial pool.
-    initial = loo(pool)
+    initial = loo_run(corpus, config.with_blocks(pool), seed, threads=threads, cache=cache)
     hardest_ids: tuple[str, ...] | None = None
     if mode == ABLATION_HARDEST10:
         hardest_ids = tuple(row[0] for row in initial.hardest_texts(HARDEST_POOL_SIZE))
@@ -148,10 +148,12 @@ def ablate(
     current_score = score(initial)
     stop_scores: dict[FeatureBlock, tuple[float, ...]] | None = None
     while len(pool) > 1:
-        candidate_scores: dict[FeatureBlock, tuple[float, ...]] = {}
-        for block in pool:
-            candidate = tuple(b for b in pool if b is not block)
-            candidate_scores[block] = score(loo(candidate, hardest_ids))
+        candidates = [tuple(b for b in pool if b is not block) for block in pool]
+        reports = loo_pools(
+            corpus, config.with_blocks(pool), candidates, seed,
+            threads=threads, text_ids=hardest_ids, cache=cache,
+        )
+        candidate_scores = {block: score(report) for block, report in zip(pool, reports)}
         best_block = max(pool, key=lambda b: candidate_scores[b])
         # max() keeps the earliest maximal block, making ties deterministic
         best_score = candidate_scores[best_block]
@@ -249,16 +251,15 @@ def verify_disputed(
         raise ExperimentError("n_replicas must be >= 1")
     disputed = _get_disputed(corpus, disputed_id)
     cache = counts_cache_for(config.features, cache)
-    train_docs = training_documents(corpus)
-    fitted = fit_verifier(train_docs, config, cache, stable_seed(seed, "verify"))
+    train = training_vectors(training_documents(corpus), config, cache)
+    fitted = fit_verifier(train, config, stable_seed(seed, "verify"))
+    text = cache.vectorize([Instance(doc=disputed)], fitted.space)
 
     replicas = n_replicas if fitted.uses_dro else 1
-    posteriors = []
-    for i in range(replicas):
-        prediction = predict_document(
-            fitted, disputed, cache, stable_seed(seed, "verify"), replica=i
-        )
-        posteriors.append(prediction.positive_posterior)
+    posteriors = [
+        predict_document(fitted, text, stable_seed(seed, "verify"), replica=i).positive_posterior
+        for i in range(replicas)
+    ]
     median = float(statistics.median(posteriors))
     predicted = fitted.model.classes[1] if median > 0.5 else fitted.model.classes[0]
     return Verdict(
@@ -328,7 +329,7 @@ def attribute_disputed(
     cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus, authors=candidates)
     fitted = fit_attributor(docs, config, cache, stable_seed(seed, "attribute"))
-    x, _ = cache.vectorize([Instance(doc=disputed)], fitted.space)
+    x = cache.vectorize([Instance(doc=disputed)], fitted.space).X
     prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
     order = np.argsort(-prediction.posteriors)
     ranking = tuple(
@@ -402,7 +403,7 @@ def attribution_contingency(
         fitted = fit_attributor(
             fold_docs, config, cache, stable_seed(seed, "aa-loo", doc.id)
         )
-        x, _ = cache.vectorize([Instance(doc=doc)], fitted.space)
+        x = cache.vectorize([Instance(doc=doc)], fitted.space).X
         prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
         predicted = prediction.predicted_class
         conf_true = (
@@ -467,7 +468,7 @@ def rank_similar(
     docs = training_documents(corpus)
     rows = cache.rows(document_instances(docs, config.segmentation))
     space = fit_feature_space_from_counts(cache, rows, config.features)
-    X, _ = cache.vectorize([Instance(doc=d) for d in (disputed, *docs)], space)
+    X = cache.vectorize([Instance(doc=d) for d in (disputed, *docs)], space).X
     disputed_row = X[0]
     if disputed_row.nnz == 0:
         raise ExperimentError(

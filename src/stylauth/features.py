@@ -411,6 +411,7 @@ class CountsStore:
         self._index = {b: {w: i for i, w in enumerate(lists.get(b, ()))} for b in blocks}
         self._rows: dict[FeatureBlock, list[np.ndarray]] = {b: [] for b in blocks}
         self._blocks: dict[FeatureBlock, tuple[np.ndarray, sp.csr_matrix]] = {}
+        self._totals: dict[FeatureBlock, np.ndarray] = {}
 
     def add(self, counts: Mapping[FeatureBlock, BlockCounts]) -> int:
         """Append one instance's counts as a new row; returns its row index."""
@@ -420,6 +421,7 @@ class CountsStore:
             pairs = np.array([cols, list(block_counts.values())], dtype=np.int64)
             self._rows[block].append(pairs)  # shape (2, n): columns, counts
         self._blocks.clear()
+        self._totals.clear()
         self.n_rows += 1
         return self.n_rows - 1
 
@@ -439,6 +441,17 @@ class CountsStore:
             counts.sort_indices()
             cached = self._blocks[block] = (np.array(keys, dtype=object), counts)
         return cached
+
+    def occurrences(self, rows: Sequence[int], blocks: Iterable[FeatureBlock]) -> np.ndarray:
+        """Raw count total of each of ``rows`` over ``blocks``."""
+        out = np.zeros(len(rows), dtype=np.int64)
+        for block in blocks:
+            totals = self._totals.get(block)
+            if totals is None:
+                counts = self.block(block)[1]
+                totals = self._totals[block] = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel()
+            out += totals[rows]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +491,26 @@ class FeatureSpace:
     def fingerprint(self) -> str:
         """Digest of the instance count, the blocks' keys, and the exact df and IDF."""
         return self._fingerprint
+
+    def restricted_to(self, blocks: Iterable[FeatureBlock]) -> tuple["FeatureSpace", np.ndarray]:
+        """The space a fit on the same rows over only ``blocks`` gives, and its columns here.
+
+        A block's keys, df and IDF depend only on the training rows, so the
+        restricted space equals a direct fit, and the given columns of a
+        vectorized row are its row in the restricted space.
+        """
+        wanted = set(blocks)
+        if not wanted <= self.config.enabled_blocks:
+            extra = sorted(b.value for b in wanted - self.config.enabled_blocks)
+            raise FeatureError(f"blocks {extra} not in this space")
+        if wanted == self.config.enabled_blocks:
+            return self, np.arange(self.dim)
+        config = self.config.restricted_to(wanted)  # rejects an empty pool
+        kept = [(b, start, end) for b, start, end in self.block_offsets if b in wanted]
+        columns = np.concatenate([np.arange(start, end) for _, start, end in kept])
+        keys = {b: list(self.vocab[b]) for b, _, _ in kept}
+        space = _space(config, self.n_instances, keys, self.df[columns], self.idf[columns])
+        return space, columns
 
 
 def _space(config: FeatureConfig, n_instances: int, keys: Mapping[FeatureBlock, list],

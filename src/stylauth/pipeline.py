@@ -6,7 +6,9 @@ space on those instances only, vectorize, optionally fit oversampling
 profiles and extend the training set, tune C, train. Raw feature counts
 depend only on the instance and the feature config, never on the fold,
 so one CountsCache per command, a sparse counts store keyed by instance
-id, serves every fold and block pool.
+id, serves every fold and block pool. Within a fold, a block pool's
+vectors are a column slice of a larger pool's (``Vectors.restricted``),
+so one vectorized training set serves every pool the fold scores.
 """
 
 from __future__ import annotations
@@ -61,6 +63,28 @@ class PipelineConfig:
         return replace(self, features=self.features.restricted_to(blocks))
 
 
+@dataclass
+class Vectors:
+    """Instances as TFIDF rows over a space, with their occurrence counts."""
+
+    instances: tuple[Instance, ...]
+    rows: np.ndarray  # the instances' rows in the counts cache
+    space: FeatureSpace
+    X: sp.csr_matrix
+    occurrences: np.ndarray
+
+    def restricted(self, space: FeatureSpace, columns: np.ndarray, cache: CountsStore) -> "Vectors":
+        """These instances over ``space``, where ``(space, columns)`` is
+        ``self.space.restricted_to(blocks)``: equal to vectorizing them in ``space``.
+        """
+        if space is self.space:
+            return self
+        blocks = [block for block, _, _ in space.block_offsets]
+        X = self.X[:, columns]
+        X.sort_indices()
+        return Vectors(self.instances, self.rows, space, X, cache.occurrences(self.rows, blocks))
+
+
 class CountsCache(CountsStore):
     """A counts store keyed by instance id: each instance is extracted once.
 
@@ -81,11 +105,12 @@ class CountsCache(CountsStore):
             out.append(self._row_of[instance.instance_id])
         return np.asarray(out, dtype=np.int64)
 
-    def vectorize(
-        self, instances: Iterable[Instance], space: FeatureSpace
-    ) -> tuple[sp.csr_matrix, np.ndarray]:
+    def vectorize(self, instances: Iterable[Instance], space: FeatureSpace) -> Vectors:
         """TFIDF rows of ``instances`` over ``space`` and their occurrence counts."""
-        return vectorize_counts(self, self.rows(instances), space)
+        instances = tuple(instances)
+        rows = self.rows(instances)
+        X, occurrences = vectorize_counts(self, rows, space)
+        return Vectors(instances, rows, space, X, occurrences)
 
 
 def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> CountsCache:
@@ -149,29 +174,22 @@ class FittedVerifier:
         return self.profiles is not None
 
 
-def _training_rows(
+def training_vectors(
     docs: Sequence[Document], config: PipelineConfig, cache: CountsCache
-) -> tuple[list[Instance], FeatureSpace, sp.csr_matrix, np.ndarray]:
-    """Instances of ``docs``, the space fitted on them, their TFIDF rows and occurrences."""
+) -> Vectors:
+    """Training instances of ``docs`` over the space fitted on them."""
     instances = document_instances(docs, config.segmentation)
     if not instances:
         raise ExperimentError("no training instances")
-    rows = cache.rows(instances)
-    space = fit_feature_space_from_counts(cache, rows, config.features)
-    X, occurrences = vectorize_counts(cache, rows, space)
-    return instances, space, X, occurrences
+    space = fit_feature_space_from_counts(cache, cache.rows(instances), config.features)
+    return cache.vectorize(instances, space)
 
 
-def fit_verifier(
-    docs: Sequence[Document],
-    config: PipelineConfig,
-    cache: CountsCache,
-    seed: int,
-) -> FittedVerifier:
-    """Fit feature space, (optionally) oversample, tune C, and train."""
+def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedVerifier:
+    """(Optionally) oversample, tune C, and train on vectorized training instances."""
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
-    instances, space, X, occurrences = _training_rows(docs, config, cache)
+    instances, space, X = train.instances, train.space, train.X
     y = np.asarray(
         [1 if inst.doc.author == config.target_author else 0 for inst in instances],
         dtype=np.int64,
@@ -188,7 +206,7 @@ def fit_verifier(
     synthetic = 0
     if config.dro is not None:
         profiles = dro_mod.fit_profiles(X, space_fingerprint=space.fingerprint())
-        extended = oversample(X, y, instance_ids, occurrences, profiles, config.dro, seed)
+        extended = oversample(X, y, instance_ids, train.occurrences, profiles, config.dro, seed)
         X, y = extended_to_csr(X, extended, profiles.latent_dim)
         instance_ids = tuple(ex.example_id for ex in extended)
         synthetic = sum(ex.synthetic for ex in extended)
@@ -215,23 +233,19 @@ def fit_verifier(
 
 
 def predict_document(
-    fitted: FittedVerifier,
-    doc: Document,
-    cache: CountsCache,
-    seed: int,
-    replica: int = 0,
+    fitted: FittedVerifier, text: Vectors, seed: int, replica: int = 0
 ) -> Prediction:
-    """Classify one unsegmented text with a fitted verifier.
+    """Classify one unsegmented text, vectorized in the verifier's space.
 
     With oversampling enabled the text's row is extended against the
     training-fitted profiles; the replica index varies the extension
     randomness while keeping it reproducible.
     """
-    x, occurrences = cache.vectorize([Instance(doc=doc)], fitted.space)
-    fingerprint = fitted.space.fingerprint()
+    (instance,) = text.instances
+    x, fingerprint = text.X, text.space.fingerprint()
     if fitted.profiles is not None:
-        rng = spawn_rng(seed, "test-extend", doc.id, replica)
-        x = extend(x, fitted.profiles, occurrences[0], rng, fingerprint)
+        rng = spawn_rng(seed, "test-extend", instance.instance_id, replica)
+        x = extend(x, fitted.profiles, text.occurrences[0], rng, fingerprint)
     return predict_proba(fitted.model, x, fingerprint)
 
 
@@ -252,7 +266,8 @@ def fit_attributor(
     seed: int,
 ) -> FittedAttributor:
     """Train a multiclass author attributor (never uses oversampling)."""
-    instances, space, X, _ = _training_rows(docs, config, cache)
+    train = training_vectors(docs, config, cache)
+    instances, space, X = train.instances, train.space, train.X
     labels = [inst.doc.author for inst in instances]
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:

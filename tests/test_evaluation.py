@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,7 +13,7 @@ from stylauth import evaluation
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import EvaluationError
-from stylauth.evaluation import held_out_segment_ids, loo_run
+from stylauth.evaluation import held_out_segment_ids, loo_pools, loo_run
 from stylauth.features import FeatureBlock, FeatureConfig
 from stylauth.learner import TrainConfig
 from stylauth.pipeline import PipelineConfig, SegmentationConfig
@@ -102,6 +103,39 @@ class TestFolds:
         assert skipped_ids == {"aldus-00"}
         assert len(report.records) == 5
         assert report.table.total == 5
+
+
+class TestPools:
+    POOLS = (
+        (FeatureBlock.TOKEN_LENGTHS, FeatureBlock.CHAR_NGRAMS),
+        (FeatureBlock.CHAR_NGRAMS,),
+        (FeatureBlock.TOKEN_LENGTHS,),
+    )
+
+    @pytest.mark.parametrize("dro", [False, True])
+    def test_each_report_equals_a_loo_run_of_its_pool(self, small_corpus, dro):
+        config = fast_pipeline("Aldus", dro=dro)
+        fits: Counter = Counter()
+
+        def listener(text_id, fitted):
+            fits[text_id, fitted.space.config.enabled_blocks] += 1
+
+        reports = loo_pools(small_corpus, config, self.POOLS, seed=6, threads=2,
+                            fold_listener=listener)
+        assert len(reports) == len(self.POOLS)
+        for pool, report in zip(self.POOLS, reports):
+            alone = loo_run(small_corpus, config.with_blocks(pool), seed=6)
+            assert json.dumps(report.canonical_dict()) == json.dumps(alone.canonical_dict())
+            assert report.fold_seconds.keys() == alone.fold_seconds.keys()
+        if dro:
+            assert any(r.synthetic_positives for report in reports for r in report.records)
+        texts = [d.id for d in small_corpus.labelled()]
+        assert fits == Counter({(t, frozenset(p)): 1 for t in texts for p in self.POOLS})
+
+    @pytest.mark.parametrize("pool", [(), (FeatureBlock.POS_NGRAMS,)])
+    def test_pool_outside_the_config_rejected(self, small_corpus, pool):
+        with pytest.raises(EvaluationError):
+            loo_pools(small_corpus, fast_pipeline("Aldus"), [pool], seed=1)
 
 
 class TestLeakage:

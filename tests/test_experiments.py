@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import statistics
+from collections import Counter
 
 import pytest
 
-from stylauth import evaluation
+from stylauth import experiments
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
 from stylauth.experiments import (
     ABLATION_EXACT,
     ABLATION_HARDEST10,
+    _restricted_score,
     ablate,
     attribute_disputed,
     attribution_contingency,
@@ -33,7 +36,8 @@ THREE_BLOCKS = (
 )
 
 
-def orthogonal_config() -> PipelineConfig:
+def orthogonal_config(dro: bool = False) -> PipelineConfig:
+    # target A writes a third of the texts, so a ratio of 0.5 forces synthesis
     return PipelineConfig(
         features=FeatureConfig(
             enabled_blocks=set(THREE_BLOCKS),
@@ -44,7 +48,7 @@ def orthogonal_config() -> PipelineConfig:
         ),
         segmentation=SegmentationConfig(min_tokens=40),
         learner=TrainConfig(C_grid=(1.0,)),
-        dro=None,
+        dro=DroConfig(target_positive_ratio=0.5) if dro else None,
         target_author="A",
     )
 
@@ -116,21 +120,50 @@ class TestAblate:
         assert FeatureBlock.TOKEN_LENGTHS not in report.final_pool
 
     def test_hardest10_scores_the_initial_pool_from_the_full_loo(self, orthogonal, monkeypatch):
-        held_out = []
-        run_fold = evaluation._run_fold
+        fits: Counter = Counter()  # (held-out id, pool) -> fitted verifiers
 
-        def counting(corpus, doc, *args):
-            held_out.append(doc.id)
-            return run_fold(corpus, doc, *args)
+        def listen(text_id, fitted):
+            fits[text_id, fitted.space.config.enabled_blocks] += 1
 
-        monkeypatch.setattr(evaluation, "_run_fold", counting)
+        def listening(run):
+            return lambda *args, **kwargs: run(*args, fold_listener=listen, **kwargs)
+
+        monkeypatch.setattr(experiments, "loo_run", listening(experiments.loo_run))
+        monkeypatch.setattr(experiments, "loo_pools", listening(experiments.loo_pools))
         report = ablate(
             orthogonal, THREE_BLOCKS, orthogonal_config(), mode=ABLATION_HARDEST10, seed=4
         )
         candidates = sum(len(it.candidate_scores) for it in report.iterations)
         candidates += len(report.stop_candidate_scores or {})
         restricted = candidates * len(report.hardest_text_ids)
-        assert len(held_out) == len(orthogonal.labelled()) + restricted
+        assert sum(fits.values()) == len(orthogonal.labelled()) + restricted
+        assert set(fits.values()) == {1}
+
+    @pytest.mark.parametrize("dro", [False, True])
+    def test_candidate_scores_equal_a_loo_run_per_pool(self, orthogonal, dro):
+        config = orthogonal_config(dro)
+        report = ablate(orthogonal, THREE_BLOCKS, config, mode=ABLATION_HARDEST10, seed=4)
+        steps = [(it.pool, it.candidate_scores) for it in report.iterations]
+        steps.append((report.final_pool, report.stop_candidate_scores or {}))
+        synthetic = 0
+        for pool, scores in steps:
+            assert set(scores) == (set(pool) if len(pool) > 1 else set())
+            for block, score in scores.items():
+                candidate = config.with_blocks(b for b in pool if b is not block)
+                alone = loo_run(orthogonal, candidate, 4, text_ids=report.hardest_text_ids)
+                assert score == _restricted_score(alone.records, "A")
+                synthetic += sum(r.synthetic_positives for r in alone.records)
+        assert (synthetic > 0) == dro
+
+    def test_thread_count_does_not_change_report(self, orthogonal):
+        payloads = {
+            json.dumps(
+                ablate(orthogonal, THREE_BLOCKS, orthogonal_config(dro=True),
+                       mode=ABLATION_HARDEST10, seed=4, threads=threads).to_dict()
+            )
+            for threads in (1, 4)
+        }
+        assert len(payloads) == 1
 
     def test_unknown_mode_rejected(self, orthogonal):
         with pytest.raises(ExperimentError):

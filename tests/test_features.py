@@ -426,6 +426,57 @@ def test_matrix_path_matches_dict_reference(counts_list, data):
     assert occurrences.tolist() == expected_occurrences
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.fixed_dictionaries(block_counts), min_size=1, max_size=6),
+    st.data(),
+)
+def test_restricted_space_and_rows_equal_a_direct_fit(counts_list, data):
+    config = FeatureConfig(enabled_blocks=set(block_counts), function_words=PROPERTY_WORDS)
+    train = data.draw(
+        st.lists(st.integers(0, len(counts_list) - 1), min_size=1, unique=True).map(sorted)
+    )
+    blocks = data.draw(st.sets(st.sampled_from(sorted(block_counts)), min_size=1))
+    store = CountsStore(config)
+    rows = [store.add(counts) for counts in counts_list]
+    full = fit_feature_space_from_counts(store, train, config)
+    X, _ = vectorize_counts(store, rows, full)
+
+    space, columns = full.restricted_to(blocks)
+    direct = fit_feature_space_from_counts(store, train, config.restricted_to(blocks))
+    assert space.config == direct.config
+    assert [list(m.items()) for m in space.vocab.values()] == [
+        list(m.items()) for m in direct.vocab.values()
+    ]
+    assert space.block_offsets == direct.block_offsets
+    assert space.df.tobytes() == direct.df.tobytes()
+    assert space.idf.tobytes() == direct.idf.tobytes()
+    assert space.fingerprint() == direct.fingerprint()
+
+    expected, expected_occurrences = vectorize_counts(store, rows, direct)
+    sliced = X[:, columns]
+    sliced.sort_indices()
+    assert sliced.shape == expected.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sliced, part), getattr(expected, part))
+    assert sliced.data.tobytes() == expected.data.tobytes()
+    assert np.array_equal(store.occurrences(rows, blocks), expected_occurrences)
+
+
+def test_restricting_to_every_block_returns_the_space_itself():
+    space = fit_feature_space([doc_of("ab cd", "d1")], char1_config())
+    same, columns = space.restricted_to([FeatureBlock.CHAR_NGRAMS])
+    assert same is space
+    assert columns.tolist() == list(range(space.dim))
+
+
+@pytest.mark.parametrize("blocks", [[], [FeatureBlock.TOKEN_LENGTHS]])
+def test_restricting_to_no_block_or_a_foreign_one_rejected(blocks):
+    space = fit_feature_space([doc_of("ab cd", "d1")], char1_config())
+    with pytest.raises(FeatureError):
+        space.restricted_to(blocks)
+
+
 class TestVectorize:
     def test_single_feature_gets_unit_value(self):
         space = fit_feature_space([doc_of("aa", "d1")], char1_config())

@@ -28,6 +28,7 @@ from stylauth.pipeline import (
     fit_verifier,
     predict_document,
     training_documents,
+    training_vectors,
 )
 
 from conftest import make_styled_corpus
@@ -103,7 +104,8 @@ class TestCountsCache:
 
         def fit_and_vectorize():
             space = fit_feature_space_from_counts(cache, rows, config.features)
-            return vectorize_counts(cache, rows, space)[0].toarray()
+            X = vectorize_counts(cache, rows, space)[0].toarray()
+            return np.column_stack([X, cache.occurrences(rows, config.features.enabled_blocks)])
 
         expected = fit_and_vectorize()
         cache.rows([Instance(doc=corpus.get("disputed-text"))])  # drops the built matrices
@@ -126,16 +128,39 @@ class TestCountsCache:
         assert all(np.array_equal(result, expected) for result in results)
 
 
+class TestVectors:
+    @pytest.mark.parametrize(
+        "blocks", [{FeatureBlock.CHAR_NGRAMS}, {FeatureBlock.TOKEN_LENGTHS}]
+    )
+    def test_restricted_equals_vectorizing_in_the_restricted_space(self, corpus, blocks):
+        config = fast_config()
+        config.features = FeatureConfig(
+            enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+            ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
+        )
+        cache = CountsCache(config.features)
+        full = training_vectors(training_documents(corpus), config, cache)
+        space, columns = full.space.restricted_to(blocks)
+        pool = full.restricted(space, columns, cache)
+        direct = training_vectors(training_documents(corpus), config.with_blocks(blocks), cache)
+        assert pool.space.fingerprint() == direct.space.fingerprint()
+        assert pool.instances == direct.instances
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(pool.X, part), getattr(direct.X, part))
+        assert np.array_equal(pool.occurrences, direct.occurrences)
+        assert full.restricted(full.space, np.arange(full.space.dim), cache) is full
+
+
 class TestFitVerifier:
     def test_trains_and_predicts(self, corpus):
         config = fast_config()
         cache = CountsCache(config.features)
-        fitted = fit_verifier(training_documents(corpus), config, cache, seed=7)
+        train = training_vectors(training_documents(corpus), config, cache)
+        fitted = fit_verifier(train, config, seed=7)
         assert fitted.model.classes == ("not Aldus", "Aldus")
         assert not fitted.uses_dro
-        prediction = predict_document(
-            fitted, corpus.get("disputed-text"), cache, seed=7
-        )
+        text = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space)
+        prediction = predict_document(fitted, text, seed=7)
         assert prediction.classes == fitted.model.classes
         assert 0.0 <= prediction.positive_posterior <= 1.0
 
@@ -143,27 +168,26 @@ class TestFitVerifier:
         # the corpus is balanced, so only a high target ratio forces synthesis
         config = fast_config(dro=True, ratio=0.7)
         cache = CountsCache(config.features)
-        fitted = fit_verifier(training_documents(corpus), config, cache, seed=7)
+        train = training_vectors(training_documents(corpus), config, cache)
+        fitted = fit_verifier(train, config, seed=7)
         assert fitted.uses_dro
         assert any("#dro" in t for t in fitted.training_instance_ids)
         originals = [t for t in fitted.training_instance_ids if "#dro" not in t]
-        baseline = fit_verifier(
-            training_documents(corpus), fast_config(dro=False), cache, seed=7
-        )
+        baseline = fit_verifier(train, fast_config(dro=False), seed=7)
         assert tuple(originals) == baseline.training_instance_ids
 
     def test_missing_target_instances_rejected(self, corpus):
         config = fast_config(target="Nemo")
-        cache = CountsCache(config.features)
+        train = training_vectors(training_documents(corpus), config, CountsCache(config.features))
         with pytest.raises(ExperimentError):
-            fit_verifier(training_documents(corpus), config, cache, seed=7)
+            fit_verifier(train, config, seed=7)
 
     def test_target_author_required(self, corpus):
         config = fast_config()
         config.target_author = None
-        cache = CountsCache(config.features)
+        train = training_vectors(training_documents(corpus), config, CountsCache(config.features))
         with pytest.raises(ExperimentError):
-            fit_verifier(training_documents(corpus), config, cache, seed=7)
+            fit_verifier(train, config, seed=7)
 
 
 class TestFitAttributor:
@@ -172,7 +196,7 @@ class TestFitAttributor:
         cache = CountsCache(config.features)
         fitted = fit_attributor(training_documents(corpus), config, cache, seed=7)
         assert fitted.candidate_authors == ("Aldus", "Benno")
-        x, _ = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space)
+        x = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space).X
         prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
         assert prediction.posteriors.sum() == pytest.approx(1.0)
 

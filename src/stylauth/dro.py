@@ -16,10 +16,13 @@ the interval (f, f+1] and its last one is exactly f+1. A draw from
 feature f is then the uniform f + U(0, 1) looked up in that table: one
 ``multinomial`` call spreads the m draws over the row's features, one
 ``random`` call gives their uniforms, and one ``searchsorted`` locates
-them all (inverse-transform sampling). Each position is clipped into its
-own feature's entries, because f + U can round up to f+1. A feature
-with no weight in training stores no entries and draws floor(U * n)
-over the n latent indices instead.
+them all (inverse-transform sampling). Two kinds of draw are set apart
+first. A feature with no weight in training stores no entries and draws
+floor(U * n) over the n latent indices instead. A key f + U that rounds
+up to f+1 would land past feature f's entries, so it takes f's last
+entry. Every other key lands inside its own feature's entries; they are
+sorted before the lookup, which keeps successive binary searches on
+nearby entries of the table.
 
 Because a row can be re-extended with fresh randomness as often as
 desired, minority-class training examples can be multiplied: an
@@ -147,7 +150,13 @@ def sample_latent_counts(
 
     Draws m feature occurrences, then one uniform per occurrence, in
     feature index order, and looks each feature-plus-uniform up in the
-    packed cumulative table.
+    packed cumulative table. A draw from a feature without stored
+    entries takes floor(u * n), and a key that rounds up to f+1 takes
+    feature f's last entry. The other keys are sorted in place and
+    looked up by one ``searchsorted``, and the latent indices of all
+    three kinds are counted together. The positions equal those of the
+    unsorted keys' lookup clipped into each feature's entries, so the
+    counts do not depend on the sort.
     """
     n = profiles.latent_dim
     total = float(data.sum())
@@ -158,21 +167,24 @@ def sample_latent_counts(
     features = indices[drawn]
     k = feature_draws[drawn]
     u = rng.random(m_samples)
-    pos = np.searchsorted(profiles._cum, np.repeat(features, k) + u, side="right")
-    starts = np.repeat(profiles._indptr[features], k)
-    ends = np.repeat(profiles._indptr[features + 1], k)
-    # For u near 1, f + u can round up to f+1 and land past the column's
-    # last entry; the clip keeps every draw in its own column.
-    np.clip(pos, starts, ends - 1, out=pos)
-    fallback = starts == ends
-    if fallback.any():
+    ends = profiles._indptr[features + 1]
+    stored = profiles._indptr[features] < ends
+    parts = []
+    if not stored.all():
         # u < 1 keeps the rounded u * n below n, so floor(u * n) is in range.
-        latent = (u * n).astype(np.int64)
-        table = ~fallback
-        latent[table] = profiles._indices[pos[table]]
-    else:
-        latent = profiles._indices[pos]
-    return np.bincount(latent, minlength=n).astype(np.float64)
+        from_table = np.repeat(stored, k)
+        parts.append((u[~from_table] * n).astype(np.int64))
+        u, features, k, ends = u[from_table], features[stored], k[stored], ends[stored]
+    draw_features = np.repeat(features, k)
+    keys = draw_features + u
+    # For u near 1, f + u can round up to f+1, past feature f's last entry.
+    rounded = keys == draw_features + 1
+    if rounded.any():
+        parts.append(profiles._indices[np.repeat(ends - 1, k)[rounded]])
+        keys = keys[~rounded]
+    keys.sort()
+    parts.append(profiles._indices[np.searchsorted(profiles._cum, keys, side="right")])
+    return np.bincount(np.concatenate(parts), minlength=n).astype(np.float64)
 
 
 def _latent_block(

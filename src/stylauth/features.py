@@ -30,6 +30,7 @@ instance is a one-row matrix.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -191,10 +192,17 @@ def extract_sentence_lengths(instance: Instance | Document) -> BlockCounts:
 
 
 def _char_ngram_counts(text: str, orders: Iterable[int]) -> BlockCounts:
+    """Counts of every order's n-grams, in order of first occurrence, orders ascending.
+
+    The grams of order n are text[i] + ... + text[i+n-1], joined by
+    ``map`` over n shifted slices, so ``Counter.update`` counts them in C.
+    """
     counts: Counter[str] = Counter()
     for n in sorted(set(orders)):
-        for i in range(len(text) - n + 1):
-            counts[text[i : i + n]] += 1
+        grams: Iterable[str] = text
+        for shift in range(1, n):
+            grams = map(operator.add, grams, text[shift:])
+        counts.update(grams)
     return dict(counts)
 
 

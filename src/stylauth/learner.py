@@ -14,12 +14,13 @@ ascending order, starting every fit from the previous C's solution (the
 regularization-path warm start of glmnet, Friedman, Hastie & Tibshirani,
 2010); final fits start from zeros. Binary inner CV on small matrices
 (at most ``_GRAM_MAX_ROWS`` rows) runs Newton's method in the Gram space
-of the fold instead (``_gram_newton``). Only its validation predictions
-are used. Both solvers stop within the same gradient tolerance of the one
-minimizer, so the predictions can differ only for a validation score
-that close to zero. Final fits stay on L-BFGS, because the two solvers'
-weights differ within that tolerance, and reported posteriors and
-ablation scores are pinned tighter than that.
+of each fold instead, with one loop per C over all inner folds, stacked
+and zero-padded (``_gram_newton_stack``). Only its validation
+predictions are used. Both solvers stop within the same gradient
+tolerance of the one minimizer, so the predictions can differ only for a
+validation score that close to zero. Final fits stay on L-BFGS, because
+the two solvers' weights differ within that tolerance, and reported
+posteriors and ablation scores are pinned tighter than that.
 
 ``predict_proba`` and ``explain`` read one instance as a one-row CSR
 matrix, the row form that ``features.vectorize_counts`` makes.
@@ -340,6 +341,109 @@ def _gram_matrix(X) -> np.ndarray:
     return K
 
 
+def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A[f] @ v[f] for every f of a stack; A is (F, p, q), v is (F, q)."""
+    return np.matmul(A, v[:, :, None])[:, :, 0]
+
+
+def _logistic_losses(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Σ log(1 + e^z) − y·z over each fold's own rows, computed stably."""
+    return np.where(rows, np.logaddexp(0.0, z) - y * z, 0.0).sum(axis=1)
+
+
+def _gram_newton_stack(
+    K: np.ndarray,
+    y: np.ndarray,
+    sizes: np.ndarray,
+    C: float,
+    config: TrainConfig,
+    alpha: np.ndarray,
+    b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``binary_objective`` over w = Xᵀα for a stack of folds; returns (α, b).
+
+    Fold f has ``sizes[f]`` rows, K[f] = X_f X_fᵀ in its leading
+    block and zeros around it, and labels, α (F rows) and b (one per
+    fold) to match; its padded rows hold no residual, curvature or loss.
+    By the representer theorem the minimizer lies in the row space of X,
+    so the fit runs in the n-dimensional Gram space (Chapelle, "Training
+    a Support Vector Machine in the Primal", 2007). Each step is the
+    primal Newton step written in α: with W = diag √(p(1−p)) it takes one
+    Cholesky factor of B = I + C·WKW, applies (I/C + W²K)⁻¹ by Woodbury,
+    and solves for the unregularized bias through a scalar Schur
+    complement. A backtracking Armijo search sets the step length. A
+    fold stops when its primal gradient Xᵀ(r + α/C), whose 2-norm is
+    √(gᵀKg), and its bias gradient Σr are within ``config.tolerance``,
+    or after ``config.max_iterations`` steps or a step shorter than
+    ``_MIN_STEP``, with ``_minimize``'s warning. The matrix-vector
+    products and the line search run on all folds at once; the Cholesky
+    factor and solves run per fold, on its own rows.
+    """
+    rows = np.arange(y.shape[1]) < sizes[:, None]
+    active = np.ones(y.shape[0], dtype=bool)
+    alpha, b = alpha.copy(), b.copy()
+    n_iter = 0
+    while True:
+        Ka = _matvecs(K, alpha)
+        z = Ka + b[:, None]
+        p = expit(z)
+        r = np.where(rows, p - y, 0.0)
+        r_sum = r.sum(axis=1)  # the bias gradients
+        g = r + alpha / C
+        Kg = _matvecs(K, g)
+        grad_norm = np.maximum(np.sqrt(np.maximum((g * Kg).sum(axis=1), 0.0)), np.abs(r_sum))
+        active &= ~(grad_norm <= config.tolerance)
+        if n_iter == config.max_iterations:
+            for f in np.flatnonzero(active):
+                _warn_not_converged(n_iter, float(grad_norm[f]), config)
+            return alpha, b
+        if not active.any():
+            return alpha, b
+        n_iter += 1
+
+        u = np.where(rows, np.sqrt(p * (1.0 - p)), 0.0)
+        B = C * (u[:, :, None] * K * u[:, None, :])
+        B.reshape(B.shape[0], -1)[:, :: B.shape[1] + 1] += 1.0
+        rhs = np.stack([u * Kg, u], axis=2)
+        solved = np.zeros_like(rhs)
+        for f in np.flatnonzero(active):
+            n = sizes[f]
+            # LAPACK directly: scipy.linalg's checking wrappers cost more
+            # than the factorization at these sizes
+            factor, info = dpotrf(B[f, :n, :n], lower=1, clean=0, overwrite_a=1)
+            if info != 0:
+                raise LearnerError("Gram Newton system is not positive definite")
+            solved[f, :n] = dpotrs(factor, rhs[f, :n], lower=1)[0]
+        inv_g = C * (g - C * u * solved[:, :, 0])  # (I/C + W²K)⁻¹ g
+        inv_d = C * u * solved[:, :, 1]  # (I/C + W²K)⁻¹ W²1
+        db = np.zeros_like(b)
+        np.divide(alpha.sum(axis=1) - inv_g.sum(axis=1), inv_d.sum(axis=1), out=db, where=active)
+        da = np.where(active[:, None], -(inv_g + db[:, None] * inv_d), 0.0)
+
+        Kda = _matvecs(K, da)
+        dz = Kda + db[:, None]
+        slope = (Kg * da).sum(axis=1) + r_sum * db
+        aKa, aKda, daKda = (alpha * Ka).sum(axis=1), (da * Ka).sum(axis=1), (da * Kda).sum(axis=1)
+        f0 = _logistic_losses(z, y, rows) + 0.5 / C * aKa
+        t = active.astype(np.float64)
+        searching = active.copy()
+        while True:
+            zt = z + t[:, None] * dz
+            ft = _logistic_losses(zt, y, rows)
+            ft += 0.5 / C * (aKa + 2.0 * t * aKda + t * t * daKda)
+            searching &= ~(ft <= f0 + _ARMIJO * t * slope)
+            if not searching.any():
+                break
+            t[searching] *= 0.5
+            for f in np.flatnonzero(searching & (t < _MIN_STEP)):
+                _warn_not_converged(n_iter, float(grad_norm[f]), config)
+                active[f] = searching[f] = False
+                t[f] = 0.0
+        step = t > 0.0
+        alpha[step] += t[step, None] * da[step]
+        b[step] += t[step] * db[step]
+
+
 def _gram_newton(
     K: np.ndarray,
     y: np.ndarray,
@@ -348,69 +452,11 @@ def _gram_newton(
     alpha: np.ndarray,
     b: float,
 ) -> tuple[np.ndarray, float]:
-    """Minimize ``binary_objective`` over w = Xᵀα, given K = X Xᵀ; returns (α, b).
-
-    By the representer theorem the minimizer lies in the row space of X,
-    so the fit runs in the n-dimensional Gram space (Chapelle, "Training
-    a Support Vector Machine in the Primal", 2007). Each step is the
-    primal Newton step written in α: with W = diag √(p(1−p)) it takes one
-    Cholesky factor of B = I + C·WKW, applies (I/C + W²K)⁻¹ by Woodbury,
-    and solves for the unregularized bias through a scalar Schur
-    complement. A backtracking Armijo search sets the step length. It
-    stops when the primal gradient Xᵀ(r + α/C), whose 2-norm is
-    √(gᵀKg), and the bias gradient Σr are within ``config.tolerance``,
-    or after ``config.max_iterations`` steps, with ``_minimize``'s
-    warning.
-    """
-    n_iter = 0
-    while True:
-        Ka = K @ alpha
-        z = Ka + b
-        p = expit(z)
-        r = p - y
-        r_sum = float(r.sum())  # the bias gradient
-        g = r + alpha / C
-        Kg = K @ g
-        grad_norm = max(float(np.sqrt(max(g @ Kg, 0.0))), abs(r_sum))
-        if grad_norm <= config.tolerance:
-            return alpha, b
-        if n_iter == config.max_iterations:
-            _warn_not_converged(n_iter, grad_norm, config)
-            return alpha, b
-        n_iter += 1
-
-        u = np.sqrt(p * (1.0 - p))
-        B = C * (u[:, None] * K * u)
-        B.flat[:: B.shape[0] + 1] += 1.0
-        # LAPACK directly: scipy.linalg's checking wrappers cost more than
-        # the factorization at these sizes
-        factor, info = dpotrf(B, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise LearnerError("Gram Newton system is not positive definite")
-        solved, _ = dpotrs(factor, np.column_stack([u * Kg, u]), lower=1)
-        inv_g = C * (g - C * u * solved[:, 0])  # (I/C + W²K)⁻¹ g
-        inv_d = C * u * solved[:, 1]  # (I/C + W²K)⁻¹ W²1
-        db = (alpha.sum() - inv_g.sum()) / inv_d.sum()
-        da = -(inv_g + db * inv_d)
-
-        Kda = K @ da
-        dz = Kda + db
-        slope = float(Kg @ da) + r_sum * db
-        aKa, aKda, daKda = float(alpha @ Ka), float(da @ Ka), float(da @ Kda)
-        f0 = float(np.sum(np.logaddexp(0.0, z) - y * z)) + 0.5 / C * aKa
-        t = 1.0
-        while True:
-            zt = z + t * dz
-            ft = float(np.sum(np.logaddexp(0.0, zt) - y * zt))
-            ft += 0.5 / C * (aKa + 2.0 * t * aKda + t * t * daKda)
-            if ft <= f0 + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-            if t < _MIN_STEP:
-                _warn_not_converged(n_iter, grad_norm, config)
-                return alpha, b
-        alpha = alpha + t * da
-        b = b + t * db
+    """``_gram_newton_stack`` for one fold, given K = X Xᵀ; returns (α, b)."""
+    alphas, bs = _gram_newton_stack(
+        K[None], y[None], np.array([y.shape[0]]), C, config, alpha[None], np.array([b])
+    )
+    return alphas[0], float(bs[0])
 
 
 def _stratified_fold_ids(y_idx: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -420,6 +466,45 @@ def _stratified_fold_ids(y_idx: np.ndarray, k: int, rng: np.random.Generator) ->
         members = members[rng.permutation(members.shape[0])]
         fold[members] = np.arange(members.shape[0]) % k
     return fold
+
+
+def _gram_cv_predictions(
+    K: np.ndarray,
+    y_idx: np.ndarray,
+    train_masks: list[np.ndarray],
+    config: TrainConfig,
+    predicted: dict[float, np.ndarray],
+) -> None:
+    """Binary inner-CV predictions per grid value, written into ``predicted``.
+
+    Each fold's training block of K and its validation-by-training block
+    go into zero-padded stacks once. For each C in ascending order, one
+    ``_gram_newton_stack`` call fits every fold, starting from the
+    previous C's (α, b), and a validation row is positive when
+    expit(K_va α + b) > 0.5, the threshold ``predict_proba_matrix``
+    applies to w = Xᵀα.
+    """
+    if not train_masks:
+        return
+    tr = [np.flatnonzero(mask) for mask in train_masks]
+    va = [np.flatnonzero(~mask) for mask in train_masks]
+    sizes = np.array([rows.shape[0] for rows in tr])
+    va_sizes = np.array([rows.shape[0] for rows in va])
+    n_folds, m = len(tr), int(sizes.max())
+    K_tr = np.zeros((n_folds, m, m))
+    K_va = np.zeros((n_folds, int(va_sizes.max()), m))
+    y = np.zeros((n_folds, m))
+    for f, (t, v) in enumerate(zip(tr, va)):
+        K_tr[f, : t.shape[0], : t.shape[0]] = K[np.ix_(t, t)]
+        K_va[f, : v.shape[0], : t.shape[0]] = K[np.ix_(v, t)]
+        y[f, : t.shape[0]] = y_idx[t]
+    va_rows = np.concatenate(va)
+    va_filled = np.arange(K_va.shape[1]) < va_sizes[:, None]
+    alpha, b = np.zeros((n_folds, m)), np.zeros(n_folds)
+    for c in config.C_grid:
+        alpha, b = _gram_newton_stack(K_tr, y, sizes, c, config, alpha, b)
+        scores = _matvecs(K_va, alpha) + b[:, None]
+        predicted[c][va_rows] = (expit(scores[va_filled]) > 0.5).astype(np.int64)
 
 
 def inner_cv_scores(
@@ -437,15 +522,15 @@ def inner_cv_scores(
     and fitted along the grid in ascending C, each fit starting from the
     previous C's solution (a warm-started regularization path).
 
-    Binary problems of at most ``_GRAM_MAX_ROWS`` rows fit in Gram space:
-    K = X Xᵀ is built once, each inner fold slices its training block and
-    its validation-by-training block, ``_gram_newton`` fits (α, b), and a
-    validation row is positive when expit(K_va α + b) > 0.5, the threshold
-    ``predict_proba_matrix`` applies to w = Xᵀα. This skips the L-BFGS
-    wrapper's per-evaluation overhead, which matches the objective's cost
-    on small folds. Larger binary problems, where the O(n³) Cholesky per
-    Newton step catches up with L-BFGS, and all multiclass problems fit
-    with ``train_binary``/``train_multiclass``.
+    Binary problems of at most ``_GRAM_MAX_ROWS`` rows fit in Gram space
+    (``_gram_cv_predictions``): K = X Xᵀ is built once, and for each C one
+    Newton loop fits (α, b) on every inner fold at once, each fold
+    stopping on its own. This skips the L-BFGS wrapper's per-evaluation
+    overhead, which matches the objective's cost on small folds, and
+    makes one set of array calls per Newton step for all folds. Larger
+    binary problems, where the O(n³) Cholesky per Newton step catches up
+    with L-BFGS, and all multiclass problems fit with
+    ``train_binary``/``train_multiclass``.
     """
     counts = np.bincount(y_idx, minlength=n_classes)
     min_class = int(counts[counts > 0].min())
@@ -467,34 +552,30 @@ def inner_cv_scores(
         K = _gram_matrix(X)
 
     predicted = {c: np.zeros(y_idx.shape[0], dtype=np.int64) for c in config.C_grid}
+    train_masks = []
     for j in range(k):
         train_mask = folds != j
-        y_tr = y_idx[train_mask]
-        if np.unique(y_tr).shape[0] < 2:
-            continue  # its validation rows stay predicted as class 0
-        if gram:
-            tr, va = np.flatnonzero(train_mask), np.flatnonzero(~train_mask)
-            K_tr, K_va = K[np.ix_(tr, tr)], K[np.ix_(va, tr)]
-            y_fit = y_tr.astype(np.float64)
-            alpha, b = np.zeros(tr.shape[0]), 0.0
+        if np.unique(y_idx[train_mask]).shape[0] > 1:
+            train_masks.append(train_mask)  # else its validation rows stay class 0
+    if gram:
+        _gram_cv_predictions(K, y_idx, train_masks, config, predicted)
+    else:
+        for train_mask in train_masks:
+            y_tr = y_idx[train_mask]
+            X_tr, X_va = X[train_mask], X[~train_mask]
+            labels = [str(v) for v in y_tr]
+            x0 = None
             for c in config.C_grid:
-                alpha, b = _gram_newton(K_tr, y_fit, c, config, alpha, b)
-                predicted[c][va] = (expit(K_va @ alpha + b) > 0.5).astype(np.int64)
-            continue
-        X_tr, X_va = X[train_mask], X[~train_mask]
-        labels = [str(v) for v in y_tr]
-        x0 = None
-        for c in config.C_grid:
-            if n_classes == 2:
-                model = train_binary(X_tr, y_tr, config, C=c, x0=x0)
-                x0 = np.concatenate([model.weights, model.bias])
-                fold_pred = (predict_proba_matrix(model, X_va)[:, 1] > 0.5).astype(np.int64)
-            else:
-                model = train_multiclass(X_tr, labels, config, C=c, x0=x0)
-                x0 = np.column_stack([model.weights, model.bias]).ravel()
-                class_ids = np.array([int(v) for v in model.classes])
-                fold_pred = class_ids[np.argmax(predict_proba_matrix(model, X_va), axis=1)]
-            predicted[c][~train_mask] = fold_pred
+                if n_classes == 2:
+                    model = train_binary(X_tr, y_tr, config, C=c, x0=x0)
+                    x0 = np.concatenate([model.weights, model.bias])
+                    fold_pred = (predict_proba_matrix(model, X_va)[:, 1] > 0.5).astype(np.int64)
+                else:
+                    model = train_multiclass(X_tr, labels, config, C=c, x0=x0)
+                    x0 = np.column_stack([model.weights, model.bias]).ravel()
+                    class_ids = np.array([int(v) for v in model.classes])
+                    fold_pred = class_ids[np.argmax(predict_proba_matrix(model, X_va), axis=1)]
+                predicted[c][~train_mask] = fold_pred
 
     scores: dict[float, float] = {}
     for c, pred in predicted.items():

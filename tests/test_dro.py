@@ -271,20 +271,43 @@ class TestSamplerTables:
 
 
 class EdgeUniforms:
-    """A generator whose uniforms all sit on one edge of [0, 1)."""
+    """A generator whose uniforms cycle through the given points of [0, 1)."""
 
-    def __init__(self, edge: float):
-        self.edge = edge
+    def __init__(self, *edges: float):
+        self.edges = np.asarray(edges, dtype=np.float64)
 
     def multinomial(self, n, pvals):
         return np.random.default_rng(0).multinomial(n, pvals)
 
     def random(self, size):
-        return np.full(size, self.edge)
+        return np.resize(self.edges, size)
+
+
+def clipped_lookup_counts(indices, data, profiles, m_samples, rng):
+    """The sampler's earlier lookup, kept as the reference for its positions.
+
+    It looks the unsorted keys f + u up in the cumulative table, clips
+    each position into [indptr[f], indptr[f+1] - 1], and draws floor(u * n)
+    for a feature without stored entries.
+    """
+    n = profiles.latent_dim
+    feature_draws = rng.multinomial(m_samples, data / data.sum())
+    drawn = np.nonzero(feature_draws)[0]
+    features, k = indices[drawn], feature_draws[drawn]
+    u = rng.random(m_samples)
+    pos = np.searchsorted(profiles._cum, np.repeat(features, k) + u, side="right")
+    starts = np.repeat(profiles._indptr[features], k)
+    ends = np.repeat(profiles._indptr[features + 1], k)
+    np.clip(pos, starts, ends - 1, out=pos)
+    latent = (u * n).astype(np.int64)
+    table = starts < ends
+    latent[table] = profiles._indices[pos[table]]
+    return np.bincount(latent, minlength=n).astype(np.float64)
 
 
 class TestCumulativeTableEdges:
     N_FEATURES = 2056
+    TIED = 1500
 
     def _profiles(self):
         rng = np.random.default_rng(23)
@@ -296,6 +319,8 @@ class TestCumulativeTableEdges:
         for col, row in enumerate([0, 1, 2, 3, 4, 5, 0]):
             X[row, self.N_FEATURES - 8 + col] = 1.0  # point masses on changing rows
         X[:, -12] = 0.0  # an all-zero column amid full ones
+        # the last three entries round to the column's end, f + 1
+        X[:, self.TIED] = [1.0, 0.0, 0.0, 1e-17, 1e-17, 1e-17]
         return X, fit_profiles(sp.csr_matrix(X))
 
     def test_last_cumulative_entry_is_exactly_column_end(self):
@@ -309,11 +334,18 @@ class TestCumulativeTableEdges:
         assert filled == self.N_FEATURES - 2
         assert np.all(np.diff(cum) >= 0)
 
+    def test_tied_column_end(self):
+        _, profiles = self._profiles()
+        start, end = profiles._indptr[self.TIED], profiles._indptr[self.TIED + 1]
+        assert profiles._cum[start:end].tolist() == [self.TIED + 1.0] * 4
+
     @pytest.mark.parametrize("edge", [0.0, np.nextafter(1.0, 0.0)])
     def test_edge_uniforms_stay_in_their_column(self, edge):
         X, profiles = self._profiles()
+        assert 1024 + edge == (1025.0 if edge else 1024.0)  # f + u rounds up to f + 1
         m = 50
-        for f in list(range(self.N_FEATURES - 16, self.N_FEATURES)) + [0, 1, 1023, 1024]:
+        features = list(range(self.N_FEATURES - 16, self.N_FEATURES)) + [0, 1, 1023, 1024]
+        for f in features + [self.TIED]:
             x = make_row([f], [1.0], self.N_FEATURES)
             counts = sample_latent_counts(x.indices, x.data, profiles, m, EdgeUniforms(edge))
             assert counts.sum() == m
@@ -321,6 +353,32 @@ class TestCumulativeTableEdges:
             if support.size == 0:
                 support = np.arange(X.shape[0])
             assert set(np.nonzero(counts)[0]) <= set(support.tolist()), f"feature {f}"
+            want = clipped_lookup_counts(x.indices, x.data, profiles, m, EdgeUniforms(edge))
+            assert counts.tobytes() == want.tobytes(), f"feature {f}"
+
+    def test_mixed_row_equals_the_clipped_lookup(self):
+        _, profiles = self._profiles()
+        # fallback (the all-zero columns), rounded (u near 1 above 1024)
+        # and regular draws in one row
+        columns = [0, 7, 1024, self.TIED, self.N_FEATURES - 12, self.N_FEATURES - 1]
+        x = make_row(columns, [1.0, 2.0, 1.0, 3.0, 1.0, 2.0], self.N_FEATURES)
+        uniforms = EdgeUniforms(0.0, 0.25, np.nextafter(1.0, 0.0), 0.5, 1e-300)
+        got = sample_latent_counts(x.indices, x.data, profiles, 997, uniforms)
+        want = clipped_lookup_counts(x.indices, x.data, profiles, 997, uniforms)
+        assert got.tobytes() == want.tobytes()
+        assert got.sum() == 997
+
+    def test_random_rows_equal_the_clipped_lookup(self):
+        _, profiles = self._profiles()
+        rng = np.random.default_rng(24)
+        for seed in range(40):
+            nnz = int(rng.integers(1, 400))
+            columns = np.sort(rng.choice(self.N_FEATURES, size=nnz, replace=False))
+            x = make_row(columns, rng.random(nnz) + 0.01, self.N_FEATURES)
+            m = int(rng.integers(1, 5000))
+            got = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "lookup"))
+            want = clipped_lookup_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "lookup"))
+            assert got.tobytes() == want.tobytes(), seed
 
 
 class TestSyntheticCount:

@@ -123,6 +123,25 @@ class TestCharNgrams:
         counts = extract_char_ngrams(doc_of("ab."), {2})
         assert counts == {"ab": 1, "b.": 1}
 
+    @staticmethod
+    def _slice_loop_counts(text, orders):
+        """The reference: one slice per start index, orders ascending."""
+        counts = Counter()
+        for n in sorted(set(orders)):
+            for i in range(len(text) - n + 1):
+                counts[text[i : i + n]] += 1
+        return dict(counts)
+
+    @pytest.mark.parametrize("orders", [{1}, {2, 3}, {1, 2, 3, 4}])
+    @pytest.mark.parametrize(
+        "text", ["", "ab", "aaaaaa", "Nel mezzo del cammin, di nostra vita", "città è — “così”"]
+    )
+    def test_counts_and_key_order_equal_the_slice_loop(self, text, orders):
+        got = features._char_ngram_counts(text, orders)
+        want = self._slice_loop_counts(text, orders)
+        assert got == want
+        assert list(got) == list(want)
+
 
 class TestTagNgrams:
     def test_pos_bigrams(self, tmp_path):

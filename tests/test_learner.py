@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from stylauth.errors import LearnerError
 from stylauth.metrics import ContingencyTable, f1, macro_f1
@@ -430,6 +431,58 @@ class TestGramPath:
             w = X.T @ alpha
             _, grad = binary_objective(np.append(w, b), X, y.astype(float), c)
             assert np.max(np.abs(grad)) <= config.tolerance, c
+
+    # Each grid has a C at which one fold converges in fewer steps than
+    # another, so the stack divides for the bias step while a fold is
+    # frozen; a division warning there fails the suite.
+    @pytest.mark.parametrize("name, grid", [
+        ("sparse", learner.DEFAULT_C_GRID),
+        ("duplicated-rows", learner.DEFAULT_C_GRID),
+        ("separable", (0.01, 1.0, 100.0)),
+    ])
+    def test_stacked_solve_equals_per_fold_solves(self, name, grid, monkeypatch):
+        X, y = _gram_fixture(name)
+        config = TrainConfig(C_grid=grid)
+        K = learner._gram_matrix(X)
+        folds = _stratified_fold_ids(y, 4, np.random.default_rng(3))
+        train_masks = [folds != j for j in range(4)]
+        tr = [np.flatnonzero(mask) for mask in train_masks]
+        va = [np.flatnonzero(~mask) for mask in train_masks]
+        sizes = np.array([rows.shape[0] for rows in tr])
+        assert len(set(sizes.tolist())) > 1  # the shorter folds are padded
+        m = int(sizes.max())
+        K_stack, y_stack = np.zeros((4, m, m)), np.zeros((4, m))
+        for f, rows in enumerate(tr):
+            K_stack[f, : rows.shape[0], : rows.shape[0]] = K[np.ix_(rows, rows)]
+            y_stack[f, : rows.shape[0]] = y[rows]
+
+        factorizations = []
+        dpotrf = learner.dpotrf
+        monkeypatch.setattr(
+            learner, "dpotrf", lambda *a, **k: factorizations.append(1) or dpotrf(*a, **k)
+        )
+        predicted = {c: np.zeros(y.shape[0], dtype=np.int64) for c in config.C_grid}
+        learner._gram_cv_predictions(K, y, train_masks, config, predicted)
+        alpha, b = np.zeros((4, m)), np.zeros(4)
+        single = [(np.zeros(rows.shape[0]), 0.0) for rows in tr]
+        uneven = False
+        for c in config.C_grid:
+            alpha, b = learner._gram_newton_stack(K_stack, y_stack, sizes, c, config, alpha, b)
+            steps = []
+            for f, rows in enumerate(tr):
+                del factorizations[:]
+                a_f, b_f = learner._gram_newton(
+                    K[np.ix_(rows, rows)], y[rows].astype(float), c, config, *single[f]
+                )
+                single[f] = (a_f, b_f)
+                steps.append(len(factorizations))
+                np.testing.assert_allclose(alpha[f, : rows.shape[0]], a_f, rtol=0, atol=1e-8)
+                assert not alpha[f, rows.shape[0] :].any()
+                assert b[f] == pytest.approx(b_f, rel=0, abs=1e-8)
+                want = (expit(K[np.ix_(va[f], rows)] @ a_f + b_f) > 0.5).astype(np.int64)
+                assert predicted[c][va[f]].tolist() == want.tolist(), (c, f)
+            uneven |= len(set(steps)) > 1
+        assert uneven  # at some C, a fold converges while others still step
 
     def test_sparse_gram_matrix_built_in_column_blocks(self, monkeypatch):
         X, _ = _gram_fixture("sparse")

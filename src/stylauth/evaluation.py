@@ -1,14 +1,14 @@
-"""Leave-one-out evaluation of the authorship verifier.
+"""Leave-one-out evaluation of the verifier and the attributor.
 
-One fold per labelled text: the verifier is trained on every other text
-plus the segments derived from those texts (the held-out text contributes
-no segments, and the feature space, IDF statistics, oversampling
-profiles, and hyperparameter C are all refit from scratch inside the
-fold), then applied to the held-out text in full. Folds are independent
-and run on a thread pool of at most ``threads`` workers, capped at the CPU
-count and the number of folds; each derives its own randomness from
-(master seed, held-out id), so reports are byte-identical regardless of
-thread count.
+One fold per text of a study (``LooStudy``): the fold fits the study's
+verifier or attributor on every other text plus the segments derived from
+those texts (the held-out text contributes no segments, and the feature
+space, IDF statistics, oversampling profiles, and hyperparameter C are all
+refit from scratch inside the fold), then applies it to the held-out text
+in full. Folds are independent and run on a thread pool of at most
+``threads`` workers, capped at the CPU count and the number of folds; each
+derives its own randomness from (master seed, study label, held-out id), so
+reports are byte-identical regardless of thread count.
 
 One pass over the folds can score several feature-block pools
 (``loo_pools``): a fold fits its space and vectorizes once, over the
@@ -28,10 +28,11 @@ from typing import Callable, Sequence
 from .corpus import Corpus, Document, segment
 from .errors import EvaluationError
 from .features import FeatureBlock, Instance
+from .learner import Prediction
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
-    CountsCache, FittedVerifier, PipelineConfig, counts_cache_for, document_instances,
-    fit_verifier, predict_document, training_documents, training_vectors,
+    CountsCache, FittedClassifier, PipelineConfig, Vectors, counts_cache_for,
+    document_instances, fit_verifier, predict_document, training_vectors,
 )
 from .rng import stable_seed
 
@@ -46,15 +47,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass
+@dataclass(eq=False)
 class TextPrediction:
     """Per-fold outcome for one held-out text."""
 
     text_id: str
     author: str
     true_class: str
-    predicted_class: str
-    positive_posterior: float
+    prediction: Prediction  # the fitted classifier's posteriors on the text
     fitted_C: float
     inner_cv_f1: tuple[tuple[float, float], ...]  # (C, inner-CV F1), ascending C
     training_rows: int  # after oversampling
@@ -62,13 +62,20 @@ class TextPrediction:
     converged: bool  # of the final fit
     n_iter: int
 
+    @property
+    def predicted_class(self) -> str:
+        return self.prediction.predicted_class
+
+    @property
+    def positive_posterior(self) -> float:
+        return self.prediction.positive_posterior
+
+    @property
+    def true_class_posterior(self) -> float:
+        return self.prediction.posterior_of(self.true_class)
+
     def correct(self) -> bool:
         return self.true_class == self.predicted_class
-
-    def confidence_in_true_class(self, positive_class: str) -> float:
-        if self.true_class == positive_class:
-            return self.positive_posterior
-        return 1.0 - self.positive_posterior
 
 
 def _metrics(
@@ -97,15 +104,7 @@ class LooReport:
 
     def hardest_texts(self, k: int | None = None) -> list[tuple[str, str, bool, float]]:
         """(id, author, correct?, confidence in true class), hardest first."""
-        rows = [
-            (
-                r.text_id,
-                r.author,
-                r.correct(),
-                r.confidence_in_true_class(self.target_author),
-            )
-            for r in self.records
-        ]
+        rows = [(r.text_id, r.author, r.correct(), r.true_class_posterior) for r in self.records]
         rows.sort(key=lambda row: (row[3], row[0]))
         return rows if k is None else rows[:k]
 
@@ -149,31 +148,40 @@ class LooReport:
         }
 
 
+@dataclass(frozen=True)
+class LooStudy:
+    """What a leave-one-out study varies; the fold protocol is shared."""
+
+    texts: tuple[Document, ...]  # each trains in every fold but its own
+    seed_label: str  # a fold's seed is stable_seed(master seed, seed_label, held-out id)
+    fit: Callable[[Vectors, PipelineConfig, int], FittedClassifier]
+    class_of: Callable[[Document], str]  # a text's class, for the skip check and its reason
+
+
+FoldOutcome = tuple[TextPrediction | None, str | None, float]  # record, skip reason, seconds
+
+
 def _run_fold(
-    corpus: Corpus,
+    study: LooStudy,
     held_out: Document,
     config: PipelineConfig,
     pools: Sequence[Sequence[FeatureBlock]],
     cache: CountsCache,
     master_seed: int,
-    fold_listener: Callable[[str, FittedVerifier], None] | None,
-) -> list[tuple[TextPrediction | None, str | None, float]]:
-    """One fold for each pool: (record, skip reason, wall seconds) per pool.
+    fold_listener: Callable[[str, FittedClassifier], None] | None,
+) -> list[FoldOutcome]:
+    """One fold for each pool, in pool order.
 
     The fold fits its space and vectorizes once over the config's blocks;
     each pool slices its columns from those rows. A pool's seconds include
     that shared work.
     """
     start = time.perf_counter()
-    fold_seed = stable_seed(master_seed, "loo", held_out.id)
-    train_docs = training_documents(corpus, exclude_ids=[held_out.id])
-    target = config.target_author
-    has_pos = any(d.author == target for d in train_docs)
-    has_neg = any(d.author != target for d in train_docs)
-    if not (has_pos and has_neg):
-        reason = (
-            f"class {'positive' if not has_pos else 'negative'} absent from training set"
-        )
+    fold_seed = stable_seed(master_seed, study.seed_label, held_out.id)
+    train_docs = [d for d in study.texts if d.id != held_out.id]
+    held_out_class = study.class_of(held_out)
+    if all(study.class_of(d) != held_out_class for d in train_docs):
+        reason = f"class {held_out_class} absent from training set"
         log.warning("skipping fold %s: %s", held_out.id, reason)
         return [(None, reason, time.perf_counter() - start)] * len(pools)
 
@@ -184,18 +192,17 @@ def _run_fold(
     for blocks in pools:
         pool_start = time.perf_counter()
         space, columns = full_train.space.restricted_to(blocks)
-        fitted = fit_verifier(full_train.restricted(space, columns, cache), config, fold_seed)
+        fitted = study.fit(full_train.restricted(space, columns, cache), config, fold_seed)
         if fold_listener is not None:
             fold_listener(held_out.id, fitted)
         text = full_text.restricted(space, columns, cache)
-        prediction = predict_document(fitted, text, fold_seed)
-        true_class = target if held_out.author == target else fitted.model.classes[0]
+        classes = fitted.model.classes
         record = TextPrediction(
             text_id=held_out.id,
             author=held_out.author,
-            true_class=true_class,
-            predicted_class=prediction.predicted_class,
-            positive_posterior=prediction.positive_posterior,
+            # a verifier's first class stands for every author but its target
+            true_class=held_out.author if held_out.author in classes else classes[0],
+            prediction=predict_document(fitted, text, fold_seed),
             fitted_C=fitted.chosen_C,
             inner_cv_f1=fitted.inner_cv_f1,
             training_rows=len(fitted.training_instance_ids),
@@ -208,39 +215,33 @@ def _run_fold(
     return out
 
 
-def loo_pools(
-    corpus: Corpus,
+def run_folds(
+    study: LooStudy,
     config: PipelineConfig,
     pools: Sequence[Sequence[FeatureBlock]],
     seed: int,
     threads: int = 1,
-    fold_listener: Callable[[str, FittedVerifier], None] | None = None,
+    fold_listener: Callable[[str, FittedClassifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
-) -> list[LooReport]:
-    """Leave-one-out evaluation of each block pool: one report per pool.
+) -> tuple[list[Document], list[list[FoldOutcome]]]:
+    """The held-out texts, and for each pool their folds' outcomes in that order.
 
-    Each pool is a subset of the config's blocks, and its report equals
-    ``loo_run`` on ``config.with_blocks(pool)``; one pass over the folds
-    scores them all. ``text_ids`` restricts which texts are held out (each
-    remaining fold still trains on everything else); by default every
-    labelled text gets a fold. Disputed texts never participate. A shared
-    ``cache`` must extract the config's blocks as the config does
-    (``counts_cache_for``). ``fold_listener(text_id, fitted)`` sees each
-    fold's fitted verifier, once per pool.
+    ``text_ids`` restricts which of the study's texts are held out; each
+    fold still trains on all the others. A shared ``cache`` must extract the
+    config's blocks as the config does (``counts_cache_for``).
+    ``fold_listener(text_id, fitted)`` sees each fold's fit, once per pool.
     """
-    if config.target_author is None:
-        raise EvaluationError("leave-one-out needs a target_author in the pipeline config")
-    labelled = corpus.labelled()
+    texts = study.texts
     if text_ids is not None:
         wanted = set(text_ids)
-        missing = wanted - {d.id for d in labelled}
+        missing = wanted - {d.id for d in texts}
         if missing:
             raise EvaluationError(f"unknown or unlabelled text ids: {sorted(missing)}")
-        folds = [d for d in labelled if d.id in wanted]
+        folds = [d for d in texts if d.id in wanted]
     else:
-        folds = labelled
-    if len(labelled) < 2:
+        folds = list(texts)
+    if len(texts) < 2:
         raise EvaluationError("leave-one-out needs at least two labelled texts")
     if not folds:
         raise EvaluationError("text_ids selects no text to hold out")
@@ -253,22 +254,49 @@ def loo_pools(
             )
     cache = counts_cache_for(config.features, cache)
     # Extract every instance the folds read before dispatching them, so that
-    # no two fold threads extract the same instance: each labelled text that
-    # trains in some fold, plus each held-out text in full.
+    # no two fold threads extract the same instance: each text that trains
+    # in some fold, plus each held-out text in full.
     fold_ids = {d.id for d in folds}
-    trained = [d for d in labelled if fold_ids - {d.id}]
+    trained = [d for d in texts if fold_ids - {d.id}]
     cache.rows(document_instances(trained, config.segmentation))
     cache.rows(Instance(doc=d) for d in folds)
 
-    def work(doc: Document):
-        return doc.id, _run_fold(corpus, doc, config, pools, cache, seed, fold_listener)
-
     with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus(), len(folds))) as pool:
-        results = dict(pool.map(work, folds))
-    return [
-        _report(corpus, config.target_author, seed, folds, [results[d.id][i] for d in folds])
-        for i in range(len(pools))
-    ]
+        results = list(pool.map(
+            lambda doc: _run_fold(study, doc, config, pools, cache, seed, fold_listener), folds
+        ))
+    return folds, [[fold[i] for fold in results] for i in range(len(pools))]
+
+
+def loo_pools(
+    corpus: Corpus,
+    config: PipelineConfig,
+    pools: Sequence[Sequence[FeatureBlock]],
+    seed: int,
+    threads: int = 1,
+    fold_listener: Callable[[str, FittedClassifier], None] | None = None,
+    text_ids: Sequence[str] | None = None,
+    cache: CountsCache | None = None,
+) -> list[LooReport]:
+    """Leave-one-out verification of each block pool: one report per pool.
+
+    Each pool is a subset of the config's blocks, and its report equals
+    ``loo_run`` on ``config.with_blocks(pool)``; one pass over the folds
+    (``run_folds``) scores them all. Every labelled text gets a fold unless
+    ``text_ids`` says otherwise; disputed texts never participate.
+    """
+    target = config.target_author
+    if target is None:
+        raise EvaluationError("leave-one-out needs a target_author in the pipeline config")
+    # Built per call, so the study uses whatever fit_verifier names now.
+    study = LooStudy(
+        texts=tuple(corpus.labelled()),
+        seed_label="loo",
+        fit=fit_verifier,
+        class_of=lambda doc: "positive" if doc.author == target else "negative",
+    )
+    folds, outcomes = run_folds(study, config, pools, seed, threads, fold_listener, text_ids, cache)
+    return [_report(corpus, target, seed, folds, pool_outcomes) for pool_outcomes in outcomes]
 
 
 def _report(
@@ -276,7 +304,7 @@ def _report(
     target_author: str,
     seed: int,
     folds: Sequence[Document],
-    outcomes: Sequence[tuple[TextPrediction | None, str | None, float]],
+    outcomes: Sequence[FoldOutcome],
 ) -> LooReport:
     """One pool's report from its folds' outcomes, in corpus order."""
     records: list[TextPrediction] = []
@@ -311,7 +339,7 @@ def loo_run(
     config: PipelineConfig,
     seed: int,
     threads: int = 1,
-    fold_listener: Callable[[str, FittedVerifier], None] | None = None,
+    fold_listener: Callable[[str, FittedClassifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
 ) -> LooReport:

@@ -26,9 +26,8 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ExperimentError
-from .evaluation import LooReport, TextPrediction, loo_pools, loo_run
+from .evaluation import LooReport, LooStudy, TextPrediction, loo_pools, loo_run, run_folds
 from .features import FeatureBlock, Instance, cosine_similarity, fit_feature_space_from_counts
-from .learner import predict_proba
 from .metrics import macro_f1, per_class_tables
 from .pipeline import (
     CountsCache,
@@ -104,9 +103,9 @@ class AblationReport:
         }
 
 
-def _restricted_score(records: Sequence[TextPrediction], target_author: str) -> tuple[float, ...]:
+def _restricted_score(records: Sequence[TextPrediction]) -> tuple[float, ...]:
     """Vanilla accuracy over ``records``, ties broken by mean confidence in the true class."""
-    confidences = [r.confidence_in_true_class(target_author) for r in records]
+    confidences = [r.true_class_posterior for r in records]
     accuracy = sum(r.correct() for r in records) / len(records)
     return (accuracy, float(np.mean(confidences)))
 
@@ -134,7 +133,7 @@ def ablate(
         if hardest_ids is None:
             return (report.f1,)
         records = [r for r in report.records if r.text_id in hardest_ids]
-        return _restricted_score(records, report.target_author)
+        return _restricted_score(records)
 
     # A restricted fold trains on every other text, as the full LOO's fold
     # did, so in hardest-10 mode the full LOO also scores the initial pool.
@@ -301,8 +300,15 @@ class AttributionResult:
 
 
 def candidate_authors(corpus: Corpus, min_texts_per_author: int) -> list[str]:
+    """The authors with at least ``min_texts_per_author`` labelled texts; at least two."""
     counts = corpus.authors()
-    return sorted(a for a, n in counts.items() if n >= min_texts_per_author)
+    candidates = sorted(a for a, n in counts.items() if n >= min_texts_per_author)
+    if len(candidates) < 2:
+        raise ExperimentError(
+            f"need at least 2 candidate authors with >= {min_texts_per_author} texts, "
+            f"found {len(candidates)}"
+        )
+    return candidates
 
 
 def attribute_disputed(
@@ -319,18 +325,17 @@ def attribute_disputed(
     labelled texts; the attributor trains on exactly their texts (plus
     segments) and never uses oversampling.
     """
+    if min_texts_per_author < 1:
+        raise ExperimentError(
+            f"min_texts_per_author must be at least 1, got {min_texts_per_author}"
+        )
     disputed = _get_disputed(corpus, disputed_id)
     candidates = candidate_authors(corpus, min_texts_per_author)
-    if len(candidates) < 2:
-        raise ExperimentError(
-            f"need at least 2 candidate authors with >= {min_texts_per_author} texts, "
-            f"found {len(candidates)}"
-        )
     cache = counts_cache_for(config.features, cache)
-    docs = training_documents(corpus, authors=candidates)
-    fitted = fit_attributor(docs, config, cache, stable_seed(seed, "attribute"))
-    x = cache.vectorize([Instance(doc=disputed)], fitted.space).X
-    prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
+    train = training_vectors(training_documents(corpus, authors=candidates), config, cache)
+    fitted = fit_attributor(train, config, stable_seed(seed, "attribute"))
+    text = cache.vectorize([Instance(doc=disputed)], fitted.space)
+    prediction = predict_document(fitted, text, stable_seed(seed, "attribute"))
     order = np.argsort(-prediction.posteriors)
     ranking = tuple(
         (prediction.classes[int(i)], float(prediction.posteriors[int(i)])) for i in order
@@ -338,7 +343,7 @@ def attribute_disputed(
     return AttributionResult(
         disputed_id=disputed_id,
         min_texts_per_author=min_texts_per_author,
-        candidate_authors=tuple(fitted.candidate_authors),
+        candidate_authors=fitted.model.classes,
         ranking=ranking,
         fitted_C=fitted.chosen_C,
         seed=seed,
@@ -385,45 +390,41 @@ def attribution_contingency(
     seed: int = 0,
     cache: CountsCache | None = None,
 ) -> AttributionLooReport:
-    """Leave-one-out attribution over candidate authors' texts."""
-    candidates = candidate_authors(corpus, min_texts_per_author)
-    if len(candidates) < 2:
+    """Leave-one-out attribution over candidate authors' texts (``run_folds``).
+
+    Each fold trains an attributor on the other candidates' texts, so every
+    candidate needs a text besides the held-out one.
+    """
+    if min_texts_per_author < 2:
         raise ExperimentError(
-            f"need at least 2 candidate authors with >= {min_texts_per_author} texts"
+            f"attribution LOO needs min_texts_per_author >= 2, got {min_texts_per_author}"
         )
-    cache = counts_cache_for(config.features, cache)
-    docs = training_documents(corpus, authors=candidates)
+    candidates = candidate_authors(corpus, min_texts_per_author)
+    study = LooStudy(
+        texts=tuple(training_documents(corpus, authors=candidates)),
+        seed_label="aa-loo",
+        fit=fit_attributor,
+        class_of=lambda doc: doc.author,
+    )
+    pool = config.features.blocks_in_order()
+    _, (outcomes,) = run_folds(study, config, [pool], seed, cache=cache)
+    # No fold is skipped: every candidate has a text besides the held-out one.
+    records = [
+        (r.text_id, r.true_class, r.predicted_class, r.true_class_posterior)
+        for r, _, _ in outcomes
+    ]
     author_index = {a: i for i, a in enumerate(candidates)}
     matrix = np.zeros((len(candidates), len(candidates)), dtype=np.int64)
-    records: list[tuple[str, str, str, float]] = []
-    y_true: list[str] = []
-    y_pred: list[str] = []
-    for doc in docs:
-        fold_docs = [d for d in docs if d.id != doc.id]
-        fitted = fit_attributor(
-            fold_docs, config, cache, stable_seed(seed, "aa-loo", doc.id)
-        )
-        x = cache.vectorize([Instance(doc=doc)], fitted.space).X
-        prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
-        predicted = prediction.predicted_class
-        conf_true = (
-            prediction.posterior_of(doc.author)
-            if doc.author in prediction.classes
-            else 0.0
-        )
-        matrix[author_index[doc.author], author_index[predicted]] += 1
-        records.append((doc.id, doc.author, predicted, conf_true))
-        y_true.append(doc.author)
-        y_pred.append(predicted)
-
-    tables = per_class_tables(y_true, y_pred, candidates)
-    va = int(np.trace(matrix)) / int(matrix.sum())
+    for _, true, predicted, _ in records:
+        matrix[author_index[true], author_index[predicted]] += 1
+    y_true = [true for _, true, _, _ in records]
+    y_pred = [predicted for _, _, predicted, _ in records]
     return AttributionLooReport(
         authors=tuple(candidates),
         matrix=matrix,
         records=tuple(records),
-        macro_f1=macro_f1(tables),
-        vanilla_accuracy=va,
+        macro_f1=macro_f1(per_class_tables(y_true, y_pred, candidates)),
+        vanilla_accuracy=int(np.trace(matrix)) / int(matrix.sum()),
         seed=seed,
         corpus_fingerprint=corpus.fingerprint(),
     )

@@ -39,7 +39,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .errors import LearnerError
-from .metrics import ContingencyTable, f1, macro_f1
+from .metrics import ContingencyTable, f1, macro_f1, per_class_tables
 
 log = logging.getLogger(__name__)
 
@@ -582,13 +582,7 @@ def inner_cv_scores(
         if n_classes == 2:
             scores[c] = f1(ContingencyTable.from_predictions(y_idx.tolist(), pred.tolist()))
         else:
-            tables = [
-                ContingencyTable.from_predictions(
-                    (y_idx == cls).astype(int).tolist(), (pred == cls).astype(int).tolist()
-                )
-                for cls in range(n_classes)
-            ]
-            scores[c] = macro_f1(tables)
+            scores[c] = macro_f1(per_class_tables(y_idx.tolist(), pred.tolist(), range(n_classes)))
     return scores
 
 

@@ -12,7 +12,7 @@ TN. Soft F1 therefore equals hard F1 whenever every posterior is 0 or 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def macro_f1(tables: Iterable[ContingencyTable]) -> float:
 
 
 def per_class_tables(
-    y_true: Sequence[str], y_pred: Sequence[str], classes: Sequence[str]
+    y_true: Sequence[Hashable], y_pred: Sequence[Hashable], classes: Iterable[Hashable]
 ) -> list[ContingencyTable]:
     """One one-vs-rest table per class, in the given class order."""
     if len(y_true) != len(y_pred):

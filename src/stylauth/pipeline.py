@@ -141,32 +141,28 @@ def document_instances(
     return instances
 
 
-def training_documents(
-    corpus: Corpus, exclude_ids: Iterable[str] = (), authors: Iterable[str] | None = None
-) -> list[Document]:
-    """Labelled documents, minus exclusions, optionally restricted by author."""
-    excluded = set(exclude_ids)
+def training_documents(corpus: Corpus, authors: Iterable[str] | None = None) -> list[Document]:
+    """Labelled documents, optionally restricted by author."""
     author_set = set(authors) if authors is not None else None
-    docs = []
-    for doc in corpus.labelled():
-        if doc.id in excluded:
-            continue
-        if author_set is not None and doc.author not in author_set:
-            continue
-        docs.append(doc)
-    return docs
+    return [
+        doc for doc in corpus.labelled() if author_set is None or doc.author in author_set
+    ]
 
 
 @dataclass
-class FittedVerifier:
-    """A binary verifier trained for one fold or one deployment run."""
+class FittedClassifier:
+    """A verifier or an attributor, trained for one fold or one deployment run.
+
+    Its classes are ``model.classes``: a verifier's ``("not <target>",
+    <target>)``, an attributor's the sorted candidate authors.
+    """
 
     space: FeatureSpace
     model: TrainedModel
     profiles: DistributionalProfiles | None
     training_instance_ids: tuple[str, ...]
     chosen_C: float
-    inner_cv_f1: tuple[tuple[float, float], ...]  # (C, F1) per grid value, ascending C
+    inner_cv_f1: tuple[tuple[float, float], ...]  # (C, F1 or macro F1) per grid value, ascending C
     synthetic_positives: int  # rows DRO added to the training set
 
     @property
@@ -185,7 +181,7 @@ def training_vectors(
     return cache.vectorize(instances, space)
 
 
-def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedVerifier:
+def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
     """(Optionally) oversample, tune C, and train on vectorized training instances."""
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
@@ -221,7 +217,7 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedVer
         C=chosen_C,
         space_fingerprint=space.fingerprint(),
     )
-    return FittedVerifier(
+    return FittedClassifier(
         space=space,
         model=model,
         profiles=profiles,
@@ -233,11 +229,11 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedVer
 
 
 def predict_document(
-    fitted: FittedVerifier, text: Vectors, seed: int, replica: int = 0
+    fitted: FittedClassifier, text: Vectors, seed: int, replica: int = 0
 ) -> Prediction:
-    """Classify one unsegmented text, vectorized in the verifier's space.
+    """Classify one unsegmented text, vectorized in the fitted space.
 
-    With oversampling enabled the text's row is extended against the
+    When the fit oversampled, the text's row is extended against the
     training-fitted profiles; the replica index varies the extension
     randomness while keeping it reproducible.
     """
@@ -249,40 +245,26 @@ def predict_document(
     return predict_proba(fitted.model, x, fingerprint)
 
 
-@dataclass
-class FittedAttributor:
-    """A multiclass attributor trained over a closed candidate-author set."""
-
-    space: FeatureSpace
-    model: TrainedModel
-    candidate_authors: tuple[str, ...]
-    chosen_C: float
-
-
-def fit_attributor(
-    docs: Sequence[Document],
-    config: PipelineConfig,
-    cache: CountsCache,
-    seed: int,
-) -> FittedAttributor:
-    """Train a multiclass author attributor (never uses oversampling)."""
-    train = training_vectors(docs, config, cache)
-    instances, space, X = train.instances, train.space, train.X
-    labels = [inst.doc.author for inst in instances]
-    classes = tuple(sorted(set(labels)))
+def fit_attributor(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
+    """Tune C and train a multiclass attributor on vectorized training instances."""
+    labels = [inst.doc.author for inst in train.instances]
+    classes = sorted(set(labels))
     if len(classes) < 2:
         raise ExperimentError("attribution needs at least two candidate authors")
     index = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.asarray([index[label] for label in labels], dtype=np.int64)
-    chosen_C, _ = tune_C(
-        X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes)
+    chosen_C, inner_scores = tune_C(
+        train.X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes)
     )
     model = train_multiclass(
-        X, labels, config.learner, C=chosen_C, space_fingerprint=space.fingerprint()
+        train.X, labels, config.learner, C=chosen_C, space_fingerprint=train.space.fingerprint()
     )
-    return FittedAttributor(
-        space=space,
+    return FittedClassifier(
+        space=train.space,
         model=model,
-        candidate_authors=classes,
+        profiles=None,
+        training_instance_ids=tuple(inst.instance_id for inst in train.instances),
         chosen_C=chosen_C,
+        inner_cv_f1=tuple(inner_scores.items()),
+        synthetic_positives=0,
     )

@@ -9,11 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from stylauth import evaluation
+from stylauth import evaluation, experiments
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import EvaluationError
 from stylauth.evaluation import held_out_segment_ids, loo_pools, loo_run
+from stylauth.experiments import attribution_contingency
 from stylauth.features import FeatureBlock, FeatureConfig
 from stylauth.learner import TrainConfig
 from stylauth.pipeline import PipelineConfig, SegmentationConfig
@@ -139,24 +140,36 @@ class TestPools:
 
 
 class TestLeakage:
-    def test_held_out_text_and_segments_never_train(self, small_corpus):
+    def test_held_out_text_and_segments_never_train(self, small_corpus, monkeypatch):
         captured = {}
 
         def listener(text_id, fitted):
             captured[text_id] = fitted
 
+        def listening_folds(*args, **kwargs):
+            return evaluation.run_folds(*args, fold_listener=listener, **kwargs)
+
         config = fast_pipeline("Aldus", dro=True)
-        loo_run(small_corpus, config, seed=3, fold_listener=listener)
-        for doc in small_corpus.labelled():
-            fitted = captured[doc.id]
-            forbidden = held_out_segment_ids(doc, config.segmentation.min_tokens)
-            training = set(fitted.training_instance_ids)
-            assert not (forbidden & training)
-            # synthetic replicas must not stem from the held-out text either
-            for tid in training:
-                assert not tid.startswith(f"{doc.id}#")
-                assert not tid.startswith(f"{doc.id}[")
-                assert tid.split("#")[0] != doc.id
+        monkeypatch.setattr(experiments, "run_folds", listening_folds)
+        studies = {
+            "verify": lambda: loo_run(small_corpus, config, seed=3, fold_listener=listener),
+            "attribute": lambda: attribution_contingency(small_corpus, config, seed=3),
+        }
+        for study, run in studies.items():
+            captured.clear()
+            run()
+            assert set(captured) == {d.id for d in small_corpus.labelled()}, study
+            for doc in small_corpus.labelled():
+                fitted = captured[doc.id]
+                assert fitted.uses_dro == (study == "verify")
+                forbidden = held_out_segment_ids(doc, config.segmentation.min_tokens)
+                training = set(fitted.training_instance_ids)
+                assert not (forbidden & training)
+                # synthetic replicas must not stem from the held-out text either
+                for tid in training:
+                    assert not tid.startswith(f"{doc.id}#")
+                    assert not tid.startswith(f"{doc.id}[")
+                    assert tid.split("#")[0] != doc.id
 
     def test_held_out_unique_features_absent_from_fold_space(self, tmp_path):
         docs = []

@@ -22,10 +22,13 @@ from stylauth.experiments import (
     rank_similar,
     verify_disputed,
 )
-from stylauth.features import FeatureBlock, FeatureConfig
-from stylauth.learner import TrainConfig
+from stylauth.features import FeatureBlock, FeatureConfig, Instance
+from stylauth.learner import TrainConfig, predict_proba
 from stylauth.evaluation import loo_run
-from stylauth.pipeline import CountsCache, PipelineConfig, SegmentationConfig
+from stylauth.pipeline import (
+    CountsCache, PipelineConfig, SegmentationConfig, fit_attributor, training_vectors,
+)
+from stylauth.rng import stable_seed
 
 from conftest import make_orthogonal_corpus, make_styled_corpus, write_corpus
 
@@ -151,7 +154,7 @@ class TestAblate:
             for block, score in scores.items():
                 candidate = config.with_blocks(b for b in pool if b is not block)
                 alone = loo_run(orthogonal, candidate, 4, text_ids=report.hardest_text_ids)
-                assert score == _restricted_score(alone.records, "A")
+                assert score == _restricted_score(alone.records)
                 synthetic += sum(r.synthetic_positives for r in alone.records)
         assert (synthetic > 0) == dro
 
@@ -250,8 +253,39 @@ class TestAttributeDisputed:
                 corpus, "disputed-text", styled_config(dro=False), min_texts_per_author=2
             )
 
+    @pytest.mark.parametrize("min_texts", [0, -5])
+    def test_min_texts_below_one_rejected(self, styled, min_texts):
+        with pytest.raises(ExperimentError, match=f"got {min_texts}"):
+            attribute_disputed(
+                styled, "disputed-text", styled_config(dro=False), min_texts_per_author=min_texts
+            )
+
 
 class TestAttributionContingency:
+    @pytest.mark.parametrize("min_texts", [1, 0])
+    def test_min_texts_below_two_rejected(self, tmp_path, min_texts):
+        # Benno's one text could train no fold that holds it out
+        manifest = make_styled_corpus(tmp_path, {"Aldus": 3, "Benno": 1}, n_tokens=150, seed=34)
+        corpus = load_corpus(manifest)
+        with pytest.raises(ExperimentError, match=f"got {min_texts}"):
+            attribution_contingency(
+                corpus, styled_config(dro=False), min_texts_per_author=min_texts
+            )
+
+    def test_records_equal_an_attributor_fit_per_fold(self, styled):
+        config = styled_config(dro=False, c_grid=(0.1, 1.0))
+        report = attribution_contingency(styled, config, min_texts_per_author=2, seed=5)
+        docs = [d for d in styled.labelled() if d.author in report.authors]
+        assert [r[0] for r in report.records] == [d.id for d in docs]
+        cache = CountsCache(config.features)
+        for (_, true, predicted, confidence), doc in zip(report.records, docs):
+            train = training_vectors([d for d in docs if d is not doc], config, cache)
+            fitted = fit_attributor(train, config, stable_seed(5, "aa-loo", doc.id))
+            text = cache.vectorize([Instance(doc=doc)], fitted.space)
+            prediction = predict_proba(fitted.model, text.X, fitted.space.fingerprint())
+            assert (true, predicted) == (doc.author, prediction.predicted_class)
+            assert confidence == prediction.posterior_of(doc.author)
+
     def test_matrix_shape_and_row_sums(self, styled):
         report = attribution_contingency(
             styled, styled_config(dro=False), min_texts_per_author=2, seed=5

@@ -18,7 +18,7 @@ from stylauth.features import (
     fit_feature_space_from_counts,
     vectorize_counts,
 )
-from stylauth.learner import TrainConfig, predict_proba
+from stylauth.learner import TrainConfig
 from stylauth.pipeline import (
     CountsCache,
     PipelineConfig,
@@ -80,8 +80,6 @@ class TestInstances:
     def test_training_documents_excludes_and_filters(self, corpus):
         all_docs = training_documents(corpus)
         assert all(d.author != "UNKNOWN" for d in all_docs)
-        without = training_documents(corpus, exclude_ids=["aldus-00"])
-        assert "aldus-00" not in {d.id for d in without}
         only_benno = training_documents(corpus, authors=["Benno"])
         assert {d.author for d in only_benno} == {"Benno"}
 
@@ -194,15 +192,19 @@ class TestFitAttributor:
     def test_trains_over_candidates(self, corpus):
         config = fast_config(dro=False)
         cache = CountsCache(config.features)
-        fitted = fit_attributor(training_documents(corpus), config, cache, seed=7)
-        assert fitted.candidate_authors == ("Aldus", "Benno")
-        x = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space).X
-        prediction = predict_proba(fitted.model, x, fitted.space.fingerprint())
+        train = training_vectors(training_documents(corpus), config, cache)
+        fitted = fit_attributor(train, config, seed=7)
+        assert fitted.model.classes == ("Aldus", "Benno")
+        assert not fitted.uses_dro
+        assert fitted.training_instance_ids == tuple(i.instance_id for i in train.instances)
+        text = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space)
+        prediction = predict_document(fitted, text, seed=7)
+        assert prediction.classes == fitted.model.classes
         assert prediction.posteriors.sum() == pytest.approx(1.0)
 
     def test_single_author_rejected(self, corpus):
         config = fast_config(dro=False)
         cache = CountsCache(config.features)
-        docs = training_documents(corpus, authors=["Aldus"])
+        train = training_vectors(training_documents(corpus, authors=["Aldus"]), config, cache)
         with pytest.raises(ExperimentError):
-            fit_attributor(docs, config, cache, seed=7)
+            fit_attributor(train, config, seed=7)

@@ -267,18 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"stylauth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, threaded: bool = False) -> None:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="fold worker threads, at least 1; capped at the CPU and fold counts")
+        if threaded:
+            p.add_argument("--threads", type=int, default=None,
+                           help="fold worker threads, at least 1; capped at CPUs and folds")
         p.add_argument("--output-dir", default=None, help="override the config output dir")
         p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
 
     common(sub.add_parser("ingest", help="validate and summarise the corpus"))
-    common(sub.add_parser("loo", help="leave-one-out evaluation of the verifier"))
+    common(sub.add_parser("loo", help="leave-one-out evaluation of the verifier"), threaded=True)
     p = sub.add_parser("ablate", help="greedy feature-block ablation")
-    common(p)
+    common(p, threaded=True)
     p.add_argument("--mode", choices=["exact", "hardest10"], default="exact")
     p = sub.add_parser("verify", help="verify the disputed text")
     common(p)
@@ -303,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         run = load_run_config(args.config)
         if args.seed is not None:
             run.seed = args.seed
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             run = replace(run, threads=args.threads)
         if args.output_dir is not None:
             run.output_dir = Path(args.output_dir)

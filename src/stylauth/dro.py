@@ -8,7 +8,7 @@ instance; features unseen in training fall back to a uniform profile.
 Extending a row draws m feature occurrences from the row's own weight
 distribution, m being its raw occurrence count, then one latent index
 from each drawn feature's profile, accumulates the draws, and
-L2-normalizes the latent block.
+L2-normalizes the latent block. Profiles do not record their space.
 
 ``fit_profiles`` packs every feature's profile once per fit into one
 cumulative table, in which feature f's cumulative probabilities occupy
@@ -85,7 +85,6 @@ class DistributionalProfiles:
     _indices: np.ndarray
     _probs: np.ndarray
     _cum: np.ndarray
-    space_fingerprint: str = ""
 
     def profile(self, feature: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(latent indices, probabilities) for one feature; None => uniform fallback."""
@@ -97,7 +96,7 @@ class DistributionalProfiles:
         return self._indices[start:end], self._probs[start:end]
 
 
-def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
+def fit_profiles(X) -> DistributionalProfiles:
     """Build profiles from the natural training matrix (rows = instances).
 
     The latent space has one dimension per training instance. The packed
@@ -135,7 +134,6 @@ def fit_profiles(X, space_fingerprint: str = "") -> DistributionalProfiles:
         _indices=indices,
         _probs=probs,
         _cum=cum,
-        space_fingerprint=space_fingerprint,
     )
 
 
@@ -210,19 +208,15 @@ def extend(
     profiles: DistributionalProfiles,
     m_samples: int,
     rng: np.random.Generator,
-    space_fingerprint: str = "",
 ) -> sp.csr_matrix:
     """One-row CSR matrix ``x`` with a sampled, L2-normalized latent block appended.
 
     ``m_samples`` draws are made; the pipeline passes the row's raw
     occurrence count. A zero row gets a zero latent block, and any other
-    row needs a positive ``m_samples``. A nonempty ``space_fingerprint``,
-    the space ``x`` was vectorized in, must match the profiles' one.
+    row needs a positive ``m_samples``.
     """
     if not sp.issparse(x) or x.format != "csr" or x.shape != (1, profiles.feature_dim):
         raise DroError(f"expected a one-row CSR matrix of width {profiles.feature_dim}")
-    if space_fingerprint and profiles.space_fingerprint not in ("", space_fingerprint):
-        raise DroError("row and profiles were built from different feature spaces")
     idx, vals = _latent_block(x.indices, x.data, m_samples, profiles, rng)
     latent = sp.csr_matrix((vals, idx, [0, idx.shape[0]]), shape=(1, profiles.latent_dim))
     return sp.hstack([x, latent], format="csr")

@@ -24,12 +24,11 @@ IDF, and L2-normalizes each block sub-vector independently so blocks of
 wildly different dimensionality contribute comparable mass. Its result,
 one CSR row per instance, is the only row form downstream: oversampling,
 training, prediction and similarity all read CSR matrices, and a single
-instance is a one-row matrix.
+instance is a one-row matrix, which does not record its space.
 """
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -477,7 +476,6 @@ class FeatureSpace:
     df: np.ndarray
     idf: np.ndarray
     block_offsets: tuple[tuple[FeatureBlock, int, int], ...]
-    _fingerprint: str = field(repr=False)  # set by _space
 
     @property
     def dim(self) -> int:
@@ -495,10 +493,6 @@ class FeatureSpace:
             for key, col in mapping.items():
                 names[col] = f"{block.value}:{key}"
         return names
-
-    def fingerprint(self) -> str:
-        """Digest of the instance count, the blocks' keys, and the exact df and IDF."""
-        return self._fingerprint
 
     def restricted_to(self, blocks: Iterable[FeatureBlock]) -> tuple["FeatureSpace", np.ndarray]:
         """The space a fit on the same rows over only ``blocks`` gives, and its columns here.
@@ -522,22 +516,14 @@ class FeatureSpace:
 
 
 def _space(config: FeatureConfig, n_instances: int, keys: Mapping[FeatureBlock, list],
-           df: Sequence[int], idf: Sequence[float]) -> FeatureSpace:
+           df: np.ndarray, idf: np.ndarray) -> FeatureSpace:
     """A space whose columns are the given keys, block after block."""
     vocab, offsets = {}, []
     for block, block_keys in keys.items():
         start = offsets[-1][2] if offsets else 0
         vocab[block] = dict(zip(block_keys, range(start, start + len(block_keys))))
         offsets.append((block, start, start + len(block_keys)))
-    df, idf = np.asarray(df, dtype=np.int64), np.asarray(idf, dtype=np.float64)
-    h = hashlib.sha256(f"n={n_instances}\n".encode("ascii"))
-    for block, block_keys in keys.items():
-        # keys hold no newline, and the key count delimits each block
-        h.update(f"{block.value}\t{len(block_keys)}\n".encode("ascii"))
-        h.update("\n".join(map(str, block_keys)).encode("utf-8") + b"\n")
-    h.update(df.tobytes())
-    h.update(idf.tobytes())
-    return FeatureSpace(config, n_instances, vocab, df, idf, tuple(offsets), h.hexdigest())
+    return FeatureSpace(config, n_instances, vocab, df, idf, tuple(offsets))
 
 
 def fit_feature_space_from_counts(

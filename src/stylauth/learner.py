@@ -23,7 +23,8 @@ the two solvers' weights differ within that tolerance, and reported
 posteriors and ablation scores are pinned tighter than that.
 
 ``predict_proba`` and ``explain`` read one instance as a one-row CSR
-matrix, the row form that ``features.vectorize_counts`` makes.
+matrix, the row form that ``features.vectorize_counts`` makes. A model
+does not record its feature space; they check only the row's width.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class TrainedModel:
     classes: tuple[str, ...]
     weights: np.ndarray  # (d,) for binary, (k, d) for multiclass
     bias: np.ndarray  # (1,) for binary, (k,) for multiclass
-    C: float
-    space_fingerprint: str
     converged: bool
     n_iter: int
 
@@ -194,7 +193,6 @@ def train_binary(
     config: TrainConfig,
     classes: tuple[str, str] = ("negative", "positive"),
     C: float | None = None,
-    space_fingerprint: str = "",
     x0: np.ndarray | None = None,
 ) -> TrainedModel:
     """Fit a binary verifier; y holds 0 (negative) / 1 (positive) labels.
@@ -216,8 +214,6 @@ def train_binary(
         classes=classes,
         weights=result.x[:-1].copy(),
         bias=np.array([result.x[-1]]),
-        C=c,
-        space_fingerprint=space_fingerprint,
         converged=converged,
         n_iter=int(result.nit),
     )
@@ -228,7 +224,6 @@ def train_multiclass(
     y: Sequence[str],
     config: TrainConfig,
     C: float | None = None,
-    space_fingerprint: str = "",
     x0: np.ndarray | None = None,
 ) -> TrainedModel:
     """Fit a multinomial attributor over the distinct labels in y.
@@ -255,8 +250,6 @@ def train_multiclass(
         classes=classes,
         weights=theta[:, :-1].copy(),
         bias=theta[:, -1].copy(),
-        C=c,
-        space_fingerprint=space_fingerprint,
         converged=converged,
         n_iter=int(result.nit),
     )
@@ -273,18 +266,9 @@ def _check_row(x, dim: int) -> None:
         raise LearnerError(f"expected a one-row CSR matrix of width {dim}, got {shape}")
 
 
-def predict_proba(model: TrainedModel, x: sp.csr_matrix, space_fingerprint: str = "") -> Prediction:
-    """Posterior distribution over the model's classes for a one-row CSR matrix.
-
-    A nonempty ``space_fingerprint``, the space ``x`` was vectorized in,
-    must match the model's one.
-    """
+def predict_proba(model: TrainedModel, x: sp.csr_matrix) -> Prediction:
+    """Posterior distribution over the model's classes for a one-row CSR matrix."""
     _check_row(x, model.dim)
-    if space_fingerprint and model.space_fingerprint not in ("", space_fingerprint):
-        raise LearnerError(
-            "feature-space fingerprint mismatch: the row was built against a "
-            "different space than the model was trained on"
-        )
     if model.is_binary:
         score = float(model.weights[x.indices] @ x.data) + float(model.bias[0])
         p = float(expit(score))

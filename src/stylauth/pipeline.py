@@ -201,7 +201,7 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
     profiles: DistributionalProfiles | None = None
     synthetic = 0
     if config.dro is not None:
-        profiles = dro_mod.fit_profiles(X, space_fingerprint=space.fingerprint())
+        profiles = dro_mod.fit_profiles(X)
         extended = oversample(X, y, instance_ids, train.occurrences, profiles, config.dro, seed)
         X, y = extended_to_csr(X, extended, profiles.latent_dim)
         instance_ids = tuple(ex.example_id for ex in extended)
@@ -209,14 +209,7 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
 
     chosen_C, inner_scores = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
     classes = (f"not {config.target_author}", config.target_author)
-    model = train_binary(
-        X,
-        y,
-        config.learner,
-        classes=classes,
-        C=chosen_C,
-        space_fingerprint=space.fingerprint(),
-    )
+    model = train_binary(X, y, config.learner, classes=classes, C=chosen_C)
     return FittedClassifier(
         space=space,
         model=model,
@@ -231,18 +224,20 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
 def predict_document(
     fitted: FittedClassifier, text: Vectors, seed: int, replica: int = 0
 ) -> Prediction:
-    """Classify one unsegmented text, vectorized in the fitted space.
+    """Classify one unsegmented text, vectorized in ``fitted.space`` itself.
 
     When the fit oversampled, the text's row is extended against the
     training-fitted profiles; the replica index varies the extension
     randomness while keeping it reproducible.
     """
+    if text.space is not fitted.space:
+        raise ExperimentError("the text was vectorized in another feature space than the fit's")
     (instance,) = text.instances
-    x, fingerprint = text.X, text.space.fingerprint()
+    x = text.X
     if fitted.profiles is not None:
         rng = spawn_rng(seed, "test-extend", instance.instance_id, replica)
-        x = extend(x, fitted.profiles, text.occurrences[0], rng, fingerprint)
-    return predict_proba(fitted.model, x, fingerprint)
+        x = extend(x, fitted.profiles, text.occurrences[0], rng)
+    return predict_proba(fitted.model, x)
 
 
 def fit_attributor(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
@@ -256,9 +251,7 @@ def fit_attributor(train: Vectors, config: PipelineConfig, seed: int) -> FittedC
     chosen_C, inner_scores = tune_C(
         train.X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes)
     )
-    model = train_multiclass(
-        train.X, labels, config.learner, C=chosen_C, space_fingerprint=train.space.fingerprint()
-    )
+    model = train_multiclass(train.X, labels, config.learner, C=chosen_C)
     return FittedClassifier(
         space=train.space,
         model=model,

@@ -12,6 +12,17 @@ import pytest
 from stylauth.corpus import Corpus, load_corpus
 
 
+def assert_same_space(a, b) -> None:
+    """Two feature spaces hold the same keys in the same columns, and the same statistics."""
+    assert [(block, list(m.items())) for block, m in a.vocab.items()] == [
+        (block, list(m.items())) for block, m in b.vocab.items()
+    ]
+    assert a.block_offsets == b.block_offsets
+    assert a.n_instances == b.n_instances
+    assert a.df.tobytes() == b.df.tobytes()
+    assert a.idf.tobytes() == b.idf.tobytes()
+
+
 def write_corpus(
     tmp_path: Path,
     docs: list[dict],

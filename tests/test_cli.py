@@ -130,6 +130,13 @@ class TestExitCodes:
         assert main(["loo", "--config", str(config), *flags]) == EXIT_CONFIG
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "verify", "attribute", "similar"])
+    def test_threads_offered_only_to_fold_commands(self, tmp_path, command):
+        config = write_config(tmp_path, tmp_path / "manifest.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(config), "--threads", "2"])
+        assert exit_info.value.code == EXIT_CONFIG
+
     def test_verify_without_disputed_text_fails(self, tmp_path):
         manifest = make_styled_corpus(tmp_path, {"Aldus": 2, "Benno": 2}, n_tokens=150)
         config = write_config(tmp_path, manifest, disputed="nope")

@@ -139,14 +139,6 @@ class TestExtend:
         with pytest.raises(DroError):
             extend(x, self._profiles(d=3), 5, spawn_rng(0, "t"))
 
-    def test_fingerprint_mismatch_rejected(self):
-        X = sp.csr_matrix(np.ones((2, 1)))
-        profiles = fit_profiles(X, space_fingerprint="space-a")
-        x = make_row([0], [1.0], 1)
-        extend(x, profiles, 5, spawn_rng(0, "t"), space_fingerprint="space-a")
-        with pytest.raises(DroError):
-            extend(x, profiles, 5, spawn_rng(0, "t"), space_fingerprint="space-b")
-
     def test_latent_indices_offset_past_natural_block(self):
         profiles = self._profiles()
         extended = extend(make_row([1], [1.0], 3), profiles, 30, spawn_rng(3, "t"))

@@ -282,7 +282,7 @@ class TestAttributionContingency:
             train = training_vectors([d for d in docs if d is not doc], config, cache)
             fitted = fit_attributor(train, config, stable_seed(5, "aa-loo", doc.id))
             text = cache.vectorize([Instance(doc=doc)], fitted.space)
-            prediction = predict_proba(fitted.model, text.X, fitted.space.fingerprint())
+            prediction = predict_proba(fitted.model, text.X)
             assert (true, predicted) == (doc.author, prediction.predicted_class)
             assert confidence == prediction.posterior_of(doc.author)
 

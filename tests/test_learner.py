@@ -219,8 +219,6 @@ class TestPredict:
             classes=("neg", "pos"),
             weights=np.zeros(3),
             bias=np.array([0.0]),
-            C=1.0,
-            space_fingerprint="",
             converged=True,
             n_iter=0,
         )
@@ -231,8 +229,6 @@ class TestPredict:
             classes=("neg", "pos"),
             weights=np.array([math.log(3.0)]),
             bias=np.array([0.0]),
-            C=1.0,
-            space_fingerprint="",
             converged=True,
             n_iter=0,
         )
@@ -257,14 +253,6 @@ class TestPredict:
         model = train_binary(np.array([[-1.0], [1.0]]), [0, 1], TrainConfig())
         with pytest.raises(LearnerError):
             predict_proba(model, x)
-
-    def test_fingerprint_mismatch_rejected(self):
-        model = train_binary(
-            np.array([[-1.0], [1.0]]), [0, 1], TrainConfig(), space_fingerprint="abc"
-        )
-        predict_proba(model, row([1.0]), space_fingerprint="abc")
-        with pytest.raises(LearnerError):
-            predict_proba(model, row([1.0]), space_fingerprint="different")
 
     def test_matrix_predictions_match_single(self):
         rng = np.random.default_rng(51)
@@ -554,9 +542,7 @@ class TestExplain:
         )
         space = fit_feature_space(docs, config)
         X, _ = vectorize(docs, space)
-        model = train_binary(
-            X, [1, 0], TrainConfig(), space_fingerprint=space.fingerprint()
-        )
+        model = train_binary(X, [1, 0], TrainConfig())
         return space, model
 
     def test_zero_vector_has_no_contributions(self):
@@ -577,7 +563,7 @@ class TestExplain:
         x, _ = vectorize([doc], space)
         ranked = explain(model, x, space.column_names(), top_k=space.dim)
         total = sum(c for _, c in ranked) + float(model.bias[0])
-        p = predict_proba(model, x, space.fingerprint()).positive_posterior
+        p = predict_proba(model, x).positive_posterior
         assert 1.0 / (1.0 + math.exp(-total)) == pytest.approx(p)
 
     def test_multiclass_rejected(self):
@@ -588,7 +574,7 @@ class TestExplain:
 
     def test_every_contribution_returned_up_to_top_k(self):
         model = TrainedModel(("neg", "pos"), np.array([1.0, -3.0, 2.0]), np.array([0.0]),
-                             1.0, "", True, 0)
+                             True, 0)
         names = ["f0", "f1", "f2"]
         ranked = explain(model, row([1.0, 1.0, 1.0]), names, top_k=3)
         assert ranked == [("f1", -3.0), ("f2", 2.0), ("f0", 1.0)]

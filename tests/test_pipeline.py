@@ -31,7 +31,7 @@ from stylauth.pipeline import (
     training_vectors,
 )
 
-from conftest import make_styled_corpus
+from conftest import assert_same_space, make_styled_corpus
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ class TestVectors:
         space, columns = full.space.restricted_to(blocks)
         pool = full.restricted(space, columns, cache)
         direct = training_vectors(training_documents(corpus), config.with_blocks(blocks), cache)
-        assert pool.space.fingerprint() == direct.space.fingerprint()
+        assert_same_space(pool.space, direct.space)
         assert pool.instances == direct.instances
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(pool.X, part), getattr(direct.X, part))
@@ -186,6 +186,29 @@ class TestFitVerifier:
         train = training_vectors(training_documents(corpus), config, CountsCache(config.features))
         with pytest.raises(ExperimentError):
             fit_verifier(train, config, seed=7)
+
+
+class TestPredictDocument:
+    @pytest.mark.parametrize(
+        "fit", [fit_verifier, fit_attributor], ids=["dro-verifier", "attributor"]
+    )
+    def test_text_from_an_equal_but_distinct_space_rejected(self, corpus, monkeypatch, fit):
+        config = fast_config(dro=True, ratio=0.7)
+        cache = CountsCache(config.features)
+        docs = training_documents(corpus)
+        fitted = fit(training_vectors(docs, config, cache), config, 7)
+        assert fitted.uses_dro == (fit is fit_verifier)
+        twin = training_vectors(docs, config, cache).space
+        assert_same_space(twin, fitted.space)
+        disputed = [Instance(doc=corpus.get("disputed-text"))]
+        predict_document(fitted, cache.vectorize(disputed, fitted.space), seed=7)
+
+        def no_extension(*args):
+            raise AssertionError("extended a row from another space")
+
+        monkeypatch.setattr("stylauth.pipeline.extend", no_extension)
+        with pytest.raises(ExperimentError, match="another feature space"):
+            predict_document(fitted, cache.vectorize(disputed, twin), seed=7)
 
 
 class TestFitAttributor:

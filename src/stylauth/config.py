@@ -9,7 +9,7 @@ from typing import Any
 
 from .corpus import read_word_list
 from .dro import DroConfig
-from .errors import ConfigError, DroError, FeatureError, LearnerError, MissingFileError
+from .errors import ConfigError, DroError, ExperimentError, FeatureError, LearnerError, MissingFileError
 from .features import FeatureBlock, FeatureConfig
 from .learner import TrainConfig
 from .pipeline import PipelineConfig, SegmentationConfig
@@ -102,10 +102,13 @@ def _parse_segmentation(section: Any) -> SegmentationConfig:
     if not isinstance(section, dict):
         raise ConfigError("'segmentation' must be an object")
     _check_keys(section, {"min_tokens", "include_full_texts"}, "segmentation")
-    return SegmentationConfig(
-        min_tokens=_optional(section, "min_tokens", int, 400, "segmentation"),
-        include_full_texts=_optional(section, "include_full_texts", bool, True, "segmentation"),
-    )
+    try:
+        return SegmentationConfig(
+            min_tokens=_optional(section, "min_tokens", int, 400, "segmentation"),
+            include_full_texts=_optional(section, "include_full_texts", bool, True, "segmentation"),
+        )
+    except ExperimentError as exc:
+        raise ConfigError(f"segmentation: {exc}") from None
 
 
 def _parse_dro(section: Any) -> DroConfig | None:

@@ -192,10 +192,10 @@ def _run_fold(
     for blocks in pools:
         pool_start = time.perf_counter()
         space, columns = full_train.space.restricted_to(blocks)
-        fitted = study.fit(full_train.restricted(space, columns, cache), config, fold_seed)
+        fitted = study.fit(full_train.restricted(space, columns), config, fold_seed)
         if fold_listener is not None:
             fold_listener(held_out.id, fitted)
-        text = full_text.restricted(space, columns, cache)
+        text = full_text.restricted(space, columns)
         classes = fitted.model.classes
         record = TextPrediction(
             text_id=held_out.id,

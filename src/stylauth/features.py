@@ -15,16 +15,19 @@ Eight feature blocks are supported, all topic-agnostic by design:
   its characters with ``*``; dvex keeps the first and last character)
 
 Raw counts live in a CountsStore: one sparse count matrix per block, one
-row per instance. A FeatureSpace is fitted on training rows only: its
-vocabulary is the store columns seen in training (plus every entry of
-list-backed blocks), in sorted key order, and IDF uses the smoothed form
-ln((1+N)/(1+df)) + 1 so that it is always finite and positive.
-Vectorization computes within-block relative frequencies, multiplies by
-IDF, and L2-normalizes each block sub-vector independently so blocks of
-wildly different dimensionality contribute comparable mass. Its result,
-one CSR row per instance, is the only row form downstream: oversampling,
-training, prediction and similarity all read CSR matrices, and a single
-instance is a one-row matrix, which does not record its space.
+row per instance. A FeatureSpace is fitted on training rows only: each
+block's vocabulary is the store columns seen in training (plus every entry
+of list-backed blocks), in sorted key order, and maps a key to its column
+within the block, so a space restricted to some blocks shares their
+vocabularies. IDF uses the smoothed form ln((1+N)/(1+df)) + 1 so that it
+is always finite and positive. Vectorization computes within-block
+relative frequencies, multiplies by IDF, and L2-normalizes each block
+sub-vector independently so blocks of wildly different dimensionality
+contribute comparable mass; it also returns each row's raw count total
+per block. Its matrix, one CSR row per instance, is the only row form
+downstream: oversampling, training, prediction and similarity all read
+CSR matrices, and a single instance is a one-row matrix, which does not
+record its space.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -318,6 +322,9 @@ class FeatureConfig:
         if not self.enabled_blocks:
             raise FeatureError("at least one feature block must be enabled")
         orders = {FeatureBlock(k): frozenset(v) for k, v in self.ngram_orders.items()}
+        without = sorted(b.value for b in orders.keys() - NGRAM_BLOCKS)
+        if without:
+            raise FeatureError(f"ngram orders given for blocks without n-grams: {without}")
         for block in NGRAM_BLOCKS & self.enabled_blocks:
             block_orders = orders.get(block, _DEFAULT_ORDERS)
             if not block_orders:
@@ -418,7 +425,6 @@ class CountsStore:
         self._index = {b: {w: i for i, w in enumerate(lists.get(b, ()))} for b in blocks}
         self._rows: dict[FeatureBlock, list[np.ndarray]] = {b: [] for b in blocks}
         self._blocks: dict[FeatureBlock, tuple[np.ndarray, sp.csr_matrix]] = {}
-        self._totals: dict[FeatureBlock, np.ndarray] = {}
 
     def add(self, counts: Mapping[FeatureBlock, BlockCounts]) -> int:
         """Append one instance's counts as a new row; returns its row index."""
@@ -428,7 +434,6 @@ class CountsStore:
             pairs = np.array([cols, list(block_counts.values())], dtype=np.int64)
             self._rows[block].append(pairs)  # shape (2, n): columns, counts
         self._blocks.clear()
-        self._totals.clear()
         self.n_rows += 1
         return self.n_rows - 1
 
@@ -449,17 +454,6 @@ class CountsStore:
             cached = self._blocks[block] = (np.array(keys, dtype=object), counts)
         return cached
 
-    def occurrences(self, rows: Sequence[int], blocks: Iterable[FeatureBlock]) -> np.ndarray:
-        """Raw count total of each of ``rows`` over ``blocks``."""
-        out = np.zeros(len(rows), dtype=np.int64)
-        for block in blocks:
-            totals = self._totals.get(block)
-            if totals is None:
-                counts = self.block(block)[1]
-                totals = self._totals[block] = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel()
-            out += totals[rows]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Feature space
@@ -472,34 +466,30 @@ class FeatureSpace:
 
     config: FeatureConfig
     n_instances: int
-    vocab: dict[FeatureBlock, dict[FeatureKey, int]]  # key -> global column
+    vocab: dict[FeatureBlock, dict[FeatureKey, int]]  # key -> column within its block
     df: np.ndarray
     idf: np.ndarray
-    block_offsets: tuple[tuple[FeatureBlock, int, int], ...]
+    # (block, start, end) columns of each block, side by side in vocab order
+    block_offsets: tuple[tuple[FeatureBlock, int, int], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        ends = list(accumulate(len(mapping) for mapping in self.vocab.values()))
+        self.block_offsets = tuple(zip(self.vocab, [0, *ends], ends))
 
     @property
     def dim(self) -> int:
         return int(self.df.shape[0])
 
-    def block_range(self, block: FeatureBlock) -> tuple[int, int]:
-        for b, start, end in self.block_offsets:
-            if b is block:
-                return (start, end)
-        raise FeatureError(f"block {block.value} not in this space")
-
     def column_names(self) -> list[str]:
-        names = [""] * self.dim
-        for block, mapping in self.vocab.items():
-            for key, col in mapping.items():
-                names[col] = f"{block.value}:{key}"
-        return names
+        return [f"{block.value}:{key}" for block, mapping in self.vocab.items() for key in mapping]
 
     def restricted_to(self, blocks: Iterable[FeatureBlock]) -> tuple["FeatureSpace", np.ndarray]:
         """The space a fit on the same rows over only ``blocks`` gives, and its columns here.
 
         A block's keys, df and IDF depend only on the training rows, so the
-        restricted space equals a direct fit, and the given columns of a
-        vectorized row are its row in the restricted space.
+        restricted space equals a direct fit and shares this space's block
+        vocabularies, and the given columns of a vectorized row are its row
+        in the restricted space.
         """
         wanted = set(blocks)
         if not wanted <= self.config.enabled_blocks:
@@ -510,20 +500,9 @@ class FeatureSpace:
         config = self.config.restricted_to(wanted)  # rejects an empty pool
         kept = [(b, start, end) for b, start, end in self.block_offsets if b in wanted]
         columns = np.concatenate([np.arange(start, end) for _, start, end in kept])
-        keys = {b: list(self.vocab[b]) for b, _, _ in kept}
-        space = _space(config, self.n_instances, keys, self.df[columns], self.idf[columns])
+        vocab = {b: self.vocab[b] for b, _, _ in kept}
+        space = FeatureSpace(config, self.n_instances, vocab, self.df[columns], self.idf[columns])
         return space, columns
-
-
-def _space(config: FeatureConfig, n_instances: int, keys: Mapping[FeatureBlock, list],
-           df: np.ndarray, idf: np.ndarray) -> FeatureSpace:
-    """A space whose columns are the given keys, block after block."""
-    vocab, offsets = {}, []
-    for block, block_keys in keys.items():
-        start = offsets[-1][2] if offsets else 0
-        vocab[block] = dict(zip(block_keys, range(start, start + len(block_keys))))
-        offsets.append((block, start, start + len(block_keys)))
-    return FeatureSpace(config, n_instances, vocab, df, idf, tuple(offsets))
 
 
 def fit_feature_space_from_counts(
@@ -535,17 +514,17 @@ def fit_feature_space_from_counts(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[0] == 0:
         raise FeatureError("cannot fit a feature space on an empty training set")
-    keys: dict[FeatureBlock, list] = {}
+    vocab: dict[FeatureBlock, dict[FeatureKey, int]] = {}
     dfs: list[np.ndarray] = []
     for block in config.blocks_in_order():
         block_keys, counts = store.block(block)
         df = np.bincount(counts[rows].indices, minlength=block_keys.shape[0])
         kept = np.arange(df.shape[0]) if block in LIST_BLOCKS else np.flatnonzero(df)
-        keys[block] = block_keys[kept].tolist()
+        vocab[block] = {key: col for col, key in enumerate(block_keys[kept].tolist())}
         dfs.append(df[kept])
     n = int(rows.shape[0])
     df = np.concatenate(dfs)
-    return _space(config, n, keys, df, np.log((1.0 + n) / (1.0 + df)) + 1.0)
+    return FeatureSpace(config, n, vocab, df, np.log((1.0 + n) / (1.0 + df)) + 1.0)
 
 
 def fit_feature_space(
@@ -565,44 +544,45 @@ def fit_feature_space(
 def vectorize_counts(
     store: CountsStore, rows: Sequence[int], space: FeatureSpace
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """TFIDF matrix of a store's ``rows`` over ``space``, and their occurrence counts.
+    """TFIDF matrix of a store's ``rows`` over ``space``, and their block totals.
 
     TF divides by the block's whole count, features unseen in training
-    included, and each block of each row is L2-normalized. An occurrence
-    count is the row's raw total over the space's blocks. Each row's
-    columns ascend and its values are positive.
+    included, and each block of each row is L2-normalized. The block
+    totals are those raw counts: one row per store row, one column per
+    entry of ``space.block_offsets``. Each row's columns ascend and its
+    values are positive.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = int(rows.shape[0])
-    occurrences = np.zeros(n, dtype=np.int64)
     blocks: list[sp.csr_matrix] = []
+    block_totals: list[np.ndarray] = []
     for block, start, end in space.block_offsets:
         keys, counts = store.block(block)
         counts = counts[rows]
         mapping = space.vocab[block]
         column = np.array([mapping.get(k, -1) for k in keys.tolist()], dtype=np.int64)
         totals = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel()
-        occurrences += totals
+        block_totals.append(totals)
         row_of = np.repeat(np.arange(n), np.diff(counts.indptr))
         cols = column[counts.indices]
         kept = cols >= 0
         row_of, cols = row_of[kept], cols[kept]
-        values = counts.data[kept] / totals[row_of] * space.idf[cols]
+        values = counts.data[kept] / totals[row_of] * space.idf[start:end][cols]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n))))
         # one np.sum per block row, as per-vector code sums: a one-pass sum
         # differs in the last bit, which L-BFGS magnifies in fitted models
         bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
         values /= np.sqrt([np.sum(values[a:b] * values[a:b]) for a, b in bounds])[row_of]
-        blocks.append(sp.csr_matrix((values, cols - start, indptr), shape=(n, end - start)))
+        blocks.append(sp.csr_matrix((values, cols, indptr), shape=(n, end - start)))
     X = sp.hstack(blocks, format="csr")
     X.sort_indices()
-    return X, occurrences
+    return X, np.column_stack(block_totals)
 
 
 def vectorize(
     instances: Sequence[Instance | Document], space: FeatureSpace
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """TFIDF matrix and occurrence counts of ``instances``, as ``vectorize_counts``
+    """TFIDF matrix and block totals of ``instances``, as ``vectorize_counts``
     gives them, from a one-off store.
     """
     store = CountsStore(space.config)

@@ -7,8 +7,9 @@ profiles and extend the training set, tune C, train. Raw feature counts
 depend only on the instance and the feature config, never on the fold,
 so one CountsCache per command, a sparse counts store keyed by instance
 id, serves every fold and block pool. Within a fold, a block pool's
-vectors are a column slice of a larger pool's (``Vectors.restricted``),
-so one vectorized training set serves every pool the fold scores.
+vectors are a column slice of a larger pool's, with the kept blocks' raw
+count totals (``Vectors.restricted``), so one vectorized training set
+serves every pool the fold scores without the counts store.
 """
 
 from __future__ import annotations
@@ -65,24 +66,28 @@ class PipelineConfig:
 
 @dataclass
 class Vectors:
-    """Instances as TFIDF rows over a space, with their occurrence counts."""
+    """Instances as TFIDF rows over a space, with their raw count totals per block."""
 
     instances: tuple[Instance, ...]
-    rows: np.ndarray  # the instances' rows in the counts cache
     space: FeatureSpace
     X: sp.csr_matrix
-    occurrences: np.ndarray
+    block_totals: np.ndarray  # one row per instance, one column per block of the space
 
-    def restricted(self, space: FeatureSpace, columns: np.ndarray, cache: CountsStore) -> "Vectors":
+    @property
+    def occurrences(self) -> np.ndarray:
+        """Each instance's raw count total over the space's blocks."""
+        return self.block_totals.sum(axis=1)
+
+    def restricted(self, space: FeatureSpace, columns: np.ndarray) -> "Vectors":
         """These instances over ``space``, where ``(space, columns)`` is
         ``self.space.restricted_to(blocks)``: equal to vectorizing them in ``space``.
         """
         if space is self.space:
             return self
-        blocks = [block for block, _, _ in space.block_offsets]
+        kept = [i for i, (b, _, _) in enumerate(self.space.block_offsets) if b in space.vocab]
         X = self.X[:, columns]
         X.sort_indices()
-        return Vectors(self.instances, self.rows, space, X, cache.occurrences(self.rows, blocks))
+        return Vectors(self.instances, space, X, self.block_totals[:, kept])
 
 
 class CountsCache(CountsStore):
@@ -106,11 +111,10 @@ class CountsCache(CountsStore):
         return np.asarray(out, dtype=np.int64)
 
     def vectorize(self, instances: Iterable[Instance], space: FeatureSpace) -> Vectors:
-        """TFIDF rows of ``instances`` over ``space`` and their occurrence counts."""
+        """TFIDF rows of ``instances`` over ``space`` and their block totals."""
         instances = tuple(instances)
-        rows = self.rows(instances)
-        X, occurrences = vectorize_counts(self, rows, space)
-        return Vectors(instances, rows, space, X, occurrences)
+        X, block_totals = vectorize_counts(self, self.rows(instances), space)
+        return Vectors(instances, space, X, block_totals)
 
 
 def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> CountsCache:

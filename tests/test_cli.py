@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import stylauth
 from stylauth import pipeline
 from stylauth.cli import (
     EXIT_CONFIG,
@@ -121,6 +125,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert repr(key) in err
         assert (section or "config") in err
+
+    @pytest.mark.parametrize(
+        "section, extra",
+        [
+            ("segmentation", {"segmentation": {"min_tokens": 0}}),
+            ("segmentation", {"segmentation": {"min_tokens": -5}}),
+            ("features", {"features": {
+                "blocks": ["char_ngrams", "token_lengths"],
+                "ngram_orders": {"char_ngrams": [1], "token_lengths": [1]},
+            }}),
+        ],
+    )
+    def test_invalid_section_value_rejected(self, tmp_path, capsys, section, extra):
+        config = write_config(tmp_path, tmp_path / "manifest.csv", extra=extra)
+        assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
+        assert f"error: {section}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, flags", [({"threads": 0}, []), ({"threads": -3}, []), ({}, ["--threads", "0"])]
@@ -335,6 +355,18 @@ class TestDeterminism:
         a = self._payload(tmp_path / "r1" / "loo_report.json")
         b = self._payload(tmp_path / "r2" / "loo_report.json")
         assert a == b
+        # fresh processes with different string hashing agree too
+        src = str(Path(stylauth.__file__).resolve().parents[1])
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "stylauth.cli", "loo", "--config", str(config),
+                 "--output-dir", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            assert self._payload(out / "loo_report.json") == a
 
     def test_seed_override_changes_payload(self, tmp_path):
         manifest = make_styled_corpus(

@@ -42,6 +42,12 @@ def doc_of(text: str, doc_id: str = "doc") -> Instance:
     return Instance(doc=build_document(doc_id, "author", "Title", text))
 
 
+def space_columns(space, block: FeatureBlock) -> dict:
+    """Each key of ``block`` and its column in the whole space."""
+    start = next(start for b, start, _ in space.block_offsets if b is block)
+    return {key: start + col for key, col in space.vocab[block].items()}
+
+
 def annotated_doc(tmp_path, text, rows):
     manifest = write_corpus(
         tmp_path,
@@ -244,6 +250,15 @@ class TestFeatureConfig:
                 ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 4}},
             )
 
+    @pytest.mark.parametrize("block", [FeatureBlock.FUNCTION_WORDS, FeatureBlock.TOKEN_LENGTHS])
+    def test_rejects_orders_for_a_block_without_ngrams(self, block):
+        with pytest.raises(FeatureError, match=block.value):
+            FeatureConfig(
+                enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+                ngram_orders={FeatureBlock.CHAR_NGRAMS: {1}, block: {1}},
+                function_words=("et",),
+            )
+
     def test_rejects_empty_orders(self):
         with pytest.raises(FeatureError):
             FeatureConfig(
@@ -292,14 +307,14 @@ def char1_config() -> FeatureConfig:
 class TestFitFeatureSpace:
     def test_vocabulary_union_and_df(self):
         space = fit_feature_space([doc_of("ab", "d1"), doc_of("bc", "d2")], char1_config())
-        vocab = space.vocab[FeatureBlock.CHAR_NGRAMS]
+        vocab = space_columns(space, FeatureBlock.CHAR_NGRAMS)
         assert set(vocab) == {"a", "b", "c"}
         df = {k: int(space.df[v]) for k, v in vocab.items()}
         assert df == {"a": 1, "b": 2, "c": 1}
 
     def test_idf_of_ubiquitous_feature_is_one(self):
         space = fit_feature_space([doc_of("ab", "d1"), doc_of("ba", "d2")], char1_config())
-        vocab = space.vocab[FeatureBlock.CHAR_NGRAMS]
+        vocab = space_columns(space, FeatureBlock.CHAR_NGRAMS)
         for key in ("a", "b"):
             assert space.idf[vocab[key]] == pytest.approx(1.0)
 
@@ -307,7 +322,7 @@ class TestFitFeatureSpace:
         space = fit_feature_space(
             [doc_of("ab", "d1"), doc_of("bb", "d2"), doc_of("bc", "d3")], char1_config()
         )
-        vocab = space.vocab[FeatureBlock.CHAR_NGRAMS]
+        vocab = space_columns(space, FeatureBlock.CHAR_NGRAMS)
         assert space.idf[vocab["a"]] == pytest.approx(math.log(4 / 2) + 1)
         assert space.idf[vocab["b"]] == pytest.approx(math.log(4 / 4) + 1)
 
@@ -332,10 +347,10 @@ class TestFitFeatureSpace:
         space = fit_feature_space([doc_of("ab cde", "d1")], config)
         sizes = [end - start for _, start, end in space.block_offsets]
         assert sum(sizes) == space.dim
-        cols = sorted(
-            col for mapping in space.vocab.values() for col in mapping.values()
-        )
+        cols = sorted(col for block in space.vocab for col in space_columns(space, block).values())
         assert cols == list(range(space.dim))
+        for block, start, end in space.block_offsets:
+            assert sorted(space.vocab[block].values()) == list(range(end - start))
 
     def test_permutation_invariant(self):
         docs = [doc_of("ab", "d1"), doc_of("bc", "d2"), doc_of("ca", "d3")]
@@ -399,7 +414,7 @@ def test_matrix_path_matches_dict_reference(counts_list, data):
     store = CountsStore(config)
     rows = [store.add(counts) for counts in counts_list]
     space = fit_feature_space_from_counts(store, train, config)
-    X, occurrences = vectorize_counts(store, rows, space)
+    X, block_totals = vectorize_counts(store, rows, space)
 
     columns, df, idf, expected, expected_occurrences = _reference_tfidf(
         counts_list, train, config
@@ -410,7 +425,10 @@ def test_matrix_path_matches_dict_reference(counts_list, data):
     assert np.allclose(space.idf, idf, rtol=0, atol=1e-12)
     assert X.shape == expected.shape
     assert np.allclose(X.toarray(), expected, rtol=0, atol=1e-12)
-    assert occurrences.tolist() == expected_occurrences
+    assert block_totals.sum(axis=1).tolist() == expected_occurrences
+    assert block_totals.tolist() == [
+        [sum(counts[block].values()) for block in config.blocks_in_order()] for counts in counts_list
+    ]
 
 
 @settings(deadline=None)
@@ -427,21 +445,24 @@ def test_restricted_space_and_rows_equal_a_direct_fit(counts_list, data):
     store = CountsStore(config)
     rows = [store.add(counts) for counts in counts_list]
     full = fit_feature_space_from_counts(store, train, config)
-    X, _ = vectorize_counts(store, rows, full)
+    X, block_totals = vectorize_counts(store, rows, full)
 
     space, columns = full.restricted_to(blocks)
     direct = fit_feature_space_from_counts(store, train, config.restricted_to(blocks))
     assert space.config == direct.config
     assert_same_space(space, direct)
+    assert all(space.vocab[block] is full.vocab[block] for block in space.vocab)
 
-    expected, expected_occurrences = vectorize_counts(store, rows, direct)
+    expected, expected_totals = vectorize_counts(store, rows, direct)
     sliced = X[:, columns]
     sliced.sort_indices()
     assert sliced.shape == expected.shape
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sliced, part), getattr(expected, part))
     assert sliced.data.tobytes() == expected.data.tobytes()
-    assert np.array_equal(store.occurrences(rows, blocks), expected_occurrences)
+    kept = [i for i, (block, _, _) in enumerate(full.block_offsets) if block in blocks]
+    assert np.array_equal(block_totals[:, kept], expected_totals)
+    assert np.array_equal(block_totals[:, kept].sum(axis=1), expected_totals.sum(axis=1))
 
 
 def test_restricting_to_every_block_returns_the_space_itself():
@@ -515,8 +536,8 @@ class TestVectorize:
 
     def test_occurrence_count_includes_unseen(self):
         space = fit_feature_space([doc_of("ab", "d1")], char1_config())
-        _, occurrences = vectorize([doc_of("abzz", "x")], space)
-        assert occurrences.tolist() == [4]
+        _, block_totals = vectorize([doc_of("abzz", "x")], space)
+        assert block_totals.tolist() == [[4]]
 
     def test_indices_strictly_increasing(self):
         config = FeatureConfig(

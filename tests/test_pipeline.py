@@ -102,8 +102,8 @@ class TestCountsCache:
 
         def fit_and_vectorize():
             space = fit_feature_space_from_counts(cache, rows, config.features)
-            X = vectorize_counts(cache, rows, space)[0].toarray()
-            return np.column_stack([X, cache.occurrences(rows, config.features.enabled_blocks)])
+            X, block_totals = vectorize_counts(cache, rows, space)
+            return np.column_stack([X.toarray(), block_totals])
 
         expected = fit_and_vectorize()
         cache.rows([Instance(doc=corpus.get("disputed-text"))])  # drops the built matrices
@@ -139,14 +139,16 @@ class TestVectors:
         cache = CountsCache(config.features)
         full = training_vectors(training_documents(corpus), config, cache)
         space, columns = full.space.restricted_to(blocks)
-        pool = full.restricted(space, columns, cache)
+        pool = full.restricted(space, columns)
         direct = training_vectors(training_documents(corpus), config.with_blocks(blocks), cache)
         assert_same_space(pool.space, direct.space)
+        assert all(pool.space.vocab[b] is full.space.vocab[b] for b in pool.space.vocab)
         assert pool.instances == direct.instances
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(pool.X, part), getattr(direct.X, part))
+        assert np.array_equal(pool.block_totals, direct.block_totals)
         assert np.array_equal(pool.occurrences, direct.occurrences)
-        assert full.restricted(full.space, np.arange(full.space.dim), cache) is full
+        assert full.restricted(full.space, np.arange(full.space.dim)) is full
 
 
 class TestFitVerifier:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .corpus import read_word_list
+from .corpus import read_user_file, read_word_list
 from .dro import DroConfig
-from .errors import ConfigError, DroError, ExperimentError, FeatureError, LearnerError, MissingFileError
+from .errors import ConfigError, CorpusError, DroError, ExperimentError, FeatureError, LearnerError
 from .features import FeatureBlock, FeatureConfig
 from .learner import TrainConfig
 from .pipeline import PipelineConfig, SegmentationConfig
@@ -82,7 +82,7 @@ def _parse_features(section: Any, base: Path) -> FeatureConfig:
             return ()
         try:
             return read_word_list(base / rel)
-        except MissingFileError as exc:
+        except CorpusError as exc:
             raise ConfigError(str(exc)) from None
 
     try:
@@ -151,10 +151,10 @@ def _parse_learner(section: Any) -> TrainConfig:
 def load_run_config(path: Path | str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_user_file(path, "config file"))
+    except CorpusError as exc:
+        raise ConfigError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

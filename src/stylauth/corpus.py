@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import re
@@ -33,6 +34,7 @@ from .errors import (
     CorpusError,
     DuplicateIdError,
     EmptyTextError,
+    ExperimentError,
     MissingAuthorError,
     MissingFileError,
     UnbalancedQuotationError,
@@ -97,7 +99,6 @@ class Document:
     author: str
     title: str
     genre: str | None
-    raw_text: str
     normalized_text: str
     tokens: list[Token]
     sentences: list[tuple[int, int]]  # half-open token-index ranges
@@ -221,7 +222,7 @@ def segment(doc: Document, min_tokens: int = 400) -> list[Segment]:
     oversized segment rather than being split.
     """
     if min_tokens <= 0:
-        raise ValueError(f"min_tokens must be positive, got {min_tokens}")
+        raise ExperimentError(f"min_tokens must be positive, got {min_tokens}")
     segments: list[Segment] = []
     seg_start: int | None = None
     for sent_start, sent_end in doc.sentences:
@@ -269,7 +270,6 @@ def build_document(
         author=author,
         title=title,
         genre=genre,
-        raw_text=raw_text,
         normalized_text=normalized,
         tokens=tokens,
         sentences=sentences,
@@ -326,6 +326,21 @@ class Corpus:
         return h.hexdigest()
 
 
+def read_user_file(path: Path, what: str, newline: str | None = None) -> str:
+    """The UTF-8 text of a file a user named; ``what`` names the file in errors.
+
+    Raises MissingFileError when there is no such file and CorpusError when
+    it is not UTF-8. ``newline`` is passed to ``open``.
+    """
+    if not path.is_file():
+        raise MissingFileError(f"{what} not found: {path}")
+    try:
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{what} is not UTF-8 (byte {exc.start}): {path}") from None
+
+
 _ANNOTATION_HEADER = "#tagset"
 
 
@@ -338,9 +353,7 @@ def load_annotations(path: Path | str, doc: Document) -> AnnotationLayer:
     tag must belong to the declared sets.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"annotation file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_user_file(path, "annotation file").splitlines()
     if not lines or not lines[0].startswith(_ANNOTATION_HEADER):
         raise AnnotationError(f"{path}: first line must be a {_ANNOTATION_HEADER} header")
     header = lines[0].split("\t")
@@ -386,13 +399,23 @@ def load_annotations(path: Path | str, doc: Document) -> AnnotationLayer:
 
 def _read_manifest_records(manifest_path: Path) -> list[dict]:
     if manifest_path.suffix.lower() == ".json":
-        with manifest_path.open(encoding="utf-8") as fh:
-            records = json.load(fh)
+        try:
+            records = json.loads(read_user_file(manifest_path, "manifest"))
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{manifest_path}: invalid JSON ({exc})") from None
         if not isinstance(records, list):
             raise CorpusError(f"{manifest_path}: JSON manifest must be a list of records")
         return records
-    with manifest_path.open(encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    text = read_user_file(manifest_path, "manifest", newline="")
+    return list(csv.DictReader(io.StringIO(text, newline="")))
+
+
+def _field(rec: dict, key: str, where: str) -> str:
+    """A record's text field, or "" when it is missing or null."""
+    value = rec.get(key)
+    if value is not None and not isinstance(value, str):
+        raise CorpusError(f"{where}: field {key!r} must be a string, got {value!r}")
+    return value or ""
 
 
 _ID_FORBIDDEN = set("[]\t\n\r")
@@ -407,8 +430,6 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
     the reserved author value ``UNKNOWN``.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise MissingFileError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     records = _read_manifest_records(manifest_path)
 
@@ -417,9 +438,10 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CorpusError(f"{manifest_path}: record {i} is not an object")
-        doc_id = (rec.get("id") or "").strip()
+        doc_id = _field(rec, "id", f"{manifest_path}: record {i}").strip()
         if not doc_id:
             raise CorpusError(f"{manifest_path}: record {i} has no id")
+        where = f"{manifest_path}: document {doc_id!r}"
         if _ID_FORBIDDEN & set(doc_id):
             raise CorpusError(
                 f"{manifest_path}: id {doc_id!r} contains a forbidden character "
@@ -428,23 +450,21 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
         if doc_id in seen:
             raise DuplicateIdError(f"{manifest_path}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
-        author = (rec.get("author") or "").strip()
+        author = _field(rec, "author", where).strip()
         if not author:
-            raise MissingAuthorError(f"{manifest_path}: document {doc_id!r} has no author")
-        title = (rec.get("title") or doc_id).strip()
-        genre = (rec.get("genre") or "").strip() or None
-        text_rel = (rec.get("text_path") or "").strip()
+            raise MissingAuthorError(f"{where} has no author")
+        title = (_field(rec, "title", where) or doc_id).strip()
+        genre = _field(rec, "genre", where).strip() or None
+        text_rel = _field(rec, "text_path", where).strip()
         if not text_rel:
-            raise CorpusError(f"{manifest_path}: document {doc_id!r} has no text_path")
+            raise CorpusError(f"{where} has no text_path")
         text_path = base / text_rel
-        if not text_path.is_file():
-            raise MissingFileError(f"text file not found for {doc_id!r}: {text_path}")
-        raw_text = text_path.read_text(encoding="utf-8")
+        raw_text = read_user_file(text_path, f"text file for {doc_id!r}")
         if not raw_text.strip():
             raise EmptyTextError(f"text file for {doc_id!r} is empty: {text_path}")
         doc = build_document(doc_id, author, title, raw_text, genre=genre)
 
-        ann_rel = (rec.get("annotations_path") or "").strip()
+        ann_rel = _field(rec, "annotations_path", where).strip()
         if ann_rel:
             doc.annotations = load_annotations(base / ann_rel, doc)
         documents.append(doc)
@@ -462,11 +482,9 @@ def read_word_list(path: Path | str) -> tuple[str, ...]:
     lists written with v/j spellings still match normalized tokens.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"resource list not found: {path}")
     entries: list[str] = []
     seen: set[str] = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_user_file(path, "resource list").splitlines():
         entry = normalize(line.strip())
         if entry and entry not in seen:
             seen.add(entry)

@@ -22,7 +22,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .corpus import Corpus, Document, segment
@@ -31,8 +31,8 @@ from .features import FeatureBlock, Instance
 from .learner import Prediction
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
-    CountsCache, FittedClassifier, PipelineConfig, Vectors, counts_cache_for,
-    document_instances, fit_verifier, predict_document, training_vectors,
+    CountsCache, FittedClassifier, PipelineConfig, Vectors, VerificationClasses,
+    counts_cache_for, document_instances, fit_verifier, predict_document, training_vectors,
 )
 from .rng import stable_seed
 
@@ -78,39 +78,36 @@ class TextPrediction:
         return self.true_class == self.predicted_class
 
 
-def _metrics(
-    records: Sequence[TextPrediction], target_author: str
-) -> tuple[ContingencyTable, float, float, float]:
-    """(contingency table, F1, soft F1, vanilla accuracy) of LOO records."""
-    y_true = [1 if r.true_class == target_author else 0 for r in records]
-    y_pred = [1 if r.predicted_class == target_author else 0 for r in records]
-    posteriors = [r.positive_posterior for r in records]
-    table = ContingencyTable.from_predictions(y_true, y_pred)
-    return table, f1(table), soft_f1(y_true, posteriors), vanilla_accuracy(table)
-
-
 @dataclass
 class LooReport:
+    """One pool's verification LOO; its scores are computed from its records."""
+
     target_author: str
     seed: int
     corpus_fingerprint: str
     records: tuple[TextPrediction, ...]
     skipped: tuple[tuple[str, str], ...]  # (text id, reason)
-    table: ContingencyTable
-    f1: float
-    soft_f1: float
-    vanilla_accuracy: float
     fold_seconds: dict[str, float]
+    table: ContingencyTable = field(init=False)
+    f1: float = field(init=False)
+    soft_f1: float = field(init=False)
+    vanilla_accuracy: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.records:
+            raise EvaluationError("every fold was skipped; nothing to evaluate")
+        y_true = [1 if r.true_class == self.target_author else 0 for r in self.records]
+        y_pred = [1 if r.predicted_class == self.target_author else 0 for r in self.records]
+        self.table = ContingencyTable.from_predictions(y_true, y_pred)
+        self.f1 = f1(self.table)
+        self.soft_f1 = soft_f1(y_true, [r.positive_posterior for r in self.records])
+        self.vanilla_accuracy = vanilla_accuracy(self.table)
 
     def hardest_texts(self, k: int | None = None) -> list[tuple[str, str, bool, float]]:
         """(id, author, correct?, confidence in true class), hardest first."""
         rows = [(r.text_id, r.author, r.correct(), r.true_class_posterior) for r in self.records]
         rows.sort(key=lambda row: (row[3], row[0]))
         return rows if k is None else rows[:k]
-
-    def recompute_metrics(self) -> tuple[ContingencyTable, float, float, float]:
-        """Rebuild all aggregate numbers from the per-text records."""
-        return _metrics(self.records, self.target_author)
 
     def canonical_dict(self) -> dict:
         """Deterministic payload: everything but the fold timings."""
@@ -155,7 +152,7 @@ class LooStudy:
     texts: tuple[Document, ...]  # each trains in every fold but its own
     seed_label: str  # a fold's seed is stable_seed(master seed, seed_label, held-out id)
     fit: Callable[[Vectors, PipelineConfig, int], FittedClassifier]
-    class_of: Callable[[Document], str]  # a text's class, for the skip check and its reason
+    class_of: Callable[[Document], str]  # a text's class among the fit's classes
 
 
 FoldOutcome = tuple[TextPrediction | None, str | None, float]  # record, skip reason, seconds
@@ -196,12 +193,10 @@ def _run_fold(
         if fold_listener is not None:
             fold_listener(held_out.id, fitted)
         text = full_text.restricted(space, columns)
-        classes = fitted.model.classes
         record = TextPrediction(
             text_id=held_out.id,
             author=held_out.author,
-            # a verifier's first class stands for every author but its target
-            true_class=held_out.author if held_out.author in classes else classes[0],
+            true_class=held_out_class,
             prediction=predict_document(fitted, text, fold_seed),
             fitted_C=fitted.chosen_C,
             inner_cv_f1=fitted.inner_cv_f1,
@@ -293,7 +288,7 @@ def loo_pools(
         texts=tuple(corpus.labelled()),
         seed_label="loo",
         fit=fit_verifier,
-        class_of=lambda doc: "positive" if doc.author == target else "negative",
+        class_of=VerificationClasses(target),
     )
     folds, outcomes = run_folds(study, config, pools, seed, threads, fold_listener, text_ids, cache)
     return [_report(corpus, target, seed, folds, pool_outcomes) for pool_outcomes in outcomes]
@@ -316,21 +311,8 @@ def _report(
             skipped.append((doc.id, reason or "skipped"))
         else:
             records.append(record)
-
-    if not records:
-        raise EvaluationError("every fold was skipped; nothing to evaluate")
-    table, f1_score, soft_f1_score, accuracy = _metrics(records, target_author)
     return LooReport(
-        target_author=target_author,
-        seed=seed,
-        corpus_fingerprint=corpus.fingerprint(),
-        records=tuple(records),
-        skipped=tuple(skipped),
-        table=table,
-        f1=f1_score,
-        soft_f1=soft_f1_score,
-        vanilla_accuracy=accuracy,
-        fold_seconds=fold_seconds,
+        target_author, seed, corpus.fingerprint(), tuple(records), tuple(skipped), fold_seconds
     )
 
 

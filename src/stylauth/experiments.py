@@ -18,8 +18,9 @@ candidate.
 from __future__ import annotations
 
 import logging
+import operator
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -353,13 +354,25 @@ def attribute_disputed(
 
 @dataclass
 class AttributionLooReport:
+    """Attribution LOO over candidate authors; its scores are computed from its records."""
+
     authors: tuple[str, ...]
-    matrix: np.ndarray  # rows = true author, columns = predicted author
     records: tuple[tuple[str, str, str, float], ...]  # (id, true, predicted, conf in true)
-    macro_f1: float
-    vanilla_accuracy: float
     seed: int
     corpus_fingerprint: str
+    matrix: np.ndarray = field(init=False)  # rows = true author, columns = predicted author
+    macro_f1: float = field(init=False)
+    vanilla_accuracy: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        index = {a: i for i, a in enumerate(self.authors)}
+        self.matrix = np.zeros((len(self.authors), len(self.authors)), dtype=np.int64)
+        for _, true, predicted, _ in self.records:
+            self.matrix[index[true], index[predicted]] += 1
+        y_true = [true for _, true, _, _ in self.records]
+        y_pred = [predicted for _, _, predicted, _ in self.records]
+        self.macro_f1 = macro_f1(per_class_tables(y_true, y_pred, self.authors))
+        self.vanilla_accuracy = self.correct_count / self.total_count
 
     @property
     def correct_count(self) -> int:
@@ -404,30 +417,16 @@ def attribution_contingency(
         texts=tuple(training_documents(corpus, authors=candidates)),
         seed_label="aa-loo",
         fit=fit_attributor,
-        class_of=lambda doc: doc.author,
+        class_of=operator.attrgetter("author"),
     )
     pool = config.features.blocks_in_order()
     _, (outcomes,) = run_folds(study, config, [pool], seed, cache=cache)
     # No fold is skipped: every candidate has a text besides the held-out one.
-    records = [
+    records = tuple(
         (r.text_id, r.true_class, r.predicted_class, r.true_class_posterior)
         for r, _, _ in outcomes
-    ]
-    author_index = {a: i for i, a in enumerate(candidates)}
-    matrix = np.zeros((len(candidates), len(candidates)), dtype=np.int64)
-    for _, true, predicted, _ in records:
-        matrix[author_index[true], author_index[predicted]] += 1
-    y_true = [true for _, true, _, _ in records]
-    y_pred = [predicted for _, _, predicted, _ in records]
-    return AttributionLooReport(
-        authors=tuple(candidates),
-        matrix=matrix,
-        records=tuple(records),
-        macro_f1=macro_f1(per_class_tables(y_true, y_pred, candidates)),
-        vanilla_accuracy=int(np.trace(matrix)) / int(matrix.sum()),
-        seed=seed,
-        corpus_fingerprint=corpus.fingerprint(),
     )
+    return AttributionLooReport(tuple(candidates), records, seed, corpus.fingerprint())
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,26 @@ def training_documents(corpus: Corpus, authors: Iterable[str] | None = None) -> 
     ]
 
 
+@dataclass(frozen=True)
+class VerificationClasses:
+    """A verifier's classes, ``("not <target>", <target>)``; called on a text, its class."""
+
+    target: str
+
+    @property
+    def classes(self) -> tuple[str, str]:
+        return (f"not {self.target}", self.target)
+
+    def __call__(self, doc: Document) -> str:
+        return self.classes[doc.author == self.target]
+
+
 @dataclass
 class FittedClassifier:
     """A verifier or an attributor, trained for one fold or one deployment run.
 
-    Its classes are ``model.classes``: a verifier's ``("not <target>",
-    <target>)``, an attributor's the sorted candidate authors.
+    Its classes are ``model.classes``: a verifier's ``VerificationClasses``,
+    an attributor's the sorted candidate authors.
     """
 
     space: FeatureSpace
@@ -190,10 +204,8 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
     instances, space, X = train.instances, train.space, train.X
-    y = np.asarray(
-        [1 if inst.doc.author == config.target_author else 0 for inst in instances],
-        dtype=np.int64,
-    )
+    class_of = VerificationClasses(config.target_author)
+    y = np.asarray([class_of(inst.doc) == class_of.target for inst in instances], dtype=np.int64)
     if y.sum() == 0:
         raise ExperimentError(
             f"no training instance by target author {config.target_author!r}"
@@ -212,8 +224,7 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
         synthetic = sum(ex.synthetic for ex in extended)
 
     chosen_C, inner_scores = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
-    classes = (f"not {config.target_author}", config.target_author)
-    model = train_binary(X, y, config.learner, classes=classes, C=chosen_C)
+    model = train_binary(X, y, config.learner, classes=class_of.classes, C=chosen_C)
     return FittedClassifier(
         space=space,
         model=model,

@@ -24,7 +24,7 @@ from stylauth.config import load_run_config
 from stylauth.corpus import load_corpus
 from stylauth.pipeline import SegmentationConfig
 
-from conftest import make_styled_corpus
+from conftest import make_styled_corpus, write_corpus
 
 
 def write_config(
@@ -57,6 +57,44 @@ def write_config(
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def _run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python -m stylauth.cli`` in a fresh process that imports this checkout."""
+    src = str(Path(stylauth.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "stylauth.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def _append_invalid_utf8(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+def _set_first_record(key: str, value):
+    def edit(manifest: Path) -> None:
+        records = json.loads(manifest.read_text(encoding="utf-8"))
+        records[0][key] = value
+        manifest.write_text(json.dumps(records), encoding="utf-8")
+
+    return edit
+
+
+# case: (manifest format, the file to spoil, how, exit code)
+UNREADABLE_INPUTS = {
+    "json-manifest-unparsable": (
+        "json", "manifest.json", lambda path: path.write_text("[{", encoding="utf-8"), EXIT_CORPUS
+    ),
+    "json-id-not-a-string": ("json", "manifest.json", _set_first_record("id", 5), EXIT_CORPUS),
+    "json-title-not-a-string": ("json", "manifest.json", _set_first_record("title", 7), EXIT_CORPUS),
+    "csv-manifest-not-utf8": ("csv", "manifest.csv", _append_invalid_utf8, EXIT_CORPUS),
+    "text-not-utf8": ("csv", "corpus/a.txt", _append_invalid_utf8, EXIT_CORPUS),
+    "annotations-not-utf8": ("csv", "corpus/a.tsv", _append_invalid_utf8, EXIT_CORPUS),
+    "word-list-not-utf8": ("csv", "words.txt", _append_invalid_utf8, EXIT_CONFIG),
+    "config-not-utf8": ("csv", "run.json", _append_invalid_utf8, EXIT_CONFIG),
+}
 
 
 @pytest.fixture
@@ -156,6 +194,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--config", str(config), "--threads", "2"])
         assert exit_info.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+    def test_unreadable_input_exits_with_its_code(self, tmp_path, case):
+        fmt, spoiled, spoil, code = UNREADABLE_INPUTS[case]
+        rows = [("aqua", "N", "root"), ("et", "C", "cc"), ("terra", "N", "sub")]
+        docs = [
+            {"id": "a", "author": "X", "text": "aqua et terra.", "annotations": {"rows": rows}},
+            {"id": "b", "author": "Y", "text": "terra et aqua."},
+        ]
+        manifest = write_corpus(tmp_path, docs, fmt=fmt)
+        (tmp_path / "words.txt").write_text("et\n", encoding="utf-8")
+        features = {"blocks": ["function_words"], "function_word_list": "words.txt"}
+        config = write_config(tmp_path, manifest, extra={"features": features})
+        assert _run_cli("ingest", "--config", str(config)).returncode == EXIT_OK
+        spoil(tmp_path / spoiled)
+        result = _run_cli("ingest", "--config", str(config))
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        prefix = "corpus error: " if code == EXIT_CORPUS else "config error: "
+        assert result.stderr.startswith(prefix)
+        assert result.stderr.count("\n") == 1
 
     def test_verify_without_disputed_text_fails(self, tmp_path):
         manifest = make_styled_corpus(tmp_path, {"Aldus": 2, "Benno": 2}, n_tokens=150)
@@ -356,16 +415,11 @@ class TestDeterminism:
         b = self._payload(tmp_path / "r2" / "loo_report.json")
         assert a == b
         # fresh processes with different string hashing agree too
-        src = str(Path(stylauth.__file__).resolve().parents[1])
         for hash_seed in ("0", "1"):
             out = tmp_path / f"hash{hash_seed}"
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            subprocess.run(
-                [sys.executable, "-m", "stylauth.cli", "loo", "--config", str(config),
-                 "--output-dir", str(out)],
-                env=env, check=True, capture_output=True,
-            )
+            result = _run_cli("loo", "--config", str(config), "--output-dir", str(out), env=env)
+            assert result.returncode == EXIT_OK, result.stderr
             assert self._payload(out / "loo_report.json") == a
 
     def test_seed_override_changes_payload(self, tmp_path):

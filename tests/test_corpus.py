@@ -23,6 +23,7 @@ from stylauth.errors import (
     CorpusError,
     DuplicateIdError,
     EmptyTextError,
+    ExperimentError,
     MissingAuthorError,
     MissingFileError,
     UnbalancedQuotationError,
@@ -165,7 +166,7 @@ class TestSegment:
 
     def test_min_tokens_zero_rejected(self):
         doc = _doc_with_sentences([10])
-        with pytest.raises(ValueError):
+        with pytest.raises(ExperimentError):
             segment(doc, min_tokens=0)
 
     def test_boundaries_are_sentence_boundaries(self):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from stylauth import evaluation, experiments
+from stylauth import evaluation, experiments, metrics
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import EvaluationError
@@ -100,8 +101,7 @@ class TestFolds:
         )
         corpus = load_corpus(manifest)
         report = loo_run(corpus, fast_pipeline("Aldus"), seed=1)
-        skipped_ids = {doc_id for doc_id, _ in report.skipped}
-        assert skipped_ids == {"aldus-00"}
+        assert report.skipped == (("aldus-00", "class Aldus absent from training set"),)
         assert len(report.records) == 5
         assert report.table.total == 5
 
@@ -222,11 +222,19 @@ class TestLeakage:
 class TestReport:
     def test_metrics_recomputable_from_records(self, small_corpus):
         report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=2)
-        table, f1_val, soft, va = report.recompute_metrics()
-        assert table == report.table
-        assert f1_val == pytest.approx(report.f1)
-        assert soft == pytest.approx(report.soft_f1)
-        assert va == pytest.approx(report.vanilla_accuracy)
+        y_true = [int(r.author == "Aldus") for r in report.records]
+        y_pred = [int(r.predicted_class == "Aldus") for r in report.records]
+        posteriors = [r.prediction.posterior_of("Aldus") for r in report.records]
+        table = metrics.ContingencyTable.from_predictions(y_true, y_pred)
+        assert report.table == table
+        assert report.f1 == metrics.f1(table)
+        assert report.soft_f1 == metrics.soft_f1(y_true, posteriors)
+        assert report.vanilla_accuracy == metrics.vanilla_accuracy(table)
+
+    def test_report_of_only_skipped_folds_rejected(self):
+        skipped = (("aldus-00", "class Aldus absent from training set"),)
+        with pytest.raises(EvaluationError, match="every fold was skipped"):
+            evaluation.LooReport("Aldus", 0, "fingerprint", (), skipped, {"aldus-00": 0.0})
 
     def test_hardest_ranking_ascends(self, small_corpus):
         report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=2)
@@ -262,6 +270,41 @@ class TestReport:
     def test_no_synthetic_positives_without_dro(self, small_corpus):
         report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=3)
         assert all(r.synthetic_positives == 0 for r in report.records)
+
+
+@pytest.fixture(scope="module")
+def studies(small_corpus):
+    """Each study's ``LooStudy`` and its records, captured from ``run_folds``."""
+    real_run_folds = evaluation.run_folds
+    captured = {}
+
+    def capturing(study, *args, **kwargs):
+        folds, outcomes = real_run_folds(study, *args, **kwargs)
+        captured[study.seed_label] = (study, [record for record, _, _ in outcomes[0]])
+        return folds, outcomes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "run_folds", capturing)
+        patch.setattr(experiments, "run_folds", capturing)
+        loo_run(small_corpus, fast_pipeline("Aldus"), seed=4)
+        attribution_contingency(small_corpus, fast_pipeline("Aldus"), seed=4)
+    assert sorted(captured) == ["aa-loo", "loo"]
+    return captured
+
+
+class TestStudies:
+    def test_true_class_is_the_study_class(self, small_corpus, studies):
+        classes = {"loo": {"Aldus", "not Aldus"}, "aa-loo": {"Aldus", "Benno", "Castor"}}
+        for label, (study, records) in studies.items():
+            assert len(records) == len(small_corpus.labelled())
+            for record in records:
+                assert record.true_class == study.class_of(small_corpus.get(record.text_id))
+            assert {record.true_class for record in records} == classes[label]
+
+    def test_class_of_pickles(self, small_corpus, studies):
+        for study, _ in studies.values():
+            restored = pickle.loads(pickle.dumps(study.class_of))
+            assert [restored(d) for d in small_corpus] == [study.class_of(d) for d in small_corpus]
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from stylauth.errors import ExperimentError
 from stylauth.experiments import (
     ABLATION_EXACT,
     ABLATION_HARDEST10,
+    AttributionLooReport,
     _restricted_score,
     ablate,
     attribute_disputed,
@@ -303,6 +304,13 @@ class TestAttributionContingency:
         assert report.correct_count == correct
         assert report.vanilla_accuracy == pytest.approx(correct / report.total_count)
         assert 0.0 <= report.macro_f1 <= 1.0
+
+    def test_scores_derived_from_records(self):
+        records = (("a", "A", "A", 0.9), ("b", "A", "B", 0.2), ("c", "B", "B", 0.7))
+        report = AttributionLooReport(("A", "B"), records, seed=0, corpus_fingerprint="f")
+        assert report.matrix.tolist() == [[1, 1], [0, 1]]
+        assert report.vanilla_accuracy == 2 / 3
+        assert report.macro_f1 == pytest.approx(2 / 3)  # one-vs-rest F1 is 2/3 for A and B
 
 
 class TestRankSimilar:

@@ -329,13 +329,14 @@ class Corpus:
 def read_user_file(path: Path, what: str, newline: str | None = None) -> str:
     """The UTF-8 text of a file a user named; ``what`` names the file in errors.
 
-    Raises MissingFileError when there is no such file and CorpusError when
-    it is not UTF-8. ``newline`` is passed to ``open``.
+    A leading byte-order mark is dropped. Raises MissingFileError when there
+    is no such file and CorpusError when it is not UTF-8. ``newline`` is
+    passed to ``open``.
     """
     if not path.is_file():
         raise MissingFileError(f"{what} not found: {path}")
     try:
-        with path.open(encoding="utf-8", newline=newline) as fh:
+        with path.open(encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{what} is not UTF-8 (byte {exc.start}): {path}") from None

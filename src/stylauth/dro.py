@@ -5,24 +5,18 @@ it) are extended with a latent block whose coordinates index training
 instances. Every natural feature f carries a categorical profile pi_f
 over those latent indices, proportional to f's weight in each training
 instance; features unseen in training fall back to a uniform profile.
-Extending a row draws m feature occurrences from the row's own weight
-distribution, m being its raw occurrence count, then one latent index
-from each drawn feature's profile, accumulates the draws, and
-L2-normalizes the latent block. Profiles do not record their space.
+DRO (Moreo, Esuli & Sebastiani, SIGIR 2016) extends a row of weights w
+by drawing m feature occurrences from w / sum(w), m being the row's raw
+occurrence count, then one latent index from each drawn feature's
+profile. Each of those draws is independently categorical with the
+row's mixture p = sum_f (w_f / sum(w)) pi_f, so the latent counts are
+one Multinomial(m, p) draw, which is L2-normalized into the latent
+block. Profiles do not record their space.
 
-``fit_profiles`` packs every feature's profile once per fit into one
-cumulative table, in which feature f's cumulative probabilities occupy
-the interval (f, f+1] and its last one is exactly f+1. A draw from
-feature f is then the uniform f + U(0, 1) looked up in that table: one
-``multinomial`` call spreads the m draws over the row's features, one
-``random`` call gives their uniforms, and one ``searchsorted`` locates
-them all (inverse-transform sampling). Two kinds of draw are set apart
-first. A feature with no weight in training stores no entries and draws
-floor(U * n) over the n latent indices instead. A key f + U that rounds
-up to f+1 would land past feature f's entries, so it takes f's last
-entry. Every other key lands inside its own feature's entries; they are
-sorted before the lookup, which keeps successive binary searches on
-nearby entries of the table.
+``latent_distributions`` gives the mixtures of many rows at once. For
+the training rows themselves they are the rows of X D^-1 X^T scaled to
+sum to 1, D being the diagonal of X's column sums: the Gram matrix of
+X D^-1/2, built densely in column chunks.
 
 Because a row can be re-extended with fresh randomness as often as
 desired, minority-class training examples can be multiplied: an
@@ -47,6 +41,8 @@ import scipy.sparse as sp
 from .errors import DroError
 from .rng import spawn_rng
 
+_CHUNK_COLUMNS = 2048  # training columns densified at a time for the Gram product
+
 
 @dataclass
 class DroConfig:
@@ -68,73 +64,90 @@ class DroConfig:
 
 @dataclass
 class DistributionalProfiles:
-    """Per-feature categorical distributions over latent indices, packed.
+    """Per-feature categorical distributions over latent indices.
 
-    Feature f's entries are ``_indptr[f]:_indptr[f+1]`` of ``_indices``
-    (latent indices), ``_probs`` (their probabilities, positive) and
-    ``_cum`` (f plus the running sum of those probabilities, with the
-    last entry exactly f+1). ``_cum`` is nondecreasing over the whole
-    array, so one ``searchsorted`` serves every feature. A feature
-    without entries falls back to the uniform profile over all latent
-    indices, which is never stored. All arrays are read-only.
+    Feature f's profile is column f of the training matrix (one row per
+    latent index) divided by ``column_sums[f]``; a column summing to 0
+    has the uniform profile over all latent indices instead. No profile
+    is stored apart from the matrix.
     """
 
-    latent_dim: int
-    feature_dim: int
-    _indptr: np.ndarray
-    _indices: np.ndarray
-    _probs: np.ndarray
-    _cum: np.ndarray
+    training: sp.csr_matrix
+    column_sums: np.ndarray
+
+    @property
+    def latent_dim(self) -> int:
+        return self.training.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self.training.shape[1]
 
     def profile(self, feature: int) -> tuple[np.ndarray, np.ndarray] | None:
         """(latent indices, probabilities) for one feature; None => uniform fallback."""
         if not (0 <= feature < self.feature_dim):
             raise DroError(f"feature index {feature} out of range")
-        start, end = self._indptr[feature], self._indptr[feature + 1]
-        if start == end:
+        if self.column_sums[feature] <= 0:
             return None
-        return self._indices[start:end], self._probs[start:end]
+        column = self.training[:, [feature]].toarray().ravel()
+        indices = np.flatnonzero(column)
+        probs = column[indices] / self.column_sums[feature]
+        for array in (indices, probs):
+            array.flags.writeable = False
+        return indices, probs
 
 
 def fit_profiles(X) -> DistributionalProfiles:
-    """Build profiles from the natural training matrix (rows = instances).
+    """Profiles of the natural training matrix (rows = instances).
 
-    The latent space has one dimension per training instance. The packed
-    table is built here, once per fit: one division of the positive
-    weights by their repeated column sums gives every probability,
-    bitwise as dividing each column by its own sum would. Zero weights
-    are dropped, so a column summing to 0 stores nothing.
+    The latent space has one dimension per training instance. A CSR
+    matrix is kept as it is, not copied. Each column is summed on its
+    own, so a profile is bitwise its column divided by its own sum.
     """
     if X.shape[0] == 0:
         raise DroError("cannot fit profiles on an empty training matrix")
-    csc = sp.csc_matrix(X, dtype=np.float64)
-    if csc.nnz and csc.data.min() < 0:
+    if not (sp.issparse(X) and X.format == "csr"):
+        X = sp.csr_matrix(X, dtype=np.float64)
+    if X.nnz and X.data.min() < 0:
         raise DroError("profiles require nonnegative feature weights")
-    sums = np.asarray(csc.sum(axis=0)).ravel()
-    keep = csc.data > 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[csc.indptr]
-    sizes = np.diff(indptr)
-    indices = csc.indices[keep].astype(np.int64)
-    probs = csc.data[keep] / np.repeat(sums, sizes)
-    # Running sums restart at each column: subtract the global running
-    # sum reached before the column, then shift column f into (f, f+1].
-    running = np.cumsum(probs)
-    cum = running - np.repeat(np.concatenate(([0.0], running))[indptr[:-1]], sizes)
-    column_of = np.repeat(np.arange(X.shape[1], dtype=np.float64), sizes)
-    cum += column_of
-    np.minimum(cum, column_of + 1.0, out=cum)
-    filled = np.nonzero(sizes)[0]
-    cum[indptr[filled + 1] - 1] = filled + 1.0
-    for array in (indptr, indices, probs, cum):
-        array.flags.writeable = False
-    return DistributionalProfiles(
-        latent_dim=X.shape[0],
-        feature_dim=X.shape[1],
-        _indptr=indptr,
-        _indices=indices,
-        _probs=probs,
-        _cum=cum,
-    )
+    return DistributionalProfiles(X, np.asarray(X.tocsc().sum(axis=0), dtype=np.float64).ravel())
+
+
+def latent_distributions(rows, profiles: DistributionalProfiles) -> np.ndarray:
+    """Each sparse row's mixture of profiles, sum_f (w_f / sum(w)) pi_f, densely.
+
+    Rows have the profiles' features as columns. A feature unseen in
+    training spreads its share uniformly, and a zero row gets zeros.
+    ``profiles.training`` itself takes the symmetric Gram product, a chunk
+    of columns at a time; other rows take one sparse product with it.
+    """
+    train, sums = profiles.training, profiles.column_sums
+    trained = sums > 0
+    if rows is train:
+        scale = np.divide(1.0, np.sqrt(sums), out=np.zeros_like(sums), where=trained)
+        P = np.zeros((train.shape[0], train.shape[0]))
+        for start in range(0, train.shape[1], _CHUNK_COLUMNS):
+            cols = slice(start, start + _CHUNK_COLUMNS)
+            block = train[:, cols].toarray() * scale[cols]
+            P += block @ block.T
+    else:
+        dense = rows.toarray()
+        inverse = np.divide(1.0, sums, out=np.zeros_like(sums), where=trained)
+        P = (train @ (dense * inverse).T).T
+        P += dense[:, ~trained].sum(axis=1, keepdims=True) / train.shape[0]
+    totals = P.sum(axis=1, keepdims=True)
+    return np.divide(P, totals, out=P, where=totals > 0)
+
+
+def _draw(p: np.ndarray, m_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Raw latent counts of m draws from the distribution p; zeros for a zero row's p."""
+    if not p.any():
+        return np.zeros(p.shape[0])
+    if m_samples <= 0:
+        raise DroError(f"m_samples must be positive for a nonzero row, got {m_samples}")
+    # Dividing by the sum keeps float drift from tripping numpy's check
+    # that the shares add up to at most 1.
+    return rng.multinomial(m_samples, p / p.sum()).astype(np.float64)
 
 
 def sample_latent_counts(
@@ -144,60 +157,13 @@ def sample_latent_counts(
     m_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Raw latent draw counts for one row, given by its columns and weights.
-
-    Draws m feature occurrences, then one uniform per occurrence, in
-    feature index order, and looks each feature-plus-uniform up in the
-    packed cumulative table. A draw from a feature without stored
-    entries takes floor(u * n), and a key that rounds up to f+1 takes
-    feature f's last entry. The other keys are sorted in place and
-    looked up by one ``searchsorted``, and the latent indices of all
-    three kinds are counted together. The positions equal those of the
-    unsorted keys' lookup clipped into each feature's entries, so the
-    counts do not depend on the sort.
-    """
-    n = profiles.latent_dim
-    total = float(data.sum())
-    if total <= 0:
-        return np.zeros(n, dtype=np.float64)
-    feature_draws = rng.multinomial(m_samples, data / total)
-    drawn = np.nonzero(feature_draws)[0]
-    features = indices[drawn]
-    k = feature_draws[drawn]
-    u = rng.random(m_samples)
-    ends = profiles._indptr[features + 1]
-    stored = profiles._indptr[features] < ends
-    parts = []
-    if not stored.all():
-        # u < 1 keeps the rounded u * n below n, so floor(u * n) is in range.
-        from_table = np.repeat(stored, k)
-        parts.append((u[~from_table] * n).astype(np.int64))
-        u, features, k, ends = u[from_table], features[stored], k[stored], ends[stored]
-    draw_features = np.repeat(features, k)
-    keys = draw_features + u
-    # For u near 1, f + u can round up to f+1, past feature f's last entry.
-    rounded = keys == draw_features + 1
-    if rounded.any():
-        parts.append(profiles._indices[np.repeat(ends - 1, k)[rounded]])
-        keys = keys[~rounded]
-    keys.sort()
-    parts.append(profiles._indices[np.searchsorted(profiles._cum, keys, side="right")])
-    return np.bincount(np.concatenate(parts), minlength=n).astype(np.float64)
+    """Raw latent draw counts for one row, given by its columns and weights."""
+    row = sp.csr_matrix((data, indices, [0, indices.shape[0]]), shape=(1, profiles.feature_dim))
+    return _draw(latent_distributions(row, profiles)[0], m_samples, rng)
 
 
-def _latent_block(
-    indices: np.ndarray,
-    data: np.ndarray,
-    m_samples: int,
-    profiles: DistributionalProfiles,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(latent indices, L2-normalized values) sampled for one row; empty for a zero row."""
-    if data.sum() <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    if m_samples <= 0:
-        raise DroError(f"m_samples must be positive for a nonzero row, got {m_samples}")
-    counts = sample_latent_counts(indices, data, profiles, m_samples, rng)
+def _latent_block(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(latent indices, L2-normalized values) of raw counts; empty for no draws."""
     idx = np.flatnonzero(counts)
     vals = counts[idx]
     return idx, vals / np.sqrt(np.sum(vals * vals))
@@ -217,7 +183,7 @@ def extend(
     """
     if not sp.issparse(x) or x.format != "csr" or x.shape != (1, profiles.feature_dim):
         raise DroError(f"expected a one-row CSR matrix of width {profiles.feature_dim}")
-    idx, vals = _latent_block(x.indices, x.data, m_samples, profiles, rng)
+    idx, vals = _latent_block(sample_latent_counts(x.indices, x.data, profiles, m_samples, rng))
     latent = sp.csr_matrix((vals, idx, [0, idx.shape[0]]), shape=(1, profiles.latent_dim))
     return sp.hstack([x, latent], format="csr")
 
@@ -293,11 +259,11 @@ def oversample(
         row = positives[int(source_pos)]
         replicas[row] += 1
         work.append((row, 1, replicas[row]))
+    P = latent_distributions(X, profiles)
     out: list[ExtendedExample] = []
     for row, label, replica in work:
         rng = spawn_rng(master_seed, "dro-extend", instance_ids[row], replica)
-        a, b = X.indptr[row], X.indptr[row + 1]
-        idx, vals = _latent_block(X.indices[a:b], X.data[a:b], occurrences[row], profiles, rng)
+        idx, vals = _latent_block(_draw(P[row], occurrences[row], rng))
         out.append(ExtendedExample(row, idx, vals, label, instance_ids[row], replica))
     return out
 

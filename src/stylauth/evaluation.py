@@ -6,9 +6,10 @@ those texts (the held-out text contributes no segments, and the feature
 space, IDF statistics, oversampling profiles, and hyperparameter C are all
 refit from scratch inside the fold), then applies it to the held-out text
 in full. Folds are independent and run on a thread pool of at most
-``threads`` workers, capped at the CPU count and the number of folds; each
-derives its own randomness from (master seed, study label, held-out id), so
-reports are byte-identical regardless of thread count.
+``threads`` workers, capped at the CPU count and the number of folds; one
+worker runs them inline, with no pool. Each fold derives its own
+randomness from (master seed, study label, held-out id), so reports are
+byte-identical regardless of thread count.
 
 One pass over the folds can score several feature-block pools
 (``loo_pools``): a fold fits its space and vectorizes once, over the
@@ -256,10 +257,15 @@ def run_folds(
     cache.rows(document_instances(trained, config.segmentation))
     cache.rows(Instance(doc=d) for d in folds)
 
-    with ThreadPoolExecutor(max_workers=min(threads, _usable_cpus(), len(folds))) as pool:
-        results = list(pool.map(
-            lambda doc: _run_fold(study, doc, config, pools, cache, seed, fold_listener), folds
-        ))
+    def fold_outcomes(doc: Document) -> list[FoldOutcome]:
+        return _run_fold(study, doc, config, pools, cache, seed, fold_listener)
+
+    workers = min(threads, _usable_cpus(), len(folds))
+    if workers == 1:
+        results = list(map(fold_outcomes, folds))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fold_outcomes, folds))
     return folds, [[fold[i] for fold in results] for i in range(len(pools))]
 
 

@@ -259,6 +259,27 @@ class TestCommands:
         assert not (tmp / "out" / "corpus_cache.pkl").exists()
         assert main(["loo", "--config", str(config)]) == EXIT_OK
 
+    def test_manifest_with_byte_order_mark_ingests(self, corpus_dir):
+        tmp, manifest = corpus_dir
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        config = write_config(tmp, manifest)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        report = json.loads((tmp / "out" / "ingest_report.json").read_text())
+        assert report["results"]["document_count"] == 7
+
+    def test_text_with_byte_order_mark_reads_as_without(self, tmp_path):
+        docs = [
+            {"id": "a", "author": "X", "text": "aqua et terra."},
+            {"id": "b", "author": "Y", "text": "terra et aqua."},
+        ]
+        manifest = write_corpus(tmp_path, docs)
+        plain = {d.id: d for d in load_corpus(manifest)}["a"]
+        text = tmp_path / "corpus" / "a.txt"
+        text.write_bytes(b"\xef\xbb\xbf" + text.read_bytes())
+        marked = {d.id: d for d in load_corpus(manifest)}["a"]
+        assert marked.tokens == plain.tokens
+        assert marked.text_sha256() == plain.text_sha256()
+
     def test_loo_reads_text_edited_after_ingest(self, tmp_path):
         make_styled_corpus(tmp_path, {"Aldus": 3, "Benno": 3}, n_tokens=200, seed=19)
         # a manifest in its own directory, naming texts outside it

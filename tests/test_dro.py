@@ -7,11 +7,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import chisquare
 
+from stylauth import dro
 from stylauth.dro import (
     DroConfig,
     extend,
     extended_to_csr,
     fit_profiles,
+    latent_distributions,
     oversample,
     sample_latent_counts,
     synthetic_positive_count,
@@ -170,28 +172,19 @@ def reference_profiles(X) -> list[tuple[np.ndarray, np.ndarray] | None]:
     return out
 
 
-def reference_latent_counts(x, X, m, rng) -> np.ndarray:
-    """Per-feature inverse-CDF loop: each draw's uniform looked up in its
-    feature's own cumulative sum, floor(u * n) for the uniform fallback."""
+def reference_mixture(x, X) -> np.ndarray:
+    """Sum over the row's features of (w_f / sum(w)) times f's profile, uniform
+    over the training rows for a feature without training weight."""
     n = X.shape[0]
-    counts = np.zeros(n)
-    total = float(x.data.sum())
-    if total <= 0:
-        return counts
-    feature_draws = rng.multinomial(m, x.data / total)
-    uniforms = iter(rng.random(m).tolist())
-    for pos in np.nonzero(feature_draws)[0]:
-        prof = reference_profiles(X)[int(x.indices[pos])]
-        for _ in range(int(feature_draws[pos])):
-            u = next(uniforms)
-            if prof is None:
-                counts[int(u * n)] += 1
-            else:
-                idx, probs = prof
-                cum = np.cumsum(probs)
-                cum[-1] = 1.0
-                counts[idx[min(int(np.searchsorted(cum, u, side="right")), len(idx) - 1)]] += 1
-    return counts
+    p = np.zeros(n)
+    profiles = reference_profiles(X)
+    for f, w in zip(x.indices, x.data / x.data.sum()):
+        prof = profiles[int(f)]
+        if prof is None:
+            p += w / n
+        else:
+            p[prof[0]] += w * prof[1]
+    return p
 
 
 class TestSamplerTables:
@@ -211,9 +204,10 @@ class TestSamplerTables:
         X, x = self._fixture()
         profiles = fit_profiles(X)
         assert profiles.profile(7) is None
+        p = reference_mixture(x, X)
         for seed in range(6):
             got = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "tables"))
-            want = reference_latent_counts(x, X, m, spawn_rng(seed, "tables"))
+            want = spawn_rng(seed, "tables").multinomial(m, p / p.sum())
             assert np.array_equal(got, want)
 
     def test_each_feature_draws_from_its_profile(self):
@@ -262,115 +256,103 @@ class TestSamplerTables:
                 profiles.profile(feature)
 
 
-class EdgeUniforms:
-    """A generator whose uniforms cycle through the given points of [0, 1)."""
+class TestMixture:
+    _fixture = TestSamplerTables._fixture
 
-    def __init__(self, *edges: float):
-        self.edges = np.asarray(edges, dtype=np.float64)
+    def _rows(self):
+        """The fixture's matrix, and test rows: its own mixed row, a row of only
+        the all-zero column, one mixing that column with a point mass, and a zero row."""
+        X, x = self._fixture()
+        rows = sp.vstack(
+            [x, make_row([7], [2.0], 40), make_row([3, 7], [1.0, 0.5], 40), make_row([], [], 40)],
+            format="csr",
+        )
+        return X, rows
 
-    def multinomial(self, n, pvals):
-        return np.random.default_rng(0).multinomial(n, pvals)
+    def test_matches_per_feature_mixture(self):
+        X, rows = self._rows()
+        profiles = fit_profiles(X)
+        assert profiles.profile(7) is None
+        for matrix in (X, rows):
+            P = latent_distributions(matrix, profiles)
+            assert P.shape == (matrix.shape[0], 30)
+            for i in range(matrix.shape[0]):
+                if matrix[i].nnz:
+                    want = reference_mixture(matrix[i], X)
+                else:
+                    want = np.zeros(30)
+                assert np.abs(P[i] - want).max() <= 1e-12, i
+        assert np.abs(latent_distributions(rows[1], profiles) - 1.0 / 30).max() <= 1e-15
 
-    def random(self, size):
-        return np.resize(self.edges, size)
-
-
-def clipped_lookup_counts(indices, data, profiles, m_samples, rng):
-    """The sampler's earlier lookup, kept as the reference for its positions.
-
-    It looks the unsorted keys f + u up in the cumulative table, clips
-    each position into [indptr[f], indptr[f+1] - 1], and draws floor(u * n)
-    for a feature without stored entries.
-    """
-    n = profiles.latent_dim
-    feature_draws = rng.multinomial(m_samples, data / data.sum())
-    drawn = np.nonzero(feature_draws)[0]
-    features, k = indices[drawn], feature_draws[drawn]
-    u = rng.random(m_samples)
-    pos = np.searchsorted(profiles._cum, np.repeat(features, k) + u, side="right")
-    starts = np.repeat(profiles._indptr[features], k)
-    ends = np.repeat(profiles._indptr[features + 1], k)
-    np.clip(pos, starts, ends - 1, out=pos)
-    latent = (u * n).astype(np.int64)
-    table = starts < ends
-    latent[table] = profiles._indices[pos[table]]
-    return np.bincount(latent, minlength=n).astype(np.float64)
-
-
-class TestCumulativeTableEdges:
-    N_FEATURES = 2056
-    TIED = 1500
-
-    def _profiles(self):
+    def test_column_chunks_add_up(self):
+        # wider than one densified chunk, with all-zero columns in both
+        # chunks, point masses and shares far below the others
         rng = np.random.default_rng(23)
-        n = 6
-        stored = rng.random((n, self.N_FEATURES)) < 0.5
-        stored[rng.integers(0, n, self.N_FEATURES), np.arange(self.N_FEATURES)] = True
-        X = np.where(stored, rng.random((n, self.N_FEATURES)) + 0.01, 0.0)
-        X[:, -8:] = 0.0  # the last column stays all zero: uniform fallback
-        for col, row in enumerate([0, 1, 2, 3, 4, 5, 0]):
-            X[row, self.N_FEATURES - 8 + col] = 1.0  # point masses on changing rows
-        X[:, -12] = 0.0  # an all-zero column amid full ones
-        # the last three entries round to the column's end, f + 1
-        X[:, self.TIED] = [1.0, 0.0, 0.0, 1e-17, 1e-17, 1e-17]
-        return X, fit_profiles(sp.csr_matrix(X))
+        n, d = 6, dro._CHUNK_COLUMNS + 8
+        X = np.where(rng.random((n, d)) < 0.5, rng.random((n, d)) + 0.01, 0.0)
+        X[:, [5, d - 12, d - 1]] = 0.0
+        X[:, d - 4] = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        X[:, 1500] = [1.0, 0.0, 0.0, 1e-17, 1e-17, 1e-17]
+        X = sp.csr_matrix(X)
+        profiles = fit_profiles(X)
+        columns = [0, 5, 1500, d - 12, d - 4, d - 1]
+        rows = sp.vstack(
+            [make_row(columns, [1.0, 2.0, 3.0, 1.0, 2.0, 0.5], d), X[2], X[5]], format="csr"
+        )
+        for matrix in (X, rows):
+            P = latent_distributions(matrix, profiles)
+            for i in range(matrix.shape[0]):
+                assert np.abs(P[i] - reference_mixture(matrix[i], X)).max() <= 1e-12, i
 
-    def test_last_cumulative_entry_is_exactly_column_end(self):
-        _, profiles = self._profiles()
-        indptr, cum = profiles._indptr, profiles._cum
-        filled = 0
-        for f in range(self.N_FEATURES):
-            if indptr[f + 1] > indptr[f]:
-                assert cum[indptr[f + 1] - 1] == f + 1.0
-                filled += 1
-        assert filled == self.N_FEATURES - 2
-        assert np.all(np.diff(cum) >= 0)
+    def test_rows_are_distributions(self):
+        X, rows = self._rows()
+        profiles = fit_profiles(X)
+        assert X.getnnz(axis=1).all()
+        for matrix in (X, rows[:3]):
+            P = latent_distributions(matrix, profiles)
+            assert (P >= 0).all()
+            assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
 
-    def test_tied_column_end(self):
-        _, profiles = self._profiles()
-        start, end = profiles._indptr[self.TIED], profiles._indptr[self.TIED + 1]
-        assert profiles._cum[start:end].tolist() == [self.TIED + 1.0] * 4
+    def test_training_rows_take_the_gram_form(self):
+        X, _ = self._rows()
+        profiles = fit_profiles(X)
+        assert profiles.training is X
+        P = latent_distributions(X, profiles)
+        copy = latent_distributions(X.copy(), profiles)
+        assert np.abs(P - copy).max() <= 1e-12
 
-    @pytest.mark.parametrize("edge", [0.0, np.nextafter(1.0, 0.0)])
-    def test_edge_uniforms_stay_in_their_column(self, edge):
-        X, profiles = self._profiles()
-        assert 1024 + edge == (1025.0 if edge else 1024.0)  # f + u rounds up to f + 1
-        m = 50
-        features = list(range(self.N_FEATURES - 16, self.N_FEATURES)) + [0, 1, 1023, 1024]
-        for f in features + [self.TIED]:
-            x = make_row([f], [1.0], self.N_FEATURES)
-            counts = sample_latent_counts(x.indices, x.data, profiles, m, EdgeUniforms(edge))
+    def test_shares_above_one_do_not_raise(self, monkeypatch):
+        X, x = self._fixture()
+        profiles = fit_profiles(X)
+        p = np.append(np.full(29, (1.0 + 1e-9) / 29), 0.0)  # the last row gets no share
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).multinomial(100, p)
+        monkeypatch.setattr(dro, "latent_distributions", lambda rows, profiles: p[None, :])
+        counts = sample_latent_counts(x.indices, x.data, profiles, 100, spawn_rng(0, "drift"))
+        assert counts.sum() == 100
+
+    def test_stream_is_pinned(self):
+        X, x = self._fixture()
+        profiles = fit_profiles(X)
+        pinned = {
+            0: [0, 5, 0, 3, 0, 3, 0, 0, 4, 1, 2, 1, 0, 2, 3, 0, 0, 2, 2, 0, 1, 0, 1, 0, 0, 3, 2, 3, 1, 1],
+            1: [0, 2, 3, 0, 1, 4, 1, 0, 1, 1, 1, 1, 1, 4, 1, 1, 1, 4, 1, 0, 2, 0, 0, 0, 0, 5, 4, 0, 0, 1],
+            2: [2, 2, 1, 3, 0, 2, 1, 0, 0, 1, 1, 0, 1, 1, 0, 2, 2, 3, 0, 0, 3, 1, 1, 0, 0, 2, 4, 2, 1, 4],
+        }
+        for seed, want in pinned.items():
+            counts = sample_latent_counts(x.indices, x.data, profiles, 40, spawn_rng(seed, "pin"))
+            assert counts.astype(np.int64).tolist() == want, seed
+
+    def test_mixed_row_draws_from_its_mixture(self):
+        X, x = self._fixture()
+        profiles = fit_profiles(X)
+        p = reference_mixture(x, X)
+        m = 20_000
+        assert (p * m).min() >= 5
+        for seed in range(3):
+            counts = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "mixed"))
             assert counts.sum() == m
-            support = np.nonzero(X[:, f])[0]
-            if support.size == 0:
-                support = np.arange(X.shape[0])
-            assert set(np.nonzero(counts)[0]) <= set(support.tolist()), f"feature {f}"
-            want = clipped_lookup_counts(x.indices, x.data, profiles, m, EdgeUniforms(edge))
-            assert counts.tobytes() == want.tobytes(), f"feature {f}"
-
-    def test_mixed_row_equals_the_clipped_lookup(self):
-        _, profiles = self._profiles()
-        # fallback (the all-zero columns), rounded (u near 1 above 1024)
-        # and regular draws in one row
-        columns = [0, 7, 1024, self.TIED, self.N_FEATURES - 12, self.N_FEATURES - 1]
-        x = make_row(columns, [1.0, 2.0, 1.0, 3.0, 1.0, 2.0], self.N_FEATURES)
-        uniforms = EdgeUniforms(0.0, 0.25, np.nextafter(1.0, 0.0), 0.5, 1e-300)
-        got = sample_latent_counts(x.indices, x.data, profiles, 997, uniforms)
-        want = clipped_lookup_counts(x.indices, x.data, profiles, 997, uniforms)
-        assert got.tobytes() == want.tobytes()
-        assert got.sum() == 997
-
-    def test_random_rows_equal_the_clipped_lookup(self):
-        _, profiles = self._profiles()
-        rng = np.random.default_rng(24)
-        for seed in range(40):
-            nnz = int(rng.integers(1, 400))
-            columns = np.sort(rng.choice(self.N_FEATURES, size=nnz, replace=False))
-            x = make_row(columns, rng.random(nnz) + 0.01, self.N_FEATURES)
-            m = int(rng.integers(1, 5000))
-            got = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "lookup"))
-            want = clipped_lookup_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "lookup"))
-            assert got.tobytes() == want.tobytes(), seed
+            assert chisquare(counts, f_exp=p * m).pvalue > 0.01, seed
 
 
 class TestSyntheticCount:

@@ -85,9 +85,13 @@ class TestFolds:
         monkeypatch.setattr(evaluation, "ThreadPoolExecutor", recording_pool)
         config = fast_pipeline("Aldus")
         first = small_corpus.labelled()[0].id
+        workers = min(cpus, len(small_corpus.labelled()))
         loo_run(small_corpus, config, seed=1, threads=64)
+        assert requested == ([workers] if workers > 1 else [])
+        # one worker runs its folds inline, with no pool
         loo_run(small_corpus, config, seed=1, threads=64, text_ids=[first])
-        assert requested == [min(cpus, len(small_corpus.labelled())), 1]
+        loo_run(small_corpus, config, seed=1, threads=1)
+        assert requested == ([workers] if workers > 1 else [])
 
     def test_missing_target_author_rejected(self, small_corpus):
         config = fast_pipeline("Aldus")

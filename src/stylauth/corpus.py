@@ -4,6 +4,8 @@ Text conventions
 ----------------
 Source texts are plain UTF-8. Spans explicitly quoted from other works are
 marked ``{q: ... }`` and are deleted during normalization. Normalized text
+is in Unicode normalization form C (NFC), so two encodings of one letter
+(precomposed, or a base letter and a combining mark) give one token. It
 is lowercase with ``v`` mapped to ``u`` and ``j`` mapped to ``i`` (medieval
 Latin editions disagree on these graphemes, so both spellings collapse to
 one canonical form). All other characters, including whitespace, survive
@@ -25,6 +27,7 @@ import io
 import json
 import logging
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -167,19 +170,22 @@ def _delete_quoted_spans_once(text: str) -> tuple[str, bool]:
 
 
 def normalize(raw_text: str) -> str:
-    """Canonicalize raw text: drop quoted spans, lowercase, map v->u and j->i.
+    """Canonicalize raw text: NFC, drop quoted spans, lowercase, map v->u and j->i.
 
     Quoted-span deletion runs to a fixpoint so the result never contains a
-    marker, which makes normalize idempotent. Raises
-    UnbalancedQuotationError when a ``{q:`` marker has no closing brace.
+    marker, which makes normalize idempotent; so does composing the result
+    again, because lowercasing and the letter map can leave a base letter
+    and a combining mark that compose (``J`` with a caron becomes ``ǐ``).
+    Raises UnbalancedQuotationError when a ``{q:`` marker has no closing
+    brace, with its byte offset in the NFC text.
     """
-    text = raw_text
+    text = unicodedata.normalize("NFC", raw_text)
     while True:
         text, found = _delete_quoted_spans_once(text)
         if not found:
             break
-    text = text.lower()
-    return text.replace("v", "u").replace("j", "i")
+    text = text.lower().replace("v", "u").replace("j", "i")
+    return unicodedata.normalize("NFC", text)
 
 
 def tokenize(normalized_text: str) -> list[Token]:
@@ -428,7 +434,8 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
     Each record needs ``id``, ``author``, ``title`` and ``text_path``
     fields; ``genre`` and ``annotations_path`` are optional. Relative
     paths resolve against the manifest's directory. Disputed texts carry
-    the reserved author value ``UNKNOWN``.
+    the reserved author value ``UNKNOWN``. Ids must be distinct, and so
+    must normalized texts, so that no text trains on a copy of itself.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -436,6 +443,7 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
 
     documents: list[Document] = []
     seen: set[str] = set()
+    id_of_text: dict[str, str] = {}  # normalized-text digest -> id
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CorpusError(f"{manifest_path}: record {i} is not an object")
@@ -464,6 +472,11 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
         if not raw_text.strip():
             raise EmptyTextError(f"text file for {doc_id!r} is empty: {text_path}")
         doc = build_document(doc_id, author, title, raw_text, genre=genre)
+        twin = id_of_text.setdefault(doc.text_sha256(), doc_id)
+        if twin != doc_id:
+            raise CorpusError(
+                f"{manifest_path}: documents {twin!r} and {doc_id!r} have the same normalized text"
+            )
 
         ann_rel = _field(rec, "annotations_path", where).strip()
         if ann_rel:

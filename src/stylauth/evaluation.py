@@ -33,7 +33,7 @@ from .learner import Prediction
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedClassifier, PipelineConfig, Vectors, VerificationClasses,
-    counts_cache_for, document_instances, fit_verifier, predict_document, training_vectors,
+    counts_cache_for, document_instances, fit_verifier, fold_vectors, predict_document,
 )
 from .rng import stable_seed
 
@@ -58,6 +58,7 @@ class TextPrediction:
     prediction: Prediction  # the fitted classifier's posteriors on the text
     fitted_C: float
     inner_cv_f1: tuple[tuple[float, float], ...]  # (C, inner-CV F1), ascending C
+    columns_per_block: tuple[tuple[str, int], ...]  # (block, columns) in space order
     training_rows: int  # after oversampling
     synthetic_positives: int
     converged: bool  # of the final fit
@@ -125,6 +126,7 @@ class LooReport:
                     "positive_posterior": r.positive_posterior,
                     "fitted_C": r.fitted_C,
                     "inner_cv_f1": [list(pair) for pair in r.inner_cv_f1],
+                    "columns_per_block": [list(pair) for pair in r.columns_per_block],
                     "training_rows": r.training_rows,
                     "synthetic_positives": r.synthetic_positives,
                     "converged": r.converged,
@@ -170,9 +172,9 @@ def _run_fold(
 ) -> list[FoldOutcome]:
     """One fold for each pool, in pool order.
 
-    The fold fits its space and vectorizes once over the config's blocks;
-    each pool slices its columns from those rows. A pool's seconds include
-    that shared work.
+    The fold fits its space over the config's blocks and vectorizes its
+    training rows and the held-out text in one call; each pool slices its
+    columns from those rows. A pool's seconds include that shared work.
     """
     start = time.perf_counter()
     fold_seed = stable_seed(master_seed, study.seed_label, held_out.id)
@@ -183,8 +185,7 @@ def _run_fold(
         log.warning("skipping fold %s: %s", held_out.id, reason)
         return [(None, reason, time.perf_counter() - start)] * len(pools)
 
-    full_train = training_vectors(train_docs, config, cache)
-    full_text = cache.vectorize([Instance(doc=held_out)], full_train.space)
+    full_train, full_text = fold_vectors(train_docs, [held_out], config, cache)
     shared = time.perf_counter() - start
     out = []
     for blocks in pools:
@@ -201,6 +202,7 @@ def _run_fold(
             prediction=predict_document(fitted, text, fold_seed),
             fitted_C=fitted.chosen_C,
             inner_cv_f1=fitted.inner_cv_f1,
+            columns_per_block=tuple((b.value, e - s) for b, s, e in space.block_offsets),
             training_rows=len(fitted.training_instance_ids),
             synthetic_positives=fitted.synthetic_positives,
             converged=fitted.model.converged,

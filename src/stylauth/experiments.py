@@ -37,9 +37,9 @@ from .pipeline import (
     document_instances,
     fit_attributor,
     fit_verifier,
+    fold_vectors,
     predict_document,
     training_documents,
-    training_vectors,
 )
 from .rng import stable_seed
 
@@ -251,9 +251,8 @@ def verify_disputed(
         raise ExperimentError("n_replicas must be >= 1")
     disputed = _get_disputed(corpus, disputed_id)
     cache = counts_cache_for(config.features, cache)
-    train = training_vectors(training_documents(corpus), config, cache)
+    train, text = fold_vectors(training_documents(corpus), [disputed], config, cache)
     fitted = fit_verifier(train, config, stable_seed(seed, "verify"))
-    text = cache.vectorize([Instance(doc=disputed)], fitted.space)
 
     replicas = n_replicas if fitted.uses_dro else 1
     posteriors = [
@@ -333,9 +332,10 @@ def attribute_disputed(
     disputed = _get_disputed(corpus, disputed_id)
     candidates = candidate_authors(corpus, min_texts_per_author)
     cache = counts_cache_for(config.features, cache)
-    train = training_vectors(training_documents(corpus, authors=candidates), config, cache)
+    train, text = fold_vectors(
+        training_documents(corpus, authors=candidates), [disputed], config, cache
+    )
     fitted = fit_attributor(train, config, stable_seed(seed, "attribute"))
-    text = cache.vectorize([Instance(doc=disputed)], fitted.space)
     prediction = predict_document(fitted, text, stable_seed(seed, "attribute"))
     order = np.argsort(-prediction.posteriors)
     ranking = tuple(

@@ -554,13 +554,13 @@ def vectorize_counts(
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = int(rows.shape[0])
-    blocks: list[sp.csr_matrix] = []
-    block_totals: list[np.ndarray] = []
+    row_parts, col_parts, value_parts, block_totals = [], [], [], []
     for block, start, end in space.block_offsets:
         keys, counts = store.block(block)
         counts = counts[rows]
         mapping = space.vocab[block]
-        column = np.array([mapping.get(k, -1) for k in keys.tolist()], dtype=np.int64)
+        # int32, the CSR index type, so that the matrix takes its indices uncopied
+        column = np.array([mapping.get(k, -1) for k in keys.tolist()], dtype=np.int32)
         totals = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel()
         block_totals.append(totals)
         row_of = np.repeat(np.arange(n), np.diff(counts.indptr))
@@ -568,14 +568,20 @@ def vectorize_counts(
         kept = cols >= 0
         row_of, cols = row_of[kept], cols[kept]
         values = counts.data[kept] / totals[row_of] * space.idf[start:end][cols]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n))))
-        # one np.sum per block row, as per-vector code sums: a one-pass sum
-        # differs in the last bit, which L-BFGS magnifies in fitted models
-        bounds = zip(indptr[:-1].tolist(), indptr[1:].tolist())
-        values /= np.sqrt([np.sum(values[a:b] * values[a:b]) for a, b in bounds])[row_of]
-        blocks.append(sp.csr_matrix((values, cols, indptr), shape=(n, end - start)))
-    X = sp.hstack(blocks, format="csr")
-    X.sort_indices()
+        values /= np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))[row_of]
+        row_parts.append(row_of)
+        col_parts.append(cols + start)
+        value_parts.append(values)
+    # Within a block a row's columns ascend, because the store and the
+    # space both keep a block's keys in sorted order; blocks come in offset
+    # order, so a stable sort by row gives every row ascending columns.
+    row_of = np.concatenate(row_parts)
+    order = np.argsort(row_of, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n))))
+    X = sp.csr_matrix(
+        (np.concatenate(value_parts)[order], np.concatenate(col_parts)[order], indptr),
+        shape=(n, space.dim),
+    )
     return X, np.column_stack(block_totals)
 
 

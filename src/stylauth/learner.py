@@ -12,15 +12,19 @@ every evaluation.
 Inner cross-validation fits each inner fold along the C grid in
 ascending order, starting every fit from the previous C's solution (the
 regularization-path warm start of glmnet, Friedman, Hastie & Tibshirani,
-2010); final fits start from zeros. Binary inner CV on small matrices
-(at most ``_GRAM_MAX_ROWS`` rows) runs Newton's method in the Gram space
-of each fold instead, with one loop per C over all inner folds, stacked
-and zero-padded (``_gram_newton_stack``). Only its validation
-predictions are used. Both solvers stop within the same gradient
+2010). Binary inner CV on small matrices (at most ``_GRAM_MAX_ROWS``
+rows) runs Newton's method in the Gram space of each fold instead, with
+one loop per C over all inner folds, stacked and zero-padded
+(``_gram_newton_stack``). Both solvers stop within the same gradient
 tolerance of the one minimizer, so the predictions can differ only for a
-validation score that close to zero. Final fits stay on L-BFGS, because
-the two solvers' weights differ within that tolerance, and reported
-posteriors and ablation scores are pinned tighter than that.
+validation score that close to zero. Final fits stay on L-BFGS, so that
+``converged`` and ``n_iter`` keep one meaning. After Gram-space inner
+CV, ``tune_C`` also fits all rows at the chosen C with the Newton solver
+on the K it already built, and the final fit starts from that solution,
+w = Xᵀα, where L-BFGS's own gradient test usually passes at once. Every
+other final fit starts from zeros: a start that close to the minimizer
+moves fitted weights by up to the tolerance, and reported ablation scores
+are pinned tighter than that.
 
 ``predict_proba`` and ``explain`` read one instance as a one-row CSR
 matrix, the row form that ``features.vectorize_counts`` makes. A model
@@ -516,6 +520,17 @@ def inner_cv_scores(
     with L-BFGS, and all multiclass problems fit with
     ``train_binary``/``train_multiclass``.
     """
+    return _inner_cv(X, y_idx, n_classes, config, rng)[0]
+
+
+def _inner_cv(
+    X,
+    y_idx: np.ndarray,
+    n_classes: int,
+    config: TrainConfig,
+    rng: np.random.Generator,
+) -> tuple[dict[float, float] | None, np.ndarray | None]:
+    """``inner_cv_scores``, and K = X Xᵀ when the scores came from the Gram path."""
     counts = np.bincount(y_idx, minlength=n_classes)
     min_class = int(counts[counts > 0].min())
     k = min(config.inner_folds, min_class)
@@ -527,11 +542,11 @@ def inner_cv_scores(
             min_class,
         )
     if k < 2:
-        return None
+        return None, None
     folds = _stratified_fold_ids(y_idx, k, rng)
     X = sp.csr_matrix(X) if sp.issparse(X) else np.asarray(X)
-    gram = n_classes == 2 and X.shape[0] <= _GRAM_MAX_ROWS
-    if gram:
+    K = None
+    if n_classes == 2 and X.shape[0] <= _GRAM_MAX_ROWS:
         _check_matrix(X)
         K = _gram_matrix(X)
 
@@ -541,7 +556,7 @@ def inner_cv_scores(
         train_mask = folds != j
         if np.unique(y_idx[train_mask]).shape[0] > 1:
             train_masks.append(train_mask)  # else its validation rows stay class 0
-    if gram:
+    if K is not None:
         _gram_cv_predictions(K, y_idx, train_masks, config, predicted)
     else:
         for train_mask in train_masks:
@@ -567,7 +582,7 @@ def inner_cv_scores(
             scores[c] = f1(ContingencyTable.from_predictions(y_idx.tolist(), pred.tolist()))
         else:
             scores[c] = macro_f1(per_class_tables(y_idx.tolist(), pred.tolist(), range(n_classes)))
-    return scores
+    return scores, K
 
 
 def tune_C(
@@ -576,26 +591,32 @@ def tune_C(
     config: TrainConfig,
     rng: np.random.Generator,
     n_classes: int = 2,
-) -> tuple[float, dict[float, float]]:
+) -> tuple[float, dict[float, float], tuple[np.ndarray, float] | None]:
     """Pick the grid value with the best inner-CV score; ties go to smaller C.
 
-    Returns the chosen C and the inner-CV score of each grid value, in
-    ascending C; the scores are empty when no inner CV ran. A one-value
-    grid returns its value, and a class too small for even two stratified
-    folds falls back to config.C (with a warning).
+    Returns the chosen C, the inner-CV score of each grid value in
+    ascending C, and a start for the final fit: when inner CV ran in Gram
+    space, the full-data (α, b) at the chosen C, fitted by
+    ``_gram_newton`` on the K inner CV built, so that w = Xᵀα; else None.
+    The scores are empty when no inner CV ran. A one-value grid returns
+    its value, and a class too small for even two stratified folds falls
+    back to config.C (with a warning).
     """
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if len(config.C_grid) == 1:
-        return config.C_grid[0], {}
-    scores = inner_cv_scores(X, y_idx, n_classes, config, rng)
+        return config.C_grid[0], {}, None
+    scores, K = _inner_cv(X, y_idx, n_classes, config, rng)
     if scores is None:
         log.warning("inner CV impossible (a class has < 2 members); using C=%g", config.C)
-        return config.C, {}
+        return config.C, {}, None
     best_c, best_score = None, -1.0
     for c in config.C_grid:  # ascending, so strict improvement keeps smaller C on ties
         if scores[c] > best_score:
             best_c, best_score = c, scores[c]
-    return float(best_c), scores
+    if K is None:
+        return float(best_c), scores, None
+    start = _gram_newton(K, y_idx.astype(np.float64), best_c, config, np.zeros(K.shape[0]), 0.0)
+    return float(best_c), scores, start
 
 
 # ---------------------------------------------------------------------------

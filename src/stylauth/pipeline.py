@@ -188,19 +188,37 @@ class FittedClassifier:
         return self.profiles is not None
 
 
-def training_vectors(
-    docs: Sequence[Document], config: PipelineConfig, cache: CountsCache
-) -> Vectors:
-    """Training instances of ``docs`` over the space fitted on them."""
+def fold_vectors(
+    docs: Sequence[Document],
+    texts: Sequence[Document],
+    config: PipelineConfig,
+    cache: CountsCache,
+) -> tuple[Vectors, Vectors]:
+    """Training instances of ``docs`` over the space fitted on them, and
+    ``texts`` in full over that same space, from one vectorize call.
+
+    A row's TFIDF values depend only on its counts and the space, so each
+    equals a row vectorized on its own.
+    """
     instances = document_instances(docs, config.segmentation)
     if not instances:
         raise ExperimentError("no training instances")
     space = fit_feature_space_from_counts(cache, cache.rows(instances), config.features)
-    return cache.vectorize(instances, space)
+    both = cache.vectorize([*instances, *(Instance(doc=doc) for doc in texts)], space)
+    n = len(instances)
+    return (
+        Vectors(both.instances[:n], space, both.X[:n], both.block_totals[:n]),
+        Vectors(both.instances[n:], space, both.X[n:], both.block_totals[n:]),
+    )
 
 
 def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
-    """(Optionally) oversample, tune C, and train on vectorized training instances."""
+    """(Optionally) oversample, tune C, and train on vectorized training instances.
+
+    When C was tuned in Gram space, the final L-BFGS fit starts from the
+    Gram-space Newton solution at the chosen C (``tune_C``), with weights
+    w = Xᵀα; otherwise it starts from zeros.
+    """
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
     instances, space, X = train.instances, train.space, train.X
@@ -223,8 +241,11 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
         instance_ids = tuple(ex.example_id for ex in extended)
         synthetic = sum(ex.synthetic for ex in extended)
 
-    chosen_C, inner_scores = tune_C(X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2)
-    model = train_binary(X, y, config.learner, classes=class_of.classes, C=chosen_C)
+    chosen_C, inner_scores, start = tune_C(
+        X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2
+    )
+    x0 = None if start is None else np.append(X.T @ start[0], start[1])
+    model = train_binary(X, y, config.learner, classes=class_of.classes, C=chosen_C, x0=x0)
     return FittedClassifier(
         space=space,
         model=model,
@@ -263,7 +284,7 @@ def fit_attributor(train: Vectors, config: PipelineConfig, seed: int) -> FittedC
         raise ExperimentError("attribution needs at least two candidate authors")
     index = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.asarray([index[label] for label in labels], dtype=np.int64)
-    chosen_C, inner_scores = tune_C(
+    chosen_C, inner_scores, _ = tune_C(
         train.X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes)
     )
     model = train_multiclass(train.X, labels, config.learner, C=chosen_C)

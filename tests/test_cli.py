@@ -280,6 +280,20 @@ class TestCommands:
         assert marked.tokens == plain.tokens
         assert marked.text_sha256() == plain.text_sha256()
 
+    @pytest.mark.parametrize("copy_author", ["Y", "UNKNOWN"])
+    def test_duplicate_texts_are_a_corpus_error(self, tmp_path, capsys, copy_author):
+        docs = [
+            {"id": "a", "author": "X", "text": "Aqua et terra."},
+            {"id": "b", "author": "Y", "text": "terra et aqua."},
+            # the same normalized text: case and a quoted span do not count
+            {"id": "c", "author": copy_author, "text": "aqua {q:manet}et terra."},
+        ]
+        config = write_config(tmp_path, write_corpus(tmp_path, docs))
+        assert main(["ingest", "--config", str(config)]) == EXIT_CORPUS
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error: ")
+        assert "documents 'a' and 'c' have the same normalized text" in err
+
     def test_loo_reads_text_edited_after_ingest(self, tmp_path):
         make_styled_corpus(tmp_path, {"Aldus": 3, "Benno": 3}, n_tokens=200, seed=19)
         # a manifest in its own directory, naming texts outside it

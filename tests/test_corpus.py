@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,24 @@ class TestNormalize:
 
     def test_stray_closing_brace_is_preserved(self):
         assert normalize("a } b") == "a } b"
+
+    def test_decomposed_and_precomposed_forms_agree(self):
+        # "ṽ" decomposes to "v" and a tilde, which the letter map would
+        # reach if the text were not composed first
+        precomposed = "Aquā et terrā ṽel."
+        decomposed = unicodedata.normalize("NFD", precomposed)
+        assert decomposed != precomposed
+        docs = [build_document(f"d{i}", "X", "t", text) for i, text in
+                enumerate([precomposed, decomposed])]
+        assert [t.surface for t in docs[1].tokens] == ["aquā", "et", "terrā", "ṽel", "."]
+        assert docs[1].tokens == docs[0].tokens
+        assert docs[1].text_sha256() == docs[0].text_sha256()
+
+    def test_letters_that_compose_after_the_letter_map(self):
+        # "J" with a combining caron has no precomposed form; "i" with one has
+        once = normalize("J\u030c")
+        assert once == "\u01d0"
+        assert normalize(once) == once
 
     @given(plain_text)
     def test_idempotent(self, text):

@@ -183,7 +183,7 @@ class TestLeakage:
                     "id": f"pos-{i}",
                     "author": "Aldus",
                     "title": f"P{i}",
-                    "text": "brag nopho zelqui urbra gnophi. " * 20,
+                    "text": "brag nopho zelqui urbra gnophi. " * (20 + i),
                 }
             )
         for i in range(3):
@@ -192,7 +192,7 @@ class TestLeakage:
                     "id": f"neg-{i}",
                     "author": "Benno",
                     "title": f"N{i}",
-                    "text": "montes ualcor duspen corual. " * 20,
+                    "text": "montes ualcor duspen corual. " * (20 + i),
                 }
             )
         # a marker trigram that exists only in neg-0
@@ -269,7 +269,22 @@ class TestReport:
             assert record["synthetic_positives"] == len(synthetic)
             assert record["converged"] is fitted.model.converged
             assert record["n_iter"] == fitted.model.n_iter >= 1
+            blocks = fitted.space.block_offsets
+            assert record["columns_per_block"] == [[b.value, e - s] for b, s, e in blocks]
+            assert sum(n for _, n in record["columns_per_block"]) == fitted.space.dim
         assert any(record["synthetic_positives"] > 0 for record in records)
+
+        # with several C values the final fit starts from the Gram path's
+        # solution, so it may take no L-BFGS iteration at all
+        captured.clear()
+        config = fast_pipeline("Aldus", dro=True, c_grid=(0.1, 1.0, 10.0))
+        report = loo_run(small_corpus, config, seed=3, fold_listener=listener)
+        records = report.canonical_dict()["records"]
+        for record in records:
+            fitted = captured[record["text_id"]]
+            assert record["converged"] is fitted.model.converged is True
+            assert record["n_iter"] == fitted.model.n_iter
+        assert any(record["n_iter"] == 0 for record in records)
 
     def test_no_synthetic_positives_without_dro(self, small_corpus):
         report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=3)

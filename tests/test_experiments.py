@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from stylauth import experiments
-from stylauth.corpus import load_corpus
+from stylauth.corpus import Corpus, build_document, load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
 from stylauth.experiments import (
@@ -27,7 +27,7 @@ from stylauth.features import FeatureBlock, FeatureConfig, Instance
 from stylauth.learner import TrainConfig, predict_proba
 from stylauth.evaluation import loo_run
 from stylauth.pipeline import (
-    CountsCache, PipelineConfig, SegmentationConfig, fit_attributor, training_vectors,
+    CountsCache, PipelineConfig, SegmentationConfig, fit_attributor, fold_vectors,
 )
 from stylauth.rng import stable_seed
 
@@ -280,7 +280,7 @@ class TestAttributionContingency:
         assert [r[0] for r in report.records] == [d.id for d in docs]
         cache = CountsCache(config.features)
         for (_, true, predicted, confidence), doc in zip(report.records, docs):
-            train = training_vectors([d for d in docs if d is not doc], config, cache)
+            train = fold_vectors([d for d in docs if d is not doc], (), config, cache)[0]
             fitted = fit_attributor(train, config, stable_seed(5, "aa-loo", doc.id))
             text = cache.vectorize([Instance(doc=doc)], fitted.space)
             prediction = predict_proba(fitted.model, text.X)
@@ -314,14 +314,15 @@ class TestAttributionContingency:
 
 
 class TestRankSimilar:
-    def test_identical_text_tops_ranking(self, tmp_path):
-        docs = [
-            {"id": "a1", "author": "X", "title": "A1", "text": "bra gno phi zel. " * 30},
-            {"id": "a2", "author": "X", "title": "A2", "text": "bra bra gno zel phi. " * 30},
-            {"id": "b1", "author": "Y", "title": "B1", "text": "mon tes cor dus. " * 30},
-            {"id": "q", "author": "UNKNOWN", "title": "Q", "text": "bra gno phi zel. " * 30},
-        ]
-        corpus = load_corpus(write_corpus(tmp_path, docs))
+    def test_identical_text_tops_ranking(self):
+        # built in memory: load_corpus rejects two records with one text
+        texts = {
+            "a1": ("X", "bra gno phi zel. " * 30),
+            "a2": ("X", "bra bra gno zel phi. " * 30),
+            "b1": ("Y", "mon tes cor dus. " * 30),
+            "q": ("UNKNOWN", "bra gno phi zel. " * 30),
+        }
+        corpus = Corpus(tuple(build_document(i, a, i, text) for i, (a, text) in texts.items()))
         ranking = rank_similar(corpus, "q", styled_config(dro=False), top_k=None)
         assert ranking.entries[0][0] == "a1"
         assert ranking.entries[0][3] == pytest.approx(1.0)

@@ -6,6 +6,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -425,6 +426,8 @@ def test_matrix_path_matches_dict_reference(counts_list, data):
     assert np.allclose(space.idf, idf, rtol=0, atol=1e-12)
     assert X.shape == expected.shape
     assert np.allclose(X.toarray(), expected, rtol=0, atol=1e-12)
+    # checked from the arrays, not from the matrix's flag
+    assert sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape).has_canonical_format
     assert block_totals.sum(axis=1).tolist() == expected_occurrences
     assert block_totals.tolist() == [
         [sum(counts[block].values()) for block in config.blocks_in_order()] for counts in counts_list

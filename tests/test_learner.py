@@ -13,7 +13,8 @@ from scipy.special import expit
 from stylauth.errors import LearnerError
 from stylauth.metrics import ContingencyTable, f1, macro_f1
 from stylauth.features import FeatureBlock, FeatureConfig, fit_feature_space, vectorize
-from stylauth.corpus import build_document
+from stylauth.corpus import build_document, load_corpus
+from stylauth.dro import DroConfig, extended_to_csr, fit_profiles, oversample
 from stylauth import learner
 from stylauth.learner import (
     TrainConfig,
@@ -29,6 +30,13 @@ from stylauth.learner import (
     train_multiclass,
     tune_C,
 )
+from stylauth.pipeline import (
+    CountsCache, PipelineConfig, SegmentationConfig, fit_attributor, fit_verifier,
+    fold_vectors, training_documents,
+)
+from stylauth.rng import spawn_rng
+
+from conftest import make_styled_corpus
 
 
 def row(values) -> sp.csr_matrix:
@@ -271,7 +279,7 @@ class TestTuneC:
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         config = TrainConfig(C_grid=(0.5,))
         rng = np.random.default_rng(0)
-        assert tune_C(X, [0, 1, 0, 1], config, rng) == (0.5, {})
+        assert tune_C(X, [0, 1, 0, 1], config, rng) == (0.5, {}, None)
 
     def test_ties_break_toward_smaller_c(self):
         # a constant-features problem scores identically for every C
@@ -287,7 +295,7 @@ class TestTuneC:
         y = ((X[:, 0] + 0.8 * rng.normal(size=60)) > 0).astype(int)
         y[:2] = [0, 1]
         config = TrainConfig(C_grid=(0.01, 0.1, 1.0, 10.0), inner_folds=3)
-        chosen, tuned_scores = tune_C(X, y, config, np.random.default_rng(9))
+        chosen, tuned_scores, _ = tune_C(X, y, config, np.random.default_rng(9))
         scores = inner_cv_scores(X, y, 2, config, np.random.default_rng(9))
         assert scores is not None
         assert list(tuned_scores.items()) == [(c, scores[c]) for c in config.C_grid]
@@ -300,7 +308,7 @@ class TestTuneC:
         y = [1] * 3 + [0] * 12
         config = TrainConfig(C_grid=(0.1, 1.0), inner_folds=5)
         with caplog.at_level("WARNING"):
-            c, _ = tune_C(X, y, config, np.random.default_rng(2))
+            c, _, _ = tune_C(X, y, config, np.random.default_rng(2))
         assert c in (0.1, 1.0)
         assert any("reducing inner folds" in r.message for r in caplog.records)
 
@@ -389,8 +397,8 @@ class TestTuneC:
         y = [1, 0, 0]
         config = TrainConfig(C=7.0, C_grid=(0.1, 1.0))
         with caplog.at_level("WARNING"):
-            c, scores = tune_C(X, y, config, np.random.default_rng(3))
-        assert (c, scores) == (7.0, {})
+            c, scores, start = tune_C(X, y, config, np.random.default_rng(3))
+        assert (c, scores, start) == (7.0, {}, None)
 
 
 def _gram_fixture(name: str) -> tuple[object, np.ndarray]:
@@ -509,7 +517,7 @@ class TestGramPath:
     def test_all_zero_matrix_ties_toward_smallest_c(self):
         X = sp.csr_matrix((10, 4))
         y = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-        chosen, scores = tune_C(X, y, TrainConfig(inner_folds=3), np.random.default_rng(8))
+        chosen, scores, _ = tune_C(X, y, TrainConfig(inner_folds=3), np.random.default_rng(8))
         assert len(set(scores.values())) == 1
         assert chosen == min(scores)
 
@@ -528,6 +536,96 @@ class TestGramPath:
         assert stopped
         assert all(m.startswith("optimizer stopped after 1 iterations with gradient norm")
                    for m in stopped)
+
+
+@pytest.fixture(scope="module")
+def fold_corpus(tmp_path_factory):
+    manifest = make_styled_corpus(
+        tmp_path_factory.mktemp("path-start"), {"Aldus": 3, "Benno": 3, "Castor": 3},
+        n_tokens=200, seed=62,
+    )
+    return load_corpus(manifest)
+
+
+def _pipeline_config(c_grid, dro=False) -> PipelineConfig:
+    return PipelineConfig(
+        features=FeatureConfig(
+            enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+            ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
+        ),
+        segmentation=SegmentationConfig(min_tokens=60),
+        learner=TrainConfig(C_grid=tuple(c_grid), inner_folds=3),
+        dro=DroConfig(target_positive_ratio=0.3) if dro else None,
+        target_author="Aldus",
+    )
+
+
+def _training_fold(corpus, config):
+    """Vectors of one LOO fold (the first text held out) and their target labels."""
+    docs = training_documents(corpus)[1:]
+    train = fold_vectors(docs, (), config, CountsCache(config.features))[0]
+    y = np.asarray([inst.doc.author == "Aldus" for inst in train.instances], dtype=np.int64)
+    return train, y
+
+
+def _dro_fold(corpus) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The DRO-extended training matrix of one LOO fold, as ``fit_verifier`` tunes on it."""
+    config = _pipeline_config(learner.DEFAULT_C_GRID, dro=True)
+    train, y = _training_fold(corpus, config)
+    ids = tuple(inst.instance_id for inst in train.instances)
+    profiles = fit_profiles(train.X)
+    extended = oversample(train.X, y, ids, train.occurrences, profiles, config.dro, 3)
+    return extended_to_csr(train.X, extended, profiles.latent_dim)
+
+
+class TestPathStart:
+    @pytest.mark.parametrize("name", ["sparse", "duplicated-rows", "separable", "dro-fold"])
+    def test_started_fit_passes_the_lbfgs_test(self, name, fold_corpus):
+        X, y = _dro_fold(fold_corpus) if name == "dro-fold" else _gram_fixture(name)
+        config = TrainConfig(inner_folds=3)
+        C, _, start = tune_C(X, y, config, np.random.default_rng(11))
+        assert start is not None
+        x0 = np.append(X.T @ start[0], start[1])
+        _, grad = binary_objective(x0, X, y.astype(float), C)
+        assert np.max(np.abs(grad)) <= config.tolerance
+        started = train_binary(X, y, config, C=C, x0=x0)
+        cold = train_binary(X, y, config, C=C)
+        assert started.converged
+        assert started.n_iter < cold.n_iter
+        np.testing.assert_allclose(
+            predict_proba_matrix(started, X), predict_proba_matrix(cold, X), rtol=0, atol=1e-6
+        )
+
+    @pytest.mark.parametrize("case", ["one-value-grid", "above-the-row-bound", "multiclass"])
+    def test_fit_without_a_gram_path_starts_from_zeros(self, case, fold_corpus, monkeypatch):
+        config = _pipeline_config((1.0,) if case == "one-value-grid" else (0.1, 1.0, 10.0))
+        train, y = _training_fold(fold_corpus, config)
+        if case == "multiclass":
+            fitted = fit_attributor(train, config, 5)
+            labels = [inst.doc.author for inst in train.instances]
+            cold = train_multiclass(train.X, labels, config.learner, C=fitted.chosen_C)
+        else:
+            if case == "above-the-row-bound":
+                monkeypatch.setattr(learner, "_GRAM_MAX_ROWS", train.X.shape[0] - 1)
+            fitted = fit_verifier(train, config, 5)
+            classes = fitted.model.classes
+            cold = train_binary(train.X, y, config.learner, classes, C=fitted.chosen_C)
+        assert bool(fitted.inner_cv_f1) == (case != "one-value-grid")  # inner CV ran
+        assert fitted.model.weights.tobytes() == cold.weights.tobytes()
+        assert fitted.model.bias.tobytes() == cold.bias.tobytes()
+        assert fitted.model.n_iter == cold.n_iter > 0
+
+    def test_gram_fit_starts_from_the_path(self, fold_corpus):
+        config = _pipeline_config((0.1, 1.0, 10.0))
+        train, y = _training_fold(fold_corpus, config)
+        fitted = fit_verifier(train, config, 5)
+        _, _, (alpha, b) = tune_C(train.X, y, config.learner, spawn_rng(5, "tune"))
+        started = train_binary(
+            train.X, y, config.learner, fitted.model.classes, C=fitted.chosen_C,
+            x0=np.append(train.X.T @ alpha, b),
+        )
+        assert fitted.model.weights.tobytes() == started.weights.tobytes()
+        assert fitted.model.n_iter == started.n_iter
 
 
 class TestExplain:

@@ -26,9 +26,9 @@ from stylauth.pipeline import (
     document_instances,
     fit_attributor,
     fit_verifier,
+    fold_vectors,
     predict_document,
     training_documents,
-    training_vectors,
 )
 
 from conftest import assert_same_space, make_styled_corpus
@@ -137,10 +137,11 @@ class TestVectors:
             ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
         )
         cache = CountsCache(config.features)
-        full = training_vectors(training_documents(corpus), config, cache)
+        docs = training_documents(corpus)
+        full = fold_vectors(docs, (), config, cache)[0]
         space, columns = full.space.restricted_to(blocks)
         pool = full.restricted(space, columns)
-        direct = training_vectors(training_documents(corpus), config.with_blocks(blocks), cache)
+        direct = fold_vectors(docs, (), config.with_blocks(blocks), cache)[0]
         assert_same_space(pool.space, direct.space)
         assert all(pool.space.vocab[b] is full.space.vocab[b] for b in pool.space.vocab)
         assert pool.instances == direct.instances
@@ -151,11 +152,27 @@ class TestVectors:
         assert full.restricted(full.space, np.arange(full.space.dim)) is full
 
 
+class TestFoldVectors:
+    def test_texts_share_the_training_space_and_equal_separate_rows(self, corpus):
+        config = fast_config()
+        cache = CountsCache(config.features)
+        disputed = corpus.get("disputed-text")
+        train, text = fold_vectors(training_documents(corpus), [disputed], config, cache)
+        assert text.space is train.space
+        assert [i.instance_id for i in text.instances] == [disputed.id]
+        assert disputed.id not in {i.instance_id for i in train.instances}
+        for got in (train, text):
+            alone = cache.vectorize(got.instances, got.space)
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got.X, part).tobytes() == getattr(alone.X, part).tobytes()
+            assert np.array_equal(got.block_totals, alone.block_totals)
+
+
 class TestFitVerifier:
     def test_trains_and_predicts(self, corpus):
         config = fast_config()
         cache = CountsCache(config.features)
-        train = training_vectors(training_documents(corpus), config, cache)
+        train = fold_vectors(training_documents(corpus), (), config, cache)[0]
         fitted = fit_verifier(train, config, seed=7)
         assert fitted.model.classes == ("not Aldus", "Aldus")
         assert not fitted.uses_dro
@@ -168,7 +185,7 @@ class TestFitVerifier:
         # the corpus is balanced, so only a high target ratio forces synthesis
         config = fast_config(dro=True, ratio=0.7)
         cache = CountsCache(config.features)
-        train = training_vectors(training_documents(corpus), config, cache)
+        train = fold_vectors(training_documents(corpus), (), config, cache)[0]
         fitted = fit_verifier(train, config, seed=7)
         assert fitted.uses_dro
         assert any("#dro" in t for t in fitted.training_instance_ids)
@@ -178,14 +195,16 @@ class TestFitVerifier:
 
     def test_missing_target_instances_rejected(self, corpus):
         config = fast_config(target="Nemo")
-        train = training_vectors(training_documents(corpus), config, CountsCache(config.features))
+        cache = CountsCache(config.features)
+        train = fold_vectors(training_documents(corpus), (), config, cache)[0]
         with pytest.raises(ExperimentError):
             fit_verifier(train, config, seed=7)
 
     def test_target_author_required(self, corpus):
         config = fast_config()
         config.target_author = None
-        train = training_vectors(training_documents(corpus), config, CountsCache(config.features))
+        cache = CountsCache(config.features)
+        train = fold_vectors(training_documents(corpus), (), config, cache)[0]
         with pytest.raises(ExperimentError):
             fit_verifier(train, config, seed=7)
 
@@ -198,9 +217,9 @@ class TestPredictDocument:
         config = fast_config(dro=True, ratio=0.7)
         cache = CountsCache(config.features)
         docs = training_documents(corpus)
-        fitted = fit(training_vectors(docs, config, cache), config, 7)
+        fitted = fit(fold_vectors(docs, (), config, cache)[0], config, 7)
         assert fitted.uses_dro == (fit is fit_verifier)
-        twin = training_vectors(docs, config, cache).space
+        twin = fold_vectors(docs, (), config, cache)[0].space
         assert_same_space(twin, fitted.space)
         disputed = [Instance(doc=corpus.get("disputed-text"))]
         predict_document(fitted, cache.vectorize(disputed, fitted.space), seed=7)
@@ -217,7 +236,7 @@ class TestFitAttributor:
     def test_trains_over_candidates(self, corpus):
         config = fast_config(dro=False)
         cache = CountsCache(config.features)
-        train = training_vectors(training_documents(corpus), config, cache)
+        train = fold_vectors(training_documents(corpus), (), config, cache)[0]
         fitted = fit_attributor(train, config, seed=7)
         assert fitted.model.classes == ("Aldus", "Benno")
         assert not fitted.uses_dro
@@ -230,6 +249,7 @@ class TestFitAttributor:
     def test_single_author_rejected(self, corpus):
         config = fast_config(dro=False)
         cache = CountsCache(config.features)
-        train = training_vectors(training_documents(corpus, authors=["Aldus"]), config, cache)
+        docs = training_documents(corpus, authors=["Aldus"])
+        train = fold_vectors(docs, (), config, cache)[0]
         with pytest.raises(ExperimentError):
             fit_attributor(train, config, seed=7)

@@ -14,8 +14,10 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_run_config
@@ -51,13 +53,21 @@ def _report_meta(command: str, run: RunConfig, corpus: Corpus | None) -> dict:
     }
 
 
+def _json_array(value: object) -> list:
+    """``json.dumps``'s hook for what it cannot write itself: NumPy arrays only."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"a report cannot hold {type(value).__name__} values")
+
+
 def write_report(path: Path, meta: dict, results: dict, timing: dict | None = None) -> None:
     """Deterministic payload plus a separate, non-deterministic timing section."""
     payload = {"meta": meta, "results": results}
     if timing is not None:
         payload["timing"] = timing
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, default=_json_array)
+        + "\n",
         encoding="utf-8",
     )
     log.info("wrote %s", path)
@@ -146,7 +156,7 @@ def cmd_ablate(run: RunConfig, args: argparse.Namespace) -> int:
     write_report(
         run.output_dir / "ablation_report.json",
         _report_meta("ablate", run, corpus),
-        report.to_dict(),
+        asdict(report),
     )
     rows = []
     for it in report.iterations:
@@ -174,7 +184,7 @@ def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
         corpus, run.disputed_id, run.pipeline, n_replicas=args.replicas, seed=run.seed
     )
     write_report(
-        run.output_dir / "verdict.json", _report_meta("verify", run, corpus), verdict.to_dict()
+        run.output_dir / "verdict.json", _report_meta("verify", run, corpus), asdict(verdict)
     )
     print(
         f"{verdict.disputed_id}: predicted {verdict.predicted_class!r} "
@@ -196,13 +206,13 @@ def cmd_attribute(run: RunConfig, args: argparse.Namespace) -> int:
         seed=run.seed,
         cache=cache,
     )
-    results = result.to_dict()
+    results = asdict(result)
     if args.with_loo:
         min_texts = max(2, args.min_texts)
         loo = attribution_contingency(
             corpus, run.pipeline, min_texts_per_author=min_texts, seed=run.seed, cache=cache
         )
-        results["loo"] = loo.to_dict()
+        results["loo"] = asdict(loo)
         write_csv(
             run.output_dir / "attribution_contingency.csv",
             ["true_author", *loo.authors],
@@ -237,7 +247,7 @@ def cmd_similar(run: RunConfig, args: argparse.Namespace) -> int:
     write_report(
         run.output_dir / "similarity_report.json",
         _report_meta("similar", run, corpus),
-        ranking.to_dict(),
+        asdict(ranking),
     )
     write_csv(
         run.output_dir / "similarity_ranking.csv",

@@ -435,7 +435,8 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
     fields; ``genre`` and ``annotations_path`` are optional. Relative
     paths resolve against the manifest's directory. Disputed texts carry
     the reserved author value ``UNKNOWN``. Ids must be distinct, and so
-    must normalized texts, so that no text trains on a copy of itself.
+    must normalized texts with their whitespace runs collapsed, so that no
+    text trains on a copy of itself, re-wrapped or not.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -443,7 +444,7 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
 
     documents: list[Document] = []
     seen: set[str] = set()
-    id_of_text: dict[str, str] = {}  # normalized-text digest -> id
+    id_of_text: dict[str, str] = {}  # digest of the whitespace-collapsed normalized text -> id
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CorpusError(f"{manifest_path}: record {i} is not an object")
@@ -472,10 +473,12 @@ def load_corpus(manifest_path: Path | str) -> Corpus:
         if not raw_text.strip():
             raise EmptyTextError(f"text file for {doc_id!r} is empty: {text_path}")
         doc = build_document(doc_id, author, title, raw_text, genre=genre)
-        twin = id_of_text.setdefault(doc.text_sha256(), doc_id)
+        collapsed = collapse_whitespace(doc.normalized_text).encode("utf-8")
+        twin = id_of_text.setdefault(hashlib.sha256(collapsed).hexdigest(), doc_id)
         if twin != doc_id:
             raise CorpusError(
-                f"{manifest_path}: documents {twin!r} and {doc_id!r} have the same normalized text"
+                f"{manifest_path}: documents {twin!r} and {doc_id!r} have the same "
+                "normalized text, up to whitespace"
             )
 
         ann_rel = _field(rec, "annotations_path", where).strip()

@@ -112,7 +112,13 @@ class LooReport:
         return rows if k is None else rows[:k]
 
     def canonical_dict(self) -> dict:
-        """Deterministic payload: everything but the fold timings."""
+        """Deterministic payload: everything but the fold timings.
+
+        The other reports' payloads are ``dataclasses.asdict`` of them. This
+        one is built by hand, because each record's ``predicted_class`` and
+        ``positive_posterior`` are derived from its prediction, not fields,
+        and ``fold_seconds`` belong in the report's ``timing`` section.
+        """
         return {
             "target_author": self.target_author,
             "seed": self.seed,

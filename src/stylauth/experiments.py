@@ -76,33 +76,6 @@ class AblationReport:
     stop_candidate_scores: dict[FeatureBlock, tuple[float, ...]] | None
     hardest_text_ids: tuple[str, ...] | None
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "initial_pool": [b.value for b in self.initial_pool],
-            "final_pool": [b.value for b in self.final_pool],
-            "final_score": list(self.final_score),
-            "iterations": [
-                {
-                    "pool": [b.value for b in it.pool],
-                    "pool_score": list(it.pool_score),
-                    "candidate_scores": {
-                        b.value: list(s) for b, s in it.candidate_scores.items()
-                    },
-                    "removed": it.removed.value,
-                    "removed_score": list(it.removed_score),
-                }
-                for it in self.iterations
-            ],
-            "stop_candidate_scores": None
-            if self.stop_candidate_scores is None
-            else {b.value: list(s) for b, s in self.stop_candidate_scores.items()},
-            "hardest_text_ids": None
-            if self.hardest_text_ids is None
-            else list(self.hardest_text_ids),
-        }
-
 
 def _restricted_score(records: Sequence[TextPrediction]) -> tuple[float, ...]:
     """Vanilla accuracy over ``records``, ties broken by mean confidence in the true class."""
@@ -205,17 +178,6 @@ class Verdict:
     def n_replicas(self) -> int:
         return len(self.replica_posteriors)
 
-    def to_dict(self) -> dict:
-        return {
-            "disputed_id": self.disputed_id,
-            "target_author": self.target_author,
-            "replica_posteriors": list(self.replica_posteriors),
-            "median_posterior": self.median_posterior,
-            "predicted_class": self.predicted_class,
-            "seed": self.seed,
-            "corpus_fingerprint": self.corpus_fingerprint,
-        }
-
 
 def _get_disputed(corpus: Corpus, disputed_id: str) -> Document:
     if disputed_id not in corpus:
@@ -287,17 +249,6 @@ class AttributionResult:
     seed: int
     corpus_fingerprint: str
 
-    def to_dict(self) -> dict:
-        return {
-            "disputed_id": self.disputed_id,
-            "min_texts_per_author": self.min_texts_per_author,
-            "candidate_authors": list(self.candidate_authors),
-            "ranking": [[a, p] for a, p in self.ranking],
-            "fitted_C": self.fitted_C,
-            "seed": self.seed,
-            "corpus_fingerprint": self.corpus_fingerprint,
-        }
-
 
 def candidate_authors(corpus: Corpus, min_texts_per_author: int) -> list[str]:
     """The authors with at least ``min_texts_per_author`` labelled texts; at least two."""
@@ -363,6 +314,8 @@ class AttributionLooReport:
     matrix: np.ndarray = field(init=False)  # rows = true author, columns = predicted author
     macro_f1: float = field(init=False)
     vanilla_accuracy: float = field(init=False)
+    correct_count: int = field(init=False)
+    total_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         index = {a: i for i, a in enumerate(self.authors)}
@@ -372,29 +325,9 @@ class AttributionLooReport:
         y_true = [true for _, true, _, _ in self.records]
         y_pred = [predicted for _, _, predicted, _ in self.records]
         self.macro_f1 = macro_f1(per_class_tables(y_true, y_pred, self.authors))
+        self.correct_count = int(np.trace(self.matrix))
+        self.total_count = len(self.records)
         self.vanilla_accuracy = self.correct_count / self.total_count
-
-    @property
-    def correct_count(self) -> int:
-        return int(np.trace(self.matrix))
-
-    @property
-    def total_count(self) -> int:
-        return int(self.matrix.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "authors": list(self.authors),
-            "matrix": self.matrix.tolist(),
-            "records": [list(r) for r in self.records],
-            "macro_f1": self.macro_f1,
-            "vanilla_accuracy": self.vanilla_accuracy,
-            "correct_count": self.correct_count,
-            "total_count": self.total_count,
-            "seed": self.seed,
-            "corpus_fingerprint": self.corpus_fingerprint,
-        }
-
 
 def attribution_contingency(
     corpus: Corpus,
@@ -439,13 +372,6 @@ class SimilarityRanking:
     disputed_id: str
     entries: tuple[tuple[str, str, str, float], ...]  # (id, author, title, cosine)
     corpus_fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {
-            "disputed_id": self.disputed_id,
-            "entries": [list(e) for e in self.entries],
-            "corpus_fingerprint": self.corpus_fingerprint,
-        }
 
 
 def rank_similar(

@@ -294,6 +294,19 @@ class TestCommands:
         assert err.startswith("corpus error: ")
         assert "documents 'a' and 'c' have the same normalized text" in err
 
+    def test_texts_differing_only_in_whitespace_are_a_corpus_error(self, tmp_path, capsys):
+        docs = [
+            {"id": "spaced", "author": "X", "text": "bra gno phi zel. " * 30},
+            {"id": "other", "author": "Y", "text": "mon tes val cor. " * 30},
+            {"id": "wrapped", "author": "Y", "text": "bra gno phi zel.\n" * 30},
+        ]
+        manifest = write_corpus(tmp_path, docs)
+        config = write_config(tmp_path, manifest)
+        assert main(["ingest", "--config", str(config)]) == EXIT_CORPUS
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error: ")
+        assert "documents 'spaced' and 'wrapped' have the same normalized text" in err
+
     def test_loo_reads_text_edited_after_ingest(self, tmp_path):
         make_styled_corpus(tmp_path, {"Aldus": 3, "Benno": 3}, n_tokens=200, seed=19)
         # a manifest in its own directory, naming texts outside it
@@ -384,6 +397,58 @@ class TestCommands:
         report = json.loads((tmp / "out" / "ablation_report.json").read_text())
         assert report["results"]["mode"] == "exact"
         assert (tmp / "out" / "ablation_scores.csv").is_file()
+
+    def test_payload_key_sets_are_pinned(self, corpus_dir):
+        # A payload is its report's fields, so a new field shows up here.
+        tmp, manifest = corpus_dir
+        # three blocks, so that ablation removes at least one
+        features = {
+            "blocks": ["char_ngrams", "token_lengths", "sentence_lengths"],
+            "ngram_orders": {"char_ngrams": [1, 2, 3]},
+        }
+        config = str(
+            write_config(tmp, manifest, disputed="disputed-text", dro=True,
+                         extra={"features": features})
+        )
+        for argv in (
+            ["verify", "--replicas", "2"],
+            ["attribute", "--min-texts", "2", "--with-loo"],
+            ["similar"],
+            ["ablate", "--mode", "exact"],
+        ):
+            assert main([argv[0], "--config", config, *argv[1:]]) == EXIT_OK
+
+        def results(name: str) -> dict:
+            report = json.loads((tmp / "out" / name).read_text(encoding="utf-8"))
+            assert set(report) == {"meta", "results"}
+            return report["results"]
+
+        assert set(results("verdict.json")) == {
+            "disputed_id", "target_author", "replica_posteriors", "median_posterior",
+            "predicted_class", "seed", "corpus_fingerprint",
+        }
+        attribution = results("attribution_report.json")
+        assert set(attribution) == {
+            "disputed_id", "min_texts_per_author", "candidate_authors", "ranking",
+            "fitted_C", "seed", "corpus_fingerprint", "loo",
+        }
+        assert set(attribution["loo"]) == {
+            "authors", "records", "seed", "corpus_fingerprint", "matrix", "macro_f1",
+            "vanilla_accuracy", "correct_count", "total_count",
+        }
+        assert set(results("similarity_report.json")) == {
+            "disputed_id", "entries", "corpus_fingerprint",
+        }
+        ablation = results("ablation_report.json")
+        assert set(ablation) == {
+            "mode", "seed", "initial_pool", "final_pool", "final_score", "iterations",
+            "stop_candidate_scores", "hardest_text_ids",
+        }
+        assert ablation["iterations"]
+        for iteration in ablation["iterations"]:
+            assert set(iteration) == {
+                "pool", "pool_score", "candidate_scores", "removed", "removed_score",
+            }
 
 
 class TestFullFeatureStack:

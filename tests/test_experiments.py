@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import statistics
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -162,8 +163,8 @@ class TestAblate:
     def test_thread_count_does_not_change_report(self, orthogonal):
         payloads = {
             json.dumps(
-                ablate(orthogonal, THREE_BLOCKS, orthogonal_config(dro=True),
-                       mode=ABLATION_HARDEST10, seed=4, threads=threads).to_dict()
+                asdict(ablate(orthogonal, THREE_BLOCKS, orthogonal_config(dro=True),
+                              mode=ABLATION_HARDEST10, seed=4, threads=threads))
             )
             for threads in (1, 4)
         }
@@ -175,7 +176,7 @@ class TestAblate:
 
     def test_report_serializable(self, orthogonal):
         report = ablate(orthogonal, THREE_BLOCKS, orthogonal_config(), mode=ABLATION_EXACT, seed=4)
-        payload = report.to_dict()
+        payload = json.loads(json.dumps(asdict(report)))
         assert payload["final_pool"] == ["pos_ngrams", "char_ngrams"]
         assert payload["iterations"][0]["removed"] == "token_lengths"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from stylauth.pipeline import (
     CountsCache,
     PipelineConfig,
     SegmentationConfig,
+    counts_cache_for,
     document_instances,
     fit_attributor,
     fit_verifier,
@@ -94,6 +96,52 @@ class TestCountsCache:
         assert second.tolist() == [first[0], first[0]]
         assert cache.n_rows == 1
 
+    SHARED = FeatureConfig(
+        enabled_blocks={
+            FeatureBlock.TOKEN_LENGTHS, FeatureBlock.FUNCTION_WORDS,
+            FeatureBlock.CHAR_NGRAMS, FeatureBlock.VERBAL_ENDINGS,
+        },
+        ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
+        function_words=("et", "in"),
+        verbal_endings=("t", "nt"),
+    )
+
+    @pytest.mark.parametrize(
+        "block, change",
+        [
+            (FeatureBlock.CHAR_NGRAMS, {"ngram_orders": {FeatureBlock.CHAR_NGRAMS: {1, 2, 3}}}),
+            (FeatureBlock.FUNCTION_WORDS, {"function_words": ("et", "ad")}),
+            (FeatureBlock.VERBAL_ENDINGS, {"verbal_endings": ("t",)}),
+        ],
+    )
+    def test_cache_extracting_a_block_differently_rejected(self, block, change):
+        cache = CountsCache(self.SHARED)
+        with pytest.raises(ExperimentError, match=f"extracts {block.value} differently"):
+            counts_cache_for(replace(self.SHARED, **change), cache)
+
+    def test_cache_without_an_enabled_block_rejected(self):
+        cache = CountsCache(self.SHARED)
+        wider = replace(
+            self.SHARED, enabled_blocks=self.SHARED.enabled_blocks | {FeatureBlock.SENTENCE_LENGTHS}
+        )
+        with pytest.raises(ExperimentError, match="sentence_lengths"):
+            counts_cache_for(wider, cache)
+
+    def test_cache_serves_every_restriction(self):
+        cache = CountsCache(self.SHARED)
+        config = replace(fast_config(), features=self.SHARED)
+        assert counts_cache_for(self.SHARED, cache) is cache
+        restrictions = (
+            [FeatureBlock.CHAR_NGRAMS],
+            [FeatureBlock.TOKEN_LENGTHS, FeatureBlock.VERBAL_ENDINGS],
+        )
+        for blocks in restrictions:
+            assert counts_cache_for(config.with_blocks(blocks).features, cache) is cache
+        # a list that no enabled block reads does not matter
+        other_words = replace(
+            self.SHARED.restricted_to([FeatureBlock.CHAR_NGRAMS]), function_words=("ad",)
+        )
+        assert counts_cache_for(other_words, cache) is cache
 
     def test_threads_reading_a_filled_cache_agree_with_one_thread(self, corpus):
         config = fast_config()

@@ -33,7 +33,7 @@ from .experiments import (
     rank_similar,
     verify_disputed,
 )
-from .pipeline import CountsCache
+from .pipeline import CountsCache, full_text_only_count
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +88,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_ingest(run: RunConfig, args: argparse.Namespace) -> int:
     corpus = load_corpus(run.manifest)
+    seg_config = run.pipeline.segmentation
     docs = []
     for doc in corpus:
-        segs = segment(doc, run.pipeline.segmentation.min_tokens)
+        segs = segment(doc, seg_config.min_tokens)
         docs.append(
             {
                 "id": doc.id,
@@ -108,6 +109,7 @@ def cmd_ingest(run: RunConfig, args: argparse.Namespace) -> int:
         "documents": docs,
         "document_count": len(corpus),
         "labelled_count": len(corpus.labelled()),
+        "full_text_only_count": full_text_only_count(corpus.labelled(), seg_config),
         "disputed_ids": [d.id for d in corpus.disputed()],
         "authors": corpus.authors(),
     }
@@ -125,6 +127,9 @@ def cmd_loo(run: RunConfig, args: argparse.Namespace) -> int:
     report = loo_run(corpus, run.pipeline, run.seed, threads=run.threads)
     elapsed = time.perf_counter() - start
     results = report.canonical_dict()
+    results["full_text_only_count"] = full_text_only_count(
+        corpus.labelled(), run.pipeline.segmentation
+    )
     timing = {"total_seconds": elapsed, "fold_seconds": report.fold_seconds}
     write_report(run.output_dir / "loo_report.json", _report_meta("loo", run, corpus), results, timing)
     write_csv(
@@ -158,10 +163,13 @@ def cmd_ablate(run: RunConfig, args: argparse.Namespace) -> int:
         _report_meta("ablate", run, corpus),
         asdict(report),
     )
+    # each removal step's candidates, then those of the step that stopped the search
+    steps = [(it.pool, it.candidate_scores) for it in report.iterations]
+    steps.append((report.final_pool, report.stop_candidate_scores or {}))
     rows = []
-    for it in report.iterations:
-        for block, score in it.candidate_scores.items():
-            rows.append([len(rows), "|".join(b.value for b in it.pool), block.value, *score])
+    for pool, candidate_scores in steps:
+        for block, score in candidate_scores.items():
+            rows.append([len(rows), "|".join(b.value for b in pool), block.value, *score])
     write_csv(
         run.output_dir / "ablation_scores.csv",
         ["row", "pool", "removed_block", "score", "tiebreak"],

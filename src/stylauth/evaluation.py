@@ -350,7 +350,9 @@ def loo_run(
 
 
 def held_out_segment_ids(doc: Document, min_tokens: int) -> set[str]:
-    """Instance ids the held-out text would contribute if it were trained on."""
+    """Instance ids the held-out text could contribute if it were trained on:
+    its own and its segments', which cover what ``document_instances`` gives it.
+    """
     ids = {doc.id}
     for seg in segment(doc, min_tokens):
         ids.add(seg.instance_id)

@@ -3,8 +3,9 @@
 The objective is the sum of per-example negative log-likelihoods plus
 ||w||^2 / (2C); the bias is never regularized. Every model a caller gets
 back (``train_binary``, ``train_multiclass``) is fitted by L-BFGS-B on
-analytic gradients, which is deterministic for fixed inputs, so any
-randomness in the surrounding pipeline comes only from explicit seeds.
+analytic gradients, or is a start that L-BFGS-B would return unmoved.
+Both are deterministic for fixed inputs, so any randomness in the
+surrounding pipeline comes only from explicit seeds.
 The objective/gradient functions are module-level so they can be checked
 against finite differences; a fit makes ``X.T`` once and passes it to
 every evaluation.
@@ -20,11 +21,14 @@ tolerance of the one minimizer, so the predictions can differ only for a
 validation score that close to zero. Final fits stay on L-BFGS, so that
 ``converged`` and ``n_iter`` keep one meaning. After Gram-space inner
 CV, ``tune_C`` also fits all rows at the chosen C with the Newton solver
-on the K it already built, and the final fit starts from that solution,
-w = Xᵀα, where L-BFGS's own gradient test usually passes at once. Every
-other final fit starts from zeros: a start that close to the minimizer
-moves fitted weights by up to the tolerance, and reported ablation scores
-are pinned tighter than that.
+on the K it already built. That fit starts warm, from the inner folds'
+solutions at the chosen C (each row's mean α over the folds that trained
+it, and their mean bias), and the final fit starts from its solution,
+w = Xᵀα. There L-BFGS's own gradient test usually passes at once, and
+``train_binary`` then returns the start without calling L-BFGS-B, as
+L-BFGS-B would at iteration 0. Every other final fit starts from zeros:
+a start that close to the minimizer moves fitted weights by up to the
+tolerance, and reported ablation scores are pinned tighter than that.
 
 ``predict_proba`` and ``explain`` read one instance as a one-row CSR
 matrix, the row form that ``features.vectorize_counts`` makes. A model
@@ -202,6 +206,9 @@ def train_binary(
     """Fit a binary verifier; y holds 0 (negative) / 1 (positive) labels.
 
     The optimizer starts from ``x0`` ([weights, bias]) or else from zeros.
+    A given start whose gradient is already within ``config.tolerance`` is
+    returned as is, with ``n_iter`` 0 and ``converged``: that is what
+    L-BFGS-B returns there, since its first test stops it before any step.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != X.shape[0]:
@@ -211,15 +218,19 @@ def train_binary(
         raise LearnerError("training data must contain both classes")
     _check_matrix(X)
     c = float(C if C is not None else config.C)
-    if x0 is None:
-        x0 = np.zeros(X.shape[1] + 1)
-    result, converged = _minimize(binary_objective, x0, (X, y, c, X.T), config)
+    args = (X, y, c, X.T)
+    if x0 is not None and np.max(np.abs(binary_objective(x0, *args)[1])) <= config.tolerance:
+        x, converged, n_iter = x0, True, 0
+    else:
+        x0 = np.zeros(X.shape[1] + 1) if x0 is None else x0
+        result, converged = _minimize(binary_objective, x0, args, config)
+        x, n_iter = result.x, int(result.nit)
     return TrainedModel(
         classes=classes,
-        weights=result.x[:-1].copy(),
-        bias=np.array([result.x[-1]]),
+        weights=x[:-1].copy(),
+        bias=np.array([x[-1]]),
         converged=converged,
-        n_iter=int(result.nit),
+        n_iter=n_iter,
     )
 
 
@@ -335,8 +346,8 @@ def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _logistic_losses(z: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Σ log(1 + e^z) − y·z over each fold's own rows, computed stably."""
-    return np.where(rows, np.logaddexp(0.0, z) - y * z, 0.0).sum(axis=1)
+    """Σ log(1 + e^z) − y·z over each fold's own rows (1.0 in ``rows``), computed stably."""
+    return ((np.logaddexp(0.0, z) - y * z) * rows).sum(axis=1)
 
 
 def _gram_newton_stack(
@@ -365,17 +376,26 @@ def _gram_newton_stack(
     or after ``config.max_iterations`` steps or a step shorter than
     ``_MIN_STEP``, with ``_minimize``'s warning. The matrix-vector
     products and the line search run on all folds at once; the Cholesky
-    factor and solves run per fold, on its own rows.
+    factor and solves run per fold, on its own rows. At these sizes a
+    step costs its number of array calls, not its arithmetic, so K·α is
+    carried from step to step (updated by t·K·dα), as are the scores z,
+    αᵀKα and the objective at the point the line search accepted; padded
+    rows are masked by one multiplication, and the solves write into
+    buffers made once per call.
     """
-    rows = np.arange(y.shape[1]) < sizes[:, None]
+    rows = (np.arange(y.shape[1]) < sizes[:, None]).astype(np.float64)
     active = np.ones(y.shape[0], dtype=bool)
     alpha, b = alpha.copy(), b.copy()
+    Ka = _matvecs(K, alpha)
+    z = Ka + b[:, None]
+    aKa = (alpha * Ka).sum(axis=1)
+    f0 = _logistic_losses(z, y, rows) + 0.5 / C * aKa
+    rhs = np.empty(y.shape + (2,))
+    solved = np.zeros_like(rhs)  # a fold's padded rows stay zero
     n_iter = 0
     while True:
-        Ka = _matvecs(K, alpha)
-        z = Ka + b[:, None]
         p = expit(z)
-        r = np.where(rows, p - y, 0.0)
+        r = (p - y) * rows
         r_sum = r.sum(axis=1)  # the bias gradients
         g = r + alpha / C
         Kg = _matvecs(K, g)
@@ -389,11 +409,13 @@ def _gram_newton_stack(
             return alpha, b
         n_iter += 1
 
-        u = np.where(rows, np.sqrt(p * (1.0 - p)), 0.0)
-        B = C * (u[:, :, None] * K * u[:, None, :])
+        u = np.sqrt(p * (1.0 - p)) * rows
+        Cu = C * u
+        B = Cu[:, :, None] * K
+        B *= u[:, None, :]
         B.reshape(B.shape[0], -1)[:, :: B.shape[1] + 1] += 1.0
-        rhs = np.stack([u * Kg, u], axis=2)
-        solved = np.zeros_like(rhs)
+        np.multiply(u, Kg, out=rhs[:, :, 0])
+        rhs[:, :, 1] = u
         for f in np.flatnonzero(active):
             n = sizes[f]
             # LAPACK directly: scipy.linalg's checking wrappers cost more
@@ -402,8 +424,8 @@ def _gram_newton_stack(
             if info != 0:
                 raise LearnerError("Gram Newton system is not positive definite")
             solved[f, :n] = dpotrs(factor, rhs[f, :n], lower=1)[0]
-        inv_g = C * (g - C * u * solved[:, :, 0])  # (I/C + W²K)⁻¹ g
-        inv_d = C * u * solved[:, :, 1]  # (I/C + W²K)⁻¹ W²1
+        inv_g = C * (g - Cu * solved[:, :, 0])  # (I/C + W²K)⁻¹ g
+        inv_d = Cu * solved[:, :, 1]  # (I/C + W²K)⁻¹ W²1
         db = np.zeros_like(b)
         np.divide(alpha.sum(axis=1) - inv_g.sum(axis=1), inv_d.sum(axis=1), out=db, where=active)
         da = np.where(active[:, None], -(inv_g + db[:, None] * inv_d), 0.0)
@@ -411,14 +433,13 @@ def _gram_newton_stack(
         Kda = _matvecs(K, da)
         dz = Kda + db[:, None]
         slope = (Kg * da).sum(axis=1) + r_sum * db
-        aKa, aKda, daKda = (alpha * Ka).sum(axis=1), (da * Ka).sum(axis=1), (da * Kda).sum(axis=1)
-        f0 = _logistic_losses(z, y, rows) + 0.5 / C * aKa
+        aKda, daKda = (da * Ka).sum(axis=1), (da * Kda).sum(axis=1)
         t = active.astype(np.float64)
         searching = active.copy()
         while True:
             zt = z + t[:, None] * dz
-            ft = _logistic_losses(zt, y, rows)
-            ft += 0.5 / C * (aKa + 2.0 * t * aKda + t * t * daKda)
+            aKa_t = aKa + 2.0 * t * aKda + t * t * daKda
+            ft = _logistic_losses(zt, y, rows) + 0.5 / C * aKa_t
             searching &= ~(ft <= f0 + _ARMIJO * t * slope)
             if not searching.any():
                 break
@@ -427,9 +448,10 @@ def _gram_newton_stack(
                 _warn_not_converged(n_iter, float(grad_norm[f]), config)
                 active[f] = searching[f] = False
                 t[f] = 0.0
-        step = t > 0.0
-        alpha[step] += t[step, None] * da[step]
-        b[step] += t[step] * db[step]
+        alpha += t[:, None] * da
+        b += t * db
+        Ka += t[:, None] * Kda
+        z, aKa, f0 = zt, aKa_t, ft
 
 
 def _gram_newton(
@@ -456,14 +478,44 @@ def _stratified_fold_ids(y_idx: np.ndarray, k: int, rng: np.random.Generator) ->
     return fold
 
 
+@dataclass(frozen=True)
+class _GramPath:
+    """What Gram-space inner CV leaves for the full-data fit: K = X Xᵀ, each
+    inner fold's training rows, and the folds' stacked (α, b) per grid value.
+    """
+
+    K: np.ndarray
+    train_rows: list[np.ndarray]
+    solutions: dict[float, tuple[np.ndarray, np.ndarray]]
+
+    def start(self, C: float) -> tuple[np.ndarray, float]:
+        """A full-data start at ``C``: each row's mean α over the inner folds
+        that trained it, and the folds' mean bias; zeros when no fold trained.
+
+        At a fold's minimizer α is, up to K's null space, −C times its
+        rows' residuals, which the full data changes little, so the
+        full-data Newton fit starts close to its own minimizer.
+        """
+        n = self.K.shape[0]
+        if not self.train_rows:
+            return np.zeros(n), 0.0
+        alpha, b = self.solutions[C]
+        total, count = np.zeros(n), np.zeros(n)
+        for f, rows in enumerate(self.train_rows):
+            total[rows] += alpha[f, : rows.shape[0]]
+            count[rows] += 1.0
+        return np.divide(total, count, out=total, where=count > 0), float(b.mean())
+
+
 def _gram_cv_predictions(
     K: np.ndarray,
     y_idx: np.ndarray,
     train_masks: list[np.ndarray],
     config: TrainConfig,
     predicted: dict[float, np.ndarray],
-) -> None:
-    """Binary inner-CV predictions per grid value, written into ``predicted``.
+) -> _GramPath:
+    """Binary inner-CV predictions per grid value, written into ``predicted``;
+    returns the folds' solutions along the grid.
 
     Each fold's training block of K and its validation-by-training block
     go into zero-padded stacks once. For each C in ascending order, one
@@ -472,9 +524,10 @@ def _gram_cv_predictions(
     expit(K_va α + b) > 0.5, the threshold ``predict_proba_matrix``
     applies to w = Xᵀα.
     """
-    if not train_masks:
-        return
     tr = [np.flatnonzero(mask) for mask in train_masks]
+    path = _GramPath(K, tr, {})
+    if not train_masks:
+        return path
     va = [np.flatnonzero(~mask) for mask in train_masks]
     sizes = np.array([rows.shape[0] for rows in tr])
     va_sizes = np.array([rows.shape[0] for rows in va])
@@ -491,8 +544,10 @@ def _gram_cv_predictions(
     alpha, b = np.zeros((n_folds, m)), np.zeros(n_folds)
     for c in config.C_grid:
         alpha, b = _gram_newton_stack(K_tr, y, sizes, c, config, alpha, b)
+        path.solutions[c] = (alpha, b)
         scores = _matvecs(K_va, alpha) + b[:, None]
         predicted[c][va_rows] = (expit(scores[va_filled]) > 0.5).astype(np.int64)
+    return path
 
 
 def inner_cv_scores(
@@ -529,8 +584,8 @@ def _inner_cv(
     n_classes: int,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[dict[float, float] | None, np.ndarray | None]:
-    """``inner_cv_scores``, and K = X Xᵀ when the scores came from the Gram path."""
+) -> tuple[dict[float, float] | None, _GramPath | None]:
+    """``inner_cv_scores``, and the Gram path when the scores came from it."""
     counts = np.bincount(y_idx, minlength=n_classes)
     min_class = int(counts[counts > 0].min())
     k = min(config.inner_folds, min_class)
@@ -545,19 +600,16 @@ def _inner_cv(
         return None, None
     folds = _stratified_fold_ids(y_idx, k, rng)
     X = sp.csr_matrix(X) if sp.issparse(X) else np.asarray(X)
-    K = None
-    if n_classes == 2 and X.shape[0] <= _GRAM_MAX_ROWS:
-        _check_matrix(X)
-        K = _gram_matrix(X)
-
     predicted = {c: np.zeros(y_idx.shape[0], dtype=np.int64) for c in config.C_grid}
     train_masks = []
     for j in range(k):
         train_mask = folds != j
         if np.unique(y_idx[train_mask]).shape[0] > 1:
             train_masks.append(train_mask)  # else its validation rows stay class 0
-    if K is not None:
-        _gram_cv_predictions(K, y_idx, train_masks, config, predicted)
+    path = None
+    if n_classes == 2 and X.shape[0] <= _GRAM_MAX_ROWS:
+        _check_matrix(X)
+        path = _gram_cv_predictions(_gram_matrix(X), y_idx, train_masks, config, predicted)
     else:
         for train_mask in train_masks:
             y_tr = y_idx[train_mask]
@@ -582,7 +634,7 @@ def _inner_cv(
             scores[c] = f1(ContingencyTable.from_predictions(y_idx.tolist(), pred.tolist()))
         else:
             scores[c] = macro_f1(per_class_tables(y_idx.tolist(), pred.tolist(), range(n_classes)))
-    return scores, K
+    return scores, path
 
 
 def tune_C(
@@ -598,6 +650,9 @@ def tune_C(
     ascending C, and a start for the final fit: when inner CV ran in Gram
     space, the full-data (α, b) at the chosen C, fitted by
     ``_gram_newton`` on the K inner CV built, so that w = Xᵀα; else None.
+    That Newton fit starts from the inner folds' solutions at the chosen
+    C (``_GramPath.start``), a few steps from its minimizer, or from
+    zeros when no inner fold trained.
     The scores are empty when no inner CV ran. A one-value grid returns
     its value, and a class too small for even two stratified folds falls
     back to config.C (with a warning).
@@ -605,7 +660,7 @@ def tune_C(
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if len(config.C_grid) == 1:
         return config.C_grid[0], {}, None
-    scores, K = _inner_cv(X, y_idx, n_classes, config, rng)
+    scores, path = _inner_cv(X, y_idx, n_classes, config, rng)
     if scores is None:
         log.warning("inner CV impossible (a class has < 2 members); using C=%g", config.C)
         return config.C, {}, None
@@ -613,9 +668,9 @@ def tune_C(
     for c in config.C_grid:  # ascending, so strict improvement keeps smaller C on ties
         if scores[c] > best_score:
             best_c, best_score = c, scores[c]
-    if K is None:
+    if path is None:
         return float(best_c), scores, None
-    start = _gram_newton(K, y_idx.astype(np.float64), best_c, config, np.zeros(K.shape[0]), 0.0)
+    start = _gram_newton(path.K, y_idx.astype(np.float64), best_c, config, *path.start(best_c))
     return float(best_c), scores, start
 
 

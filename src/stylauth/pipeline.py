@@ -135,14 +135,27 @@ def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> Counts
 def document_instances(
     docs: Sequence[Document], seg_config: SegmentationConfig
 ) -> list[Instance]:
-    """Training instances for a set of documents: full texts plus segments."""
+    """Training instances for a set of documents: full texts plus segments.
+
+    A text that yields one segment yields the whole text, so with full
+    texts included it trains once, as its full text.
+    """
     instances: list[Instance] = []
     for doc in docs:
+        segs = segment(doc, seg_config.min_tokens)
         if seg_config.include_full_texts:
             instances.append(Instance(doc=doc))
-        for seg in segment(doc, seg_config.min_tokens):
-            instances.append(Instance(doc=doc, segment=seg))
+            if len(segs) == 1:
+                continue
+        instances.extend(Instance(doc=doc, segment=seg) for seg in segs)
     return instances
+
+
+def full_text_only_count(docs: Iterable[Document], seg_config: SegmentationConfig) -> int:
+    """How many of ``docs`` train only as their full text (``document_instances``)."""
+    if not seg_config.include_full_texts:
+        return 0
+    return sum(len(segment(doc, seg_config.min_tokens)) == 1 for doc in docs)
 
 
 def training_documents(corpus: Corpus, authors: Iterable[str] | None = None) -> list[Document]:
@@ -215,9 +228,11 @@ def fold_vectors(
 def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
     """(Optionally) oversample, tune C, and train on vectorized training instances.
 
-    When C was tuned in Gram space, the final L-BFGS fit starts from the
+    When C was tuned in Gram space, the final fit starts from the
     Gram-space Newton solution at the chosen C (``tune_C``), with weights
-    w = Xᵀα; otherwise it starts from zeros.
+    w = Xᵀα, and ``train_binary`` returns that start as the model when its
+    gradient is already within tolerance. Other final fits start L-BFGS
+    from zeros.
     """
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")

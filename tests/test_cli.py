@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -259,6 +260,20 @@ class TestCommands:
         assert not (tmp / "out" / "corpus_cache.pkl").exists()
         assert main(["loo", "--config", str(config)]) == EXIT_OK
 
+    @pytest.mark.parametrize("include_full_texts, expected", [(True, 6), (False, 0)])
+    def test_texts_training_only_in_full_are_counted(self, corpus_dir, include_full_texts,
+                                                      expected):
+        tmp, manifest = corpus_dir
+        # every 200-token text is shorter than min_tokens, so it yields one segment
+        segmentation = {"min_tokens": 1000, "include_full_texts": include_full_texts}
+        config = str(write_config(tmp, manifest, extra={"segmentation": segmentation}))
+        for command in ("ingest", "loo"):
+            assert main([command, "--config", config]) == EXIT_OK
+            report = json.loads((tmp / "out" / f"{command}_report.json").read_text())
+            assert report["results"]["full_text_only_count"] == expected, command
+        # one row per training text, not two
+        assert {r["training_rows"] for r in report["results"]["records"]} == {5}
+
     def test_manifest_with_byte_order_mark_ingests(self, corpus_dir):
         tmp, manifest = corpus_dir
         manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
@@ -397,6 +412,26 @@ class TestCommands:
         report = json.loads((tmp / "out" / "ablation_report.json").read_text())
         assert report["results"]["mode"] == "exact"
         assert (tmp / "out" / "ablation_scores.csv").is_file()
+
+    def test_ablation_csv_holds_the_stop_step(self, corpus_dir):
+        tmp, manifest = corpus_dir
+        features = {
+            "blocks": ["char_ngrams", "token_lengths", "sentence_lengths"],
+            "ngram_orders": {"char_ngrams": [1, 2, 3]},
+        }
+        config = write_config(tmp, manifest, seed=0, extra={"features": features})
+        assert main(["ablate", "--config", str(config), "--mode", "hardest10"]) == EXIT_OK
+        results = json.loads((tmp / "out" / "ablation_report.json").read_text())["results"]
+        with (tmp / "out" / "ablation_scores.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        steps = sum(len(it["candidate_scores"]) for it in results["iterations"])
+        stop = results["stop_candidate_scores"]
+        assert stop  # the search stopped with more than one block left
+        assert len(rows) == steps + len(stop)
+        assert [int(r["row"]) for r in rows] == list(range(len(rows)))
+        final_pool = "|".join(results["final_pool"])
+        assert {r["removed_block"]: [float(r["score"]), float(r["tiebreak"])]
+                for r in rows[steps:] if r["pool"] == final_pool} == stop
 
     def test_payload_key_sets_are_pinned(self, corpus_dir):
         # A payload is its report's fields, so a new field shows up here.

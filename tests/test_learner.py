@@ -578,6 +578,19 @@ def _dro_fold(corpus) -> tuple[sp.csr_matrix, np.ndarray]:
     return extended_to_csr(train.X, extended, profiles.latent_dim)
 
 
+def _record_gram_newton_starts(monkeypatch) -> list[tuple[np.ndarray, float]]:
+    """Make ``learner._gram_newton`` record each (α, b) it starts from."""
+    starts = []
+    gram_newton = learner._gram_newton
+
+    def recording(K, y, C, config, alpha, b):
+        starts.append((alpha.copy(), b))
+        return gram_newton(K, y, C, config, alpha, b)
+
+    monkeypatch.setattr(learner, "_gram_newton", recording)
+    return starts
+
+
 class TestPathStart:
     @pytest.mark.parametrize("name", ["sparse", "duplicated-rows", "separable", "dro-fold"])
     def test_started_fit_passes_the_lbfgs_test(self, name, fold_corpus):
@@ -614,6 +627,88 @@ class TestPathStart:
         assert fitted.model.weights.tobytes() == cold.weights.tobytes()
         assert fitted.model.bias.tobytes() == cold.bias.tobytes()
         assert fitted.model.n_iter == cold.n_iter > 0
+
+    @pytest.mark.parametrize("name", ["sparse", "duplicated-rows", "separable", "dro-fold"])
+    def test_full_data_fit_starts_from_the_inner_fold_means(self, name, fold_corpus, monkeypatch):
+        X, y = _dro_fold(fold_corpus) if name == "dro-fold" else _gram_fixture(name)
+        config = TrainConfig(inner_folds=3)
+        gram_newton = learner._gram_newton
+        starts = _record_gram_newton_starts(monkeypatch)
+        C, _, (alpha, b) = tune_C(X, y, config, np.random.default_rng(11))
+        ((alpha0, b0),) = starts
+
+        # the same inner folds, fitted along the grid up to C
+        folds = _stratified_fold_ids(y, 3, np.random.default_rng(11))
+        K = learner._gram_matrix(X)
+        sums, counts, biases = np.zeros(y.shape[0]), np.zeros(y.shape[0]), []
+        for j in range(3):
+            rows = np.flatnonzero(folds != j)
+            a_f, b_f = np.zeros(rows.shape[0]), 0.0
+            for c in config.C_grid[: config.C_grid.index(C) + 1]:
+                a_f, b_f = gram_newton(K[np.ix_(rows, rows)], y[rows].astype(float), c, config,
+                                       a_f, b_f)
+            sums[rows] += a_f
+            counts[rows] += 1
+            biases.append(b_f)
+        np.testing.assert_allclose(alpha0, sums / counts, rtol=0, atol=1e-8)
+        assert b0 == pytest.approx(np.mean(biases), rel=0, abs=1e-8)
+
+        # the warm start reaches the cold start's minimizer
+        cold_alpha, cold_b = gram_newton(K, y.astype(float), C, config, np.zeros(y.shape[0]), 0.0)
+        np.testing.assert_allclose(expit(K @ alpha + b), expit(K @ cold_alpha + cold_b),
+                                   rtol=0, atol=1e-6)
+
+    def test_full_data_fit_starts_from_zeros_when_no_inner_fold_trained(self, monkeypatch):
+        X, y = _gram_fixture("sparse")
+        # each inner fold holds one class, so each training set holds the other only
+        monkeypatch.setattr(learner, "_stratified_fold_ids", lambda y_idx, k, rng: y_idx.copy())
+        gram_newton = learner._gram_newton
+        starts = _record_gram_newton_starts(monkeypatch)
+        config = TrainConfig(inner_folds=2)
+        C, scores, (alpha, b) = tune_C(X, y, config, np.random.default_rng(12))
+        assert set(scores.values()) == {0.0}  # every validation row stayed negative
+        assert C == config.C_grid[0]
+        ((alpha0, b0),) = starts
+        assert not alpha0.any() and b0 == 0.0
+        K = learner._gram_matrix(X)
+        cold_alpha, cold_b = gram_newton(K, y.astype(float), C, config, np.zeros(y.shape[0]), 0.0)
+        assert alpha.tobytes() == cold_alpha.tobytes() and b == cold_b
+
+    def test_passing_start_returns_what_lbfgs_returns(self, fold_corpus, monkeypatch):
+        X, y = _dro_fold(fold_corpus)
+        config = TrainConfig(inner_folds=3)
+        C, _, start = tune_C(X, y, config, np.random.default_rng(11))
+        x0 = np.append(X.T @ start[0], start[1])
+        forced, converged = learner._minimize(
+            binary_objective, x0, (X, y.astype(float), C, X.T), config
+        )
+        assert forced.nit == 0
+        calls = []
+        monkeypatch.setattr(learner, "minimize", lambda *a, **k: calls.append(1))
+        model = train_binary(X, y, config, C=C, x0=x0)
+        assert calls == []  # the start passed L-BFGS's first test: no L-BFGS-B call
+        assert model.weights.tobytes() == forced.x[:-1].tobytes()
+        assert model.bias.tobytes() == forced.x[-1:].tobytes()
+        assert (model.n_iter, model.converged) == (forced.nit, converged) == (0, True)
+
+    def test_failing_start_runs_lbfgs(self, fold_corpus, monkeypatch):
+        X, y = _dro_fold(fold_corpus)
+        config = TrainConfig(inner_folds=3)
+        C, _, start = tune_C(X, y, config, np.random.default_rng(11))
+        x0 = np.append(X.T @ start[0], start[1] + 1e-3)  # moved off the minimizer
+        _, grad = binary_objective(x0, X, y.astype(float), C)
+        assert np.max(np.abs(grad)) > config.tolerance
+        calls = []
+        lbfgs = learner.minimize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lbfgs(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "minimize", counted)
+        model = train_binary(X, y, config, C=C, x0=x0)
+        assert calls == [1]
+        assert model.converged and model.n_iter > 0
 
     def test_gram_fit_starts_from_the_path(self, fold_corpus):
         config = _pipeline_config((0.1, 1.0, 10.0))

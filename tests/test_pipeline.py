@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stylauth.corpus import load_corpus
+from stylauth.corpus import build_document, load_corpus, segment
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
 from stylauth.features import (
@@ -29,6 +29,7 @@ from stylauth.pipeline import (
     fit_attributor,
     fit_verifier,
     fold_vectors,
+    full_text_only_count,
     predict_document,
     training_documents,
 )
@@ -78,6 +79,28 @@ class TestInstances:
         seg_config = SegmentationConfig(min_tokens=60, include_full_texts=False)
         instances = document_instances(docs, seg_config)
         assert all(i.segment is not None for i in instances)
+
+    @pytest.mark.parametrize("text, min_tokens", [
+        ("bra gno phi. zel tor. " * 3, 400),  # shorter than min_tokens
+        ("bra gno phi zel tor " * 30, 20),  # one long sentence
+    ], ids=["short", "one-sentence"])
+    @pytest.mark.parametrize("include_full_texts", [True, False])
+    def test_text_yielding_one_segment_trains_once(self, text, min_tokens, include_full_texts):
+        doc = build_document("x", "Aldus", "T", text)
+        seg_config = SegmentationConfig(min_tokens, include_full_texts)
+        assert len(segment(doc, min_tokens)) == 1
+        ids = [i.instance_id for i in document_instances([doc], seg_config)]
+        assert ids == (["x"] if include_full_texts else ["x[0]"])
+        assert full_text_only_count([doc], seg_config) == int(include_full_texts)
+
+    def test_text_yielding_segments_trains_as_each(self, corpus):
+        seg_config = SegmentationConfig(min_tokens=60)
+        for doc in corpus.labelled():
+            segs = segment(doc, seg_config.min_tokens)
+            assert len(segs) > 1
+            ids = [i.instance_id for i in document_instances([doc], seg_config)]
+            assert ids == [doc.id, *(s.instance_id for s in segs)]
+        assert full_text_only_count(corpus.labelled(), seg_config) == 0
 
     def test_training_documents_excludes_and_filters(self, corpus):
         all_docs = training_documents(corpus)

@@ -14,15 +14,17 @@ Eight feature blocks are supported, all topic-agnostic by design:
   every word outside the function-word list is masked (dvma masks all of
   its characters with ``*``; dvex keeps the first and last character)
 
-Raw counts live in a CountsStore: one sparse count matrix per block, one
-row per instance. A FeatureSpace is fitted on training rows only: each
-block's vocabulary is the store columns seen in training (plus every entry
-of list-backed blocks), in sorted key order, and maps a key to its column
-within the block, so a space restricted to some blocks shares their
-vocabularies. IDF uses the smoothed form ln((1+N)/(1+df)) + 1 so that it
-is always finite and positive. Vectorization computes within-block
-relative frequencies, multiplies by IDF, and L2-normalizes each block
-sub-vector independently so blocks of wildly different dimensionality
+Raw counts live in a CountsStore: one sparse count matrix, one row per
+instance, its blocks' columns side by side. A full text's counts can be
+summed from its segments' (``counts_from_segments``). A FeatureSpace is
+fitted on training rows only: each block's vocabulary is the store
+columns seen in training (plus every entry of list-backed blocks), in
+sorted key order, and maps a key to its column within the block, so a
+space restricted to some blocks shares their vocabularies. IDF uses the
+smoothed form ln((1+N)/(1+df)) + 1 so that it is always finite and
+positive. Vectorization computes within-block relative frequencies,
+multiplies by IDF, and L2-normalizes each block sub-vector
+independently so blocks of wildly different dimensionality
 contribute comparable mass; it also returns each row's raw count total
 per block. Its matrix, one CSR row per instance, is the only row form
 downstream: oversampling, training, prediction and similarity all read
@@ -36,7 +38,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -273,10 +275,14 @@ def distorted_text(
     if not function_words:
         raise FeatureError("masked blocks require a function-word list")
     inst = _as_instance(instance)
-    listed = set(function_words)
-    doc = inst.doc
-    a, b = inst.token_range
-    toks = doc.tokens[a:b]
+    return _distorted_span(inst.doc, *inst.token_range, variant, set(function_words))
+
+
+def _distorted_span(
+    doc: Document, token_start: int, token_end: int, variant: FeatureBlock, listed: set[str]
+) -> str:
+    """Whitespace-collapsed text of a token range with its unlisted words masked."""
+    toks = doc.tokens[token_start:token_end]
     if not toks:
         return ""
     pieces: list[str] = []
@@ -403,56 +409,153 @@ def extract_all(
     return {b: extract_block(inst, b, config) for b in config.blocks_in_order()}
 
 
+# Character-gram blocks: their grams may cross a segment junction.
+CHARACTER_BLOCKS = (FeatureBlock.CHAR_NGRAMS, FeatureBlock.MASKED_DVMA, FeatureBlock.MASKED_DVEX)
+
+
+def counts_from_segments(
+    doc: Document,
+    segments: Iterable[tuple[tuple[int, int], Mapping[FeatureBlock, BlockCounts]]],
+    config: FeatureConfig,
+) -> dict[FeatureBlock, BlockCounts] | None:
+    """``extract_all`` of ``doc`` in full, from (token range, counts) of its
+    segments, or None when the segments do not tile it.
+
+    Segments tile a text when their ranges, sorted, cover its tokens
+    without gaps or overlaps and meet at sentence boundaries, so every
+    token and sentence falls in one segment and each block's counts are
+    the segments' sums. Character grams that cross a junction are the
+    exception. Only whitespace separates two tokens, and the text
+    collapses it to one space, so the order-n grams crossing a junction
+    are those of ``left[-(n-1):] + gap + right[:n-1]``, where ``gap`` is
+    " " or "" (for n = 1 the gap alone, since ``s[-0:]`` is all of ``s``).
+    A segment shorter than the longest order minus one could let a gram
+    span two junctions, so such segments give None as well.
+    """
+    ranges = sorted(segments, key=lambda item: item[0])
+    bounds = [token_range for token_range, _ in ranges]
+    sentence_starts = {start for start, _ in doc.sentences}
+    if (
+        not bounds
+        or bounds[0][0] != 0
+        or bounds[-1][1] != len(doc.tokens)
+        or any(a >= b for a, b in bounds)
+        or any(b != a for (_, b), (a, _) in zip(bounds, bounds[1:]))
+        or not sentence_starts.issuperset(a for a, _ in bounds)
+    ):
+        return None
+    character = [b for b in CHARACTER_BLOCKS if b in config.enabled_blocks]
+    k = max((max(config.orders_for(b)) for b in character), default=1) - 1
+    whole = Instance(doc=doc)
+    # a masked text is as long as the text itself
+    if any(b - a < k and len(whole.span_text(a, b)) < k for a, b in bounds):
+        return None
+    listed = set(config.function_words)
+
+    def render(block: FeatureBlock, a: int, b: int) -> str:
+        if block is FeatureBlock.CHAR_NGRAMS:
+            return whole.span_text(a, b)
+        return _distorted_span(doc, a, b, block, listed)
+
+    summed: dict[FeatureBlock, BlockCounts] = {}
+    for block in config.blocks_in_order():
+        total: Counter[FeatureKey] = Counter()
+        for _, counts in ranges:
+            total.update(counts[block])
+        if block in character:
+            for (a, j), (_, b) in zip(bounds, bounds[1:]):
+                left, right = render(block, max(a, j - k), j), render(block, j, min(b, j + k))
+                gap = " " if doc.tokens[j - 1].end < doc.tokens[j].start else ""
+                for n in config.orders_for(block):
+                    window = gap if n == 1 else left[-(n - 1) :] + gap + right[: n - 1]
+                    total.update(_char_ngram_counts(window, (n,)))
+        summed[block] = dict(total)
+    return summed
+
+
 # ---------------------------------------------------------------------------
 # Counts store
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StoreCounts:
+    """A store's counts as one matrix: its blocks' columns side by side."""
+
+    keys: np.ndarray  # object array: each block's keys, sorted, in block order
+    counts: sp.csr_matrix  # one row per store row, one column per key
+    columns: dict[FeatureBlock, tuple[int, int]]  # (start, end) columns of each block
+    totals: np.ndarray  # raw count total of each row in each block, in block order
+
+
 class CountsStore:
-    """Raw feature counts as sparse matrices: one row per added instance.
+    """Raw feature counts as one sparse matrix: one row per added instance.
 
     Each block's keys are interned once (list blocks start with their whole
-    list). ``block`` orders a block's columns by key, an order any column
-    subset keeps. The store is not thread-safe while it grows.
+    list). ``counts`` puts the config's blocks side by side in
+    ``blocks_in_order()``, each block's columns in key order, an order any
+    column subset keeps, and holds each row's count total per block. The
+    store is not thread-safe while it grows.
     """
 
     def __init__(self, config: FeatureConfig):
         self.config = config
         self.n_rows = 0
-        blocks = config.blocks_in_order()
         lists = {FeatureBlock.FUNCTION_WORDS: config.function_words,
                  FeatureBlock.VERBAL_ENDINGS: config.verbal_endings}
-        self._index = {b: {w: i for i, w in enumerate(lists.get(b, ()))} for b in blocks}
-        self._rows: dict[FeatureBlock, list[np.ndarray]] = {b: [] for b in blocks}
-        self._blocks: dict[FeatureBlock, tuple[np.ndarray, sp.csr_matrix]] = {}
+        self._index = {
+            b: {w: i for i, w in enumerate(lists.get(b, ()))} for b in config.blocks_in_order()
+        }
+        self._rows: list[np.ndarray] = []  # per row, shape (2, n): interned column, count
+        self._sizes: list[list[int]] = []  # per row, its entries in each block
+        self._totals: list[list[int]] = []  # per row, its count total in each block
+        self._counts: StoreCounts | None = None
 
     def add(self, counts: Mapping[FeatureBlock, BlockCounts]) -> int:
         """Append one instance's counts as a new row; returns its row index."""
+        cols: list[int] = []
+        values: list[int] = []
+        sizes: list[int] = []
+        totals: list[int] = []
         for block, index in self._index.items():
             block_counts = counts.get(block, {})
-            cols = [index.setdefault(key, len(index)) for key in block_counts]
-            pairs = np.array([cols, list(block_counts.values())], dtype=np.int64)
-            self._rows[block].append(pairs)  # shape (2, n): columns, counts
-        self._blocks.clear()
+            cols += [index.setdefault(key, len(index)) for key in block_counts]
+            values += block_counts.values()
+            sizes.append(len(block_counts))
+            totals.append(sum(block_counts.values()))
+        self._rows.append(np.array([cols, values], dtype=np.int64).reshape(2, -1))
+        self._sizes.append(sizes)
+        self._totals.append(totals)
+        self._counts = None
         self.n_rows += 1
         return self.n_rows - 1
 
-    def block(self, block: FeatureBlock) -> tuple[np.ndarray, sp.csr_matrix]:
-        """(keys in sorted order, counts with one column per key in that order)."""
-        cached = self._blocks.get(block)
-        if cached is None:
-            index, rows = self._index[block], self._rows[block]
-            keys = sorted(index)  # keys of one block share a type
-            position = np.empty(len(keys), dtype=np.int64)
-            position[[index[key] for key in keys]] = np.arange(len(keys))
-            cols, data = np.concatenate([np.empty((2, 0), dtype=np.int64), *rows], axis=1)
-            indptr = np.cumsum([0] + [row.shape[1] for row in rows])
-            counts = sp.csr_matrix(
-                (data, position[cols], indptr), shape=(self.n_rows, len(keys))
+    def counts(self) -> StoreCounts:
+        """Every row's counts, built on the first call after a row was added."""
+        built = self._counts
+        if built is None:
+            keys = [sorted(index) for index in self._index.values()]  # a block's keys share a type
+            ends = list(accumulate(map(len, keys)))
+            starts = [0, *ends[:-1]]
+            # block start + interned column -> store column
+            position = np.empty(ends[-1], dtype=np.int64)
+            for start, block_keys, index in zip(starts, keys, self._index.values()):
+                position[[start + index[key] for key in block_keys]] = np.arange(
+                    start, start + len(block_keys)
+                )
+            cols, data = np.concatenate([np.empty((2, 0), dtype=np.int64), *self._rows], axis=1)
+            sizes = np.array(self._sizes, dtype=np.int64).reshape(self.n_rows, len(keys))
+            indptr = np.concatenate(([0], np.cumsum(sizes.sum(axis=1))))
+            columns = position[np.repeat(np.tile(starts, self.n_rows), sizes.ravel()) + cols]
+            matrix = sp.csr_matrix((data, columns, indptr), shape=(self.n_rows, position.shape[0]))
+            matrix.sort_indices()
+            built = self._counts = StoreCounts(
+                keys=np.array([key for block_keys in keys for key in block_keys], dtype=object),
+                counts=matrix,
+                columns=dict(zip(self._index, zip(starts, ends))),
+                totals=np.array(self._totals, dtype=np.int64).reshape(self.n_rows, len(keys)),
             )
-            counts.sort_indices()
-            cached = self._blocks[block] = (np.array(keys, dtype=object), counts)
-        return cached
+        return built
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +611,26 @@ class FeatureSpace:
 def fit_feature_space_from_counts(
     store: CountsStore, rows: Sequence[int], config: FeatureConfig
 ) -> FeatureSpace:
-    """Fit vocabulary, df and IDF on a store's ``rows``: each block keeps its
-    columns with nonzero df (list blocks keep all), in sorted key order.
+    """Fit vocabulary, df and IDF on a store's ``rows``: each block of
+    ``config`` keeps its columns with nonzero df (list blocks keep all), in
+    sorted key order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[0] == 0:
         raise FeatureError("cannot fit a feature space on an empty training set")
+    stored = store.counts()
+    df = np.bincount(stored.counts[rows].indices, minlength=stored.keys.shape[0])
     vocab: dict[FeatureBlock, dict[FeatureKey, int]] = {}
-    dfs: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
     for block in config.blocks_in_order():
-        block_keys, counts = store.block(block)
-        df = np.bincount(counts[rows].indices, minlength=block_keys.shape[0])
-        kept = np.arange(df.shape[0]) if block in LIST_BLOCKS else np.flatnonzero(df)
-        vocab[block] = {key: col for col, key in enumerate(block_keys[kept].tolist())}
-        dfs.append(df[kept])
+        start, end = stored.columns[block]
+        columns = np.arange(start, end)
+        if block not in LIST_BLOCKS:
+            columns = columns[df[start:end] > 0]
+        vocab[block] = {key: col for col, key in enumerate(stored.keys[columns].tolist())}
+        kept.append(columns)
     n = int(rows.shape[0])
-    df = np.concatenate(dfs)
+    df = df[np.concatenate(kept)]
     return FeatureSpace(config, n, vocab, df, np.log((1.0 + n) / (1.0 + df)) + 1.0)
 
 
@@ -554,35 +661,35 @@ def vectorize_counts(
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = int(rows.shape[0])
-    row_parts, col_parts, value_parts, block_totals = [], [], [], []
-    for block, start, end in space.block_offsets:
-        keys, counts = store.block(block)
-        counts = counts[rows]
+    stored = store.counts()
+    counts = stored.counts[rows]
+    # store column -> space column, -1 where the space has none; int32, the
+    # CSR index type, so that the matrix takes its indices uncopied
+    column = np.full(stored.keys.shape[0], -1, dtype=np.int32)
+    block_of = np.empty(space.dim, dtype=np.int64)  # space column -> its block's position
+    position_of = {block: i for i, block in enumerate(stored.columns)}
+    positions = []
+    for i, (block, start, end) in enumerate(space.block_offsets):
+        store_start, store_end = stored.columns[block]
         mapping = space.vocab[block]
-        # int32, the CSR index type, so that the matrix takes its indices uncopied
-        column = np.array([mapping.get(k, -1) for k in keys.tolist()], dtype=np.int32)
-        totals = np.asarray(counts.sum(axis=1), dtype=np.int64).ravel()
-        block_totals.append(totals)
-        row_of = np.repeat(np.arange(n), np.diff(counts.indptr))
-        cols = column[counts.indices]
-        kept = cols >= 0
-        row_of, cols = row_of[kept], cols[kept]
-        values = counts.data[kept] / totals[row_of] * space.idf[start:end][cols]
-        values /= np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))[row_of]
-        row_parts.append(row_of)
-        col_parts.append(cols + start)
-        value_parts.append(values)
-    # Within a block a row's columns ascend, because the store and the
-    # space both keep a block's keys in sorted order; blocks come in offset
-    # order, so a stable sort by row gives every row ascending columns.
-    row_of = np.concatenate(row_parts)
-    order = np.argsort(row_of, kind="stable")
+        keys = stored.keys[store_start:store_end].tolist()
+        cols = np.fromiter(map(mapping.get, keys, repeat(-1)), dtype=np.int32, count=len(keys))
+        column[store_start:store_end] = np.where(cols >= 0, cols + start, -1)
+        block_of[start:end] = i
+        positions.append(position_of[block])
+    block_totals = stored.totals[rows][:, positions]
+    # Store and space both order a row's columns by block, then by key,
+    # so the kept entries of each row ascend in space columns as they are.
+    cols = column[counts.indices]
+    kept = cols >= 0
+    row_of = np.repeat(np.arange(n), np.diff(counts.indptr))[kept]
+    cols = cols[kept]
+    cell = row_of * len(positions) + block_of[cols]  # (row, block) of each entry
+    values = counts.data[kept] / block_totals.ravel()[cell] * space.idf[cols]
+    values /= np.sqrt(np.bincount(cell, weights=values * values, minlength=block_totals.size))[cell]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=n))))
-    X = sp.csr_matrix(
-        (np.concatenate(value_parts)[order], np.concatenate(col_parts)[order], indptr),
-        shape=(n, space.dim),
-    )
-    return X, np.column_stack(block_totals)
+    X = sp.csr_matrix((values, cols, indptr), shape=(n, space.dim))
+    return X, block_totals
 
 
 def vectorize(

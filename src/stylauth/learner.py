@@ -38,6 +38,7 @@ does not record its feature space; they check only the row's width.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,15 +65,19 @@ class TrainConfig:
     max_iterations: int = 1000
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise LearnerError(f"C must be positive, got {self.C}")
-        if not self.C_grid or any(c <= 0 for c in self.C_grid):
-            raise LearnerError("C_grid must be a nonempty list of positive values")
+        # NaN fails every comparison, so each check asks for what is valid
+        if not 0 < self.C < math.inf:
+            raise LearnerError(f"C must be positive and finite, got {self.C}")
+        if not self.C_grid or not all(0 < c < math.inf for c in self.C_grid):
+            raise LearnerError("C_grid must be a nonempty list of positive, finite values")
+        repeated = sorted({c for c in self.C_grid if self.C_grid.count(c) > 1})
+        if repeated:
+            raise LearnerError(f"C_grid repeats {', '.join(map(str, repeated))}")
         self.C_grid = tuple(sorted(self.C_grid))
         if self.inner_folds < 2:
             raise LearnerError("inner_folds must be at least 2")
-        if self.tolerance <= 0:
-            raise LearnerError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise LearnerError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise LearnerError("max_iterations must be at least 1")
 

@@ -5,11 +5,12 @@ training instances (full texts and/or their segments), fit the feature
 space on those instances only, vectorize, optionally fit oversampling
 profiles and extend the training set, tune C, train. Raw feature counts
 depend only on the instance and the feature config, never on the fold,
-so one CountsCache per command, a sparse counts store keyed by instance
-id, serves every fold and block pool. Within a fold, a block pool's
-vectors are a column slice of a larger pool's, with the kept blocks' raw
-count totals (``Vectors.restricted``), so one vectorized training set
-serves every pool the fold scores without the counts store.
+so one CountsCache per command, a sparse counts store keyed by document
+id and token range, serves every fold, block pool and segmentation.
+Within a fold, a block pool's vectors are a column slice of a larger
+pool's, with the kept blocks' raw count totals (``Vectors.restricted``),
+so one vectorized training set serves every pool the fold scores without
+the counts store.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .features import (
     FeatureConfig,
     FeatureSpace,
     Instance,
+    counts_from_segments,
     extract_all,
     extraction_params,
     fit_feature_space_from_counts,
@@ -91,24 +93,42 @@ class Vectors:
 
 
 class CountsCache(CountsStore):
-    """A counts store keyed by instance id: each instance is extracted once.
+    """A counts store keyed by (document id, token range).
 
-    The store grows only in ``rows``, and growing mutates its
-    vocabularies, so callers fill it before reading it from fold threads.
+    A request extracts each instance it has not seen before, except a full
+    text that the same request also holds tiling segments of: its counts
+    are summed from theirs (``counts_from_segments``). The store grows only
+    in ``rows``, and growing mutates its vocabularies, so callers fill it
+    before reading it from fold threads.
     """
 
     def __init__(self, config: FeatureConfig):
         super().__init__(config)
-        self._row_of: dict[str, int] = {}
+        self._row_of: dict[tuple[str, tuple[int, int]], int] = {}
 
     def rows(self, instances: Iterable[Instance]) -> np.ndarray:
-        """Store rows of ``instances``, extracting the ones not seen before."""
-        out = []
-        for instance in instances:
-            if instance.instance_id not in self._row_of:
-                self._row_of[instance.instance_id] = self.add(extract_all(instance, self.config))
-            out.append(self._row_of[instance.instance_id])
-        return np.asarray(out, dtype=np.int64)
+        """Store rows of ``instances``, counting the ones not seen before."""
+        instances = list(instances)
+        keys = [(inst.doc.id, inst.token_range) for inst in instances]
+        new: dict[str, dict[tuple[str, tuple[int, int]], Instance]] = {}  # by document
+        for key, inst in zip(keys, instances):
+            if key not in self._row_of:
+                new.setdefault(key[0], {}).setdefault(key, inst)
+        for doc_new in new.values():  # one document's counts alive at a time
+            counts = {
+                key: extract_all(inst, self.config)
+                for key, inst in doc_new.items()
+                if key[1] != (0, len(inst.doc.tokens))
+            }
+            for key, inst in doc_new.items():
+                if key not in counts:
+                    derived = counts_from_segments(
+                        inst.doc, ((r, c) for (_, r), c in counts.items()), self.config
+                    )
+                    counts[key] = extract_all(inst, self.config) if derived is None else derived
+            for key in doc_new:
+                self._row_of[key] = self.add(counts[key])
+        return np.asarray([self._row_of[key] for key in keys], dtype=np.int64)
 
     def vectorize(self, instances: Iterable[Instance], space: FeatureSpace) -> Vectors:
         """TFIDF rows of ``instances`` over ``space`` and their block totals."""
@@ -218,10 +238,16 @@ def fold_vectors(
         raise ExperimentError("no training instances")
     space = fit_feature_space_from_counts(cache, cache.rows(instances), config.features)
     both = cache.vectorize([*instances, *(Instance(doc=doc) for doc in texts)], space)
-    n = len(instances)
+    # the two row blocks share the matrix's arrays: no scipy row slicing
+    n, X = len(instances), both.X
+    m = X.indptr[n]
+    train_X = sp.csr_matrix((X.data[:m], X.indices[:m], X.indptr[: n + 1]), shape=(n, space.dim))
+    text_X = sp.csr_matrix(
+        (X.data[m:], X.indices[m:], X.indptr[n:] - m), shape=(len(texts), space.dim)
+    )
     return (
-        Vectors(both.instances[:n], space, both.X[:n], both.block_totals[:n]),
-        Vectors(both.instances[n:], space, both.X[n:], both.block_totals[n:]),
+        Vectors(both.instances[:n], space, train_X, both.block_totals[:n]),
+        Vectors(both.instances[n:], space, text_X, both.block_totals[n:]),
     )
 
 

@@ -182,6 +182,25 @@ class TestExitCodes:
         assert f"error: {section}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "learner, message",
+        [
+            ({"C_grid": [0.1, float("nan"), 1.0]}, "C_grid must be a nonempty list of positive"),
+            ({"C_grid": [1.0, float("inf")]}, "C_grid must be a nonempty list of positive"),
+            ({"tolerance": float("inf")}, "tolerance must be positive and finite, got inf"),
+            ({"C": float("nan")}, "C must be positive and finite, got nan"),
+            ({"C_grid": [1.0, 0.1, 1.0]}, "C_grid repeats 1.0"),
+        ],
+    )
+    def test_non_finite_or_repeated_learner_value_rejected(
+        self, tmp_path, capsys, learner, message
+    ):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        extra = {"learner": {"inner_folds": 3, **learner}}
+        config = write_config(tmp_path, tmp_path / "manifest.csv", extra=extra)
+        assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
+        assert f"error: learner: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "extra, flags", [({"threads": 0}, []), ({"threads": -3}, []), ({}, ["--threads", "0"])]
     )
     def test_threads_below_one_rejected(self, tmp_path, capsys, extra, flags):
@@ -357,12 +376,11 @@ class TestCommands:
         argv = ["ablate", "--config", str(config), "--mode", "hardest10"]
         assert main([*argv, "--threads", str(threads)]) == EXIT_OK
         corpus = load_corpus(manifest)
-        expected = {
-            inst.instance_id
-            for inst in pipeline.document_instances(corpus.labelled(), SegmentationConfig(60))
-        }
-        assert len(expected) > len(corpus.labelled())  # segments are extracted too
-        assert set(calls) == expected
+        instances = pipeline.document_instances(corpus.labelled(), SegmentationConfig(60))
+        # every text trains beside its segments, so its counts are summed from theirs
+        segments = [inst for inst in instances if inst.segment is not None]
+        assert {inst.doc.id for inst in segments} == {doc.id for doc in corpus.labelled()}
+        assert set(calls) == {inst.instance_id for inst in segments}
         assert set(calls.values()) == {1}
 
     def test_verify_writes_verdict(self, corpus_dir):

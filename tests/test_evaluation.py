@@ -18,7 +18,7 @@ from stylauth.evaluation import held_out_segment_ids, loo_pools, loo_run
 from stylauth.experiments import attribution_contingency
 from stylauth.features import FeatureBlock, FeatureConfig
 from stylauth.learner import TrainConfig
-from stylauth.pipeline import PipelineConfig, SegmentationConfig
+from stylauth.pipeline import CountsCache, PipelineConfig, SegmentationConfig
 
 from conftest import make_styled_corpus, write_corpus
 
@@ -338,6 +338,15 @@ class TestDeterminism:
         serial = loo_run(small_corpus, config, seed=9, threads=1)
         threaded = loo_run(small_corpus, config, seed=9, threads=4)
         assert json.dumps(serial.canonical_dict()) == json.dumps(threaded.canonical_dict())
+
+    def test_cache_shared_by_two_segmentations_gives_fresh_reports(self, small_corpus):
+        # a segment's instance id, doc[i], does not depend on min_tokens
+        configs = [fast_pipeline("Aldus", dro=True, min_tokens=m) for m in (100, 60)]
+        shared = CountsCache(configs[0].features)
+        for config in configs:
+            reused = loo_run(small_corpus, config, seed=9, cache=shared)
+            fresh = loo_run(small_corpus, config, seed=9)
+            assert json.dumps(reused.canonical_dict()) == json.dumps(fresh.canonical_dict())
 
     def test_inner_cv_scores_reported_per_fold(self, small_corpus):
         grid = (0.1, 1.0, 10.0)

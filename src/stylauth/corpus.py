@@ -285,9 +285,13 @@ def build_document(
 
 @dataclass
 class Corpus:
+    """Documents in id order, whatever order they were given in, so that
+    a report depends only on what ``fingerprint`` covers."""
+
     documents: tuple[Document, ...]
 
     def __post_init__(self) -> None:
+        self.documents = tuple(sorted(self.documents, key=lambda d: d.id))
         self._by_id = {doc.id: doc for doc in self.documents}
 
     def __len__(self) -> int:
@@ -322,7 +326,7 @@ class Corpus:
     def fingerprint(self) -> str:
         """Stable digest of ids, authors, and normalized contents."""
         h = hashlib.sha256()
-        for doc in sorted(self.documents, key=lambda d: d.id):
+        for doc in self.documents:
             h.update(doc.id.encode("utf-8"))
             h.update(b"\x1f")
             h.update(doc.author.encode("utf-8"))

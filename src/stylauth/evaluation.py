@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .corpus import Corpus, Document, segment
+from .corpus import Corpus, Document
 from .errors import EvaluationError
 from .features import FeatureBlock, Instance
 from .learner import Prediction
@@ -174,7 +174,6 @@ def _run_fold(
     pools: Sequence[Sequence[FeatureBlock]],
     cache: CountsCache,
     master_seed: int,
-    fold_listener: Callable[[str, FittedClassifier], None] | None,
 ) -> list[FoldOutcome]:
     """One fold for each pool, in pool order.
 
@@ -198,8 +197,6 @@ def _run_fold(
         pool_start = time.perf_counter()
         space, columns = full_train.space.restricted_to(blocks)
         fitted = study.fit(full_train.restricted(space, columns), config, fold_seed)
-        if fold_listener is not None:
-            fold_listener(held_out.id, fitted)
         text = full_text.restricted(space, columns)
         record = TextPrediction(
             text_id=held_out.id,
@@ -225,7 +222,6 @@ def run_folds(
     pools: Sequence[Sequence[FeatureBlock]],
     seed: int,
     threads: int = 1,
-    fold_listener: Callable[[str, FittedClassifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
 ) -> tuple[list[Document], list[list[FoldOutcome]]]:
@@ -234,7 +230,6 @@ def run_folds(
     ``text_ids`` restricts which of the study's texts are held out; each
     fold still trains on all the others. A shared ``cache`` must extract the
     config's blocks as the config does (``counts_cache_for``).
-    ``fold_listener(text_id, fitted)`` sees each fold's fit, once per pool.
     """
     texts = study.texts
     if text_ids is not None:
@@ -266,7 +261,7 @@ def run_folds(
     cache.rows(Instance(doc=d) for d in folds)
 
     def fold_outcomes(doc: Document) -> list[FoldOutcome]:
-        return _run_fold(study, doc, config, pools, cache, seed, fold_listener)
+        return _run_fold(study, doc, config, pools, cache, seed)
 
     workers = min(threads, _usable_cpus(), len(folds))
     if workers == 1:
@@ -283,7 +278,6 @@ def loo_pools(
     pools: Sequence[Sequence[FeatureBlock]],
     seed: int,
     threads: int = 1,
-    fold_listener: Callable[[str, FittedClassifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
 ) -> list[LooReport]:
@@ -304,7 +298,7 @@ def loo_pools(
         fit=fit_verifier,
         class_of=VerificationClasses(target),
     )
-    folds, outcomes = run_folds(study, config, pools, seed, threads, fold_listener, text_ids, cache)
+    folds, outcomes = run_folds(study, config, pools, seed, threads, text_ids, cache)
     return [_report(corpus, target, seed, folds, pool_outcomes) for pool_outcomes in outcomes]
 
 
@@ -335,7 +329,6 @@ def loo_run(
     config: PipelineConfig,
     seed: int,
     threads: int = 1,
-    fold_listener: Callable[[str, FittedClassifier], None] | None = None,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
 ) -> LooReport:
@@ -344,16 +337,6 @@ def loo_run(
     """
     (report,) = loo_pools(
         corpus, config, [config.features.blocks_in_order()], seed,
-        threads=threads, fold_listener=fold_listener, text_ids=text_ids, cache=cache,
+        threads=threads, text_ids=text_ids, cache=cache,
     )
     return report
-
-
-def held_out_segment_ids(doc: Document, min_tokens: int) -> set[str]:
-    """Instance ids the held-out text could contribute if it were trained on:
-    its own and its segments', which cover what ``document_instances`` gives it.
-    """
-    ids = {doc.id}
-    for seg in segment(doc, min_tokens):
-        ids.add(seg.instance_id)
-    return ids

@@ -28,13 +28,14 @@ import numpy as np
 from .corpus import Corpus, Document
 from .errors import ExperimentError
 from .evaluation import LooReport, LooStudy, TextPrediction, loo_pools, loo_run, run_folds
-from .features import FeatureBlock, Instance, cosine_similarity, fit_feature_space_from_counts
+from .features import FeatureBlock, cosine_similarity
+# Unused here, but bench/layers.py wraps this name; a traced run fails without it.
+from .features import fit_feature_space_from_counts  # noqa: F401
 from .metrics import macro_f1, per_class_tables
 from .pipeline import (
     CountsCache,
     PipelineConfig,
     counts_cache_for,
-    document_instances,
     fit_attributor,
     fit_verifier,
     fold_vectors,
@@ -384,17 +385,17 @@ def rank_similar(
     """Rank labelled full texts by cosine similarity to the disputed text.
 
     Rows are natural TFIDF representations over a space fitted on all
-    labelled texts and segments; latent oversampling features are never
-    involved in similarity.
+    labelled texts and segments (``fold_vectors``, as for verification and
+    attribution); latent oversampling features are never involved in
+    similarity.
     """
     if top_k is not None and top_k < 1:
         raise ExperimentError(f"top_k must be at least 1, got {top_k}")
     disputed = _get_disputed(corpus, disputed_id)
     cache = counts_cache_for(config.features, cache)
     docs = training_documents(corpus)
-    rows = cache.rows(document_instances(docs, config.segmentation))
-    space = fit_feature_space_from_counts(cache, rows, config.features)
-    X = cache.vectorize([Instance(doc=d) for d in (disputed, *docs)], space).X
+    _, texts = fold_vectors(docs, [disputed, *docs], config, cache)
+    X = texts.X
     disputed_row = X[0]
     if disputed_row.nnz == 0:
         raise ExperimentError(

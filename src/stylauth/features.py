@@ -1,6 +1,6 @@
 """Stylometric feature extraction and TFIDF vectorization.
 
-Eight feature blocks are supported, all topic-agnostic by design:
+Nine feature blocks are supported, all topic-agnostic by design:
 
 - token_lengths: character lengths of word tokens
 - function_words: occurrences of words from a closed list

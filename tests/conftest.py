@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stylauth.corpus import Corpus, load_corpus
+from stylauth import evaluation, experiments
+from stylauth.corpus import Corpus, Document, load_corpus, segment
 
 
 def assert_same_space(a, b) -> None:
@@ -21,6 +23,37 @@ def assert_same_space(a, b) -> None:
     assert a.n_instances == b.n_instances
     assert a.df.tobytes() == b.df.tobytes()
     assert a.idf.tobytes() == b.idf.tobytes()
+
+
+def held_out_segment_ids(doc: Document, min_tokens: int) -> set[str]:
+    """Instance ids the held-out text could contribute if it were trained on:
+    its own and its segments', which cover what ``document_instances`` gives it.
+    """
+    return {doc.id} | {seg.instance_id for seg in segment(doc, min_tokens)}
+
+
+@pytest.fixture
+def fold_fits(monkeypatch) -> dict[int, list]:
+    """LOO verifier fits and every attributor fit, keyed by seed, in fit order.
+
+    A LOO fold fits with seed ``stable_seed(seed, "loo" | "aa-loo", text_id)``,
+    once per pool. The fits are wrapped where the fold runner looks them up
+    (the ``LooStudy`` is built per call); distinct folds have distinct seeds,
+    so each key is written by one thread.
+    """
+    fits: dict[int, list] = defaultdict(list)
+
+    def capturing(fit):
+        def wrapped(train, config, seed):
+            fitted = fit(train, config, seed)
+            fits[seed].append(fitted)
+            return fitted
+
+        return wrapped
+
+    monkeypatch.setattr(evaluation, "fit_verifier", capturing(evaluation.fit_verifier))
+    monkeypatch.setattr(experiments, "fit_attributor", capturing(experiments.fit_attributor))
+    return fits
 
 
 def write_corpus(

@@ -30,15 +30,17 @@ from stylauth.dro import (
     sample_latent_counts,
     synthetic_positive_count,
 )
-from stylauth.evaluation import held_out_segment_ids, loo_run
+from stylauth.evaluation import loo_run
 from stylauth.experiments import ABLATION_EXACT, ablate, attribute_disputed, rank_similar
 from stylauth.features import FeatureBlock, FeatureConfig, fit_feature_space
 from stylauth.learner import TrainConfig, binary_objective, multiclass_objective
 from stylauth.metrics import ContingencyTable, f1, macro_f1, soft_f1, vanilla_accuracy
 from stylauth.pipeline import PipelineConfig, SegmentationConfig, document_instances
-from stylauth.rng import spawn_rng
+from stylauth.rng import spawn_rng, stable_seed
 
-from conftest import make_imbalanced_corpus, make_orthogonal_corpus, make_styled_corpus
+from conftest import (
+    held_out_segment_ids, make_imbalanced_corpus, make_orthogonal_corpus, make_styled_corpus,
+)
 
 
 @contextmanager
@@ -223,7 +225,7 @@ def _fast_config(target: str, dro: bool) -> PipelineConfig:
     )
 
 
-def test_criterion_4_loo_leakage_and_determinism(tmp_path):
+def test_criterion_4_loo_leakage_and_determinism(tmp_path, fold_fits):
     with criterion(4, "LOO leakage and determinism", 30.0):
         manifest = make_styled_corpus(
             tmp_path, {"Aldus": 4, "Benno": 4, "Castor": 4}, n_tokens=260, seed=5
@@ -234,11 +236,12 @@ def test_criterion_4_loo_leakage_and_determinism(tmp_path):
         corpus = load_corpus(manifest)
         config = _fast_config("Aldus", dro=True)
 
-        captured = {}
-        report = loo_run(corpus, config, seed=13, fold_listener=captured.__setitem__)
+        report = loo_run(corpus, config, seed=13)
         assert len(report.records) == 12
+        spaces = {}
         for doc in corpus.labelled():
-            fitted = captured[doc.id]
+            (fitted,) = fold_fits[stable_seed(13, "loo", doc.id)]
+            spaces[doc.id] = fitted.space
             training = set(fitted.training_instance_ids)
             forbidden = held_out_segment_ids(doc, config.segmentation.min_tokens)
             assert not (forbidden & training), f"{doc.id} leaked into its own fold"
@@ -247,8 +250,8 @@ def test_criterion_4_loo_leakage_and_determinism(tmp_path):
             assert fitted.space.n_instances == len(originals)
             assert fitted.profiles.latent_dim == len(originals)
         marker = "qqq"
-        assert marker not in captured["benno-01"].space.vocab[FeatureBlock.CHAR_NGRAMS]
-        assert marker in captured["benno-00"].space.vocab[FeatureBlock.CHAR_NGRAMS]
+        assert marker not in spaces["benno-01"].vocab[FeatureBlock.CHAR_NGRAMS]
+        assert marker in spaces["benno-00"].vocab[FeatureBlock.CHAR_NGRAMS]
 
         serial = loo_run(corpus, config, seed=13, threads=1)
         threaded = loo_run(corpus, config, seed=13, threads=4)

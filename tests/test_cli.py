@@ -575,6 +575,39 @@ class TestDeterminism:
             assert result.returncode == EXIT_OK, result.stderr
             assert self._payload(out / "loo_report.json") == a
 
+    def test_manifest_row_order_changes_no_report(self, tmp_path):
+        commands = (
+            ["ingest"],
+            ["loo"],
+            ["ablate"],
+            ["verify", "--replicas", "3"],
+            ["attribute", "--min-texts", "2", "--with-loo"],
+            ["similar"],
+        )
+        outputs = []
+        for order in ("given", "reversed"):
+            root = tmp_path / order
+            manifest = make_styled_corpus(
+                root, {"Aldus": 3, "Benno": 3, "Castor": 2}, n_tokens=200, seed=19,
+                disputed_from="Aldus",
+            )
+            if order == "reversed":
+                header, *rows = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+                manifest.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+            config = write_config(root, manifest, disputed="disputed-text", dro=True)
+            for command, *flags in commands:
+                assert main([command, "--config", str(config), *flags]) == EXIT_OK
+            outputs.append(root / "out")
+        given, reversed_ = outputs
+        names = sorted(path.name for path in given.iterdir())
+        assert names == sorted(path.name for path in reversed_.iterdir())
+        assert len(names) == 12
+        for name in names:
+            if name.endswith(".json"):
+                assert self._payload(given / name) == self._payload(reversed_ / name), name
+            else:
+                assert (given / name).read_bytes() == (reversed_ / name).read_bytes(), name
+
     def test_seed_override_changes_payload(self, tmp_path):
         manifest = make_styled_corpus(
             tmp_path, {"Aldus": 3, "Benno": 3}, n_tokens=200, seed=19

@@ -14,13 +14,14 @@ from stylauth import evaluation, experiments, metrics
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import EvaluationError
-from stylauth.evaluation import held_out_segment_ids, loo_pools, loo_run
+from stylauth.evaluation import loo_pools, loo_run
 from stylauth.experiments import attribution_contingency
 from stylauth.features import FeatureBlock, FeatureConfig
 from stylauth.learner import TrainConfig
 from stylauth.pipeline import CountsCache, PipelineConfig, SegmentationConfig
+from stylauth.rng import stable_seed
 
-from conftest import make_styled_corpus, write_corpus
+from conftest import held_out_segment_ids, make_styled_corpus, write_corpus
 
 
 def fast_pipeline(
@@ -118,15 +119,14 @@ class TestPools:
     )
 
     @pytest.mark.parametrize("dro", [False, True])
-    def test_each_report_equals_a_loo_run_of_its_pool(self, small_corpus, dro):
+    def test_each_report_equals_a_loo_run_of_its_pool(self, small_corpus, dro, fold_fits):
         config = fast_pipeline("Aldus", dro=dro)
-        fits: Counter = Counter()
-
-        def listener(text_id, fitted):
-            fits[text_id, fitted.space.config.enabled_blocks] += 1
-
-        reports = loo_pools(small_corpus, config, self.POOLS, seed=6, threads=2,
-                            fold_listener=listener)
+        reports = loo_pools(small_corpus, config, self.POOLS, seed=6, threads=2)
+        texts = [d.id for d in small_corpus.labelled()]
+        assert set(fold_fits) == {stable_seed(6, "loo", t) for t in texts}
+        for fits in fold_fits.values():
+            pools = Counter(fitted.space.config.enabled_blocks for fitted in fits)
+            assert pools == Counter(frozenset(p) for p in self.POOLS)
         assert len(reports) == len(self.POOLS)
         for pool, report in zip(self.POOLS, reports):
             alone = loo_run(small_corpus, config.with_blocks(pool), seed=6)
@@ -134,8 +134,6 @@ class TestPools:
             assert report.fold_seconds.keys() == alone.fold_seconds.keys()
         if dro:
             assert any(r.synthetic_positives for report in reports for r in report.records)
-        texts = [d.id for d in small_corpus.labelled()]
-        assert fits == Counter({(t, frozenset(p)): 1 for t in texts for p in self.POOLS})
 
     @pytest.mark.parametrize("pool", [(), (FeatureBlock.POS_NGRAMS,)])
     def test_pool_outside_the_config_rejected(self, small_corpus, pool):
@@ -144,28 +142,20 @@ class TestPools:
 
 
 class TestLeakage:
-    def test_held_out_text_and_segments_never_train(self, small_corpus, monkeypatch):
-        captured = {}
-
-        def listener(text_id, fitted):
-            captured[text_id] = fitted
-
-        def listening_folds(*args, **kwargs):
-            return evaluation.run_folds(*args, fold_listener=listener, **kwargs)
-
+    def test_held_out_text_and_segments_never_train(self, small_corpus, fold_fits):
         config = fast_pipeline("Aldus", dro=True)
-        monkeypatch.setattr(experiments, "run_folds", listening_folds)
         studies = {
-            "verify": lambda: loo_run(small_corpus, config, seed=3, fold_listener=listener),
-            "attribute": lambda: attribution_contingency(small_corpus, config, seed=3),
+            "loo": lambda: loo_run(small_corpus, config, seed=3),
+            "aa-loo": lambda: attribution_contingency(small_corpus, config, seed=3),
         }
         for study, run in studies.items():
-            captured.clear()
+            fold_fits.clear()
             run()
-            assert set(captured) == {d.id for d in small_corpus.labelled()}, study
-            for doc in small_corpus.labelled():
-                fitted = captured[doc.id]
-                assert fitted.uses_dro == (study == "verify")
+            labelled = small_corpus.labelled()
+            assert set(fold_fits) == {stable_seed(3, study, d.id) for d in labelled}, study
+            for doc in labelled:
+                (fitted,) = fold_fits[stable_seed(3, study, doc.id)]
+                assert fitted.uses_dro == (study == "loo")
                 forbidden = held_out_segment_ids(doc, config.segmentation.min_tokens)
                 training = set(fitted.training_instance_ids)
                 assert not (forbidden & training)
@@ -175,7 +165,7 @@ class TestLeakage:
                     assert not tid.startswith(f"{doc.id}[")
                     assert tid.split("#")[0] != doc.id
 
-    def test_held_out_unique_features_absent_from_fold_space(self, tmp_path):
+    def test_held_out_unique_features_absent_from_fold_space(self, tmp_path, fold_fits):
         docs = []
         for i in range(3):
             docs.append(
@@ -200,25 +190,18 @@ class TestLeakage:
         manifest = write_corpus(tmp_path, docs)
         corpus = load_corpus(manifest)
 
-        captured = {}
-
-        def listener(text_id, fitted):
-            captured[text_id] = fitted.space
-
-        loo_run(corpus, fast_pipeline("Aldus", min_tokens=30), seed=0, fold_listener=listener)
+        loo_run(corpus, fast_pipeline("Aldus", min_tokens=30), seed=0)
         marker = "xyx"
-        assert marker not in captured["neg-0"].vocab[FeatureBlock.CHAR_NGRAMS]
-        assert marker in captured["neg-1"].vocab[FeatureBlock.CHAR_NGRAMS]
+        (neg0,) = fold_fits[stable_seed(0, "loo", "neg-0")]
+        (neg1,) = fold_fits[stable_seed(0, "loo", "neg-1")]
+        assert marker not in neg0.space.vocab[FeatureBlock.CHAR_NGRAMS]
+        assert marker in neg1.space.vocab[FeatureBlock.CHAR_NGRAMS]
 
-    def test_dro_profiles_sized_to_fold_training_set(self, small_corpus):
-        captured = {}
-
-        def listener(text_id, fitted):
-            captured[text_id] = fitted
-
+    def test_dro_profiles_sized_to_fold_training_set(self, small_corpus, fold_fits):
         config = fast_pipeline("Aldus", dro=True)
-        loo_run(small_corpus, config, seed=3, fold_listener=listener)
-        for doc_id, fitted in captured.items():
+        loo_run(small_corpus, config, seed=3)
+        assert len(fold_fits) == len(small_corpus.labelled())
+        for (fitted,) in fold_fits.values():
             originals = [t for t in fitted.training_instance_ids if "#" not in t]
             assert fitted.profiles.latent_dim == len(originals)
 
@@ -253,17 +236,11 @@ class TestReport:
         positives = report.table.tp + report.table.fn
         assert positives == 4  # texts by the target author
 
-    def test_fold_diagnostics_match_fitted_verifier(self, small_corpus):
-        captured = {}
-
-        def listener(text_id, fitted):
-            captured[text_id] = fitted
-
-        report = loo_run(small_corpus, fast_pipeline("Aldus", dro=True), seed=3,
-                         fold_listener=listener)
+    def test_fold_diagnostics_match_fitted_verifier(self, small_corpus, fold_fits):
+        report = loo_run(small_corpus, fast_pipeline("Aldus", dro=True), seed=3)
         records = report.canonical_dict()["records"]
         for record in records:
-            fitted = captured[record["text_id"]]
+            (fitted,) = fold_fits[stable_seed(3, "loo", record["text_id"])]
             synthetic = [t for t in fitted.training_instance_ids if "#dro" in t]
             assert record["training_rows"] == len(fitted.training_instance_ids)
             assert record["synthetic_positives"] == len(synthetic)
@@ -276,12 +253,12 @@ class TestReport:
 
         # with several C values the final fit starts from the Gram path's
         # solution, so it may take no L-BFGS iteration at all
-        captured.clear()
+        fold_fits.clear()
         config = fast_pipeline("Aldus", dro=True, c_grid=(0.1, 1.0, 10.0))
-        report = loo_run(small_corpus, config, seed=3, fold_listener=listener)
+        report = loo_run(small_corpus, config, seed=3)
         records = report.canonical_dict()["records"]
         for record in records:
-            fitted = captured[record["text_id"]]
+            (fitted,) = fold_fits[stable_seed(3, "loo", record["text_id"])]
             assert record["converged"] is fitted.model.converged is True
             assert record["n_iter"] == fitted.model.n_iter
         assert any(record["n_iter"] == 0 for record in records)

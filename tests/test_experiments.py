@@ -9,7 +9,6 @@ from dataclasses import asdict
 
 import pytest
 
-from stylauth import experiments
 from stylauth.corpus import Corpus, build_document, load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
@@ -124,25 +123,22 @@ class TestAblate:
             assert it.removed_score >= it.pool_score
         assert FeatureBlock.TOKEN_LENGTHS not in report.final_pool
 
-    def test_hardest10_scores_the_initial_pool_from_the_full_loo(self, orthogonal, monkeypatch):
-        fits: Counter = Counter()  # (held-out id, pool) -> fitted verifiers
-
-        def listen(text_id, fitted):
-            fits[text_id, fitted.space.config.enabled_blocks] += 1
-
-        def listening(run):
-            return lambda *args, **kwargs: run(*args, fold_listener=listen, **kwargs)
-
-        monkeypatch.setattr(experiments, "loo_run", listening(experiments.loo_run))
-        monkeypatch.setattr(experiments, "loo_pools", listening(experiments.loo_pools))
+    def test_hardest10_scores_the_initial_pool_from_the_full_loo(self, orthogonal, fold_fits):
         report = ablate(
             orthogonal, THREE_BLOCKS, orthogonal_config(), mode=ABLATION_HARDEST10, seed=4
         )
         candidates = sum(len(it.candidate_scores) for it in report.iterations)
         candidates += len(report.stop_candidate_scores or {})
         restricted = candidates * len(report.hardest_text_ids)
-        assert sum(fits.values()) == len(orthogonal.labelled()) + restricted
-        assert set(fits.values()) == {1}
+        assert set(fold_fits) == {stable_seed(4, "loo", d.id) for d in orthogonal.labelled()}
+        # (held-out text, pool) -> fitted verifiers
+        pools = Counter(
+            (seed, fitted.space.config.enabled_blocks)
+            for seed, fits in fold_fits.items()
+            for fitted in fits
+        )
+        assert sum(pools.values()) == len(orthogonal.labelled()) + restricted
+        assert set(pools.values()) == {1}
 
     @pytest.mark.parametrize("dro", [False, True])
     def test_candidate_scores_equal_a_loo_run_per_pool(self, orthogonal, dro):

@@ -24,7 +24,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import Corpus, Document
 from .errors import EvaluationError
@@ -34,6 +34,7 @@ from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedClassifier, PipelineConfig, Vectors, VerificationClasses,
     counts_cache_for, document_instances, fit_verifier, fold_vectors, predict_document,
+    text_instances,
 )
 from .rng import stable_seed
 
@@ -174,12 +175,14 @@ def _run_fold(
     pools: Sequence[Sequence[FeatureBlock]],
     cache: CountsCache,
     master_seed: int,
+    instances: Mapping[str, Sequence[Instance]],
 ) -> list[FoldOutcome]:
     """One fold for each pool, in pool order.
 
     The fold fits its space over the config's blocks and vectorizes its
     training rows and the held-out text in one call; each pool slices its
     columns from those rows. A pool's seconds include that shared work.
+    ``instances`` holds every training text's instances (``text_instances``).
     """
     start = time.perf_counter()
     fold_seed = stable_seed(master_seed, study.seed_label, held_out.id)
@@ -190,7 +193,7 @@ def _run_fold(
         log.warning("skipping fold %s: %s", held_out.id, reason)
         return [(None, reason, time.perf_counter() - start)] * len(pools)
 
-    full_train, full_text = fold_vectors(train_docs, [held_out], config, cache)
+    full_train, full_text = fold_vectors(train_docs, [held_out], config, cache, instances)
     shared = time.perf_counter() - start
     out = []
     for blocks in pools:
@@ -252,16 +255,18 @@ def run_folds(
                 f"pool {[b.value for b in blocks]} is not a nonempty subset of the config's blocks"
             )
     cache = counts_cache_for(config.features, cache)
-    # Extract every instance the folds read before dispatching them, so that
-    # no two fold threads extract the same instance: each text that trains
-    # in some fold, plus each held-out text in full.
+    # Segment each text that trains in some fold once, and extract every
+    # instance the folds read before dispatching them, so that no two fold
+    # threads extract the same instance: those texts' instances, plus each
+    # held-out text in full.
     fold_ids = {d.id for d in folds}
     trained = [d for d in texts if fold_ids - {d.id}]
-    cache.rows(document_instances(trained, config.segmentation))
+    instances = text_instances(trained, config.segmentation)
+    cache.rows(document_instances(trained, config.segmentation, instances))
     cache.rows(Instance(doc=d) for d in folds)
 
     def fold_outcomes(doc: Document) -> list[FoldOutcome]:
-        return _run_fold(study, doc, config, pools, cache, seed)
+        return _run_fold(study, doc, config, pools, cache, seed, instances)
 
     workers = min(threads, _usable_cpus(), len(folds))
     if workers == 1:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import accumulate, repeat
 from typing import Iterable, Mapping, Sequence
@@ -487,6 +487,20 @@ class StoreCounts:
     columns: dict[FeatureBlock, tuple[int, int]]  # (start, end) columns of each block
     totals: np.ndarray  # raw count total of each row in each block, in block order
 
+    def select(self, rows: Sequence[int]) -> "StoreCounts":
+        """The counts of ``rows`` alone, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return replace(self, counts=self.counts[rows], totals=self.totals[rows])
+
+    def leading(self, n: int) -> "StoreCounts":
+        """The first ``n`` rows, sharing these arrays: no scipy row slicing."""
+        c = self.counts
+        m = c.indptr[n]
+        counts = sp.csr_matrix(
+            (c.data[:m], c.indices[:m], c.indptr[: n + 1]), shape=(n, c.shape[1])
+        )
+        return replace(self, counts=counts, totals=self.totals[:n])
+
 
 class CountsStore:
     """Raw feature counts as one sparse matrix: one row per added instance.
@@ -608,18 +622,24 @@ class FeatureSpace:
         return space, columns
 
 
+def _selected(store: CountsStore | StoreCounts, rows: Sequence[int] | None) -> StoreCounts:
+    """The counts of a store's ``rows``, or of all its rows when None."""
+    stored = store if isinstance(store, StoreCounts) else store.counts()
+    return stored if rows is None else stored.select(rows)
+
+
 def fit_feature_space_from_counts(
-    store: CountsStore, rows: Sequence[int], config: FeatureConfig
+    store: CountsStore | StoreCounts, rows: Sequence[int] | None, config: FeatureConfig
 ) -> FeatureSpace:
-    """Fit vocabulary, df and IDF on a store's ``rows``: each block of
-    ``config`` keeps its columns with nonzero df (list blocks keep all), in
-    sorted key order.
+    """Fit vocabulary, df and IDF on a store's ``rows`` (every row when
+    None, for counts already selected): each block of ``config`` keeps its
+    columns with nonzero df (list blocks keep all), in sorted key order.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.shape[0] == 0:
+    stored = _selected(store, rows)
+    n = int(stored.counts.shape[0])
+    if n == 0:
         raise FeatureError("cannot fit a feature space on an empty training set")
-    stored = store.counts()
-    df = np.bincount(stored.counts[rows].indices, minlength=stored.keys.shape[0])
+    df = np.bincount(stored.counts.indices, minlength=stored.keys.shape[0])
     vocab: dict[FeatureBlock, dict[FeatureKey, int]] = {}
     kept: list[np.ndarray] = []
     for block in config.blocks_in_order():
@@ -629,7 +649,6 @@ def fit_feature_space_from_counts(
             columns = columns[df[start:end] > 0]
         vocab[block] = {key: col for col, key in enumerate(stored.keys[columns].tolist())}
         kept.append(columns)
-    n = int(rows.shape[0])
     df = df[np.concatenate(kept)]
     return FeatureSpace(config, n, vocab, df, np.log((1.0 + n) / (1.0 + df)) + 1.0)
 
@@ -649,9 +668,10 @@ def fit_feature_space(
 
 
 def vectorize_counts(
-    store: CountsStore, rows: Sequence[int], space: FeatureSpace
+    store: CountsStore | StoreCounts, rows: Sequence[int] | None, space: FeatureSpace
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """TFIDF matrix of a store's ``rows`` over ``space``, and their block totals.
+    """TFIDF matrix of a store's ``rows`` (every row when None, for counts
+    already selected) over ``space``, and their block totals.
 
     TF divides by the block's whole count, features unseen in training
     included, and each block of each row is L2-normalized. The block
@@ -659,10 +679,9 @@ def vectorize_counts(
     entry of ``space.block_offsets``. Each row's columns ascend and its
     values are positive.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = int(rows.shape[0])
-    stored = store.counts()
-    counts = stored.counts[rows]
+    stored = _selected(store, rows)
+    counts = stored.counts
+    n = int(counts.shape[0])
     # store column -> space column, -1 where the space has none; int32, the
     # CSR index type, so that the matrix takes its indices uncopied
     column = np.full(stored.keys.shape[0], -1, dtype=np.int32)
@@ -677,7 +696,7 @@ def vectorize_counts(
         column[store_start:store_end] = np.where(cols >= 0, cols + start, -1)
         block_of[start:end] = i
         positions.append(position_of[block])
-    block_totals = stored.totals[rows][:, positions]
+    block_totals = stored.totals[:, positions]
     # Store and space both order a row's columns by block, then by key,
     # so the kept entries of each row ascend in space columns as they are.
     cols = column[counts.indices]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,30 +152,45 @@ def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> Counts
     return cache
 
 
-def document_instances(
-    docs: Sequence[Document], seg_config: SegmentationConfig
-) -> list[Instance]:
-    """Training instances for a set of documents: full texts plus segments.
+def text_instances(
+    docs: Iterable[Document], seg_config: SegmentationConfig
+) -> dict[str, tuple[Instance, ...]]:
+    """Each document's training instances by its id: full text plus segments.
 
     A text that yields one segment yields the whole text, so with full
-    texts included it trains once, as its full text.
+    texts included it trains once, as its full text. Each text is
+    segmented once.
     """
-    instances: list[Instance] = []
+    out: dict[str, tuple[Instance, ...]] = {}
     for doc in docs:
         segs = segment(doc, seg_config.min_tokens)
-        if seg_config.include_full_texts:
-            instances.append(Instance(doc=doc))
-            if len(segs) == 1:
-                continue
-        instances.extend(Instance(doc=doc, segment=seg) for seg in segs)
-    return instances
+        full = (Instance(doc=doc),) if seg_config.include_full_texts else ()
+        if full and len(segs) == 1:
+            out[doc.id] = full
+        else:
+            out[doc.id] = full + tuple(Instance(doc=doc, segment=seg) for seg in segs)
+    return out
+
+
+def document_instances(
+    docs: Sequence[Document],
+    seg_config: SegmentationConfig,
+    instances: Mapping[str, Sequence[Instance]] | None = None,
+) -> list[Instance]:
+    """Training instances for a set of documents, in document order
+    (``text_instances``); ``instances`` holds them already for every id of ``docs``.
+    """
+    if instances is None:
+        instances = text_instances(docs, seg_config)
+    return [inst for doc in docs for inst in instances[doc.id]]
 
 
 def full_text_only_count(docs: Iterable[Document], seg_config: SegmentationConfig) -> int:
-    """How many of ``docs`` train only as their full text (``document_instances``)."""
-    if not seg_config.include_full_texts:
-        return 0
-    return sum(len(segment(doc, seg_config.min_tokens)) == 1 for doc in docs)
+    """How many of ``docs`` train only as their full text (``text_instances``)."""
+    return sum(
+        len(insts) == 1 and insts[0].segment is None
+        for insts in text_instances(docs, seg_config).values()
+    )
 
 
 def training_documents(corpus: Corpus, authors: Iterable[str] | None = None) -> list[Document]:
@@ -226,28 +241,34 @@ def fold_vectors(
     texts: Sequence[Document],
     config: PipelineConfig,
     cache: CountsCache,
+    instances: Mapping[str, Sequence[Instance]] | None = None,
 ) -> tuple[Vectors, Vectors]:
     """Training instances of ``docs`` over the space fitted on them, and
     ``texts`` in full over that same space, from one vectorize call.
 
-    A row's TFIDF values depend only on its counts and the space, so each
-    equals a row vectorized on its own.
+    ``instances`` holds each training text's instances already
+    (``text_instances``). The rows of both are selected from the counts
+    store once; a row's TFIDF values depend only on its counts and the
+    space, so each equals a row vectorized on its own.
     """
-    instances = document_instances(docs, config.segmentation)
-    if not instances:
+    train = document_instances(docs, config.segmentation, instances)
+    if not train:
         raise ExperimentError("no training instances")
-    space = fit_feature_space_from_counts(cache, cache.rows(instances), config.features)
-    both = cache.vectorize([*instances, *(Instance(doc=doc) for doc in texts)], space)
+    both = (*train, *(Instance(doc=doc) for doc in texts))
+    n = len(train)
+    rows = cache.rows(both)  # first: it may grow the store
+    stored = cache.counts().select(rows)
+    space = fit_feature_space_from_counts(stored.leading(n), None, config.features)
+    X, block_totals = vectorize_counts(stored, None, space)
     # the two row blocks share the matrix's arrays: no scipy row slicing
-    n, X = len(instances), both.X
     m = X.indptr[n]
     train_X = sp.csr_matrix((X.data[:m], X.indices[:m], X.indptr[: n + 1]), shape=(n, space.dim))
     text_X = sp.csr_matrix(
         (X.data[m:], X.indices[m:], X.indptr[n:] - m), shape=(len(texts), space.dim)
     )
     return (
-        Vectors(both.instances[:n], space, train_X, both.block_totals[:n]),
-        Vectors(both.instances[n:], space, text_X, both.block_totals[n:]),
+        Vectors(both[:n], space, train_X, block_totals[:n]),
+        Vectors(both[n:], space, text_X, block_totals[n:]),
     )
 
 

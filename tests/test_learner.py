@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -190,6 +192,153 @@ class TestTrainBinary:
         model = train_binary(X, [0, 1, 0, 1], TrainConfig(tolerance=1e-8))
         assert model.converged
         assert model.n_iter >= 1
+
+
+def _full_space_fit(fun, x0: np.ndarray, args: tuple, config: TrainConfig):
+    """L-BFGS-B over every column: (params, converged, n_iter)."""
+    result = minimize(
+        fun, x0, args=args, jac=True, method="L-BFGS-B",
+        options={"maxiter": config.max_iterations, "gtol": config.tolerance, "ftol": 1e-14},
+    )
+    converged = bool(np.max(np.abs(result.jac)) <= config.tolerance) or bool(result.success)
+    return result.x, converged, result.nit
+
+
+# Small sparse problems with fewer rows than columns; ``degenerate`` adds a
+# duplicate row and an all-zero row, so K = X Xᵀ is singular.
+row_space_problems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(4, 40),
+    "extra_columns": st.integers(1, 60),
+    "degenerate": st.booleans(),
+    "started": st.booleans(),
+    "C": st.sampled_from([0.01, 1.0, 100.0]),
+    "n_classes": st.sampled_from([2, 3]),
+})
+
+
+def _row_space_problem(seed, n, extra_columns, degenerate, started, C, n_classes):
+    """(X, y, fun, args, x0 or None, parameter rows k) of a generated problem."""
+    rng = np.random.default_rng(seed)
+    d = n + extra_columns
+    X = np.abs(rng.normal(size=(n, d))) * (rng.random(size=(n, d)) > 0.7)
+    if degenerate:
+        X[1], X[2] = X[0], 0.0
+    X = sp.csr_matrix(X)
+    y = rng.integers(0, n_classes, size=n)
+    y[:n_classes] = np.arange(n_classes)
+    k = 1 if n_classes == 2 else n_classes
+    x0 = None
+    if started:  # a start in the row space, as a warm start from another C is
+        alpha = 0.1 * rng.normal(size=(k, n))
+        x0 = np.column_stack([(X.T @ alpha.T).T, rng.normal(size=k)]).ravel()
+    if n_classes == 2:
+        return X, y, binary_objective, (X, y.astype(np.float64), C), x0, k
+    return X, y, multiclass_objective, (X, y, n_classes, C), x0, k
+
+
+def _spied_fit(X, y, C, config, x0, k):
+    """The model, and each ``minimize`` call's start width, iterates and result."""
+    calls = []
+
+    def spied(fun, params, callback=None, **kwargs):
+        iterates = []
+
+        def recording(intermediate_result):
+            iterates.append(intermediate_result.x.copy())
+            if callback is not None:
+                callback(intermediate_result)
+
+        result = minimize(fun, params, callback=recording, **kwargs)
+        calls.append((params.shape[0], iterates, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(learner, "minimize", spied)
+        if k == 1:
+            model = train_binary(X, y, config, C=C, x0=x0)
+        else:
+            model = train_multiclass(X, [str(v) for v in y], config, C=C, x0=x0)
+    return model, calls
+
+
+def _params(model) -> np.ndarray:
+    return np.column_stack([np.atleast_2d(model.weights), model.bias]).ravel()
+
+
+class TestRowSpaceFits:
+    """Fits of fewer rows than columns run in a basis of X's row space."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(row_space_problems)
+    def test_short_fit_equals_a_full_space_fit(self, problem):
+        # Three iterations: most fits stop unconverged, with a warning. Over
+        # long fits, rounding that differs between the bases can grow along
+        # an ill-conditioned path (C = 100) as it does between two column
+        # orders in full space, so the oracle compares short paths and the
+        # next test checks where a long one stops.
+        X, y, fun, args, x0, k = _row_space_problem(**problem)
+        n, d = X.shape
+        config = TrainConfig(max_iterations=3)
+        model, calls = _spied_fit(X, y, problem["C"], config, x0, k)
+        assert all(width <= k * (n + 1) for width, _, _ in calls)  # never all d columns
+        assert calls or model.n_iter == 0
+
+        start = np.zeros(k * (d + 1)) if x0 is None else x0
+        want, converged, n_iter = _full_space_fit(fun, start, args, config)
+        assert (model.n_iter, model.converged) == (n_iter, converged)
+        np.testing.assert_allclose(_params(model), want, rtol=0, atol=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(row_space_problems)
+    def test_fit_stops_where_the_full_space_gradient_first_passes(self, problem):
+        X, y, fun, args, x0, k = _row_space_problem(**problem)
+        n, d = X.shape
+        config = TrainConfig()
+        model, calls = _spied_fit(X, y, problem["C"], config, x0, k)
+        if not calls:  # the start passed: returned as given
+            start = np.zeros(k * (d + 1)) if x0 is None else x0
+            assert (model.n_iter, model.converged) == (0, True)
+            assert _params(model).tobytes() == start.tobytes()
+            assert np.max(np.abs(fun(start, *args)[1])) <= config.tolerance
+            return
+        ((width, iterates, result),) = calls
+        assert width <= k * (n + 1)
+        full = learner._RowBasis(X).params
+        norms = [np.max(np.abs(fun(full(a), *args)[1])) for a in iterates]
+        assert len(norms) == model.n_iter
+        assert all(norm > config.tolerance for norm in norms[:-1])
+        assert model.converged == (norms[-1] <= config.tolerance or result.success)
+        assert model.converged
+        np.testing.assert_allclose(_params(model), full(iterates[-1]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "columns, bound, in_basis", [(12, 250, False), (13, 11, False), (13, 12, True)]
+    )
+    def test_full_space_at_as_many_rows_as_columns_or_above_the_bound(
+        self, columns, bound, in_basis, monkeypatch
+    ):
+        rng = np.random.default_rng(70)
+        X = sp.csr_matrix(np.abs(rng.normal(size=(12, columns))))
+        y = np.arange(12) % 2
+        monkeypatch.setattr(learner, "_BASIS_MAX_ROWS", bound)
+        model, calls = _spied_fit(X, y, 1.0, TrainConfig(), None, 1)
+        # the basis of 12 rows of full rank, or every column; and the bias
+        assert [width for width, _, _ in calls] == [(12 if in_basis else columns) + 1]
+        assert model.converged and model.weights.shape == (columns,)
+
+    def test_iteration_cap_warns_with_the_full_space_gradient_norm(self, caplog):
+        rng = np.random.default_rng(71)
+        X = sp.csr_matrix(np.abs(rng.normal(size=(10, 30))))
+        y = np.arange(10) % 2
+        config = TrainConfig(max_iterations=2)
+        with caplog.at_level("WARNING"):
+            model = train_binary(X, y, config, C=100.0)
+        _, grad = binary_objective(np.append(model.weights, model.bias), X, y.astype(float), 100.0)
+        (message,) = [r.getMessage() for r in caplog.records if "optimizer stopped" in r.message]
+        assert not model.converged and model.n_iter == 2
+        assert message.startswith(f"optimizer stopped after 2 iterations with gradient norm "
+                                  f"{np.max(np.abs(grad)):.3e}")
 
 
 class TestTrainMulticlass:

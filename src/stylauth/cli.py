@@ -33,7 +33,7 @@ from .experiments import (
     rank_similar,
     verify_disputed,
 )
-from .pipeline import CountsCache, full_text_only_count
+from .pipeline import CountsCache, full_text_only_count, text_instances
 
 log = logging.getLogger(__name__)
 
@@ -109,7 +109,9 @@ def cmd_ingest(run: RunConfig, args: argparse.Namespace) -> int:
         "documents": docs,
         "document_count": len(corpus),
         "labelled_count": len(corpus.labelled()),
-        "full_text_only_count": full_text_only_count(corpus.labelled(), seg_config),
+        "full_text_only_count": full_text_only_count(
+            text_instances(corpus.labelled(), seg_config)
+        ),
         "disputed_ids": [d.id for d in corpus.disputed()],
         "authors": corpus.authors(),
     }
@@ -127,9 +129,6 @@ def cmd_loo(run: RunConfig, args: argparse.Namespace) -> int:
     report = loo_run(corpus, run.pipeline, run.seed, threads=run.threads)
     elapsed = time.perf_counter() - start
     results = report.canonical_dict()
-    results["full_text_only_count"] = full_text_only_count(
-        corpus.labelled(), run.pipeline.segmentation
-    )
     timing = {"total_seconds": elapsed, "fold_seconds": report.fold_seconds}
     write_report(run.output_dir / "loo_report.json", _report_meta("loo", run, corpus), results, timing)
     write_csv(

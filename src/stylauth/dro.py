@@ -16,7 +16,9 @@ block. Profiles do not record their space.
 ``latent_distributions`` gives the mixtures of many rows at once. For
 the training rows themselves they are the rows of X D^-1 X^T scaled to
 sum to 1, D being the diagonal of X's column sums: the Gram matrix of
-X D^-1/2, built densely in column chunks.
+X D^-1/2, built densely in column chunks. A single row, at test time,
+stays the one-row CSR matrix it was vectorized as: ``extend`` passes it
+to ``sample_latent_counts`` and that to ``latent_distributions``.
 
 Because a row can be re-extended with fresh randomness as often as
 desired, minority-class training examples can be multiplied: an
@@ -151,15 +153,10 @@ def _draw(p: np.ndarray, m_samples: int, rng: np.random.Generator) -> np.ndarray
 
 
 def sample_latent_counts(
-    indices: np.ndarray,
-    data: np.ndarray,
-    profiles: DistributionalProfiles,
-    m_samples: int,
-    rng: np.random.Generator,
+    x: sp.csr_matrix, profiles: DistributionalProfiles, m_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Raw latent draw counts for one row, given by its columns and weights."""
-    row = sp.csr_matrix((data, indices, [0, indices.shape[0]]), shape=(1, profiles.feature_dim))
-    return _draw(latent_distributions(row, profiles)[0], m_samples, rng)
+    """Raw latent draw counts for the one-row CSR matrix ``x``."""
+    return _draw(latent_distributions(x, profiles)[0], m_samples, rng)
 
 
 def _latent_block(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +180,7 @@ def extend(
     """
     if not sp.issparse(x) or x.format != "csr" or x.shape != (1, profiles.feature_dim):
         raise DroError(f"expected a one-row CSR matrix of width {profiles.feature_dim}")
-    idx, vals = _latent_block(sample_latent_counts(x.indices, x.data, profiles, m_samples, rng))
+    idx, vals = _latent_block(sample_latent_counts(x, profiles, m_samples, rng))
     latent = sp.csr_matrix((vals, idx, [0, idx.shape[0]]), shape=(1, profiles.latent_dim))
     return sp.hstack([x, latent], format="csr")
 

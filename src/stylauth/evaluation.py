@@ -33,8 +33,8 @@ from .learner import Prediction
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedClassifier, PipelineConfig, Vectors, VerificationClasses,
-    counts_cache_for, document_instances, fit_verifier, fold_vectors, predict_document,
-    text_instances,
+    counts_cache_for, document_instances, fit_verifier, fold_vectors, full_text_only_count,
+    predict_document, text_instances,
 )
 from .rng import stable_seed
 
@@ -91,6 +91,7 @@ class LooReport:
     records: tuple[TextPrediction, ...]
     skipped: tuple[tuple[str, str], ...]  # (text id, reason)
     fold_seconds: dict[str, float]
+    full_text_only_count: int  # texts that train in some fold only as their full text
     table: ContingencyTable = field(init=False)
     f1: float = field(init=False)
     soft_f1: float = field(init=False)
@@ -142,6 +143,7 @@ class LooReport:
                 for r in self.records
             ],
             "skipped": [list(s) for s in self.skipped],
+            "full_text_only_count": self.full_text_only_count,
             "contingency": {
                 "tp": self.table.tp,
                 "fp": self.table.fp,
@@ -227,8 +229,9 @@ def run_folds(
     threads: int = 1,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
-) -> tuple[list[Document], list[list[FoldOutcome]]]:
-    """The held-out texts, and for each pool their folds' outcomes in that order.
+) -> tuple[list[Document], list[list[FoldOutcome]], dict[str, tuple[Instance, ...]]]:
+    """The held-out texts, for each pool their folds' outcomes in that order,
+    and the instances of every text that trains in some fold (``text_instances``).
 
     ``text_ids`` restricts which of the study's texts are held out; each
     fold still trains on all the others. A shared ``cache`` must extract the
@@ -274,7 +277,7 @@ def run_folds(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fold_outcomes, folds))
-    return folds, [[fold[i] for fold in results] for i in range(len(pools))]
+    return folds, [[fold[i] for fold in results] for i in range(len(pools))], instances
 
 
 def loo_pools(
@@ -303,8 +306,11 @@ def loo_pools(
         fit=fit_verifier,
         class_of=VerificationClasses(target),
     )
-    folds, outcomes = run_folds(study, config, pools, seed, threads, text_ids, cache)
-    return [_report(corpus, target, seed, folds, pool_outcomes) for pool_outcomes in outcomes]
+    folds, outcomes, instances = run_folds(study, config, pools, seed, threads, text_ids, cache)
+    full_only = full_text_only_count(instances)
+    return [
+        _report(corpus, target, seed, folds, pool_outcomes, full_only) for pool_outcomes in outcomes
+    ]
 
 
 def _report(
@@ -313,6 +319,7 @@ def _report(
     seed: int,
     folds: Sequence[Document],
     outcomes: Sequence[FoldOutcome],
+    full_text_only_count: int,
 ) -> LooReport:
     """One pool's report from its folds' outcomes, in corpus order."""
     records: list[TextPrediction] = []
@@ -325,7 +332,8 @@ def _report(
         else:
             records.append(record)
     return LooReport(
-        target_author, seed, corpus.fingerprint(), tuple(records), tuple(skipped), fold_seconds
+        target_author, seed, corpus.fingerprint(), tuple(records), tuple(skipped), fold_seconds,
+        full_text_only_count,
     )
 
 

@@ -354,7 +354,7 @@ def attribution_contingency(
         class_of=operator.attrgetter("author"),
     )
     pool = config.features.blocks_in_order()
-    _, (outcomes,) = run_folds(study, config, [pool], seed, cache=cache)
+    _, (outcomes,), _ = run_folds(study, config, [pool], seed, cache=cache)
     # No fold is skipped: every candidate has a text besides the held-out one.
     records = tuple(
         (r.text_id, r.true_class, r.predicted_class, r.true_class_posterior)

@@ -622,20 +622,11 @@ class FeatureSpace:
         return space, columns
 
 
-def _selected(store: CountsStore | StoreCounts, rows: Sequence[int] | None) -> StoreCounts:
-    """The counts of a store's ``rows``, or of all its rows when None."""
-    stored = store if isinstance(store, StoreCounts) else store.counts()
-    return stored if rows is None else stored.select(rows)
-
-
-def fit_feature_space_from_counts(
-    store: CountsStore | StoreCounts, rows: Sequence[int] | None, config: FeatureConfig
-) -> FeatureSpace:
-    """Fit vocabulary, df and IDF on a store's ``rows`` (every row when
-    None, for counts already selected): each block of ``config`` keeps its
-    columns with nonzero df (list blocks keep all), in sorted key order.
+def fit_feature_space_from_counts(stored: StoreCounts, config: FeatureConfig) -> FeatureSpace:
+    """Fit vocabulary, df and IDF on every row of ``stored``: each block of
+    ``config`` keeps its columns with nonzero df (list blocks keep all), in
+    sorted key order.
     """
-    stored = _selected(store, rows)
     n = int(stored.counts.shape[0])
     if n == 0:
         raise FeatureError("cannot fit a feature space on an empty training set")
@@ -658,8 +649,9 @@ def fit_feature_space(
 ) -> FeatureSpace:
     """Fit a feature space directly from training instances."""
     store = CountsStore(config)
-    rows = [store.add(extract_all(inst, config)) for inst in instances]
-    return fit_feature_space_from_counts(store, rows, config)
+    for inst in instances:
+        store.add(extract_all(inst, config))
+    return fit_feature_space_from_counts(store.counts(), config)
 
 
 # ---------------------------------------------------------------------------
@@ -667,19 +659,15 @@ def fit_feature_space(
 # ---------------------------------------------------------------------------
 
 
-def vectorize_counts(
-    store: CountsStore | StoreCounts, rows: Sequence[int] | None, space: FeatureSpace
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """TFIDF matrix of a store's ``rows`` (every row when None, for counts
-    already selected) over ``space``, and their block totals.
+def vectorize_counts(stored: StoreCounts, space: FeatureSpace) -> tuple[sp.csr_matrix, np.ndarray]:
+    """TFIDF matrix of every row of ``stored`` over ``space``, and their block totals.
 
     TF divides by the block's whole count, features unseen in training
     included, and each block of each row is L2-normalized. The block
-    totals are those raw counts: one row per store row, one column per
-    entry of ``space.block_offsets``. Each row's columns ascend and its
-    values are positive.
+    totals are those raw counts: one row per row of ``stored``, one
+    column per entry of ``space.block_offsets``. Each row's columns
+    ascend and its values are positive.
     """
-    stored = _selected(store, rows)
     counts = stored.counts
     n = int(counts.shape[0])
     # store column -> space column, -1 where the space has none; int32, the
@@ -718,8 +706,9 @@ def vectorize(
     gives them, from a one-off store.
     """
     store = CountsStore(space.config)
-    rows = [store.add(extract_all(inst, space.config)) for inst in instances]
-    return vectorize_counts(store, rows, space)
+    for inst in instances:
+        store.add(extract_all(inst, space.config))
+    return vectorize_counts(store.counts(), space)
 
 
 def cosine_similarity(a: sp.csr_matrix, b: sp.csr_matrix) -> float:

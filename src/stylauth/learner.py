@@ -18,26 +18,30 @@ rows) runs Newton's method in the Gram space of each fold instead, with
 one loop per C over all inner folds, stacked and zero-padded
 (``_gram_newton_stack``). Both solvers stop within the same gradient
 tolerance of the one minimizer, so the predictions can differ only for a
-validation score that close to zero. Every other fit, final fits
-included, runs L-BFGS-B, and one of fewer rows than columns (up to
-``_BASIS_MAX_ROWS``) runs it in an orthonormal basis Q of X's row space
-(``_fit``), of at most n dimensions instead of d + 1. The iterates stay
-in that space (the representer theorem; Kimeldorf & Wahba, 1971), and Q
-keeps every inner product and 2-norm that L-BFGS-B takes, so they are Q
-times the full-space iterates up to rounding. The ∞-norm stop test runs
-on the full-space gradient, so ``converged`` and ``n_iter`` (L-BFGS-B
-iterations) keep one meaning.
+validation score that close to zero; Newton also stops at working
+precision, where its line search can no longer resolve a step's
+decrease, so a tolerance below that costs no extra steps. Every other
+fit, final fits included, runs L-BFGS-B, and one of fewer rows than
+columns (up to ``_BASIS_MAX_ROWS``) runs it in an orthonormal basis Q of
+X's row space (``_fit``), of at most n dimensions instead of d + 1. The
+iterates stay in that space (the representer theorem; Kimeldorf & Wahba,
+1971), and Q keeps every inner product and 2-norm that L-BFGS-B takes,
+so they are Q times the full-space iterates up to rounding. One ∞-norm
+stop test decides convergence in either space, on the full-space
+gradient: ``_fit`` runs it on the start and ``_minimize`` after each
+iteration, where L-BFGS-B would run its own. So ``converged`` and
+``n_iter`` (L-BFGS-B iterations) keep one meaning, and a start that
+passes builds no basis and calls no L-BFGS-B.
 
 After Gram-space inner CV, ``tune_C`` also fits all rows at the chosen
 C with the Newton solver on the K it already built. That fit starts
 warm, from the inner folds' solutions at the chosen C (each row's mean α
 over the folds that trained it, and their mean bias), and the final fit
-starts from its solution, w = Xᵀα. There L-BFGS's own gradient test
-usually passes at once, and ``train_binary`` then returns the start
-without calling L-BFGS-B, as L-BFGS-B would at iteration 0. Every other
-final fit starts from zeros: a start that close to the minimizer moves
-fitted weights by up to the tolerance, and reported ablation scores are
-pinned tighter than that.
+starts from its solution, w = Xᵀα. There the start test usually passes
+at once, and ``_fit`` returns the start, as L-BFGS-B would at iteration
+0. Every other final fit starts from zeros: a start that close to the
+minimizer moves fitted weights by up to the tolerance, and reported
+ablation scores are pinned tighter than that.
 
 ``predict_proba`` and ``explain`` read one instance as a one-row CSR
 matrix, the row form that ``features.vectorize_counts`` makes. A model
@@ -54,7 +58,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .errors import LearnerError
@@ -189,42 +193,33 @@ def _warn_not_converged(n_iter: int, grad_norm: float, config: TrainConfig) -> N
     )
 
 
-def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full=None):
+def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, size: int):
     """L-BFGS-B on ``fun(x, *args)`` from ``x0``; returns (result, converged).
 
-    ``to_full``, when given, maps a gradient of ``fun`` to the problem's
-    full space (``_RowBasis.params``), and the ∞-norm test runs there:
-    once at the start, as L-BFGS-B's first test, and then after each
-    iteration in a callback, where L-BFGS-B runs its own test (``gtol`` 0
-    turns that off), on the gradient of the evaluation at the new iterate.
+    ``to_full`` maps a gradient of ``fun`` to the problem's full space of
+    ``size`` parameters: the identity, or ``_RowBasis.params``. The ∞-norm
+    stop test runs there, after each iteration in a callback, on the
+    gradient of the evaluation at the new iterate, where L-BFGS-B would run
+    its own (``gtol`` 0 turns that off). The caller has tested the start.
     """
     tolerance = config.tolerance
-    options = {"maxiter": config.max_iterations, "gtol": tolerance, "ftol": 1e-14}
-    objective, callback = fun, None
-    if to_full is None:
-        to_full = lambda g: g  # noqa: E731
-    else:
-        grad = fun(x0, *args)[1]
-        full = to_full(grad)
-        if np.max(np.abs(full)) <= tolerance:
-            return OptimizeResult(x=x0, jac=grad, nit=0, success=True), True
-        # the basis keeps 2-norms, and ‖v‖∞ ≥ ‖v‖₂/√len(v): a gradient
-        # longer than this fails the test without being mapped
-        longest = tolerance * tolerance * full.shape[0]
-        options["gtol"] = 0.0
-        last = {}
+    # the basis keeps 2-norms, and ‖v‖∞ ≥ ‖v‖₂/√len(v): a gradient
+    # longer than this fails the test without being mapped
+    longest = tolerance * tolerance * size
+    last = {}
 
-        def objective(x: np.ndarray, *args):
-            value, grad = fun(x, *args)
-            last["x"], last["grad"] = x.tobytes(), grad
-            return value, grad
+    def objective(x: np.ndarray, *args):
+        value, grad = fun(x, *args)
+        last["x"], last["grad"] = x.tobytes(), grad
+        return value, grad
 
-        def callback(intermediate_result) -> None:
-            x = intermediate_result.x
-            grad = last["grad"] if x.tobytes() == last["x"] else fun(x, *args)[1]
-            if grad @ grad <= longest and np.max(np.abs(to_full(grad))) <= tolerance:
-                raise StopIteration
+    def callback(intermediate_result) -> None:
+        x = intermediate_result.x
+        grad = last["grad"] if x.tobytes() == last["x"] else fun(x, *args)[1]
+        if grad @ grad <= longest and np.max(np.abs(to_full(grad))) <= tolerance:
+            raise StopIteration
 
+    options = {"maxiter": config.max_iterations, "gtol": 0.0, "ftol": 1e-14}
     result = minimize(
         objective, x0, args=args, jac=True, method="L-BFGS-B", options=options, callback=callback
     )
@@ -278,27 +273,31 @@ def _fit(fun, X, args: tuple, x0: np.ndarray, config: TrainConfig) -> tuple[np.n
     """L-BFGS-B on ``fun(params, X, *args, X.T)`` from ``x0``; params are
     (k, d+1) raveled, last column = bias. Returns (params, converged, n_iter).
 
-    Small fits with fewer rows than columns (``_BASIS_MAX_ROWS``) run in
-    an orthonormal basis Q of X's row space (``_RowBasis``), which holds
-    every iterate from a start in it (the representer theorem): the same
-    objective on the n × r matrix M = X Q, from the start's coordinates.
-    Q keeps every inner product and 2-norm L-BFGS-B takes, so the iterates
-    are Q times the full-space ones, up to rounding. Only the ∞-norm test
-    depends on the basis, and ``_minimize`` runs it on the full-space
-    gradient where L-BFGS-B runs its own, so ``n_iter`` and ``converged``
-    keep their meaning. A start outside the row space is projected onto
-    it, where the minimizer lies; a start that passes the test comes back
-    as given, as L-BFGS-B returns it at iteration 0.
+    A start whose gradient is within ``config.tolerance`` in ∞-norm comes
+    back as given, with ``n_iter`` 0: L-BFGS-B's first test would stop it
+    before any step. Small fits with fewer rows than columns
+    (``_BASIS_MAX_ROWS``) then run in an orthonormal basis Q of X's row
+    space (``_RowBasis``), which holds every iterate from a start in it
+    (the representer theorem): the same objective on the n × r matrix
+    M = X Q, from the start's coordinates. Q keeps every inner product and
+    2-norm L-BFGS-B takes, so the iterates are Q times the full-space ones,
+    up to rounding. Only the ∞-norm test depends on the basis, and
+    ``_minimize`` runs it on the full-space gradient in every fit, so
+    ``n_iter`` and ``converged`` keep their meaning. A start outside the
+    row space is projected onto it, where the minimizer lies.
     """
     n, d = X.shape
+    XT = X.T
+    if np.max(np.abs(fun(x0, X, *args, XT)[1])) <= config.tolerance:
+        return x0, True, 0
     if n > _BASIS_MAX_ROWS or n >= d:
-        result, converged = _minimize(fun, x0, (X, *args, X.T), config)
+        result, converged = _minimize(fun, x0, (X, *args, XT), config, lambda g: g, x0.shape[0])
         return result.x, converged, int(result.nit)
     basis = _RowBasis(X)
     M = basis.M
-    result, converged = _minimize(fun, basis.coordinates(x0), (M, *args, M.T), config, basis.params)
-    if result.nit == 0:  # L-BFGS-B returns the start unmoved
-        return x0, converged, 0
+    result, converged = _minimize(
+        fun, basis.coordinates(x0), (M, *args, M.T), config, basis.params, x0.shape[0]
+    )
     return basis.params(result.x), converged, int(result.nit)
 
 
@@ -312,10 +311,8 @@ def train_binary(
 ) -> TrainedModel:
     """Fit a binary verifier; y holds 0 (negative) / 1 (positive) labels.
 
-    The optimizer starts from ``x0`` ([weights, bias]) or else from zeros.
-    A given start whose gradient is already within ``config.tolerance`` is
-    returned as is, with ``n_iter`` 0 and ``converged``: that is what
-    L-BFGS-B returns there, since its first test stops it before any step.
+    The optimizer starts from ``x0`` ([weights, bias]) or else from zeros
+    (``_fit``).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != X.shape[0]:
@@ -325,11 +322,8 @@ def train_binary(
         raise LearnerError("training data must contain both classes")
     _check_matrix(X)
     c = float(C if C is not None else config.C)
-    if x0 is not None and np.max(np.abs(binary_objective(x0, X, y, c, X.T)[1])) <= config.tolerance:
-        x, converged, n_iter = x0, True, 0
-    else:
-        x0 = np.zeros(X.shape[1] + 1) if x0 is None else x0
-        x, converged, n_iter = _fit(binary_objective, X, (y, c), x0, config)
+    x0 = np.zeros(X.shape[1] + 1) if x0 is None else x0
+    x, converged, n_iter = _fit(binary_objective, X, (y, c), x0, config)
     return TrainedModel(
         classes=classes,
         weights=x[:-1].copy(),
@@ -349,7 +343,7 @@ def train_multiclass(
     """Fit a multinomial attributor over the distinct labels in y.
 
     The optimizer starts from ``x0`` (the (k, d+1) parameters, raveled,
-    last column = bias) or else from zeros.
+    last column = bias) or else from zeros (``_fit``).
     """
     labels = list(y)
     if len(labels) != X.shape[0]:
@@ -432,6 +426,7 @@ _GRAM_CHUNK_COLUMNS = 2048
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the Gram Newton line search
 _MIN_STEP = 1e-10  # the line search gives up below this step length
+_EPS = np.finfo(np.float64).eps
 
 
 def _gram_matrix(X) -> np.ndarray:
@@ -480,16 +475,21 @@ def _gram_newton_stack(
     and solves for the unregularized bias through a scalar Schur
     complement. A backtracking Armijo search sets the step length. A
     fold stops when its primal gradient Xᵀ(r + α/C), whose 2-norm is
-    √(gᵀKg), and its bias gradient Σr are within ``config.tolerance``,
-    or after ``config.max_iterations`` steps or a step shorter than
-    ``_MIN_STEP``, with ``_minimize``'s warning. The matrix-vector
-    products and the line search run on all folds at once; the Cholesky
-    factor and solves run per fold, on its own rows. At these sizes a
-    step costs its number of array calls, not its arithmetic, so K·α is
-    carried from step to step (updated by t·K·dα), as are the scores z,
-    αᵀKα and the objective at the point the line search accepted; padded
-    rows are masked by one multiplication, and the solves write into
-    buffers made once per call.
+    √(gᵀKg), and its bias gradient Σr are within ``config.tolerance``.
+    It also stops, converged to working precision, when its Newton
+    decrement is within eps times the size of the objective's terms: the
+    objective values the line search compares cannot resolve a smaller
+    decrease, and below it steps stop making progress (near a gradient of
+    √(eps·f)). Otherwise it stops after ``config.max_iterations`` steps
+    or a step shorter than ``_MIN_STEP``, with ``_minimize``'s warning.
+
+    The matrix-vector products and the line search run on all folds at
+    once; the Cholesky factor and solves run per fold, on its own rows.
+    At these sizes a step costs its number of array calls, not its
+    arithmetic, so K·α is carried from step to step (updated by t·K·dα),
+    as are the scores z, αᵀKα and the objective at the point the line
+    search accepted; padded rows are masked by one multiplication, and
+    the solves write into buffers made once per call.
     """
     rows = (np.arange(y.shape[1]) < sizes[:, None]).astype(np.float64)
     active = np.ones(y.shape[0], dtype=bool)
@@ -541,6 +541,13 @@ def _gram_newton_stack(
         Kda = _matvecs(K, da)
         dz = Kda + db[:, None]
         slope = (Kg * da).sum(axis=1) + r_sum * db
+        # −slope is the Newton decrement. Once it is within eps times the
+        # size of f's terms (log(1 + e^z) and y·z cancel where y = 1 and
+        # z ≫ 0), the f values the line search compares cannot resolve the
+        # step's decrease, and the fold has converged to working precision.
+        active &= -slope > _EPS * (f0 + (y * np.abs(z)).sum(axis=1))
+        if not active.any():
+            return alpha, b
         aKda, daKda = (da * Ka).sum(axis=1), (da * Kda).sum(axis=1)
         t = active.astype(np.float64)
         searching = active.copy()

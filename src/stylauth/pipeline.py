@@ -130,12 +130,6 @@ class CountsCache(CountsStore):
                 self._row_of[key] = self.add(counts[key])
         return np.asarray([self._row_of[key] for key in keys], dtype=np.int64)
 
-    def vectorize(self, instances: Iterable[Instance], space: FeatureSpace) -> Vectors:
-        """TFIDF rows of ``instances`` over ``space`` and their block totals."""
-        instances = tuple(instances)
-        X, block_totals = vectorize_counts(self, self.rows(instances), space)
-        return Vectors(instances, space, X, block_totals)
-
 
 def counts_cache_for(config: FeatureConfig, cache: CountsCache | None) -> CountsCache:
     """A new cache for ``config``, or ``cache`` if it extracts every block as ``config`` does.
@@ -185,12 +179,9 @@ def document_instances(
     return [inst for doc in docs for inst in instances[doc.id]]
 
 
-def full_text_only_count(docs: Iterable[Document], seg_config: SegmentationConfig) -> int:
-    """How many of ``docs`` train only as their full text (``text_instances``)."""
-    return sum(
-        len(insts) == 1 and insts[0].segment is None
-        for insts in text_instances(docs, seg_config).values()
-    )
+def full_text_only_count(instances: Mapping[str, Sequence[Instance]]) -> int:
+    """How many texts of ``instances`` (``text_instances``) train only as their full text."""
+    return sum(len(insts) == 1 and insts[0].segment is None for insts in instances.values())
 
 
 def training_documents(corpus: Corpus, authors: Iterable[str] | None = None) -> list[Document]:
@@ -258,8 +249,8 @@ def fold_vectors(
     n = len(train)
     rows = cache.rows(both)  # first: it may grow the store
     stored = cache.counts().select(rows)
-    space = fit_feature_space_from_counts(stored.leading(n), None, config.features)
-    X, block_totals = vectorize_counts(stored, None, space)
+    space = fit_feature_space_from_counts(stored.leading(n), config.features)
+    X, block_totals = vectorize_counts(stored, space)
     # the two row blocks share the matrix's arrays: no scipy row slicing
     m = X.indptr[n]
     train_X = sp.csr_matrix((X.data[:m], X.indices[:m], X.indptr[: n + 1]), shape=(n, space.dim))
@@ -278,8 +269,8 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
     When C was tuned in Gram space, the final fit starts from the
     Gram-space Newton solution at the chosen C (``tune_C``), with weights
     w = Xᵀα, and ``train_binary`` returns that start as the model when its
-    gradient is already within tolerance. Other final fits start L-BFGS
-    from zeros.
+    gradient is already within tolerance (``learner._fit``). Other final
+    fits start L-BFGS from zeros.
     """
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")

@@ -12,6 +12,8 @@ import pytest
 
 from stylauth import evaluation, experiments
 from stylauth.corpus import Corpus, Document, load_corpus, segment
+from stylauth.features import vectorize_counts
+from stylauth.pipeline import Vectors
 
 
 def assert_same_space(a, b) -> None:
@@ -23,6 +25,14 @@ def assert_same_space(a, b) -> None:
     assert a.n_instances == b.n_instances
     assert a.df.tobytes() == b.df.tobytes()
     assert a.idf.tobytes() == b.idf.tobytes()
+
+
+def cache_vectors(cache, instances, space) -> Vectors:
+    """TFIDF rows of ``instances`` over ``space``, counted in ``cache``, and their block totals."""
+    instances = tuple(instances)
+    rows = cache.rows(instances)  # first: it may grow the store
+    X, block_totals = vectorize_counts(cache.counts().select(rows), space)
+    return Vectors(instances, space, X, block_totals)
 
 
 def held_out_segment_ids(doc: Document, min_tokens: int) -> set[str]:

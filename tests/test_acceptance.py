@@ -201,9 +201,7 @@ def test_criterion_3_dro_contracts():
         # (d) empirical latent distribution converges to the profile
         weights = np.array([0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
         prof = fit_profiles(sp.csr_matrix(weights.reshape(6, 1)))
-        counts = sample_latent_counts(
-            one_feature.indices, one_feature.data, prof, 10_000, spawn_rng(3003, "chi")
-        )
+        counts = sample_latent_counts(one_feature, prof, 10_000, spawn_rng(3003, "chi"))
         assert chisquare(counts, f_exp=weights * 10_000).pvalue > 0.01
 
 

@@ -383,6 +383,20 @@ class TestCommands:
         assert set(calls) == {inst.instance_id for inst in segments}
         assert set(calls.values()) == {1}
 
+    def test_loo_segments_each_labelled_text_once(self, corpus_dir, monkeypatch):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest)
+        calls: Counter[str] = Counter()
+        real_segment = pipeline.segment
+
+        def counting_segment(doc, min_tokens):
+            calls[doc.id] += 1
+            return real_segment(doc, min_tokens)
+
+        monkeypatch.setattr(pipeline, "segment", counting_segment)
+        assert main(["loo", "--config", str(config)]) == EXIT_OK
+        assert calls == Counter(doc.id for doc in load_corpus(manifest).labelled())
+
     def test_verify_writes_verdict(self, corpus_dir):
         tmp, manifest = corpus_dir
         config = write_config(tmp, manifest, disputed="disputed-text", dro=True)

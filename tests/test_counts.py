@@ -335,10 +335,10 @@ def test_store_wide_pass_equals_the_per_block_one(counts_list, data):
     rows = [store.add(counts) for counts in [*counts_list, *UNTRAINED]]
     assert rows == [reference.add(counts) for counts in [*counts_list, *UNTRAINED]]
 
-    space = fit_feature_space_from_counts(store, train, config)
+    space = fit_feature_space_from_counts(store.counts().select(train), config)
     expected_space = per_block_fit(reference, train, config)
     assert_same_space(space, expected_space)
-    X, block_totals = vectorize_counts(store, rows, space)
+    X, block_totals = vectorize_counts(store.counts(), space)
     expected, expected_totals = per_block_vectorize(reference, rows, expected_space)
     assert X.shape == expected.shape
     for part in ("indptr", "indices", "data"):

@@ -155,7 +155,7 @@ class TestExtend:
         X = sp.csr_matrix(weights.reshape(6, 1))
         profiles = fit_profiles(X)
         x = make_row([0], [1.0], 1)
-        counts = sample_latent_counts(x.indices, x.data, profiles, 10_000, spawn_rng(99, "chi"))
+        counts = sample_latent_counts(x, profiles, 10_000, spawn_rng(99, "chi"))
         result = chisquare(counts, f_exp=weights * 10_000)
         assert result.pvalue > 0.01
 
@@ -206,7 +206,7 @@ class TestSamplerTables:
         assert profiles.profile(7) is None
         p = reference_mixture(x, X)
         for seed in range(6):
-            got = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "tables"))
+            got = sample_latent_counts(x, profiles, m, spawn_rng(seed, "tables"))
             want = spawn_rng(seed, "tables").multinomial(m, p / p.sum())
             assert np.array_equal(got, want)
 
@@ -218,7 +218,7 @@ class TestSamplerTables:
         for f, want in enumerate(reference_profiles(X)):
             x = make_row([f], [1.0], 40)
             rng = spawn_rng(f, "profile-draws")
-            counts = sample_latent_counts(x.indices, x.data, profiles, m, rng)
+            counts = sample_latent_counts(x, profiles, m, rng)
             assert counts.sum() == m
             if want is None:
                 assert chisquare(counts).pvalue > 0.01  # uniform over all 30 rows
@@ -328,7 +328,7 @@ class TestMixture:
         with pytest.raises(ValueError):
             np.random.default_rng(0).multinomial(100, p)
         monkeypatch.setattr(dro, "latent_distributions", lambda rows, profiles: p[None, :])
-        counts = sample_latent_counts(x.indices, x.data, profiles, 100, spawn_rng(0, "drift"))
+        counts = sample_latent_counts(x, profiles, 100, spawn_rng(0, "drift"))
         assert counts.sum() == 100
 
     def test_stream_is_pinned(self):
@@ -340,7 +340,7 @@ class TestMixture:
             2: [2, 2, 1, 3, 0, 2, 1, 0, 0, 1, 1, 0, 1, 1, 0, 2, 2, 3, 0, 0, 3, 1, 1, 0, 0, 2, 4, 2, 1, 4],
         }
         for seed, want in pinned.items():
-            counts = sample_latent_counts(x.indices, x.data, profiles, 40, spawn_rng(seed, "pin"))
+            counts = sample_latent_counts(x, profiles, 40, spawn_rng(seed, "pin"))
             assert counts.astype(np.int64).tolist() == want, seed
 
     def test_mixed_row_draws_from_its_mixture(self):
@@ -350,7 +350,7 @@ class TestMixture:
         m = 20_000
         assert (p * m).min() >= 5
         for seed in range(3):
-            counts = sample_latent_counts(x.indices, x.data, profiles, m, spawn_rng(seed, "mixed"))
+            counts = sample_latent_counts(x, profiles, m, spawn_rng(seed, "mixed"))
             assert counts.sum() == m
             assert chisquare(counts, f_exp=p * m).pvalue > 0.01, seed
 

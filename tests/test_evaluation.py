@@ -221,7 +221,7 @@ class TestReport:
     def test_report_of_only_skipped_folds_rejected(self):
         skipped = (("aldus-00", "class Aldus absent from training set"),)
         with pytest.raises(EvaluationError, match="every fold was skipped"):
-            evaluation.LooReport("Aldus", 0, "fingerprint", (), skipped, {"aldus-00": 0.0})
+            evaluation.LooReport("Aldus", 0, "fingerprint", (), skipped, {"aldus-00": 0.0}, 0)
 
     def test_hardest_ranking_ascends(self, small_corpus):
         report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=2)
@@ -275,9 +275,9 @@ def studies(small_corpus):
     captured = {}
 
     def capturing(study, *args, **kwargs):
-        folds, outcomes = real_run_folds(study, *args, **kwargs)
+        folds, outcomes, instances = real_run_folds(study, *args, **kwargs)
         captured[study.seed_label] = (study, [record for record, _, _ in outcomes[0]])
-        return folds, outcomes
+        return folds, outcomes, instances
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluation, "run_folds", capturing)

@@ -31,7 +31,7 @@ from stylauth.pipeline import (
 )
 from stylauth.rng import stable_seed
 
-from conftest import make_orthogonal_corpus, make_styled_corpus, write_corpus
+from conftest import cache_vectors, make_orthogonal_corpus, make_styled_corpus, write_corpus
 
 THREE_BLOCKS = (
     FeatureBlock.TOKEN_LENGTHS,
@@ -279,7 +279,7 @@ class TestAttributionContingency:
         for (_, true, predicted, confidence), doc in zip(report.records, docs):
             train = fold_vectors([d for d in docs if d is not doc], (), config, cache)[0]
             fitted = fit_attributor(train, config, stable_seed(5, "aa-loo", doc.id))
-            text = cache.vectorize([Instance(doc=doc)], fitted.space)
+            text = cache_vectors(cache, [Instance(doc=doc)], fitted.space)
             prediction = predict_proba(fitted.model, text.X)
             assert (true, predicted) == (doc.author, prediction.predicted_class)
             assert confidence == prediction.posterior_of(doc.author)

@@ -413,9 +413,10 @@ def test_matrix_path_matches_dict_reference(counts_list, data):
         st.lists(st.integers(0, len(counts_list) - 1), min_size=1, unique=True).map(sorted)
     )
     store = CountsStore(config)
-    rows = [store.add(counts) for counts in counts_list]
-    space = fit_feature_space_from_counts(store, train, config)
-    X, block_totals = vectorize_counts(store, rows, space)
+    for counts in counts_list:
+        store.add(counts)
+    space = fit_feature_space_from_counts(store.counts().select(train), config)
+    X, block_totals = vectorize_counts(store.counts(), space)
 
     columns, df, idf, expected, expected_occurrences = _reference_tfidf(
         counts_list, train, config
@@ -446,17 +447,18 @@ def test_restricted_space_and_rows_equal_a_direct_fit(counts_list, data):
     )
     blocks = data.draw(st.sets(st.sampled_from(sorted(block_counts)), min_size=1))
     store = CountsStore(config)
-    rows = [store.add(counts) for counts in counts_list]
-    full = fit_feature_space_from_counts(store, train, config)
-    X, block_totals = vectorize_counts(store, rows, full)
+    for counts in counts_list:
+        store.add(counts)
+    full = fit_feature_space_from_counts(store.counts().select(train), config)
+    X, block_totals = vectorize_counts(store.counts(), full)
 
     space, columns = full.restricted_to(blocks)
-    direct = fit_feature_space_from_counts(store, train, config.restricted_to(blocks))
+    direct = fit_feature_space_from_counts(store.counts().select(train), config.restricted_to(blocks))
     assert space.config == direct.config
     assert_same_space(space, direct)
     assert all(space.vocab[block] is full.vocab[block] for block in space.vocab)
 
-    expected, expected_totals = vectorize_counts(store, rows, direct)
+    expected, expected_totals = vectorize_counts(store.counts(), direct)
     sliced = X[:, columns]
     sliced.sort_indices()
     assert sliced.shape == expected.shape
@@ -557,8 +559,9 @@ class TestMatrixAndCosine:
         space = fit_feature_space([doc_of("ab", "d1"), doc_of("bc", "d2")], char1_config())
         texts = ("ab", "c")
         store = CountsStore(space.config)
-        rows = [store.add(extract_all(doc_of(t), space.config)) for t in texts]
-        X, _ = vectorize_counts(store, rows, space)
+        for text in texts:
+            store.add(extract_all(doc_of(text), space.config))
+        X, _ = vectorize_counts(store.counts(), space)
         assert X.shape == (2, space.dim)
         for row, text in zip(X.toarray(), texts):
             assert np.array_equal(row, vectorize([doc_of(text, "x")], space)[0].toarray()[0])

@@ -341,6 +341,65 @@ class TestRowSpaceFits:
                                   f"{np.max(np.abs(grad)):.3e}")
 
 
+full_space_problems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(4, 40),
+    "columns": st.integers(1, 40),
+    "started": st.booleans(),
+    "C": st.sampled_from([0.01, 1.0, 100.0]),
+    "n_classes": st.sampled_from([2, 3]),
+    "max_iterations": st.sampled_from([3, 1000]),
+})
+
+
+class TestStopTest:
+    """``_fit`` tests a start once, in full space; ``_minimize`` tests each iterate."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_passing_start_calls_no_minimize_and_builds_no_basis(self, n_classes, monkeypatch):
+        X, y, fun, args, _, k = _row_space_problem(
+            seed=72, n=12, extra_columns=20, degenerate=False, started=False, C=1.0,
+            n_classes=n_classes,
+        )
+        tight = TrainConfig(tolerance=1e-10)
+        if k == 1:
+            x0 = _params(train_binary(X, y, tight))
+        else:
+            x0 = _params(train_multiclass(X, [str(v) for v in y], tight))
+        config = TrainConfig()
+        assert np.max(np.abs(fun(x0, *args)[1])) <= config.tolerance
+        bases = []
+        monkeypatch.setattr(learner, "_RowBasis", lambda X: bases.append(X))
+        model, calls = _spied_fit(X, y, 1.0, config, x0, k)
+        assert calls == [] and bases == []  # a failing start would run in the basis
+        assert _params(model).tobytes() == x0.tobytes()
+        assert (model.n_iter, model.converged) == (0, True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(full_space_problems)
+    def test_full_space_fit_equals_lbfgs_with_its_own_stop_test(self, problem):
+        rng = np.random.default_rng(problem["seed"])
+        n, n_classes, C = problem["n"], problem["n_classes"], problem["C"]
+        d = min(problem["columns"], n)
+        X = sp.csr_matrix(np.abs(rng.normal(size=(n, d))) * (rng.random(size=(n, d)) > 0.3))
+        y = rng.integers(0, n_classes, size=n)
+        y[:n_classes] = np.arange(n_classes)
+        k = 1 if n_classes == 2 else n_classes
+        x0 = rng.normal(size=k * (d + 1)) if problem["started"] else None
+        config = TrainConfig(max_iterations=problem["max_iterations"])
+        model, calls = _spied_fit(X, y, C, config, x0, k)
+        assert [width for width, _, _ in calls] in ([], [k * (d + 1)])
+
+        start = np.zeros(k * (d + 1)) if x0 is None else x0
+        if k == 1:
+            fun, args = binary_objective, (X, y.astype(np.float64), C)
+        else:
+            fun, args = multiclass_objective, (X, y, n_classes, C)
+        want, converged, n_iter = _full_space_fit(fun, start, args, config)
+        assert _params(model).tobytes() == want.tobytes()
+        assert (model.n_iter, model.converged) == (n_iter, converged)
+
+
 class TestTrainMulticlass:
     def test_three_separated_classes(self):
         X = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, -5.0]])
@@ -629,6 +688,34 @@ class TestGramPath:
             uneven |= len(set(steps)) > 1
         assert uneven  # at some C, a fold converges while others still step
 
+    @pytest.mark.parametrize("name", ["sparse", "duplicated-rows", "separable"])
+    def test_stops_at_working_precision_below_it(self, name, caplog):
+        # Tolerance 1e-12 is below what the line search's f values resolve.
+        # Each fold must stop on its Newton decrement, well inside the step
+        # cap and with no warning, at a primal gradient of about √(eps·f).
+        X, y = _gram_fixture(name)
+        K = learner._gram_matrix(X)
+        folds = _stratified_fold_ids(y, 4, np.random.default_rng(3))
+        tr = [np.flatnonzero(folds != j) for j in range(4)]
+        sizes = np.array([rows.shape[0] for rows in tr])
+        m = int(sizes.max())
+        K_stack, y_stack = np.zeros((4, m, m)), np.zeros((4, m))
+        for f, rows in enumerate(tr):
+            K_stack[f, : rows.shape[0], : rows.shape[0]] = K[np.ix_(rows, rows)]
+            y_stack[f, : rows.shape[0]] = y[rows]
+        config = TrainConfig(tolerance=1e-12, max_iterations=50)
+        eps = np.finfo(np.float64).eps
+        for c in learner.DEFAULT_C_GRID:
+            with caplog.at_level("WARNING"):
+                alpha, b = learner._gram_newton_stack(
+                    K_stack, y_stack, sizes, c, config, np.zeros((4, m)), np.zeros(4)
+                )
+            assert not caplog.records, c
+            for f, rows in enumerate(tr):
+                w = X[rows].T @ alpha[f, : rows.shape[0]]
+                value, grad = binary_objective(np.append(w, b[f]), X[rows], y[rows].astype(float), c)
+                assert np.max(np.abs(grad)) <= 10 * np.sqrt(eps * value), (c, f)
+
     def test_sparse_gram_matrix_built_in_column_blocks(self, monkeypatch):
         X, _ = _gram_fixture("sparse")
         monkeypatch.setattr(learner, "_GRAM_CHUNK_COLUMNS", 7)  # 50 columns: a partial last block
@@ -828,17 +915,17 @@ class TestPathStart:
         config = TrainConfig(inner_folds=3)
         C, _, start = tune_C(X, y, config, np.random.default_rng(11))
         x0 = np.append(X.T @ start[0], start[1])
-        forced, converged = learner._minimize(
-            binary_objective, x0, (X, y.astype(float), C, X.T), config
+        forced, converged, n_iter = _full_space_fit(
+            binary_objective, x0, (X, y.astype(float), C), config
         )
-        assert forced.nit == 0
+        assert n_iter == 0
         calls = []
         monkeypatch.setattr(learner, "minimize", lambda *a, **k: calls.append(1))
         model = train_binary(X, y, config, C=C, x0=x0)
         assert calls == []  # the start passed L-BFGS's first test: no L-BFGS-B call
-        assert model.weights.tobytes() == forced.x[:-1].tobytes()
-        assert model.bias.tobytes() == forced.x[-1:].tobytes()
-        assert (model.n_iter, model.converged) == (forced.nit, converged) == (0, True)
+        assert model.weights.tobytes() == forced[:-1].tobytes()
+        assert model.bias.tobytes() == forced[-1:].tobytes()
+        assert (model.n_iter, model.converged) == (n_iter, converged) == (0, True)
 
     def test_failing_start_runs_lbfgs(self, fold_corpus, monkeypatch):
         X, y = _dro_fold(fold_corpus)

@@ -31,10 +31,11 @@ from stylauth.pipeline import (
     fold_vectors,
     full_text_only_count,
     predict_document,
+    text_instances,
     training_documents,
 )
 
-from conftest import assert_same_space, make_styled_corpus
+from conftest import assert_same_space, cache_vectors, make_styled_corpus
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ class TestInstances:
         assert len(segment(doc, min_tokens)) == 1
         ids = [i.instance_id for i in document_instances([doc], seg_config)]
         assert ids == (["x"] if include_full_texts else ["x[0]"])
-        assert full_text_only_count([doc], seg_config) == int(include_full_texts)
+        assert full_text_only_count(text_instances([doc], seg_config)) == int(include_full_texts)
 
     def test_text_yielding_segments_trains_as_each(self, corpus):
         seg_config = SegmentationConfig(min_tokens=60)
@@ -100,7 +101,7 @@ class TestInstances:
             assert len(segs) > 1
             ids = [i.instance_id for i in document_instances([doc], seg_config)]
             assert ids == [doc.id, *(s.instance_id for s in segs)]
-        assert full_text_only_count(corpus.labelled(), seg_config) == 0
+        assert full_text_only_count(text_instances(corpus.labelled(), seg_config)) == 0
 
     def test_training_documents_excludes_and_filters(self, corpus):
         all_docs = training_documents(corpus)
@@ -172,8 +173,9 @@ class TestCountsCache:
         rows = cache.rows(document_instances(corpus.labelled(), config.segmentation))
 
         def fit_and_vectorize():
-            space = fit_feature_space_from_counts(cache, rows, config.features)
-            X, block_totals = vectorize_counts(cache, rows, space)
+            stored = cache.counts().select(rows)
+            space = fit_feature_space_from_counts(stored, config.features)
+            X, block_totals = vectorize_counts(stored, space)
             return np.column_stack([X.toarray(), block_totals])
 
         expected = fit_and_vectorize()
@@ -233,7 +235,7 @@ class TestFoldVectors:
         assert [i.instance_id for i in text.instances] == [disputed.id]
         assert disputed.id not in {i.instance_id for i in train.instances}
         for got in (train, text):
-            alone = cache.vectorize(got.instances, got.space)
+            alone = cache_vectors(cache, got.instances, got.space)
             for part in ("indptr", "indices", "data"):
                 assert getattr(got.X, part).tobytes() == getattr(alone.X, part).tobytes()
             assert np.array_equal(got.block_totals, alone.block_totals)
@@ -247,7 +249,7 @@ class TestFitVerifier:
         fitted = fit_verifier(train, config, seed=7)
         assert fitted.model.classes == ("not Aldus", "Aldus")
         assert not fitted.uses_dro
-        text = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space)
+        text = cache_vectors(cache, [Instance(doc=corpus.get("disputed-text"))], fitted.space)
         prediction = predict_document(fitted, text, seed=7)
         assert prediction.classes == fitted.model.classes
         assert 0.0 <= prediction.positive_posterior <= 1.0
@@ -293,14 +295,14 @@ class TestPredictDocument:
         twin = fold_vectors(docs, (), config, cache)[0].space
         assert_same_space(twin, fitted.space)
         disputed = [Instance(doc=corpus.get("disputed-text"))]
-        predict_document(fitted, cache.vectorize(disputed, fitted.space), seed=7)
+        predict_document(fitted, cache_vectors(cache, disputed, fitted.space), seed=7)
 
         def no_extension(*args):
             raise AssertionError("extended a row from another space")
 
         monkeypatch.setattr("stylauth.pipeline.extend", no_extension)
         with pytest.raises(ExperimentError, match="another feature space"):
-            predict_document(fitted, cache.vectorize(disputed, twin), seed=7)
+            predict_document(fitted, cache_vectors(cache, disputed, twin), seed=7)
 
 
 class TestFitAttributor:
@@ -312,7 +314,7 @@ class TestFitAttributor:
         assert fitted.model.classes == ("Aldus", "Benno")
         assert not fitted.uses_dro
         assert fitted.training_instance_ids == tuple(i.instance_id for i in train.instances)
-        text = cache.vectorize([Instance(doc=corpus.get("disputed-text"))], fitted.space)
+        text = cache_vectors(cache, [Instance(doc=corpus.get("disputed-text"))], fitted.space)
         prediction = predict_document(fitted, text, seed=7)
         assert prediction.classes == fitted.model.classes
         assert prediction.posteriors.sum() == pytest.approx(1.0)

@@ -13,14 +13,23 @@ byte-identical regardless of thread count.
 
 One pass over the folds can score several feature-block pools
 (``loo_pools``): a fold fits its space and vectorizes once, over the
-config's blocks, and each pool slices its columns from those rows, which
+config's blocks, and each pool takes its columns from those rows, which
 equals fitting the pool's space directly. ``loo_run`` is the one-pool case.
+A verifier fold whose fits may take Gram matrices (``pipeline.fits_on_grams``:
+DRO off, fits in a row basis) also builds each block's Gram matrix once
+(``FoldState``). Each pool that still fits on Grams then fits on the sum
+of its blocks' Grams, added in block order, with no copy of its training
+columns, and predicts from a copy of the held-out text's; other pools
+copy their columns. A caller may keep the states of the hardest texts'
+folds between calls (``HardestFoldStates``), as hardest-10 ablation does
+for its ten texts.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,12 +38,12 @@ from typing import Callable, Mapping, Sequence
 from .corpus import Corpus, Document
 from .errors import EvaluationError
 from .features import FeatureBlock, Instance
-from .learner import Prediction
+from .learner import BlockGrams, Prediction, block_grams
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedClassifier, PipelineConfig, Vectors, VerificationClasses,
-    counts_cache_for, document_instances, fit_verifier, fold_vectors, full_text_only_count,
-    predict_document, text_instances,
+    counts_cache_for, document_instances, fit_verifier, fits_on_grams, fold_vectors,
+    full_text_only_count, predict_document, text_instances,
 )
 from .rng import stable_seed
 
@@ -81,6 +90,11 @@ class TextPrediction:
         return self.true_class == self.predicted_class
 
 
+def _hardness(record: TextPrediction) -> tuple[float, str]:
+    """Hardest first: confidence in the true class, then text id."""
+    return (record.true_class_posterior, record.text_id)
+
+
 @dataclass
 class LooReport:
     """One pool's verification LOO; its scores are computed from its records."""
@@ -109,8 +123,8 @@ class LooReport:
 
     def hardest_texts(self, k: int | None = None) -> list[tuple[str, str, bool, float]]:
         """(id, author, correct?, confidence in true class), hardest first."""
-        rows = [(r.text_id, r.author, r.correct(), r.true_class_posterior) for r in self.records]
-        rows.sort(key=lambda row: (row[3], row[0]))
+        records = sorted(self.records, key=_hardness)
+        rows = [(r.text_id, r.author, r.correct(), r.true_class_posterior) for r in records]
         return rows if k is None else rows[:k]
 
     def canonical_dict(self) -> dict:
@@ -170,6 +184,68 @@ class LooStudy:
 FoldOutcome = tuple[TextPrediction | None, str | None, float]  # record, skip reason, seconds
 
 
+@dataclass(frozen=True, eq=False)
+class FoldState:
+    """What every pool of a fold shares: its training rows and held-out text
+    over the fold's space, and, when its verifier pools may fit on Grams,
+    the training rows' Gram matrix per block (``learner.block_grams``).
+    """
+
+    train: Vectors
+    text: Vectors
+    grams: BlockGrams | None  # per block: K_b = X_b X_bᵀ
+
+
+class HardestFoldStates:
+    """Fold states kept between calls, by held-out id: those of the ``size``
+    hardest texts (``LooReport.hardest_texts``) among the folds offered.
+
+    Fold threads offer each state with block Grams that they build, ranked
+    by the fold's first record, so at most ``size`` states outlive their
+    folds. A later call on the same study, seed and cache, whose config's
+    blocks are a subset of the first call's, reads a kept state instead of
+    vectorizing the fold again: a state depends only on its fold, so what is
+    kept changes the work done, not the results.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._kept: dict[str, tuple[tuple[float, str], FoldState]] = {}
+        self._lock = threading.Lock()
+
+    def get(self, text_id: str) -> FoldState | None:
+        kept = self._kept.get(text_id)
+        return None if kept is None else kept[1]
+
+    def offer(self, record: TextPrediction, state: FoldState) -> None:
+        """Keep ``state`` while its text is among the ``size`` hardest offered."""
+        with self._lock:
+            self._kept[record.text_id] = (_hardness(record), state)
+            if len(self._kept) > self.size:
+                del self._kept[max(self._kept, key=lambda text_id: self._kept[text_id][0])]
+
+
+def _fold_state(
+    study: LooStudy,
+    held_out: Document,
+    train_docs: Sequence[Document],
+    config: PipelineConfig,
+    cache: CountsCache,
+    instances: Mapping[str, Sequence[Instance]],
+) -> FoldState:
+    """One vectorize call for the fold, and its block Grams when its verifier
+    fits may take them (``pipeline.fits_on_grams``).
+    """
+    train, text = fold_vectors(train_docs, [held_out], config, cache, instances)
+    if not (
+        isinstance(study.class_of, VerificationClasses)
+        and fits_on_grams(config, train.X.shape[0], train.space.dim)
+    ):
+        return FoldState(train, text, None)
+    offsets = [(start, end) for _, start, end in train.space.block_offsets]
+    return FoldState(train, text, block_grams(train.X, offsets))
+
+
 def _run_fold(
     study: LooStudy,
     held_out: Document,
@@ -178,13 +254,19 @@ def _run_fold(
     cache: CountsCache,
     master_seed: int,
     instances: Mapping[str, Sequence[Instance]],
+    states: HardestFoldStates | None = None,
 ) -> list[FoldOutcome]:
     """One fold for each pool, in pool order.
 
     The fold fits its space over the config's blocks and vectorizes its
-    training rows and the held-out text in one call; each pool slices its
-    columns from those rows. A pool's seconds include that shared work.
-    ``instances`` holds every training text's instances (``text_instances``).
+    training rows and the held-out text in one call (``_fold_state``); each
+    pool takes its columns from those rows. A verifier pool that fits on
+    Grams (``pipeline.fits_on_grams``) gets its training rows as a ``Gram``
+    summed from the fold's block Grams; other pools get a copy of their
+    training columns. Every pool copies the held-out text's columns. A
+    pool's seconds include the shared work. ``instances`` holds every
+    training text's instances (``text_instances``). ``states`` supplies
+    the fold's state if it kept one, and is offered the state built here.
     """
     start = time.perf_counter()
     fold_seed = stable_seed(master_seed, study.seed_label, held_out.id)
@@ -195,14 +277,20 @@ def _run_fold(
         log.warning("skipping fold %s: %s", held_out.id, reason)
         return [(None, reason, time.perf_counter() - start)] * len(pools)
 
-    full_train, full_text = fold_vectors(train_docs, [held_out], config, cache, instances)
+    state = None if states is None else states.get(held_out.id)
+    built = state is None
+    if built:
+        state = _fold_state(study, held_out, train_docs, config, cache, instances)
+    n = state.train.X.shape[0]
     shared = time.perf_counter() - start
     out = []
     for blocks in pools:
         pool_start = time.perf_counter()
-        space, columns = full_train.space.restricted_to(blocks)
-        fitted = study.fit(full_train.restricted(space, columns), config, fold_seed)
-        text = full_text.restricted(space, columns)
+        space, columns = state.train.space.restricted_to(blocks)
+        gram = state.grams is not None and fits_on_grams(config, n, space.dim)
+        train = state.train.restricted(space, columns, state.grams if gram else None)
+        fitted = study.fit(train, config, fold_seed)
+        text = state.text.restricted(space, columns)
         record = TextPrediction(
             text_id=held_out.id,
             author=held_out.author,
@@ -216,8 +304,10 @@ def _run_fold(
             converged=fitted.model.converged,
             n_iter=fitted.model.n_iter,
         )
-        del fitted, text  # one pool's model and rows alive at a time
+        del train, fitted, text  # one pool's model and rows alive at a time
         out.append((record, None, shared + time.perf_counter() - pool_start))
+    if built and states is not None and state.grams is not None:
+        states.offer(out[0][0], state)
     return out
 
 
@@ -229,13 +319,15 @@ def run_folds(
     threads: int = 1,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
+    states: HardestFoldStates | None = None,
 ) -> tuple[list[Document], list[list[FoldOutcome]], dict[str, tuple[Instance, ...]]]:
     """The held-out texts, for each pool their folds' outcomes in that order,
     and the instances of every text that trains in some fold (``text_instances``).
 
     ``text_ids`` restricts which of the study's texts are held out; each
     fold still trains on all the others. A shared ``cache`` must extract the
-    config's blocks as the config does (``counts_cache_for``).
+    config's blocks as the config does (``counts_cache_for``). ``states``
+    keeps fold states between calls (``HardestFoldStates``).
     """
     texts = study.texts
     if text_ids is not None:
@@ -269,7 +361,7 @@ def run_folds(
     cache.rows(Instance(doc=d) for d in folds)
 
     def fold_outcomes(doc: Document) -> list[FoldOutcome]:
-        return _run_fold(study, doc, config, pools, cache, seed, instances)
+        return _run_fold(study, doc, config, pools, cache, seed, instances, states)
 
     workers = min(threads, _usable_cpus(), len(folds))
     if workers == 1:
@@ -288,6 +380,7 @@ def loo_pools(
     threads: int = 1,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
+    states: HardestFoldStates | None = None,
 ) -> list[LooReport]:
     """Leave-one-out verification of each block pool: one report per pool.
 
@@ -295,6 +388,7 @@ def loo_pools(
     ``loo_run`` on ``config.with_blocks(pool)``; one pass over the folds
     (``run_folds``) scores them all. Every labelled text gets a fold unless
     ``text_ids`` says otherwise; disputed texts never participate.
+    ``states`` carries fold state between calls (``run_folds``).
     """
     target = config.target_author
     if target is None:
@@ -306,7 +400,9 @@ def loo_pools(
         fit=fit_verifier,
         class_of=VerificationClasses(target),
     )
-    folds, outcomes, instances = run_folds(study, config, pools, seed, threads, text_ids, cache)
+    folds, outcomes, instances = run_folds(
+        study, config, pools, seed, threads, text_ids, cache, states
+    )
     full_only = full_text_only_count(instances)
     return [
         _report(corpus, target, seed, folds, pool_outcomes, full_only) for pool_outcomes in outcomes
@@ -344,12 +440,13 @@ def loo_run(
     threads: int = 1,
     text_ids: Sequence[str] | None = None,
     cache: CountsCache | None = None,
+    states: HardestFoldStates | None = None,
 ) -> LooReport:
     """Leave-one-out evaluation over labelled texts: ``loo_pools`` with one
     pool, the config's blocks.
     """
     (report,) = loo_pools(
         corpus, config, [config.features.blocks_in_order()], seed,
-        threads=threads, text_ids=text_ids, cache=cache,
+        threads=threads, text_ids=text_ids, cache=cache, states=states,
     )
     return report

@@ -11,8 +11,11 @@ candidate pools by LOO restricted to those ten texts (vanilla accuracy,
 ties broken by mean confidence in the true class), which trades
 exhaustiveness for tractable runtimes on large corpora. One pass over the
 folds scores every candidate pool of a step (``loo_pools``): each fold
-fits its features once over the current pool and slices them per
-candidate.
+fits its features once over the current pool and gives each candidate
+its blocks. In hardest-10 mode the full LOO keeps the fold states of the
+ten hardest texts so far (``HardestFoldStates``), with their per-block
+Gram matrices, and those serve every later step, so each labelled text's
+fold is vectorized once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import ExperimentError
-from .evaluation import LooReport, LooStudy, TextPrediction, loo_pools, loo_run, run_folds
+from .evaluation import (
+    HardestFoldStates, LooReport, LooStudy, TextPrediction, loo_pools, loo_run, run_folds,
+)
 from .features import FeatureBlock, cosine_similarity
 # Unused here, but bench/layers.py wraps this name; a traced run fails without it.
 from .features import fit_feature_space_from_counts  # noqa: F401
@@ -111,8 +116,13 @@ def ablate(
         return _restricted_score(records)
 
     # A restricted fold trains on every other text, as the full LOO's fold
-    # did, so in hardest-10 mode the full LOO also scores the initial pool.
-    initial = loo_run(corpus, config.with_blocks(pool), seed, threads=threads, cache=cache)
+    # did, so in hardest-10 mode the full LOO also scores the initial pool,
+    # and each hardest text's fold state from it (its rows over the initial
+    # pool's space, and their block Grams) serves every later step.
+    states = HardestFoldStates(HARDEST_POOL_SIZE) if mode == ABLATION_HARDEST10 else None
+    initial = loo_run(
+        corpus, config.with_blocks(pool), seed, threads=threads, cache=cache, states=states
+    )
     hardest_ids: tuple[str, ...] | None = None
     if mode == ABLATION_HARDEST10:
         hardest_ids = tuple(row[0] for row in initial.hardest_texts(HARDEST_POOL_SIZE))
@@ -125,7 +135,7 @@ def ablate(
         candidates = [tuple(b for b in pool if b is not block) for block in pool]
         reports = loo_pools(
             corpus, config.with_blocks(pool), candidates, seed,
-            threads=threads, text_ids=hardest_ids, cache=cache,
+            threads=threads, text_ids=hardest_ids, cache=cache, states=states,
         )
         candidate_scores = {block: score(report) for block, report in zip(pool, reports)}
         best_block = max(pool, key=lambda b: candidate_scores[b])

@@ -31,7 +31,17 @@ stop test decides convergence in either space, on the full-space
 gradient: ``_fit`` runs it on the start and ``_minimize`` after each
 iteration, where L-BFGS-B would run its own. So ``converged`` and
 ``n_iter`` (L-BFGS-B iterations) keep one meaning, and a start that
-passes builds no basis and calls no L-BFGS-B.
+passes builds no basis and calls no L-BFGS-B. A start whose gradient
+is already at working precision, √(eps·|f|), and from which L-BFGS-B's
+first line search finds no decrease, counts as converged at iteration 0.
+
+A binary fit may take its rows as a ``Gram``: K = X Xᵀ given, summed
+from per-block Grams (``block_grams``) for a pool of feature blocks, and
+Xᵀ products on a larger matrix whose columns hold the pool's. It runs in
+the row basis of that K from dual parameters [α, b], so no copy of the
+pool's columns is made, and returns the weights w = Xᵀα over the pool's
+columns, as any fit does. ``tune_C`` runs Gram-space inner CV on the
+same K.
 
 After Gram-space inner CV, ``tune_C`` also fits all rows at the chosen
 C with the Newton solver on the K it already built. That fit starts
@@ -59,7 +69,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import LearnerError
 from .metrics import ContingencyTable, f1, macro_f1, per_class_tables
@@ -132,9 +142,43 @@ class Prediction:
         return float(self.posteriors[1])
 
 
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """A fit's n training rows known by K = X Xᵀ, not by their entries.
+
+    The rows lie over ``columns`` of a larger matrix whose transpose is
+    ``XT``, so Xᵀ V is ``(XT @ V)[columns]`` and a pool of feature blocks
+    needs no copy of its columns. A binary fit on a Gram runs in the row
+    basis of K (``_fit``) and starts from dual parameters [α, b].
+    """
+
+    K: np.ndarray
+    XT: sp.spmatrix
+    columns: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.K.shape[0], self.columns.shape[0]
+
+    def rmatmul(self, V: np.ndarray) -> np.ndarray:
+        """Xᵀ V for the training rows, V with one row per row."""
+        return (self.XT @ V)[self.columns]
+
+
 # ---------------------------------------------------------------------------
 # Objectives
 # ---------------------------------------------------------------------------
+
+
+def _logsumexp(Z: np.ndarray) -> np.ndarray:
+    """log Σ exp(Z) over the last axis, shifted by its maximum where that is finite.
+
+    ``scipy.special.logsumexp`` computes the same to rounding, but its
+    array-API dispatch costs more than the arithmetic on these small arrays.
+    """
+    top = Z.max(axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.log(np.exp(Z - top).sum(axis=-1)) + top[..., 0]
 
 
 def binary_objective(
@@ -168,7 +212,7 @@ def multiclass_objective(
     W = theta[:, :-1]
     b = theta[:, -1]
     Z = X @ W.T + b  # (n, k)
-    lse = logsumexp(Z, axis=1)
+    lse = _logsumexp(Z)
     loss = float(np.sum(lse - Z[np.arange(n), y_idx])) + 0.5 / C * float(np.sum(W * W))
     P = np.exp(Z - lse[:, None])
     P[np.arange(n), y_idx] -= 1.0
@@ -179,7 +223,10 @@ def multiclass_objective(
 
 
 def _check_matrix(X) -> None:
-    data = X.data if sp.issparse(X) else np.asarray(X)
+    if isinstance(X, Gram):
+        data = X.K
+    else:
+        data = X.data if sp.issparse(X) else np.asarray(X)
     if not np.all(np.isfinite(data)):
         raise LearnerError("training matrix contains non-finite values")
 
@@ -201,6 +248,8 @@ def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, si
     stop test runs there, after each iteration in a callback, on the
     gradient of the evaluation at the new iterate, where L-BFGS-B would run
     its own (``gtol`` 0 turns that off). The caller has tested the start.
+    A run whose first line search fails from a start already at working
+    precision ends converged at iteration 0.
     """
     tolerance = config.tolerance
     # the basis keeps 2-norms, and ‖v‖∞ ≥ ‖v‖₂/√len(v): a gradient
@@ -224,39 +273,57 @@ def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, si
         objective, x0, args=args, jac=True, method="L-BFGS-B", options=options, callback=callback
     )
     norm = float(np.max(np.abs(to_full(result.jac))))
-    converged = norm <= tolerance or bool(result.success)
+    # Near a minimizer, f resolves no decrease once the gradient is within
+    # about √(eps·|f|) (``_gram_newton_stack`` stops there). A start that
+    # close, from which the first line search finds no decrease, is a
+    # minimizer to working precision: a final fit's Newton start is, at a
+    # tolerance below about 1e-9. A failure from any other start is not.
+    converged = norm <= tolerance or bool(result.success) or (
+        result.nit == 0
+        and result.message.startswith("ABNORMAL")
+        and norm <= math.sqrt(_EPS * max(1.0, abs(float(result.fun))))
+    )
     if not converged:
         _warn_not_converged(result.nit, norm, config)
     return result, converged
 
 
 class _RowBasis:
-    """An orthonormal basis Q = XᵀB of the row space of an n × d matrix X.
+    """An orthonormal basis Q = XᵀB of the row space of an n × d matrix X,
+    from the eigendecomposition of K = X Xᵀ, built or given.
 
     With K = X Xᵀ = V Λ Vᵀ over the eigenvalues above λ_max·n·eps,
     B = V Λ^(-1/2), so QᵀQ = BᵀKB = I and X Q = K B = V Λ^(1/2) = M.
     Parameters are (k, d+1) over X's columns and (k, r+1) in the basis,
-    raveled, last column = bias, which the maps pass through.
+    raveled, last column = bias, which the maps pass through. X is a
+    matrix, or a ``Gram`` whose K is given; a Gram's parameters going into
+    the basis are dual, [α, b] with w = Xᵀα, so that X w = K α, and those
+    coming out are [w, b] over its columns.
     """
 
     def __init__(self, X):
-        lam, V = np.linalg.eigh(_gram_matrix(X))
+        if isinstance(X, Gram):
+            K, self.scores, self.XT = X.K, X.K.__matmul__, X.rmatmul
+            self.width = X.shape[0]  # of a parameter row's weights: α over the rows
+        else:
+            K, self.scores, self.XT = _gram_matrix(X), X.__matmul__, X.T.__matmul__
+            self.width = X.shape[1]
+        lam, V = np.linalg.eigh(K)
         kept = lam > lam[-1] * lam.shape[0] * np.finfo(np.float64).eps
         root = np.sqrt(lam[kept])
-        self.X, self.XT = X, X.T
         self.B = V[:, kept] / root
         self.M = V[:, kept] * root
 
     def coordinates(self, params: np.ndarray) -> np.ndarray:
         """[Qᵀw, b] = [Bᵀ(X w), b] for each row [w, b] of ``params``."""
-        theta = params.reshape(-1, self.X.shape[1] + 1)
-        A = (self.X @ theta[:, :-1].T).T @ self.B
+        theta = params.reshape(-1, self.width + 1)
+        A = self.scores(theta[:, :-1].T).T @ self.B
         return np.column_stack([A, theta[:, -1]]).ravel()
 
     def params(self, coordinates: np.ndarray) -> np.ndarray:
         """[Q a, b] = [Xᵀ(B a), b] for each row [a, b] of ``coordinates``."""
         theta = coordinates.reshape(-1, self.M.shape[1] + 1)
-        W = (self.XT @ (self.B @ theta[:, :-1].T)).T
+        W = self.XT(self.B @ theta[:, :-1].T).T
         return np.column_stack([W, theta[:, -1]]).ravel()
 
 
@@ -269,6 +336,11 @@ class _RowBasis:
 _BASIS_MAX_ROWS = 250
 
 
+def fits_in_row_basis(n: int, d: int) -> bool:
+    """Whether a fit of ``n`` rows and ``d`` columns runs in a row basis (``_fit``)."""
+    return n <= _BASIS_MAX_ROWS and n < d
+
+
 def _fit(fun, X, args: tuple, x0: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, bool, int]:
     """L-BFGS-B on ``fun(params, X, *args, X.T)`` from ``x0``; params are
     (k, d+1) raveled, last column = bias. Returns (params, converged, n_iter).
@@ -276,7 +348,7 @@ def _fit(fun, X, args: tuple, x0: np.ndarray, config: TrainConfig) -> tuple[np.n
     A start whose gradient is within ``config.tolerance`` in ∞-norm comes
     back as given, with ``n_iter`` 0: L-BFGS-B's first test would stop it
     before any step. Small fits with fewer rows than columns
-    (``_BASIS_MAX_ROWS``) then run in an orthonormal basis Q of X's row
+    (``fits_in_row_basis``) then run in an orthonormal basis Q of X's row
     space (``_RowBasis``), which holds every iterate from a start in it
     (the representer theorem): the same objective on the n × r matrix
     M = X Q, from the start's coordinates. Q keeps every inner product and
@@ -285,20 +357,31 @@ def _fit(fun, X, args: tuple, x0: np.ndarray, config: TrainConfig) -> tuple[np.n
     ``_minimize`` runs it on the full-space gradient in every fit, so
     ``n_iter`` and ``converged`` keep their meaning. A start outside the
     row space is projected onto it, where the minimizer lies.
+
+    X may be a ``Gram``, given by K and Xᵀ products only, which its caller
+    makes only for a fit in the row basis. Its fit runs in the basis from
+    dual parameters x0 = [α, b] per class, and the start test runs on their
+    coordinates' gradient, mapped to full space.
     """
     n, d = X.shape
-    XT = X.T
-    if np.max(np.abs(fun(x0, X, *args, XT)[1])) <= config.tolerance:
-        return x0, True, 0
-    if n > _BASIS_MAX_ROWS or n >= d:
-        result, converged = _minimize(fun, x0, (X, *args, XT), config, lambda g: g, x0.shape[0])
-        return result.x, converged, int(result.nit)
+    gram = isinstance(X, Gram)
+    if not gram:
+        XT = X.T
+        if np.max(np.abs(fun(x0, X, *args, XT)[1])) <= config.tolerance:
+            return x0, True, 0
+        if not fits_in_row_basis(n, d):
+            result, converged = _minimize(fun, x0, (X, *args, XT), config, lambda g: g, x0.shape[0])
+            return result.x, converged, int(result.nit)
     basis = _RowBasis(X)
-    M = basis.M
-    result, converged = _minimize(
-        fun, basis.coordinates(x0), (M, *args, M.T), config, basis.params, x0.shape[0]
-    )
-    return basis.params(result.x), converged, int(result.nit)
+    args = (basis.M, *args, basis.M.T)
+    start = basis.coordinates(x0)
+    if gram and np.max(np.abs(basis.params(fun(start, *args)[1]))) <= config.tolerance:
+        x, converged, n_iter = start, True, 0
+    else:
+        size = x0.shape[0] // (basis.width + 1) * (d + 1)
+        result, converged = _minimize(fun, start, args, config, basis.params, size)
+        x, n_iter = result.x, int(result.nit)
+    return basis.params(x), converged, n_iter
 
 
 def train_binary(
@@ -312,7 +395,7 @@ def train_binary(
     """Fit a binary verifier; y holds 0 (negative) / 1 (positive) labels.
 
     The optimizer starts from ``x0`` ([weights, bias]) or else from zeros
-    (``_fit``).
+    (``_fit``). X may be a ``Gram``; then ``x0`` is [α, bias] over its rows.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != X.shape[0]:
@@ -322,7 +405,8 @@ def train_binary(
         raise LearnerError("training data must contain both classes")
     _check_matrix(X)
     c = float(C if C is not None else config.C)
-    x0 = np.zeros(X.shape[1] + 1) if x0 is None else x0
+    if x0 is None:
+        x0 = np.zeros(X.shape[0 if isinstance(X, Gram) else 1] + 1)
     x, converged, n_iter = _fit(binary_objective, X, (y, c), x0, config)
     return TrainedModel(
         classes=classes,
@@ -389,7 +473,7 @@ def predict_proba(model: TrainedModel, x: sp.csr_matrix) -> Prediction:
         posteriors = np.array([1.0 - p, p])
     else:
         scores = model.weights[:, x.indices] @ x.data + model.bias
-        scores = scores - logsumexp(scores)
+        scores = scores - _logsumexp(scores)
         posteriors = np.exp(scores)
     return Prediction(classes=model.classes, posteriors=posteriors)
 
@@ -403,7 +487,7 @@ def predict_proba_matrix(model: TrainedModel, X) -> np.ndarray:
         p = expit(z)
         return np.column_stack([1.0 - p, p])
     Z = X @ model.weights.T + model.bias
-    Z = Z - logsumexp(Z, axis=1)[:, None]
+    Z = Z - _logsumexp(Z)[:, None]
     return np.exp(Z)
 
 
@@ -441,6 +525,32 @@ def _gram_matrix(X) -> np.ndarray:
         block = X[:, start : start + _GRAM_CHUNK_COLUMNS].toarray()
         K += block @ block.T
     return K
+
+
+@dataclass(frozen=True, eq=False)
+class BlockGrams:
+    """A fold's training rows' Gram matrices, one per block of columns,
+    and the rows' transpose ``XT`` (``block_grams``).
+    """
+
+    blocks: list[np.ndarray]
+    XT: sp.spmatrix
+
+    def gram(self, kept: Sequence[int], columns: np.ndarray) -> Gram:
+        """The rows over the ``kept`` blocks, whose columns are ``columns``:
+        K sums those blocks' inner products, in block order.
+        """
+        K = self.blocks[kept[0]].copy()
+        for i in kept[1:]:
+            K += self.blocks[i]
+        return Gram(K, self.XT, columns)
+
+
+def block_grams(X: sp.csr_matrix, offsets: Sequence[tuple[int, int]]) -> BlockGrams:
+    """K_b = X_b X_bᵀ per block of columns [start, end), each built as
+    ``_gram_matrix`` builds K.
+    """
+    return BlockGrams([_gram_matrix(X[:, start:end]) for start, end in offsets], X.T)
 
 
 def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -714,7 +824,8 @@ def _inner_cv(
     if k < 2:
         return None, None
     folds = _stratified_fold_ids(y_idx, k, rng)
-    X = sp.csr_matrix(X) if sp.issparse(X) else np.asarray(X)
+    if not isinstance(X, Gram):
+        X = sp.csr_matrix(X) if sp.issparse(X) else np.asarray(X)
     predicted = {c: np.zeros(y_idx.shape[0], dtype=np.int64) for c in config.C_grid}
     train_masks = []
     for j in range(k):
@@ -724,7 +835,8 @@ def _inner_cv(
     path = None
     if n_classes == 2 and X.shape[0] <= _GRAM_MAX_ROWS:
         _check_matrix(X)
-        path = _gram_cv_predictions(_gram_matrix(X), y_idx, train_masks, config, predicted)
+        K = X.K if isinstance(X, Gram) else _gram_matrix(X)
+        path = _gram_cv_predictions(K, y_idx, train_masks, config, predicted)
     else:
         for train_mask in train_masks:
             y_tr = y_idx[train_mask]

@@ -10,7 +10,9 @@ id and token range, serves every fold, block pool and segmentation.
 Within a fold, a block pool's vectors are a column slice of a larger
 pool's, with the kept blocks' raw count totals (``Vectors.restricted``),
 so one vectorized training set serves every pool the fold scores without
-the counts store.
+the counts store. Given the fold's per-block Grams, a verifier's training
+rows that may fit on them (``fits_on_grams``) become a ``learner.Gram``
+instead, and copy no column.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ from .features import (
     fit_feature_space_from_counts,
     vectorize_counts,
 )
-from .learner import Prediction, TrainConfig, TrainedModel, predict_proba, train_binary, train_multiclass, tune_C
+from .learner import (
+    BlockGrams, Gram, Prediction, TrainConfig, TrainedModel, fits_in_row_basis, predict_proba,
+    train_binary, train_multiclass, tune_C,
+)
 from .rng import spawn_rng
 
 log = logging.getLogger(__name__)
@@ -68,11 +73,16 @@ class PipelineConfig:
 
 @dataclass
 class Vectors:
-    """Instances as TFIDF rows over a space, with their raw count totals per block."""
+    """Instances as TFIDF rows over a space, with their raw count totals per block.
+
+    The rows are a CSR matrix, except a verifier's training rows that may
+    fit on Gram matrices (``fits_on_grams``): those may be a ``Gram``
+    (``restricted``), which ``fit_verifier`` takes in place of the entries.
+    """
 
     instances: tuple[Instance, ...]
     space: FeatureSpace
-    X: sp.csr_matrix
+    X: sp.csr_matrix | Gram
     block_totals: np.ndarray  # one row per instance, one column per block of the space
 
     @property
@@ -80,15 +90,25 @@ class Vectors:
         """Each instance's raw count total over the space's blocks."""
         return self.block_totals.sum(axis=1)
 
-    def restricted(self, space: FeatureSpace, columns: np.ndarray) -> "Vectors":
+    def restricted(
+        self, space: FeatureSpace, columns: np.ndarray, grams: BlockGrams | None = None
+    ) -> "Vectors":
         """These instances over ``space``, where ``(space, columns)`` is
         ``self.space.restricted_to(blocks)``: equal to vectorizing them in ``space``.
+
+        ``grams``, these training rows' Gram matrices per block of
+        ``self.space`` (``learner.block_grams``), makes the rows a ``Gram``
+        that sums the kept blocks' in block order, with Xᵀ products on
+        ``self.X`` and no column copied.
         """
-        if space is self.space:
+        if space is self.space and grams is None:
             return self
         kept = [i for i, (b, _, _) in enumerate(self.space.block_offsets) if b in space.vocab]
-        X = self.X[:, columns]
-        X.sort_indices()
+        if grams is None:
+            X = self.X[:, columns]
+            X.sort_indices()
+        else:
+            X = grams.gram(kept, columns)
         return Vectors(self.instances, space, X, self.block_totals[:, kept])
 
 
@@ -263,6 +283,14 @@ def fold_vectors(
     )
 
 
+def fits_on_grams(config: PipelineConfig, rows: int, dim: int) -> bool:
+    """Whether ``fit_verifier`` may take ``rows`` training rows over ``dim``
+    columns as a ``learner.Gram``: DRO off, since oversampling reads the
+    entries, and a fit in the row basis (``learner.fits_in_row_basis``).
+    """
+    return config.dro is None and fits_in_row_basis(rows, dim)
+
+
 def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
     """(Optionally) oversample, tune C, and train on vectorized training instances.
 
@@ -270,11 +298,14 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
     Gram-space Newton solution at the chosen C (``tune_C``), with weights
     w = Xᵀα, and ``train_binary`` returns that start as the model when its
     gradient is already within tolerance (``learner._fit``). Other final
-    fits start L-BFGS from zeros.
+    fits start L-BFGS from zeros. Rows given as a ``Gram`` (``fits_on_grams``)
+    tune C and train on its K, with no copy of their entries.
     """
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
     instances, space, X = train.instances, train.space, train.X
+    if isinstance(X, Gram) and not fits_on_grams(config, *X.shape):
+        raise ExperimentError("training rows given as a Gram need DRO off and a row-basis fit")
     class_of = VerificationClasses(config.target_author)
     y = np.asarray([class_of(inst.doc) == class_of.target for inst in instances], dtype=np.int64)
     if y.sum() == 0:
@@ -297,7 +328,9 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
     chosen_C, inner_scores, start = tune_C(
         X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2
     )
-    x0 = None if start is None else np.append(X.T @ start[0], start[1])
+    if start is not None and not isinstance(X, Gram):  # a Gram fit starts from (α, b) itself
+        start = (X.T @ start[0], start[1])
+    x0 = None if start is None else np.append(*start)
     model = train_binary(X, y, config.learner, classes=class_of.classes, C=chosen_C, x0=x0)
     return FittedClassifier(
         space=space,

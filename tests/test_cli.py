@@ -518,6 +518,42 @@ class TestCommands:
             }
 
 
+def test_loo_at_a_tight_tolerance_converges_from_a_working_precision_start(
+    tmp_path, monkeypatch, caplog
+):
+    # The tiny tier of the bench's loo-dro workload, seed 1, at tolerance
+    # 1e-10: a final fit starts from a Newton solution that stopped at
+    # working precision (gradient about 3e-9), where L-BFGS-B's first line
+    # search finds no decrease.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import synth
+
+    spec = synth.CorpusSpec((("Aldus", 3), ("Benno", 3), ("Castor", 3)), 120)
+    synth.write_corpus(tmp_path / "corpus", spec, 1)
+    config = {
+        "manifest": "corpus/manifest.csv",
+        "target_author": "Aldus",
+        "seed": 1,
+        "features": {
+            "blocks": ["token_lengths", "function_words", "sentence_lengths", "char_ngrams"],
+            "function_word_list": "corpus/function_words.txt",
+        },
+        "segmentation": {"min_tokens": 60, "include_full_texts": True},
+        "dro": {"enabled": True, "target_positive_ratio": 0.3},
+        "learner": {"tolerance": 1e-10},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="stylauth.learner"):
+        assert main(["loo", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert not [r for r in caplog.records if "stopped after 0 iterations" in r.getMessage()]
+    report = json.loads((tmp_path / "out" / "loo_report.json").read_text(encoding="utf-8"))
+    records = report["results"]["records"]
+    assert len(records) == 9
+    assert all(r["converged"] for r in records)
+    assert any(r["n_iter"] == 0 for r in records)
+
+
 class TestFullFeatureStack:
     def test_all_nine_blocks_through_config(self, tmp_path):
         from conftest import make_orthogonal_corpus

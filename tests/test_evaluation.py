@@ -5,10 +5,16 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stylauth import evaluation, experiments, metrics
 from stylauth.corpus import load_corpus
@@ -17,8 +23,10 @@ from stylauth.errors import EvaluationError
 from stylauth.evaluation import loo_pools, loo_run
 from stylauth.experiments import attribution_contingency
 from stylauth.features import FeatureBlock, FeatureConfig
-from stylauth.learner import TrainConfig
-from stylauth.pipeline import CountsCache, PipelineConfig, SegmentationConfig
+from stylauth.learner import Gram, TrainConfig, fits_in_row_basis
+from stylauth.pipeline import (
+    CountsCache, PipelineConfig, SegmentationConfig, fit_verifier, fold_vectors, predict_document,
+)
 from stylauth.rng import stable_seed
 
 from conftest import held_out_segment_ids, make_styled_corpus, write_corpus
@@ -139,6 +147,107 @@ class TestPools:
     def test_pool_outside_the_config_rejected(self, small_corpus, pool):
         with pytest.raises(EvaluationError):
             loo_pools(small_corpus, fast_pipeline("Aldus"), [pool], seed=1)
+
+
+BASE_BLOCKS = (
+    FeatureBlock.TOKEN_LENGTHS,
+    FeatureBlock.FUNCTION_WORDS,
+    FeatureBlock.SENTENCE_LENGTHS,
+    FeatureBlock.CHAR_NGRAMS,
+)
+
+gram_pool_problems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "texts": st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2)),
+    "n_tokens": st.integers(60, 180),
+    "min_tokens": st.sampled_from([25, 40, 1000]),
+    "pools": st.lists(
+        st.sets(st.sampled_from(BASE_BLOCKS), min_size=1), min_size=1, max_size=3
+    ),
+    "c_grid": st.sampled_from([(1.0,), (0.1, 10.0)]),
+})
+
+
+class TestGramPath:
+    """Verifier pools without DRO that fit in a row basis fit on the fold's block Grams."""
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gram_pool_problems)
+    def test_records_equal_a_fit_of_the_restricted_rows(self, problem):
+        # Three iterations, as for the row-basis oracle in test_learner.py:
+        # rounding that differs between two bases can grow along a long fit.
+        seed = problem["seed"]
+        aldus, benno, castor = problem["texts"]
+        config = PipelineConfig(
+            features=FeatureConfig(
+                enabled_blocks=set(BASE_BLOCKS),
+                ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2, 3}},
+                function_words=("et", "in", "ad", "non", "cum"),
+            ),
+            segmentation=SegmentationConfig(min_tokens=problem["min_tokens"]),
+            learner=TrainConfig(C_grid=problem["c_grid"], inner_folds=2, max_iterations=3),
+            target_author="Aldus",
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            authors = {"Aldus": aldus, "Benno": benno, "Castor": castor}
+            manifest = make_styled_corpus(
+                Path(tmp), {a: n for a, n in authors.items() if n}, problem["n_tokens"], seed
+            )
+            corpus = load_corpus(manifest)
+        # the fold's own space first: its character block has more columns than rows
+        pools = [BASE_BLOCKS] + [
+            tuple(b for b in BASE_BLOCKS if b in pool) for pool in problem["pools"]
+        ]
+        reports = loo_pools(corpus, config, pools, seed=seed)
+
+        cache, on_grams = CountsCache(config.features), 0
+        labelled = corpus.labelled()
+        for doc in labelled:
+            train_docs = [d for d in labelled if d.id != doc.id]
+            train, text = fold_vectors(train_docs, [doc], config, cache)
+            fold_seed = stable_seed(seed, "loo", doc.id)
+            for pool, report in zip(pools, reports):
+                (record,) = [r for r in report.records if r.text_id == doc.id]
+                space, columns = train.space.restricted_to(pool)
+                on_grams += fits_in_row_basis(train.X.shape[0], space.dim)
+                fitted = fit_verifier(train.restricted(space, columns), config, fold_seed)
+                want = predict_document(fitted, text.restricted(space, columns), fold_seed)
+                assert record.predicted_class == want.predicted_class
+                assert (record.converged, record.n_iter) == (
+                    fitted.model.converged, fitted.model.n_iter
+                )
+                assert record.fitted_C == fitted.chosen_C
+                np.testing.assert_allclose(
+                    record.prediction.posteriors, want.posteriors, rtol=0, atol=1e-8
+                )
+        assert on_grams
+
+    def test_a_pool_on_grams_copies_no_training_columns(self, small_corpus, monkeypatch):
+        on_grams = []
+        real = evaluation.fit_verifier
+
+        def recording(train, config, seed):
+            on_grams.append(isinstance(train.X, Gram))
+            return real(train, config, seed)
+
+        monkeypatch.setattr(evaluation, "fit_verifier", recording)
+        loo_pools(small_corpus, fast_pipeline("Aldus"), TestPools.POOLS[:2], seed=6)
+        # the character pools: no DRO, and fewer rows than columns
+        assert on_grams and all(on_grams)
+        on_grams.clear()
+        loo_pools(small_corpus, fast_pipeline("Aldus", dro=True), TestPools.POOLS[:2], seed=6)
+        assert on_grams and not any(on_grams)
+
+    def test_hardest_fold_states_keep_the_hardest_offered(self):
+        states = evaluation.HardestFoldStates(2)
+        confidences = {"a": 0.9, "b": 0.2, "c": 0.5, "d": 0.2, "e": 0.7}
+        for text_id, confidence in confidences.items():
+            record = SimpleNamespace(text_id=text_id, true_class_posterior=confidence)
+            states.offer(record, text_id.upper())
+            assert len(states._kept) <= 2
+        assert {t: states.get(t) for t in confidences} == {
+            "a": None, "b": "B", "c": None, "d": "D", "e": None
+        }
 
 
 class TestLeakage:

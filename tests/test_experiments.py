@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import pytest
 
+from stylauth import evaluation, experiments
 from stylauth.corpus import Corpus, build_document, load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import ExperimentError
@@ -139,6 +140,44 @@ class TestAblate:
         )
         assert sum(pools.values()) == len(orthogonal.labelled()) + restricted
         assert set(pools.values()) == {1}
+
+    @pytest.mark.parametrize("dro", [False, True])
+    def test_hardest10_vectorizes_each_labelled_text_once(self, orthogonal, dro, monkeypatch):
+        held_out = []
+        real = evaluation.fold_vectors
+
+        def recording(docs, texts, *args, **kwargs):
+            held_out.extend(t.id for t in texts)
+            return real(docs, texts, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fold_vectors", recording)
+        report = ablate(
+            orthogonal, THREE_BLOCKS, orthogonal_config(dro), mode=ABLATION_HARDEST10, seed=4
+        )
+        labelled = [d.id for d in orthogonal.labelled()]
+        steps = len(report.iterations) + (report.stop_candidate_scores is not None)
+        assert steps >= 2
+        if dro:  # DRO pools keep no fold state: every step vectorizes its folds again
+            assert Counter(held_out) == Counter(labelled + steps * list(report.hardest_text_ids))
+        else:  # the full LOO's fold state serves every step
+            assert sorted(held_out) == sorted(labelled)
+
+    def test_hardest10_keeps_at_most_the_pool_size_of_fold_states(self, orthogonal, monkeypatch):
+        kept = []
+        real = evaluation.HardestFoldStates.offer
+
+        def recording(states, record, state):
+            real(states, record, state)
+            kept.append(len(states._kept))
+
+        monkeypatch.setattr(evaluation.HardestFoldStates, "offer", recording)
+        monkeypatch.setattr(experiments, "HARDEST_POOL_SIZE", 2)
+        report = ablate(
+            orthogonal, THREE_BLOCKS, orthogonal_config(False), mode=ABLATION_HARDEST10, seed=4
+        )
+        assert len(report.hardest_text_ids) == 2
+        # every labelled text's fold offers its state; two are kept
+        assert len(kept) == len(orthogonal.labelled()) > 2 and max(kept) == 2
 
     @pytest.mark.parametrize("dro", [False, True])
     def test_candidate_scores_equal_a_loo_run_per_pool(self, orthogonal, dro):

@@ -375,6 +375,25 @@ class TestStopTest:
         assert _params(model).tobytes() == x0.tobytes()
         assert (model.n_iter, model.converged) == (0, True)
 
+    @pytest.mark.parametrize("gradient, converged", [(1.0, False), (1e-9, True)])
+    def test_a_first_line_search_failure_converges_only_at_working_precision(
+        self, gradient, converged, caplog
+    ):
+        # Every step from the start raises f, whatever the gradient says, so
+        # L-BFGS-B's first line search fails. That start counts as a
+        # minimizer to working precision only when the gradient is within
+        # about √(eps·|f|).
+        def kink(x):
+            return 1.0 + float(np.abs(x).sum()), np.full_like(x, gradient)
+
+        config = TrainConfig(tolerance=1e-10)
+        with caplog.at_level("WARNING"):
+            result, ok = learner._minimize(kink, np.zeros(4), (), config, lambda g: g, 4)
+        assert result.nit == 0 and result.message.startswith("ABNORMAL")
+        assert ok is converged
+        stopped = [r for r in caplog.records if "stopped after 0 iterations" in r.getMessage()]
+        assert len(stopped) == (0 if converged else 1)
+
     @settings(max_examples=25, deadline=None)
     @given(full_space_problems)
     def test_full_space_fit_equals_lbfgs_with_its_own_stop_test(self, problem):

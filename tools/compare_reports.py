@@ -12,8 +12,11 @@ is only read). Each tree then runs the workload's commands in a fresh
 bench's thread count. JSON reports are compared without their ``timing``
 section, and every other file byte for byte. For each file that differs,
 the script prints the largest absolute difference between numbers in the
-same place. It exits 1 on any difference and 0 when every file is equal.
-Work files go to a temporary directory (``TMPDIR``), removed at the end.
+same place. ``--tolerance ABS`` counts a file whose only differences are
+numbers at most ABS apart as equal, and still prints its largest
+difference. It exits 1 on any other difference and 0 when every file is
+equal. Work files go to a temporary directory (``TMPDIR``), removed at the
+end.
 """
 
 from __future__ import annotations
@@ -107,8 +110,10 @@ def run_tree(tree: Path, prepared: bench.Prepared, out_dir: Path, threads: int) 
 
 
 def compare(trees: dict[str, Path], workloads: list[str], seeds: list[int], tier: str,
-            work: Path) -> int:
-    """Print every difference; returns how many files (or runs) differ."""
+            work: Path, tolerance: float = 0.0) -> int:
+    """Print every difference; returns how many files (or runs) differ by
+    more than numbers within ``tolerance``.
+    """
     differing = checked = 0
     for name in workloads:
         workload = bench.WORKLOADS[name]
@@ -137,11 +142,14 @@ def compare(trees: dict[str, Path], workloads: list[str], seeds: list[int], tier
                 found = compare_file(parent, change)
                 if found is not None:
                     largest, other = found
+                    within = not other and largest <= tolerance
                     print(f"{name} seed {seed} {rel}: largest numeric difference {largest:.3g}"
-                          + (", and non-numeric differences" if other else ""))
-                    differing += 1
-    print(f"{checked - differing} of {checked} files equal "
-          f"({', '.join(workloads)}; {len(seeds)} seed(s); tier {tier})")
+                          + (", and non-numeric differences" if other else "")
+                          + (f", within {tolerance:g}" if within else ""))
+                    differing += not within
+    print(f"{checked - differing} of {checked} files equal"
+          + (f" within {tolerance:g}" if tolerance else "")
+          + f" ({', '.join(workloads)}; {len(seeds)} seed(s); tier {tier})")
     return differing
 
 
@@ -153,14 +161,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=sorted(bench.WORKLOADS),
                         default=sorted(bench.WORKLOADS))
     parser.add_argument("--tier", choices=["full", "tiny"], default="full")
+    parser.add_argument("--tolerance", type=float, default=0.0, metavar="ABS",
+                        help="numbers at most ABS apart count as equal (default 0)")
     args = parser.parse_args(argv)
+    if not args.tolerance >= 0.0:
+        parser.error(f"--tolerance must be a number at least 0, got {args.tolerance}")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for label, tree in trees.items():
         if not (tree / "src" / "stylauth" / "__init__.py").is_file():
             print(f"error: no stylauth source under {tree / 'src'} ({label})", file=sys.stderr)
             return 2
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as work:
-        differing = compare(trees, args.workloads, parse_seeds(args.seeds), args.tier, Path(work))
+        differing = compare(trees, args.workloads, parse_seeds(args.seeds), args.tier, Path(work),
+                            args.tolerance)
     return 1 if differing else 0
 
 

@@ -8,7 +8,9 @@ Both are deterministic for fixed inputs, so any randomness in the
 surrounding pipeline comes only from explicit seeds.
 The objective/gradient functions are module-level so they can be checked
 against finite differences; a fit makes ``X.T`` once and passes it to
-every evaluation.
+every evaluation. Each returns the value and the gradient together, and
+L-BFGS-B gets them as two callables that share one evaluation per point
+(``_minimize``).
 
 Inner cross-validation fits each inner fold along the C grid in
 ascending order, starting every fit from the previous C's solution (the
@@ -243,36 +245,58 @@ def _warn_not_converged(n_iter: int, grad_norm: float, config: TrainConfig) -> N
 def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, size: int):
     """L-BFGS-B on ``fun(x, *args)`` from ``x0``; returns (result, converged).
 
+    ``fun`` returns the value and the gradient together, and runs once per
+    point: scipy gets them as two callables that read one memo, keyed by
+    the point's bytes, since scipy passes each callable its own copy of
+    the point. With ``jac=True`` scipy would add a second cache, whose
+    array comparisons and copies cost about as much as ``fun`` on a small
+    fit. The iterates, ``nit`` and ``nfev`` are those of ``jac=True``.
+
     ``to_full`` maps a gradient of ``fun`` to the problem's full space of
     ``size`` parameters: the identity, or ``_RowBasis.params``. The ∞-norm
     stop test runs there, after each iteration in a callback, on the
-    gradient of the evaluation at the new iterate, where L-BFGS-B would run
-    its own (``gtol`` 0 turns that off). The caller has tested the start.
-    A run whose first line search fails from a start already at working
-    precision ends converged at iteration 0.
+    memo's gradient at the new iterate, where L-BFGS-B would run its own
+    (``gtol`` 0 turns that off). The caller has tested the start. A run
+    the test stops keeps the norm the test took, with no second
+    ``to_full``. A run whose first line search fails from a start already
+    at working precision ends converged at iteration 0.
     """
     tolerance = config.tolerance
     # the basis keeps 2-norms, and ‖v‖∞ ≥ ‖v‖₂/√len(v): a gradient
     # longer than this fails the test without being mapped
     longest = tolerance * tolerance * size
-    last = {}
+    key = value = grad = None  # the memo: the last point's bytes, f and ∇f there
+    stopped = None  # the full-space ∞-norm at the iterate where the test stopped
 
-    def objective(x: np.ndarray, *args):
-        value, grad = fun(x, *args)
-        last["x"], last["grad"] = x.tobytes(), grad
-        return value, grad
+    def evaluate(x: np.ndarray) -> None:
+        nonlocal key, value, grad
+        point = x.tobytes()
+        if point != key:
+            value, grad = fun(x, *args)
+            key = point
+
+    def objective(x: np.ndarray) -> float:
+        evaluate(x)
+        return value
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        evaluate(x)
+        return grad
 
     def callback(intermediate_result) -> None:
-        x = intermediate_result.x
-        grad = last["grad"] if x.tobytes() == last["x"] else fun(x, *args)[1]
-        if grad @ grad <= longest and np.max(np.abs(to_full(grad))) <= tolerance:
-            raise StopIteration
+        nonlocal stopped
+        g = gradient(intermediate_result.x)
+        if g @ g <= longest:
+            norm = float(np.max(np.abs(to_full(g))))
+            if norm <= tolerance:
+                stopped = norm
+                raise StopIteration
 
     options = {"maxiter": config.max_iterations, "gtol": 0.0, "ftol": 1e-14}
     result = minimize(
-        objective, x0, args=args, jac=True, method="L-BFGS-B", options=options, callback=callback
+        objective, x0, jac=gradient, method="L-BFGS-B", options=options, callback=callback
     )
-    norm = float(np.max(np.abs(to_full(result.jac))))
+    norm = float(np.max(np.abs(to_full(result.jac)))) if stopped is None else stopped
     # Near a minimizer, f resolves no decrease once the gradient is within
     # about √(eps·|f|) (``_gram_newton_stack`` stops there). A start that
     # close, from which the first line search finds no decrease, is a
@@ -868,10 +892,13 @@ def tune_C(
     X,
     y_idx: Sequence[int],
     config: TrainConfig,
-    rng: np.random.Generator,
+    seed: int,
     n_classes: int = 2,
 ) -> tuple[float, dict[float, float], tuple[np.ndarray, float] | None]:
     """Pick the grid value with the best inner-CV score; ties go to smaller C.
+
+    Inner CV assigns its folds with ``np.random.default_rng(seed)``, made
+    after the one-value return: a one-value grid makes no generator.
 
     Returns the chosen C, the inner-CV score of each grid value in
     ascending C, and a start for the final fit: when inner CV ran in Gram
@@ -887,7 +914,7 @@ def tune_C(
     y_idx = np.asarray(y_idx, dtype=np.int64)
     if len(config.C_grid) == 1:
         return config.C_grid[0], {}, None
-    scores, path = _inner_cv(X, y_idx, n_classes, config, rng)
+    scores, path = _inner_cv(X, y_idx, n_classes, config, np.random.default_rng(seed))
     if scores is None:
         log.warning("inner CV impossible (a class has < 2 members); using C=%g", config.C)
         return config.C, {}, None

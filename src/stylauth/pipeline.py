@@ -44,7 +44,7 @@ from .learner import (
     BlockGrams, Gram, Prediction, TrainConfig, TrainedModel, fits_in_row_basis, predict_proba,
     train_binary, train_multiclass, tune_C,
 )
-from .rng import spawn_rng
+from .rng import spawn_rng, stable_seed
 
 log = logging.getLogger(__name__)
 
@@ -326,7 +326,7 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
         synthetic = sum(ex.synthetic for ex in extended)
 
     chosen_C, inner_scores, start = tune_C(
-        X, y, config.learner, spawn_rng(seed, "tune"), n_classes=2
+        X, y, config.learner, stable_seed(seed, "tune"), n_classes=2
     )
     if start is not None and not isinstance(X, Gram):  # a Gram fit starts from (α, b) itself
         start = (X.T @ start[0], start[1])
@@ -371,7 +371,7 @@ def fit_attributor(train: Vectors, config: PipelineConfig, seed: int) -> FittedC
     index = {cls: i for i, cls in enumerate(classes)}
     y_idx = np.asarray([index[label] for label in labels], dtype=np.int64)
     chosen_C, inner_scores, _ = tune_C(
-        train.X, y_idx, config.learner, spawn_rng(seed, "tune"), n_classes=len(classes)
+        train.X, y_idx, config.learner, stable_seed(seed, "tune"), n_classes=len(classes)
     )
     model = train_multiclass(train.X, labels, config.learner, C=chosen_C)
     return FittedClassifier(

@@ -397,6 +397,24 @@ class TestCommands:
         assert main(["loo", "--config", str(config)]) == EXIT_OK
         assert calls == Counter(doc.id for doc in load_corpus(manifest).labelled())
 
+    def test_ablate_hardest10_segments_each_labelled_text_once(self, corpus_dir, monkeypatch):
+        # DRO off: every greedy step reads the kept fold states and instances
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest)
+        calls: Counter[str] = Counter()
+        real_segment = pipeline.segment
+
+        def counting_segment(doc, min_tokens):
+            calls[doc.id] += 1
+            return real_segment(doc, min_tokens)
+
+        monkeypatch.setattr(pipeline, "segment", counting_segment)
+        argv = ["ablate", "--config", str(config), "--mode", "hardest10"]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp / "out" / "ablation_report.json").read_text())
+        assert report["results"]["iterations"] or report["results"]["stop_candidate_scores"]
+        assert calls == Counter(doc.id for doc in load_corpus(manifest).labelled())
+
     def test_verify_writes_verdict(self, corpus_dir):
         tmp, manifest = corpus_dir
         config = write_config(tmp, manifest, disputed="disputed-text", dro=True)

@@ -36,7 +36,7 @@ from stylauth.pipeline import (
     CountsCache, PipelineConfig, SegmentationConfig, fit_attributor, fit_verifier,
     fold_vectors, training_documents,
 )
-from stylauth.rng import spawn_rng
+from stylauth.rng import stable_seed
 
 from conftest import make_styled_corpus
 
@@ -352,8 +352,128 @@ full_space_problems = st.fixed_dictionaries({
 })
 
 
+def _jac_true_minimize(fun, x0, args, config, to_full, size):
+    """``_minimize`` as it ran on ``minimize(..., jac=True)``: (result, converged)."""
+    tolerance = config.tolerance
+    longest = tolerance * tolerance * size
+    last = {}
+
+    def objective(x, *args):
+        value, grad = fun(x, *args)
+        last["x"], last["grad"] = x.tobytes(), grad
+        return value, grad
+
+    def callback(intermediate_result):
+        x = intermediate_result.x
+        grad = last["grad"] if x.tobytes() == last["x"] else fun(x, *args)[1]
+        if grad @ grad <= longest and np.max(np.abs(to_full(grad))) <= tolerance:
+            raise StopIteration
+
+    options = {"maxiter": config.max_iterations, "gtol": 0.0, "ftol": 1e-14}
+    result = minimize(
+        objective, x0, args=args, jac=True, method="L-BFGS-B", options=options, callback=callback
+    )
+    norm = float(np.max(np.abs(to_full(result.jac))))
+    converged = norm <= tolerance or bool(result.success) or (
+        result.nit == 0
+        and result.message.startswith("ABNORMAL")
+        and norm <= math.sqrt(learner._EPS * max(1.0, abs(float(result.fun))))
+    )
+    return result, converged
+
+
+# Every fit that reaches ``_minimize``: binary or multinomial, over all
+# columns or in a row basis, and a binary fit on a ``Gram``.
+minimize_problems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(4, 30),
+    "extra_columns": st.integers(1, 40),
+    "case": st.sampled_from([
+        "binary-full", "multiclass-full", "binary-basis", "multiclass-basis", "binary-gram",
+    ]),
+    "C": st.sampled_from([0.01, 1.0, 100.0]),
+    "max_iterations": st.sampled_from([3, 1000]),
+})
+
+
 class TestStopTest:
     """``_fit`` tests a start once, in full space; ``_minimize`` tests each iterate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(minimize_problems)
+    def test_minimize_equals_its_jac_true_form(self, problem):
+        rng = np.random.default_rng(problem["seed"])
+        kind, space = problem["case"].split("-")
+        n, C = problem["n"], problem["C"]
+        d = n + problem["extra_columns"]  # a row-basis fit unless the bound is 0
+        n_classes = 2 if kind == "binary" else 3
+        wide = sp.csr_matrix(np.abs(rng.normal(size=(n, 2 * d))) * (rng.random((n, 2 * d)) > 0.6))
+        columns = np.sort(rng.choice(2 * d, size=d, replace=False))
+        X = wide[:, columns]
+        y = rng.integers(0, n_classes, size=n)
+        y[:n_classes] = np.arange(n_classes)
+        config = TrainConfig(max_iterations=problem["max_iterations"])
+        runs = []
+        real = learner._minimize
+
+        def both(*call):
+            got, want = real(*call), _jac_true_minimize(*call)
+            runs.append((got, want))
+            return got
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(learner, "_minimize", both)
+            if space == "full":
+                m.setattr(learner, "_BASIS_MAX_ROWS", 0)
+            if space == "gram":
+                gram = learner.Gram(learner._gram_matrix(X), wide.T, columns)
+                train_binary(gram, y, config, C=C)
+            elif kind == "binary":
+                train_binary(X, y, config, C=C)
+            else:
+                train_multiclass(X, [str(v) for v in y], config, C=C)
+        assert len(runs) <= 1
+        for (got, got_converged), (want, want_converged) in runs:
+            assert got.x.tobytes() == want.x.tobytes()
+            assert (got.nit, got.nfev, got_converged) == (want.nit, want.nfev, want_converged)
+
+    @pytest.mark.parametrize("max_iterations, stopped", [(1000, True), (3, False)])
+    def test_to_full_runs_once_per_callback_past_the_prefilter(self, max_iterations, stopped):
+        X, y, fun, args, _, _ = _row_space_problem(
+            seed=73, n=12, extra_columns=20, degenerate=False, started=False, C=1.0, n_classes=2
+        )
+        basis = learner._RowBasis(X)
+        args = (basis.M, *args[1:], basis.M.T)
+        config = TrainConfig(max_iterations=max_iterations)
+        size = X.shape[1] + 1
+        events = []
+
+        def to_full(grad):
+            events.append("to_full")
+            return basis.params(grad)
+
+        def spied(objective, x0, callback, **kwargs):
+            def recording(intermediate_result):
+                grad = fun(intermediate_result.x, *args)[1]
+                passes = grad @ grad <= config.tolerance ** 2 * size
+                events.append("callback, past the prefilter" if passes else "callback")
+                callback(intermediate_result)
+
+            return minimize(objective, x0, callback=recording, **kwargs)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(learner, "minimize", spied)
+            result, converged = learner._minimize(
+                fun, np.zeros(basis.M.shape[1] + 1), args, config, to_full, size
+            )
+        assert converged is stopped and (result.nit < max_iterations) is stopped
+        mapped = [i for i, event in enumerate(events) if event == "to_full"]
+        past = [i for i, event in enumerate(events) if event == "callback, past the prefilter"]
+        assert events.count("callback") + len(past) == result.nit
+        if stopped:  # the stop test's norm decides `converged`: no mapping after it
+            assert mapped == [i + 1 for i in past] and mapped[-1] == len(events) - 1
+        else:  # capped: the norm at the last iterate is mapped after the run
+            assert mapped == [i + 1 for i in past] + [len(events) - 1]
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_passing_start_calls_no_minimize_and_builds_no_basis(self, n_classes, monkeypatch):
@@ -505,16 +625,14 @@ class TestTuneC:
     def test_single_grid_value_returned(self):
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         config = TrainConfig(C_grid=(0.5,))
-        rng = np.random.default_rng(0)
-        assert tune_C(X, [0, 1, 0, 1], config, rng) == (0.5, {}, None)
+        assert tune_C(X, [0, 1, 0, 1], config, 0) == (0.5, {}, None)
 
     def test_ties_break_toward_smaller_c(self):
         # a constant-features problem scores identically for every C
         X = np.zeros((8, 2))
         y = [0, 1] * 4
         config = TrainConfig(C_grid=(0.1, 1.0, 10.0), inner_folds=2)
-        rng = np.random.default_rng(1)
-        assert tune_C(X, y, config, rng)[0] == 0.1
+        assert tune_C(X, y, config, 1)[0] == 0.1
 
     def test_chosen_c_attains_best_inner_score(self):
         rng = np.random.default_rng(52)
@@ -522,7 +640,7 @@ class TestTuneC:
         y = ((X[:, 0] + 0.8 * rng.normal(size=60)) > 0).astype(int)
         y[:2] = [0, 1]
         config = TrainConfig(C_grid=(0.01, 0.1, 1.0, 10.0), inner_folds=3)
-        chosen, tuned_scores, _ = tune_C(X, y, config, np.random.default_rng(9))
+        chosen, tuned_scores, _ = tune_C(X, y, config, 9)
         scores = inner_cv_scores(X, y, 2, config, np.random.default_rng(9))
         assert scores is not None
         assert list(tuned_scores.items()) == [(c, scores[c]) for c in config.C_grid]
@@ -530,12 +648,28 @@ class TestTuneC:
         tied = [c for c, s in scores.items() if s == scores[chosen]]
         assert chosen == min(tied)
 
+    @pytest.mark.parametrize("fit", [fit_verifier, fit_attributor])
+    def test_a_one_value_grid_makes_no_generator(self, fit, fold_corpus, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        for grid, want in (((1.0,), []), ((0.1, 1.0), [stable_seed(5, "tune")])):
+            train, _ = _training_fold(fold_corpus, _pipeline_config(grid))
+            seeds.clear()
+            fit(train, _pipeline_config(grid), 5)
+            assert seeds == want  # inner CV's generator, seeded as it always was
+
     def test_fold_reduction_when_class_tiny(self, caplog):
         X = np.vstack([np.full((3, 1), -1.0), np.full((12, 1), 1.0)])
         y = [1] * 3 + [0] * 12
         config = TrainConfig(C_grid=(0.1, 1.0), inner_folds=5)
         with caplog.at_level("WARNING"):
-            c, _, _ = tune_C(X, y, config, np.random.default_rng(2))
+            c, _, _ = tune_C(X, y, config, 2)
         assert c in (0.1, 1.0)
         assert any("reducing inner folds" in r.message for r in caplog.records)
 
@@ -624,7 +758,7 @@ class TestTuneC:
         y = [1, 0, 0]
         config = TrainConfig(C=7.0, C_grid=(0.1, 1.0))
         with caplog.at_level("WARNING"):
-            c, scores, start = tune_C(X, y, config, np.random.default_rng(3))
+            c, scores, start = tune_C(X, y, config, 3)
         assert (c, scores, start) == (7.0, {}, None)
 
 
@@ -772,7 +906,7 @@ class TestGramPath:
     def test_all_zero_matrix_ties_toward_smallest_c(self):
         X = sp.csr_matrix((10, 4))
         y = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-        chosen, scores, _ = tune_C(X, y, TrainConfig(inner_folds=3), np.random.default_rng(8))
+        chosen, scores, _ = tune_C(X, y, TrainConfig(inner_folds=3), 8)
         assert len(set(scores.values())) == 1
         assert chosen == min(scores)
 
@@ -851,7 +985,7 @@ class TestPathStart:
     def test_started_fit_passes_the_lbfgs_test(self, name, fold_corpus):
         X, y = _dro_fold(fold_corpus) if name == "dro-fold" else _gram_fixture(name)
         config = TrainConfig(inner_folds=3)
-        C, _, start = tune_C(X, y, config, np.random.default_rng(11))
+        C, _, start = tune_C(X, y, config, 11)
         assert start is not None
         x0 = np.append(X.T @ start[0], start[1])
         _, grad = binary_objective(x0, X, y.astype(float), C)
@@ -889,7 +1023,7 @@ class TestPathStart:
         config = TrainConfig(inner_folds=3)
         gram_newton = learner._gram_newton
         starts = _record_gram_newton_starts(monkeypatch)
-        C, _, (alpha, b) = tune_C(X, y, config, np.random.default_rng(11))
+        C, _, (alpha, b) = tune_C(X, y, config, 11)
         ((alpha0, b0),) = starts
 
         # the same inner folds, fitted along the grid up to C
@@ -920,7 +1054,7 @@ class TestPathStart:
         gram_newton = learner._gram_newton
         starts = _record_gram_newton_starts(monkeypatch)
         config = TrainConfig(inner_folds=2)
-        C, scores, (alpha, b) = tune_C(X, y, config, np.random.default_rng(12))
+        C, scores, (alpha, b) = tune_C(X, y, config, 12)
         assert set(scores.values()) == {0.0}  # every validation row stayed negative
         assert C == config.C_grid[0]
         ((alpha0, b0),) = starts
@@ -932,7 +1066,7 @@ class TestPathStart:
     def test_passing_start_returns_what_lbfgs_returns(self, fold_corpus, monkeypatch):
         X, y = _dro_fold(fold_corpus)
         config = TrainConfig(inner_folds=3)
-        C, _, start = tune_C(X, y, config, np.random.default_rng(11))
+        C, _, start = tune_C(X, y, config, 11)
         x0 = np.append(X.T @ start[0], start[1])
         forced, converged, n_iter = _full_space_fit(
             binary_objective, x0, (X, y.astype(float), C), config
@@ -949,7 +1083,7 @@ class TestPathStart:
     def test_failing_start_runs_lbfgs(self, fold_corpus, monkeypatch):
         X, y = _dro_fold(fold_corpus)
         config = TrainConfig(inner_folds=3)
-        C, _, start = tune_C(X, y, config, np.random.default_rng(11))
+        C, _, start = tune_C(X, y, config, 11)
         x0 = np.append(X.T @ start[0], start[1] + 1e-3)  # moved off the minimizer
         _, grad = binary_objective(x0, X, y.astype(float), C)
         assert np.max(np.abs(grad)) > config.tolerance
@@ -969,7 +1103,7 @@ class TestPathStart:
         config = _pipeline_config((0.1, 1.0, 10.0))
         train, y = _training_fold(fold_corpus, config)
         fitted = fit_verifier(train, config, 5)
-        _, _, (alpha, b) = tune_C(train.X, y, config.learner, spawn_rng(5, "tune"))
+        _, _, (alpha, b) = tune_C(train.X, y, config.learner, stable_seed(5, "tune"))
         started = train_binary(
             train.X, y, config.learner, fitted.model.classes, C=fitted.chosen_C,
             x0=np.append(train.X.T @ alpha, b),

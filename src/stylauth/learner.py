@@ -55,6 +55,9 @@ at once, and ``_fit`` returns the start, as L-BFGS-B would at iteration
 minimizer moves fitted weights by up to the tolerance, and reported
 ablation scores are pinned tighter than that.
 
+``scipy.optimize`` is imported at the first L-BFGS-B fit (``minimize``),
+not with this module, since a command that runs none need not pay for it.
+
 ``predict_proba`` and ``explain`` read one instance as a one-row CSR
 matrix, the row form that ``features.vectorize_counts`` makes. A model
 does not record its feature space; they check only the row's width.
@@ -70,7 +73,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .errors import LearnerError
@@ -242,6 +244,24 @@ def _warn_not_converged(n_iter: int, grad_norm: float, config: TrainConfig) -> N
     )
 
 
+def _full_norm(g: np.ndarray, to_full, tolerance: float, size: int) -> float:
+    """The ∞-norm of ``to_full(g)`` in the full space of ``size`` parameters,
+    or inf, unmapped, where ``g`` is too long to pass a ``tolerance`` test."""
+    # the basis keeps 2-norms, and ‖v‖∞ ≥ ‖v‖₂/√len(v)
+    if g @ g > tolerance * tolerance * size:
+        return math.inf
+    return float(np.max(np.abs(to_full(g))))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at its first call, so that a
+    command whose fits all stop at their start or on the Newton path never
+    loads ``scipy.optimize``."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
 def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, size: int):
     """L-BFGS-B on ``fun(x, *args)`` from ``x0``; returns (result, converged).
 
@@ -254,17 +274,14 @@ def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, si
 
     ``to_full`` maps a gradient of ``fun`` to the problem's full space of
     ``size`` parameters: the identity, or ``_RowBasis.params``. The ∞-norm
-    stop test runs there, after each iteration in a callback, on the
-    memo's gradient at the new iterate, where L-BFGS-B would run its own
-    (``gtol`` 0 turns that off). The caller has tested the start. A run
-    the test stops keeps the norm the test took, with no second
-    ``to_full``. A run whose first line search fails from a start already
-    at working precision ends converged at iteration 0.
+    stop test runs there (``_full_norm``), after each iteration in a
+    callback, on the memo's gradient at the new iterate, where L-BFGS-B
+    would run its own (``gtol`` 0 turns that off). The caller has tested
+    the start. A run the test stops keeps the norm the test took, with no
+    second ``to_full``. A run whose first line search fails from a start
+    already at working precision ends converged at iteration 0.
     """
     tolerance = config.tolerance
-    # the basis keeps 2-norms, and ‖v‖∞ ≥ ‖v‖₂/√len(v): a gradient
-    # longer than this fails the test without being mapped
-    longest = tolerance * tolerance * size
     key = value = grad = None  # the memo: the last point's bytes, f and ∇f there
     stopped = None  # the full-space ∞-norm at the iterate where the test stopped
 
@@ -285,12 +302,10 @@ def _minimize(fun, x0: np.ndarray, args: tuple, config: TrainConfig, to_full, si
 
     def callback(intermediate_result) -> None:
         nonlocal stopped
-        g = gradient(intermediate_result.x)
-        if g @ g <= longest:
-            norm = float(np.max(np.abs(to_full(g))))
-            if norm <= tolerance:
-                stopped = norm
-                raise StopIteration
+        norm = _full_norm(gradient(intermediate_result.x), to_full, tolerance, size)
+        if norm <= tolerance:
+            stopped = norm
+            raise StopIteration
 
     options = {"maxiter": config.max_iterations, "gtol": 0.0, "ftol": 1e-14}
     result = minimize(
@@ -385,7 +400,8 @@ def _fit(fun, X, args: tuple, x0: np.ndarray, config: TrainConfig) -> tuple[np.n
     X may be a ``Gram``, given by K and Xᵀ products only, which its caller
     makes only for a fit in the row basis. Its fit runs in the basis from
     dual parameters x0 = [α, b] per class, and the start test runs on their
-    coordinates' gradient, mapped to full space.
+    coordinates' gradient, mapped to full space only if its 2-norm could
+    pass (``_full_norm``).
     """
     n, d = X.shape
     gram = isinstance(X, Gram)
@@ -399,10 +415,11 @@ def _fit(fun, X, args: tuple, x0: np.ndarray, config: TrainConfig) -> tuple[np.n
     basis = _RowBasis(X)
     args = (basis.M, *args, basis.M.T)
     start = basis.coordinates(x0)
-    if gram and np.max(np.abs(basis.params(fun(start, *args)[1]))) <= config.tolerance:
+    size = x0.shape[0] // (basis.width + 1) * (d + 1)
+    tolerance = config.tolerance
+    if gram and _full_norm(fun(start, *args)[1], basis.params, tolerance, size) <= tolerance:
         x, converged, n_iter = start, True, 0
     else:
-        size = x0.shape[0] // (basis.width + 1) * (d + 1)
         result, converged = _minimize(fun, start, args, config, basis.params, size)
         x, n_iter = result.x, int(result.nit)
     return basis.params(x), converged, n_iter

@@ -60,14 +60,17 @@ def write_config(
     return path
 
 
-def _run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    """``python -m stylauth.cli`` in a fresh process that imports this checkout."""
+def _run_python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports this checkout."""
     src = str(Path(stylauth.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "stylauth.cli", *argv], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python -m stylauth.cli`` in a fresh process that imports this checkout."""
+    return _run_python("-m", "stylauth.cli", *argv, env=env)
 
 
 def _append_invalid_utf8(path: Path) -> None:
@@ -706,3 +709,36 @@ def test_readme_run_config_example_loads(tmp_path):
     assert run.threads == example["threads"]
     assert run.pipeline.features.function_words == ("et", "in")
     assert run.pipeline.dro.target_positive_ratio == example["dro"]["target_positive_ratio"]
+
+
+# Which of a fresh process's steps have loaded scipy.optimize: first the
+# modules every fit uses, then the CLI, a DRO ``loo`` on the default C grid
+# (its fits take the Gram/Newton path), and an ``attribute`` (multinomial
+# fits, which run L-BFGS-B).
+_STARTUP_SCRIPT = """
+import json, sys
+import numpy, scipy.linalg.lapack, scipy.sparse, scipy.special
+seen = {"baseline": "scipy.optimize" in sys.modules}
+from stylauth import cli
+seen["import"] = "scipy.optimize" in sys.modules
+assert cli.main(["loo", "--config", sys.argv[1]]) == 0
+seen["loo"] = "scipy.optimize" in sys.modules
+assert cli.main(["attribute", "--config", sys.argv[1], "--min-texts", "2"]) == 0
+seen["attribute"] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_optimize_is_imported_only_by_a_fit_that_runs_lbfgsb(corpus_dir):
+    # measured against the baseline, so a scipy that loads scipy.optimize
+    # through numpy's or its own fit-path modules cannot fail the test
+    tmp, manifest = corpus_dir
+    config = write_config(
+        tmp, manifest, disputed="disputed-text", dro=True, extra={"learner": {"inner_folds": 3}}
+    )
+    done = _run_python("-c", _STARTUP_SCRIPT, str(config))
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == seen["baseline"]
+    assert seen["loo"] == seen["baseline"]
+    assert seen["attribute"]

@@ -495,6 +495,30 @@ class TestStopTest:
         assert _params(model).tobytes() == x0.tobytes()
         assert (model.n_iter, model.converged) == (0, True)
 
+    def test_gram_start_the_prefilter_rejects_takes_no_product(self, monkeypatch):
+        # from zeros the start's gradient is too long in 2-norm to pass, so
+        # the start test maps nothing to full space before L-BFGS-B runs
+        rng = np.random.default_rng(74)
+        n, d = 12, 32
+        wide = sp.csr_matrix(np.abs(rng.normal(size=(n, 2 * d))) * (rng.random((n, 2 * d)) > 0.6))
+        columns = np.sort(rng.choice(2 * d, size=d, replace=False))
+        gram = learner.Gram(learner._gram_matrix(wide[:, columns]), wide.T, columns)
+        products, starts = [], []
+        rmatmul, run = learner.Gram.rmatmul, learner._minimize
+
+        def counted(self, V):
+            products.append(V.shape)
+            return rmatmul(self, V)
+
+        def reached(*call):
+            starts.append(len(products))
+            return run(*call)
+
+        monkeypatch.setattr(learner.Gram, "rmatmul", counted)
+        monkeypatch.setattr(learner, "_minimize", reached)
+        model = train_binary(gram, np.arange(n) % 2, TrainConfig(), C=1.0)
+        assert starts == [0] and model.converged
+
     @pytest.mark.parametrize("gradient, converged", [(1.0, False), (1e-9, True)])
     def test_a_first_line_search_failure_converges_only_at_working_precision(
         self, gradient, converged, caplog

@@ -1,5 +1,16 @@
 """Stylometric authorship verification and attribution toolkit."""
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: the fits are small
+# (tens to hundreds of rows), so threads cost more than they save, and a
+# report does not then depend on the CPU count. This must run before
+# numpy is first imported, through the submodules below.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .corpus import (

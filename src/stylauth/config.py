@@ -96,54 +96,51 @@ def _parse_features(section: Any, base: Path) -> FeatureConfig:
         raise ConfigError(f"features: {exc}") from None
 
 
-def _parse_segmentation(section: Any) -> SegmentationConfig:
+def _present(section: Any, where: str, kinds: dict[str, type]) -> dict[str, Any]:
+    """The section's keys that are present and not ``null``, each checked
+    against its type; the dataclass the section builds supplies the rest.
+    """
     if section is None:
-        return SegmentationConfig()
+        return {}
     if not isinstance(section, dict):
-        raise ConfigError("'segmentation' must be an object")
-    _check_keys(section, {"min_tokens", "include_full_texts"}, "segmentation")
+        raise ConfigError(f"{where!r} must be an object")
+    _check_keys(section, set(kinds), where)
+    return {
+        key: _require(section, key, kind, where)
+        for key, kind in kinds.items()
+        if section.get(key) is not None
+    }
+
+
+def _parse_segmentation(section: Any) -> SegmentationConfig:
+    kwargs = _present(section, "segmentation", {"min_tokens": int, "include_full_texts": bool})
     try:
-        return SegmentationConfig(
-            min_tokens=_optional(section, "min_tokens", int, 400, "segmentation"),
-            include_full_texts=_optional(section, "include_full_texts", bool, True, "segmentation"),
-        )
+        return SegmentationConfig(**kwargs)
     except ExperimentError as exc:
         raise ConfigError(f"segmentation: {exc}") from None
 
 
 def _parse_dro(section: Any) -> DroConfig | None:
-    if section is None:
-        return None
-    if not isinstance(section, dict):
-        raise ConfigError("'dro' must be an object")
-    _check_keys(section, {"enabled", "target_positive_ratio"}, "dro")
-    if not _optional(section, "enabled", bool, True, "dro"):
+    kwargs = _present(section, "dro", {"enabled": bool, "target_positive_ratio": float})
+    if section is None or not kwargs.pop("enabled", True):
         return None
     try:
-        return DroConfig(
-            target_positive_ratio=_optional(section, "target_positive_ratio", float, 0.20, "dro"),
-        )
+        return DroConfig(**kwargs)
     except DroError as exc:
         raise ConfigError(f"dro: {exc}") from None
 
 
 def _parse_learner(section: Any) -> TrainConfig:
-    if section is None:
-        return TrainConfig()
-    if not isinstance(section, dict):
-        raise ConfigError("'learner' must be an object")
-    _check_keys(section, {"C", "C_grid", "inner_folds", "tolerance", "max_iterations"}, "learner")
-    grid_raw = _optional(section, "C_grid", list, list(TrainConfig().C_grid), "learner")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid_raw):
-        raise ConfigError("learner.C_grid must be a list of numbers")
+    kwargs = _present(section, "learner", {
+        "C": float, "C_grid": list, "inner_folds": int, "tolerance": float, "max_iterations": int,
+    })
+    if "C_grid" in kwargs:
+        grid = kwargs["C_grid"]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
+            raise ConfigError("learner.C_grid must be a list of numbers")
+        kwargs["C_grid"] = tuple(float(v) for v in grid)
     try:
-        return TrainConfig(
-            C=_optional(section, "C", float, 1.0, "learner"),
-            C_grid=tuple(float(v) for v in grid_raw),
-            inner_folds=_optional(section, "inner_folds", int, 5, "learner"),
-            tolerance=_optional(section, "tolerance", float, 1e-6, "learner"),
-            max_iterations=_optional(section, "max_iterations", int, 1000, "learner"),
-        )
+        return TrainConfig(**kwargs)
     except LearnerError as exc:
         raise ConfigError(f"learner: {exc}") from None
 

@@ -219,7 +219,7 @@ def split_sentences(tokens: Sequence[Token]) -> list[tuple[int, int]]:
     return ranges
 
 
-def segment(doc: Document, min_tokens: int = 400) -> list[Segment]:
+def segment(doc: Document, min_tokens: int) -> list[Segment]:
     """Chop a document into sentence-aligned segments of >= min_tokens tokens.
 
     Sentences are appended to the open segment, which closes as soon as it

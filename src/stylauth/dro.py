@@ -16,7 +16,8 @@ block. Profiles do not record their space.
 ``latent_distributions`` gives the mixtures of many rows at once. For
 the training rows themselves they are the rows of X D^-1 X^T scaled to
 sum to 1, D being the diagonal of X's column sums: the Gram matrix of
-X D^-1/2, built densely in column chunks. A single row, at test time,
+X D^-1/2, built densely as the learner builds every Gram matrix
+(``learner._gram_matrix``). A single row, at test time,
 stays the one-row CSR matrix it was vectorized as: ``extend`` passes it
 to ``sample_latent_counts`` and that to ``latent_distributions``.
 
@@ -41,9 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DroError
+from .learner import _gram_matrix
 from .rng import spawn_rng
-
-_CHUNK_COLUMNS = 2048  # training columns densified at a time for the Gram product
 
 
 @dataclass
@@ -120,18 +120,14 @@ def latent_distributions(rows, profiles: DistributionalProfiles) -> np.ndarray:
 
     Rows have the profiles' features as columns. A feature unseen in
     training spreads its share uniformly, and a zero row gets zeros.
-    ``profiles.training`` itself takes the symmetric Gram product, a chunk
-    of columns at a time; other rows take one sparse product with it.
+    ``profiles.training`` itself takes the symmetric Gram product
+    (``learner._gram_matrix``); other rows take one sparse product with it.
     """
     train, sums = profiles.training, profiles.column_sums
     trained = sums > 0
     if rows is train:
         scale = np.divide(1.0, np.sqrt(sums), out=np.zeros_like(sums), where=trained)
-        P = np.zeros((train.shape[0], train.shape[0]))
-        for start in range(0, train.shape[1], _CHUNK_COLUMNS):
-            cols = slice(start, start + _CHUNK_COLUMNS)
-            block = train[:, cols].toarray() * scale[cols]
-            P += block @ block.T
+        P = _gram_matrix(train, scale)
     else:
         dense = rows.toarray()
         inverse = np.divide(1.0, sums, out=np.zeros_like(sums), where=trained)

@@ -22,8 +22,8 @@ of its blocks' Grams, added in block order, with no copy of its training
 columns, and predicts from a copy of the held-out text's; other pools
 copy their columns. A caller may keep the states of the hardest texts'
 folds between calls (``HardestFoldStates``), as hardest-10 ablation does
-for its ten texts; a call whose every fold reads a kept state segments
-no text again.
+for its ten texts; a fold that reads a kept state vectorizes nothing.
+Every call segments the texts that train in its folds once.
 """
 
 from __future__ import annotations
@@ -206,26 +206,18 @@ class HardestFoldStates:
     folds. A later call on the same study, seed and cache, whose config's
     blocks are a subset of the first call's, reads a kept state instead of
     vectorizing the fold again: a state depends only on its fold, so what is
-    kept changes the work done, not the results. The texts' instances
-    (``text_instances``) are kept too, so that a call whose every fold has
-    a kept state segments no text again.
+    kept changes the work done, not the results. Only states are kept: each
+    call still segments its texts (``run_folds``).
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.instances: dict[str, tuple[Instance, ...]] = {}  # by text id
         self._kept: dict[str, tuple[tuple[float, str], FoldState]] = {}
         self._lock = threading.Lock()
 
     def get(self, text_id: str) -> FoldState | None:
         kept = self._kept.get(text_id)
         return None if kept is None else kept[1]
-
-    def serves(self, folds: Sequence[Document], trained: Sequence[Document]) -> bool:
-        """Whether every fold has a kept state, and every trained text kept instances."""
-        return all(d.id in self._kept for d in folds) and all(
-            d.id in self.instances for d in trained
-        )
 
     def offer(self, record: TextPrediction, state: FoldState) -> None:
         """Keep ``state`` while its text is among the ``size`` hardest offered."""
@@ -337,9 +329,8 @@ def run_folds(
     ``text_ids`` restricts which of the study's texts are held out; each
     fold still trains on all the others. A shared ``cache`` must extract the
     config's blocks as the config does (``counts_cache_for``). ``states``
-    keeps fold states between calls (``HardestFoldStates``); when it holds
-    every fold's state, the instances come from it, and no text is
-    segmented or extracted.
+    keeps fold states between calls (``HardestFoldStates``); the instances
+    are built by every call, whatever it keeps.
     """
     texts = study.texts
     if text_ids is not None:
@@ -364,19 +355,13 @@ def run_folds(
     cache = counts_cache_for(config.features, cache)
     fold_ids = {d.id for d in folds}
     trained = [d for d in texts if fold_ids - {d.id}]
-    if states is not None and states.serves(folds, trained):
-        # no fold vectorizes: nothing to segment or extract
-        instances = {d.id: states.instances[d.id] for d in trained}
-    else:
-        # Segment each text that trains in some fold once, and extract every
-        # instance the folds read before dispatching them, so that no two
-        # fold threads extract the same instance: those texts' instances,
-        # plus each held-out text in full.
-        instances = text_instances(trained, config.segmentation)
-        cache.rows(document_instances(trained, config.segmentation, instances))
-        cache.rows(Instance(doc=d) for d in folds)
-        if states is not None:
-            states.instances.update(instances)
+    # Segment each text that trains in some fold once, and extract every
+    # instance the folds read before dispatching them, so that no two fold
+    # threads extract the same instance: those texts' instances, plus each
+    # held-out text in full.
+    instances = text_instances(trained, config.segmentation)
+    cache.rows(document_instances(trained, config.segmentation, instances))
+    cache.rows(Instance(doc=d) for d in folds)
 
     def fold_outcomes(doc: Document) -> list[FoldOutcome]:
         return _run_fold(study, doc, config, pools, cache, seed, instances, states)

@@ -15,7 +15,7 @@ fits its features once over the current pool and gives each candidate
 its blocks. In hardest-10 mode the full LOO keeps the fold states of the
 ten hardest texts so far (``HardestFoldStates``), with their per-block
 Gram matrices, and those serve every later step, so each labelled text's
-fold is vectorized once, and each text segmented once.
+fold is vectorized once.
 """
 
 from __future__ import annotations

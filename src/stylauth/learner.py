@@ -554,16 +554,23 @@ _MIN_STEP = 1e-10  # the line search gives up below this step length
 _EPS = np.finfo(np.float64).eps
 
 
-def _gram_matrix(X) -> np.ndarray:
-    """K = X Xᵀ as a dense array."""
+def _gram_matrix(X, scale: np.ndarray | None = None) -> np.ndarray:
+    """K = X Xᵀ as a dense array, X's columns first multiplied by ``scale`` if given."""
     if not sp.issparse(X):
+        X = X if scale is None else X * scale
         return X @ X.T
+
+    def dense(columns: sp.spmatrix, span: slice) -> np.ndarray:
+        block = columns.toarray()
+        return block if scale is None else block * scale[span]
+
     if X.shape[1] <= _GRAM_CHUNK_COLUMNS:  # one block: no column slicing
-        block = X.toarray()
+        block = dense(X, slice(None))
         return block @ block.T
     K = np.zeros((X.shape[0], X.shape[0]))
     for start in range(0, X.shape[1], _GRAM_CHUNK_COLUMNS):
-        block = X[:, start : start + _GRAM_CHUNK_COLUMNS].toarray()
+        span = slice(start, start + _GRAM_CHUNK_COLUMNS)
+        block = dense(X[:, span], span)
         K += block @ block.T
     return K
 

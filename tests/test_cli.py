@@ -23,6 +23,8 @@ from stylauth.cli import (
 )
 from stylauth.config import load_run_config
 from stylauth.corpus import load_corpus
+from stylauth.dro import DroConfig
+from stylauth.learner import TrainConfig
 from stylauth.pipeline import SegmentationConfig
 
 from conftest import make_styled_corpus, write_corpus
@@ -400,24 +402,6 @@ class TestCommands:
         assert main(["loo", "--config", str(config)]) == EXIT_OK
         assert calls == Counter(doc.id for doc in load_corpus(manifest).labelled())
 
-    def test_ablate_hardest10_segments_each_labelled_text_once(self, corpus_dir, monkeypatch):
-        # DRO off: every greedy step reads the kept fold states and instances
-        tmp, manifest = corpus_dir
-        config = write_config(tmp, manifest)
-        calls: Counter[str] = Counter()
-        real_segment = pipeline.segment
-
-        def counting_segment(doc, min_tokens):
-            calls[doc.id] += 1
-            return real_segment(doc, min_tokens)
-
-        monkeypatch.setattr(pipeline, "segment", counting_segment)
-        argv = ["ablate", "--config", str(config), "--mode", "hardest10"]
-        assert main(argv) == EXIT_OK
-        report = json.loads((tmp / "out" / "ablation_report.json").read_text())
-        assert report["results"]["iterations"] or report["results"]["stop_candidate_scores"]
-        assert calls == Counter(doc.id for doc in load_corpus(manifest).labelled())
-
     def test_verify_writes_verdict(self, corpus_dir):
         tmp, manifest = corpus_dir
         config = write_config(tmp, manifest, disputed="disputed-text", dro=True)
@@ -711,6 +695,40 @@ def test_readme_run_config_example_loads(tmp_path):
     assert run.pipeline.dro.target_positive_ratio == example["dro"]["target_positive_ratio"]
 
 
+def _minimal_pipeline(tmp_path: Path, sections: dict):
+    """The pipeline config of a file with the required keys and ``sections``."""
+    path = tmp_path / "run.json"
+    config = {"manifest": "m.csv", "features": {"blocks": ["char_ngrams"]}, **sections}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return load_run_config(path).pipeline
+
+
+@pytest.mark.parametrize(
+    "sections",
+    [
+        {},
+        {"segmentation": None, "learner": None, "dro": None},
+        {
+            "segmentation": {"min_tokens": None, "include_full_texts": None},
+            "learner": dict.fromkeys(["C", "C_grid", "inner_folds", "tolerance", "max_iterations"]),
+            "dro": {"enabled": False, "target_positive_ratio": None},
+        },
+    ],
+)
+def test_absent_or_null_keys_take_the_dataclass_defaults(tmp_path, sections):
+    pipeline_config = _minimal_pipeline(tmp_path, sections)
+    assert pipeline_config.segmentation == SegmentationConfig()
+    assert pipeline_config.learner == TrainConfig()
+    assert pipeline_config.dro is None
+
+
+@pytest.mark.parametrize(
+    "dro", [{}, {"enabled": True}, {"enabled": None, "target_positive_ratio": None}]
+)
+def test_an_enabled_dro_section_takes_the_dataclass_defaults(tmp_path, dro):
+    assert _minimal_pipeline(tmp_path, {"dro": dro}).dro == DroConfig()
+
+
 # Which of a fresh process's steps have loaded scipy.optimize: first the
 # modules every fit uses, then the CLI, a DRO ``loo`` on the default C grid
 # (its fits take the Gram/Newton path), and an ``attribute`` (multinomial
@@ -742,3 +760,47 @@ def test_scipy_optimize_is_imported_only_by_a_fit_that_runs_lbfgsb(corpus_dir):
     assert seen["import"] == seen["baseline"]
     assert seen["loo"] == seen["baseline"]
     assert seen["attribute"]
+
+
+# the BLAS thread variables that importing stylauth defaults to 1
+_BLAS_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _blas_env(**preset: str) -> dict:
+    """This process's environment with no BLAS thread variable but ``preset``."""
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_VARS}
+    return {**env, **preset}
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_importing_stylauth_defaults_blas_threads_to_one(preset):
+    script = f"import json, os, stylauth; print(json.dumps([os.environ[v] for v in {_BLAS_VARS}]))"
+    done = _run_python("-c", script, env=_blas_env(**preset))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [preset.get(var, "1") for var in _BLAS_VARS]
+
+
+def test_loo_payload_does_not_depend_on_unset_blas_threads(tmp_path):
+    # large enough for OpenBLAS to thread its products: on a machine with
+    # more than one CPU, threaded BLAS moves these posteriors in their last bits
+    manifest = make_styled_corpus(
+        tmp_path, {"Aldus": 2, "Benno": 2, "Castor": 2}, n_tokens=1200, seed=2
+    )
+    config = write_config(
+        tmp_path, manifest, extra={"segmentation": {"min_tokens": 60}, "learner": {}}
+    )
+    payloads = []
+    for env in (_blas_env(), _blas_env(**dict.fromkeys(_BLAS_VARS, "1"))):
+        done = _run_cli("loo", "--config", str(config), env=env)
+        assert done.returncode == EXIT_OK, done.stderr
+        payload = json.loads((tmp_path / "out" / "loo_report.json").read_text())
+        payload.pop("timing")
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import chisquare
 
-from stylauth import dro
+from stylauth import dro, learner
 from stylauth.dro import (
     DroConfig,
     extend,
@@ -288,7 +288,7 @@ class TestMixture:
         # wider than one densified chunk, with all-zero columns in both
         # chunks, point masses and shares far below the others
         rng = np.random.default_rng(23)
-        n, d = 6, dro._CHUNK_COLUMNS + 8
+        n, d = 6, learner._GRAM_CHUNK_COLUMNS + 8
         X = np.where(rng.random((n, d)) < 0.5, rng.random((n, d)) + 0.01, 0.0)
         X[:, [5, d - 12, d - 1]] = 0.0
         X[:, d - 4] = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
@@ -303,6 +303,26 @@ class TestMixture:
             P = latent_distributions(matrix, profiles)
             for i in range(matrix.shape[0]):
                 assert np.abs(P[i] - reference_mixture(matrix[i], X)).max() <= 1e-12, i
+
+    @pytest.mark.parametrize("width", [30, 2048, 2049, 2 * 2048 + 100])
+    def test_training_mixtures_equal_a_chunked_gram_loop(self, width):
+        # the training rows' mixtures as a loop of their own built them,
+        # 2048 densified columns at a time, before they took the learner's
+        # Gram matrix; no benchmark fold is wide enough to reach two chunks
+        rng = np.random.default_rng(width)
+        # at this density, about an eighth of the features are untrained
+        X = sp.random(40, width, density=0.05, random_state=rng, format="csr")
+        profiles = fit_profiles(X)
+        sums = profiles.column_sums
+        scale = np.divide(1.0, np.sqrt(sums), out=np.zeros_like(sums), where=sums > 0)
+        P = np.zeros((40, 40))
+        for start in range(0, width, 2048):
+            cols = slice(start, start + 2048)
+            block = X[:, cols].toarray() * scale[cols]
+            P += block @ block.T
+        totals = P.sum(axis=1, keepdims=True)
+        P = np.divide(P, totals, out=P, where=totals > 0)
+        assert latent_distributions(X, profiles).tobytes() == P.tobytes()
 
     def test_rows_are_distributions(self):
         X, rows = self._rows()

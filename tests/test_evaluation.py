@@ -7,6 +7,7 @@ import os
 import pickle
 import tempfile
 from collections import Counter
+from operator import attrgetter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,12 +21,15 @@ from stylauth import evaluation, experiments, metrics
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
 from stylauth.errors import EvaluationError
-from stylauth.evaluation import loo_pools, loo_run
+from stylauth.evaluation import LooStudy, loo_pools, loo_run, run_folds
 from stylauth.experiments import attribution_contingency
-from stylauth.features import FeatureBlock, FeatureConfig
+from stylauth.features import (
+    FeatureBlock, FeatureConfig, Instance, fit_feature_space, vectorize,
+)
 from stylauth.learner import Gram, TrainConfig, fits_in_row_basis
 from stylauth.pipeline import (
-    CountsCache, PipelineConfig, SegmentationConfig, fit_verifier, fold_vectors, predict_document,
+    CountsCache, PipelineConfig, SegmentationConfig, Vectors, VerificationClasses, fit_attributor,
+    fit_verifier, fits_on_grams, fold_vectors, predict_document, text_instances,
 )
 from stylauth.rng import stable_seed
 
@@ -248,6 +252,119 @@ class TestGramPath:
         assert {t: states.get(t) for t in confidences} == {
             "a": None, "b": "B", "c": None, "d": "D", "e": None
         }
+
+
+reference_problems = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "texts": st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2)),
+    "n_tokens": st.integers(60, 180),
+    "min_tokens": st.sampled_from([25, 40, 1000]),
+    "blocks": st.sets(st.sampled_from(BASE_BLOCKS), min_size=1),
+    "pools": st.lists(st.sets(st.sampled_from(BASE_BLOCKS), min_size=1), max_size=2),
+    "attribution": st.booleans(),
+    "dro": st.booleans(),
+    "c_grid": st.sampled_from([(1.0,), (0.1, 10.0)]),
+    "threads": st.sampled_from([1, 2]),
+    "kept_states": st.booleans(),
+})
+
+
+def reference_fold(study: LooStudy, held_out, config: PipelineConfig, master_seed: int):
+    """One fold in straight-line code, with no counts cache, pool
+    restriction, kept fold state or worker: its fit and its prediction.
+    """
+    train_docs = [d for d in study.texts if d.id != held_out.id]
+    instances = text_instances(train_docs, config.segmentation)
+    train = tuple(inst for doc in train_docs for inst in instances[doc.id])
+    space = fit_feature_space(train, config.features)
+    text = (Instance(doc=held_out),)
+    seed = stable_seed(master_seed, study.seed_label, held_out.id)
+    fitted = study.fit(Vectors(train, space, *vectorize(train, space)), config, seed)
+    return fitted, predict_document(fitted, Vectors(text, space, *vectorize(text, space)), seed)
+
+
+class TestReferenceFold:
+    """``run_folds`` records equal a straight-line fold's, for both studies."""
+
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(reference_problems)
+    def test_records_equal_the_reference_fold(self, problem):
+        seed = problem["seed"]
+        blocks = [b for b in BASE_BLOCKS if b in problem["blocks"]]
+        verifier = not problem["attribution"]
+        config = PipelineConfig(
+            features=FeatureConfig(
+                enabled_blocks=set(blocks),
+                ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2, 3}},
+                function_words=("et", "in", "ad", "non", "cum"),
+            ),
+            segmentation=SegmentationConfig(min_tokens=problem["min_tokens"]),
+            # Three iterations where folds may fit on block Grams, as in
+            # TestGramPath: rounding that differs between two bases can
+            # grow along a long fit.
+            learner=TrainConfig(
+                C_grid=problem["c_grid"],
+                inner_folds=2,
+                max_iterations=3 if verifier and not problem["dro"] else 1000,
+            ),
+            dro=DroConfig(target_positive_ratio=0.3) if problem["dro"] else None,
+            target_author="Aldus",
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            authors = {"Aldus": problem["texts"][0], "Benno": problem["texts"][1],
+                       "Castor": problem["texts"][2]}
+            manifest = make_styled_corpus(
+                Path(tmp), {a: n for a, n in authors.items() if n}, problem["n_tokens"], seed
+            )
+            corpus = load_corpus(manifest)
+        if verifier:
+            study = LooStudy(corpus.labelled(), "loo", fit_verifier, VerificationClasses("Aldus"))
+        else:
+            study = LooStudy(corpus.labelled(), "aa-loo", fit_attributor, attrgetter("author"))
+        pools = [blocks] + [[b for b in blocks if b in pool] for pool in problem["pools"]]
+        pools = [pool for pool in pools if pool]
+        cache = CountsCache(config.features)
+        states = evaluation.HardestFoldStates(2) if problem["kept_states"] else None
+        for _ in range(2 if states else 1):  # the second call reads the kept states
+            folds, outcomes, _ = run_folds(
+                study, config, pools, seed, problem["threads"], cache=cache, states=states
+            )
+
+        for pool, pool_outcomes in zip(pools, outcomes):
+            pool_config = config.with_blocks(pool)
+            for doc, (record, reason, _) in zip(folds, pool_outcomes):
+                held_out_class = study.class_of(doc)
+                if record is None:
+                    assert reason and all(
+                        study.class_of(d) != held_out_class for d in study.texts if d is not doc
+                    )
+                    continue
+                fitted, want = reference_fold(study, doc, pool_config, seed)
+                rows = len(fitted.training_instance_ids)
+                assert (record.text_id, record.author, record.true_class) == (
+                    doc.id, doc.author, held_out_class
+                )
+                assert record.columns_per_block == tuple(
+                    (b.value, end - start) for b, start, end in fitted.space.block_offsets
+                )
+                assert (record.training_rows, record.synthetic_positives) == (
+                    rows, fitted.synthetic_positives
+                )
+                assert (record.fitted_C, record.inner_cv_f1) == (
+                    fitted.chosen_C, fitted.inner_cv_f1
+                )
+                assert (record.converged, record.n_iter) == (
+                    fitted.model.converged, fitted.model.n_iter
+                )
+                assert record.prediction.classes == want.classes
+                if verifier and fits_on_grams(config, rows, fitted.space.dim):
+                    # summed from the fold's block Grams: equal up to rounding
+                    assert record.predicted_class == want.predicted_class
+                    np.testing.assert_allclose(
+                        record.prediction.posteriors, want.posteriors, rtol=0, atol=1e-8
+                    )
+                else:
+                    assert record.prediction.posteriors.tobytes() == want.posteriors.tobytes()
 
 
 class TestLeakage:

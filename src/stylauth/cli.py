@@ -38,7 +38,6 @@ from .pipeline import CountsCache, full_text_only_count, text_instances
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_CORPUS = 3
 EXIT_EXPERIMENT = 4
@@ -325,7 +324,12 @@ def main(argv: list[str] | None = None) -> int:
             run = replace(run, threads=args.threads)
         if args.output_dir is not None:
             run.output_dir = Path(args.output_dir)
-        run.output_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            run.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {run.output_dir}: {exc.strerror or exc}"
+            ) from None
         return COMMANDS[args.command](run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

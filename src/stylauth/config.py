@@ -72,7 +72,9 @@ def _parse_features(section: Any, base: Path) -> FeatureConfig:
             block = FeatureBlock(name)
         except ValueError:
             raise ConfigError(f"features.ngram_orders: unknown block {name!r}") from None
-        if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+        if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values
+        ):
             raise ConfigError(f"features.ngram_orders.{name}: must be a list of integers")
         orders[block] = frozenset(values)
 

@@ -15,15 +15,15 @@ One pass over the folds can score several feature-block pools
 (``loo_pools``): a fold fits its space and vectorizes once, over the
 config's blocks, and each pool takes its columns from those rows, which
 equals fitting the pool's space directly. ``loo_run`` is the one-pool case.
-A verifier fold whose fits may take Gram matrices (``pipeline.fits_on_grams``:
-DRO off, fits in a row basis) also builds each block's Gram matrix once
-(``FoldState``). Each pool that still fits on Grams then fits on the sum
-of its blocks' Grams, added in block order, with no copy of its training
-columns, and predicts from a copy of the held-out text's; other pools
-copy their columns. A caller may keep the states of the hardest texts'
-folds between calls (``HardestFoldStates``), as hardest-10 ablation does
-for its ten texts; a fold that reads a kept state vectorizes nothing.
-Every call segments the texts that train in its folds once.
+A verifier fold with DRO off also has its training rows carry each
+block's Gram matrix, built once (``Vectors.add_grams``), and
+``Vectors.restricted`` decides for each pool whether it fits on the sum of
+its blocks' Grams, with no copy of its training columns, or on a copy of
+them. Every pool predicts from a copy of the held-out text's columns. A
+caller may keep the vectors of the hardest texts' folds between calls
+(``HardestFoldStates``), as hardest-10 ablation does for its ten texts; a
+fold that reads kept vectors vectorizes nothing. Every call segments the
+texts that train in its folds once.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ from typing import Callable, Mapping, Sequence
 from .corpus import Corpus, Document
 from .errors import EvaluationError
 from .features import FeatureBlock, Instance
-from .learner import BlockGrams, Prediction, block_grams
+from .learner import Prediction
 from .metrics import ContingencyTable, f1, soft_f1, vanilla_accuracy
 from .pipeline import (
     CountsCache, FittedClassifier, PipelineConfig, Vectors, VerificationClasses,
-    counts_cache_for, document_instances, fit_verifier, fits_on_grams, fold_vectors,
-    full_text_only_count, predict_document, text_instances,
+    counts_cache_for, document_instances, fit_verifier, fold_vectors, full_text_only_count,
+    predict_document, text_instances,
 )
 from .rng import stable_seed
 
@@ -185,67 +185,38 @@ class LooStudy:
 FoldOutcome = tuple[TextPrediction | None, str | None, float]  # record, skip reason, seconds
 
 
-@dataclass(frozen=True, eq=False)
-class FoldState:
-    """What every pool of a fold shares: its training rows and held-out text
-    over the fold's space, and, when its verifier pools may fit on Grams,
-    the training rows' Gram matrix per block (``learner.block_grams``).
-    """
-
-    train: Vectors
-    text: Vectors
-    grams: BlockGrams | None  # per block: K_b = X_b X_bᵀ
-
-
 class HardestFoldStates:
-    """Fold states kept between calls, by held-out id: those of the ``size``
-    hardest texts (``LooReport.hardest_texts``) among the folds offered.
+    """Fold vectors kept between calls, by held-out id: the training rows and
+    held-out text (``fold_vectors``) of the ``size`` hardest texts
+    (``LooReport.hardest_texts``) among the folds offered.
 
-    Fold threads offer each state with block Grams that they build, ranked
-    by the fold's first record, so at most ``size`` states outlive their
-    folds. A later call on the same study, seed and cache, whose config's
-    blocks are a subset of the first call's, reads a kept state instead of
-    vectorizing the fold again: a state depends only on its fold, so what is
-    kept changes the work done, not the results. Only states are kept: each
-    call still segments its texts (``run_folds``).
+    Fold threads offer each fold's pair whose training rows carry block
+    Grams (``Vectors.add_grams``), ranked by the fold's first record, so at
+    most ``size`` pairs outlive their folds. A later call on the same study,
+    seed, cache and config, but for blocks that are a subset of the first
+    call's, reads a kept pair instead of vectorizing the fold again: a pair
+    depends only on its fold, so what is kept changes the work done, not
+    the results. A call under another config must not read them: the rows
+    would be wrong under another segmentation, and a verifier with DRO on
+    raises ``ExperimentError`` on rows that carry Grams (``fit_verifier``).
+    Only vectors are kept: each call still segments its texts (``run_folds``).
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self._kept: dict[str, tuple[tuple[float, str], FoldState]] = {}
+        self._kept: dict[str, tuple[tuple[float, str], tuple[Vectors, Vectors]]] = {}
         self._lock = threading.Lock()
 
-    def get(self, text_id: str) -> FoldState | None:
+    def get(self, text_id: str) -> tuple[Vectors, Vectors] | None:
         kept = self._kept.get(text_id)
         return None if kept is None else kept[1]
 
-    def offer(self, record: TextPrediction, state: FoldState) -> None:
+    def offer(self, record: TextPrediction, state: tuple[Vectors, Vectors]) -> None:
         """Keep ``state`` while its text is among the ``size`` hardest offered."""
         with self._lock:
             self._kept[record.text_id] = (_hardness(record), state)
             if len(self._kept) > self.size:
                 del self._kept[max(self._kept, key=lambda text_id: self._kept[text_id][0])]
-
-
-def _fold_state(
-    study: LooStudy,
-    held_out: Document,
-    train_docs: Sequence[Document],
-    config: PipelineConfig,
-    cache: CountsCache,
-    instances: Mapping[str, Sequence[Instance]],
-) -> FoldState:
-    """One vectorize call for the fold, and its block Grams when its verifier
-    fits may take them (``pipeline.fits_on_grams``).
-    """
-    train, text = fold_vectors(train_docs, [held_out], config, cache, instances)
-    if not (
-        isinstance(study.class_of, VerificationClasses)
-        and fits_on_grams(config, train.X.shape[0], train.space.dim)
-    ):
-        return FoldState(train, text, None)
-    offsets = [(start, end) for _, start, end in train.space.block_offsets]
-    return FoldState(train, text, block_grams(train.X, offsets))
 
 
 def _run_fold(
@@ -261,14 +232,13 @@ def _run_fold(
     """One fold for each pool, in pool order.
 
     The fold fits its space over the config's blocks and vectorizes its
-    training rows and the held-out text in one call (``_fold_state``); each
-    pool takes its columns from those rows. A verifier pool that fits on
-    Grams (``pipeline.fits_on_grams``) gets its training rows as a ``Gram``
-    summed from the fold's block Grams; other pools get a copy of their
-    training columns. Every pool copies the held-out text's columns. A
-    pool's seconds include the shared work. ``instances`` holds every
-    training text's instances (``text_instances``). ``states`` supplies
-    the fold's state if it kept one, and is offered the state built here.
+    training rows and the held-out text in one call (``fold_vectors``); in
+    a verifier study with DRO off, the training rows also carry their block
+    Grams (``Vectors.add_grams``). Each pool takes its rows from those
+    (``Vectors.restricted``). A pool's seconds include the shared work.
+    ``instances`` holds every training text's instances (``text_instances``).
+    ``states`` supplies the fold's vectors if it kept them, and is offered
+    those built here when they carry Grams.
     """
     start = time.perf_counter()
     fold_seed = stable_seed(master_seed, study.seed_label, held_out.id)
@@ -279,20 +249,21 @@ def _run_fold(
         log.warning("skipping fold %s: %s", held_out.id, reason)
         return [(None, reason, time.perf_counter() - start)] * len(pools)
 
-    state = None if states is None else states.get(held_out.id)
-    built = state is None
-    if built:
-        state = _fold_state(study, held_out, train_docs, config, cache, instances)
-    n = state.train.X.shape[0]
+    kept = None if states is None else states.get(held_out.id)
+    if kept is None:
+        fold_train, fold_text = fold_vectors(train_docs, [held_out], config, cache, instances)
+        if isinstance(study.class_of, VerificationClasses) and config.dro is None:
+            fold_train.add_grams()
+    else:
+        fold_train, fold_text = kept
     shared = time.perf_counter() - start
     out = []
     for blocks in pools:
         pool_start = time.perf_counter()
-        space, columns = state.train.space.restricted_to(blocks)
-        gram = state.grams is not None and fits_on_grams(config, n, space.dim)
-        train = state.train.restricted(space, columns, state.grams if gram else None)
+        space, columns = fold_train.space.restricted_to(blocks)
+        train = fold_train.restricted(space, columns)
         fitted = study.fit(train, config, fold_seed)
-        text = state.text.restricted(space, columns)
+        text = fold_text.restricted(space, columns)
         record = TextPrediction(
             text_id=held_out.id,
             author=held_out.author,
@@ -308,8 +279,8 @@ def _run_fold(
         )
         del train, fitted, text  # one pool's model and rows alive at a time
         out.append((record, None, shared + time.perf_counter() - pool_start))
-    if built and states is not None and state.grams is not None:
-        states.offer(out[0][0], state)
+    if kept is None and states is not None and fold_train.grams is not None:
+        states.offer(out[0][0], (fold_train, fold_text))
     return out
 
 
@@ -329,7 +300,7 @@ def run_folds(
     ``text_ids`` restricts which of the study's texts are held out; each
     fold still trains on all the others. A shared ``cache`` must extract the
     config's blocks as the config does (``counts_cache_for``). ``states``
-    keeps fold states between calls (``HardestFoldStates``); the instances
+    keeps fold vectors between calls (``HardestFoldStates``); the instances
     are built by every call, whatever it keeps.
     """
     texts = study.texts
@@ -391,7 +362,7 @@ def loo_pools(
     ``loo_run`` on ``config.with_blocks(pool)``; one pass over the folds
     (``run_folds``) scores them all. Every labelled text gets a fold unless
     ``text_ids`` says otherwise; disputed texts never participate.
-    ``states`` carries fold state between calls (``run_folds``).
+    ``states`` carries fold vectors between calls (``run_folds``).
     """
     target = config.target_author
     if target is None:

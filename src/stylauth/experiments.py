@@ -12,10 +12,10 @@ ties broken by mean confidence in the true class), which trades
 exhaustiveness for tractable runtimes on large corpora. One pass over the
 folds scores every candidate pool of a step (``loo_pools``): each fold
 fits its features once over the current pool and gives each candidate
-its blocks. In hardest-10 mode the full LOO keeps the fold states of the
-ten hardest texts so far (``HardestFoldStates``), with their per-block
-Gram matrices, and those serve every later step, so each labelled text's
-fold is vectorized once.
+its blocks. In hardest-10 mode the full LOO keeps the fold vectors of
+the ten hardest texts so far (``HardestFoldStates``), whose training rows
+carry their per-block Gram matrices, and those serve every later step, so
+each labelled text's fold is vectorized once.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def ablate(
 
     # A restricted fold trains on every other text, as the full LOO's fold
     # did, so in hardest-10 mode the full LOO also scores the initial pool,
-    # and each hardest text's fold state from it (its rows over the initial
-    # pool's space, and their block Grams) serves every later step.
+    # and each hardest text's fold vectors from it (its rows over the
+    # initial pool's space, carrying their block Grams) serve every later step.
     states = HardestFoldStates(HARDEST_POOL_SIZE) if mode == ABLATION_HARDEST10 else None
     initial = loo_run(
         corpus, config.with_blocks(pool), seed, threads=threads, cache=cache, states=states

@@ -823,14 +823,15 @@ def _gram_cv_predictions(
     return path
 
 
-def inner_cv_scores(
+def _inner_cv(
     X,
     y_idx: np.ndarray,
     n_classes: int,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> dict[float, float] | None:
-    """Pooled cross-validated score per grid value; None when CV is impossible.
+) -> tuple[dict[float, float] | None, _GramPath | None]:
+    """Pooled cross-validated score per grid value, None when CV is impossible,
+    and the Gram path when the scores came from it.
 
     Binary problems are scored with positive-class F1, multiclass with
     macro F1, matching the outer evaluation objective. Fold assignment is
@@ -848,17 +849,6 @@ def inner_cv_scores(
     with L-BFGS, and all multiclass problems fit with
     ``train_binary``/``train_multiclass``.
     """
-    return _inner_cv(X, y_idx, n_classes, config, rng)[0]
-
-
-def _inner_cv(
-    X,
-    y_idx: np.ndarray,
-    n_classes: int,
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> tuple[dict[float, float] | None, _GramPath | None]:
-    """``inner_cv_scores``, and the Gram path when the scores came from it."""
     counts = np.bincount(y_idx, minlength=n_classes)
     min_class = int(counts[counts > 0].min())
     k = min(config.inner_folds, min_class)

@@ -10,9 +10,9 @@ id and token range, serves every fold, block pool and segmentation.
 Within a fold, a block pool's vectors are a column slice of a larger
 pool's, with the kept blocks' raw count totals (``Vectors.restricted``),
 so one vectorized training set serves every pool the fold scores without
-the counts store. Given the fold's per-block Grams, a verifier's training
-rows that may fit on them (``fits_on_grams``) become a ``learner.Gram``
-instead, and copy no column.
+the counts store. Training rows that carry their per-block Grams
+(``Vectors.add_grams``) become a ``learner.Gram`` for every pool that fits
+in their row basis instead, and copy no column.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .features import (
     vectorize_counts,
 )
 from .learner import (
-    BlockGrams, Gram, Prediction, TrainConfig, TrainedModel, fits_in_row_basis, predict_proba,
-    train_binary, train_multiclass, tune_C,
+    BlockGrams, Gram, Prediction, TrainConfig, TrainedModel, block_grams, fits_in_row_basis,
+    predict_proba, train_binary, train_multiclass, tune_C,
 )
 from .rng import spawn_rng, stable_seed
 
@@ -75,40 +75,48 @@ class PipelineConfig:
 class Vectors:
     """Instances as TFIDF rows over a space, with their raw count totals per block.
 
-    The rows are a CSR matrix, except a verifier's training rows that may
-    fit on Gram matrices (``fits_on_grams``): those may be a ``Gram``
-    (``restricted``), which ``fit_verifier`` takes in place of the entries.
+    The rows are a CSR matrix, except where training rows that carry their
+    block Grams are restricted to a pool that fits in their row basis: there
+    they are a ``Gram`` (``restricted``), which only ``fit_verifier`` takes.
     """
 
     instances: tuple[Instance, ...]
     space: FeatureSpace
     X: sp.csr_matrix | Gram
     block_totals: np.ndarray  # one row per instance, one column per block of the space
+    grams: BlockGrams | None = None  # per block of the space: K_b = X_b X_bᵀ (``add_grams``)
 
     @property
     def occurrences(self) -> np.ndarray:
         """Each instance's raw count total over the space's blocks."""
         return self.block_totals.sum(axis=1)
 
-    def restricted(
-        self, space: FeatureSpace, columns: np.ndarray, grams: BlockGrams | None = None
-    ) -> "Vectors":
+    def add_grams(self) -> None:
+        """Carry the rows' Gram matrix per block of the space, and their
+        transpose (``learner.block_grams``), if they fit in a row basis
+        (``learner.fits_in_row_basis``); else carry none.
+        """
+        if fits_in_row_basis(*self.X.shape):
+            offsets = [(start, end) for _, start, end in self.space.block_offsets]
+            self.grams = block_grams(self.X, offsets)
+
+    def restricted(self, space: FeatureSpace, columns: np.ndarray) -> "Vectors":
         """These instances over ``space``, where ``(space, columns)`` is
         ``self.space.restricted_to(blocks)``: equal to vectorizing them in ``space``.
 
-        ``grams``, these training rows' Gram matrices per block of
-        ``self.space`` (``learner.block_grams``), makes the rows a ``Gram``
-        that sums the kept blocks' in block order, with Xᵀ products on
-        ``self.X`` and no column copied.
+        Rows that carry block Grams (``add_grams``) become a ``Gram`` for a
+        pool that fits in their row basis: its K sums the kept blocks' in
+        block order, with Xᵀ products on ``self.X`` and no column copied.
+        Otherwise the rows are a copy of their columns.
         """
-        if space is self.space and grams is None:
+        if space is self.space and self.grams is None:
             return self
         kept = [i for i, (b, _, _) in enumerate(self.space.block_offsets) if b in space.vocab]
-        if grams is None:
+        if self.grams is not None and fits_in_row_basis(self.X.shape[0], space.dim):
+            X = self.grams.gram(kept, columns)
+        else:
             X = self.X[:, columns]
             X.sort_indices()
-        else:
-            X = grams.gram(kept, columns)
         return Vectors(self.instances, space, X, self.block_totals[:, kept])
 
 
@@ -283,14 +291,6 @@ def fold_vectors(
     )
 
 
-def fits_on_grams(config: PipelineConfig, rows: int, dim: int) -> bool:
-    """Whether ``fit_verifier`` may take ``rows`` training rows over ``dim``
-    columns as a ``learner.Gram``: DRO off, since oversampling reads the
-    entries, and a fit in the row basis (``learner.fits_in_row_basis``).
-    """
-    return config.dro is None and fits_in_row_basis(rows, dim)
-
-
 def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedClassifier:
     """(Optionally) oversample, tune C, and train on vectorized training instances.
 
@@ -298,13 +298,14 @@ def fit_verifier(train: Vectors, config: PipelineConfig, seed: int) -> FittedCla
     Gram-space Newton solution at the chosen C (``tune_C``), with weights
     w = Xᵀα, and ``train_binary`` returns that start as the model when its
     gradient is already within tolerance (``learner._fit``). Other final
-    fits start L-BFGS from zeros. Rows given as a ``Gram`` (``fits_on_grams``)
-    tune C and train on its K, with no copy of their entries.
+    fits start L-BFGS from zeros. Rows given as a ``Gram`` (``Vectors.restricted``)
+    tune C and train on its K, with no copy of their entries; they need DRO
+    off, since oversampling reads the entries.
     """
     if config.target_author is None:
         raise ExperimentError("pipeline config needs a target_author for verification")
     instances, space, X = train.instances, train.space, train.X
-    if isinstance(X, Gram) and not fits_on_grams(config, *X.shape):
+    if isinstance(X, Gram) and (config.dro is not None or not fits_in_row_basis(*X.shape)):
         raise ExperimentError("training rows given as a Gram need DRO off and a row-basis fit")
     class_of = VerificationClasses(config.target_author)
     y = np.asarray([class_of(inst.doc) == class_of.target for inst in instances], dtype=np.int64)

@@ -186,6 +186,14 @@ class TestExitCodes:
         assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
         assert f"error: {section}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("orders", [[True, 2], [1, False], "1", [1.5], {"1": 1}])
+    def test_ngram_orders_that_are_not_integers_rejected(self, tmp_path, capsys, orders):
+        features = {"blocks": ["char_ngrams"], "ngram_orders": {"char_ngrams": orders}}
+        config = write_config(tmp_path, tmp_path / "manifest.csv", extra={"features": features})
+        assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "features.ngram_orders.char_ngrams: must be a list of integers" in err
+
     @pytest.mark.parametrize(
         "learner, message",
         [
@@ -240,6 +248,19 @@ class TestExitCodes:
         prefix = "corpus error: " if code == EXIT_CORPUS else "config error: "
         assert result.stderr.startswith(prefix)
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("output_dir", ["a-file", "a-file/out"])
+    def test_output_dir_that_cannot_be_made_is_a_config_error(
+        self, corpus_dir, capsys, output_dir
+    ):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest)
+        (tmp / "a-file").write_text("", encoding="utf-8")
+        path = tmp / output_dir
+        assert main(["ingest", "--config", str(config), "--output-dir", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {path}: ")
+        assert err.count("\n") == 1
 
     def test_verify_without_disputed_text_fails(self, tmp_path):
         manifest = make_styled_corpus(tmp_path, {"Aldus": 2, "Benno": 2}, n_tokens=150)

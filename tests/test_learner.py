@@ -20,11 +20,11 @@ from stylauth.dro import DroConfig, extended_to_csr, fit_profiles, oversample
 from stylauth import learner
 from stylauth.learner import (
     TrainConfig,
+    _inner_cv,
     _stratified_fold_ids,
     TrainedModel,
     binary_objective,
     explain,
-    inner_cv_scores,
     multiclass_objective,
     predict_proba,
     predict_proba_matrix,
@@ -665,7 +665,7 @@ class TestTuneC:
         y[:2] = [0, 1]
         config = TrainConfig(C_grid=(0.01, 0.1, 1.0, 10.0), inner_folds=3)
         chosen, tuned_scores, _ = tune_C(X, y, config, 9)
-        scores = inner_cv_scores(X, y, 2, config, np.random.default_rng(9))
+        scores = _inner_cv(X, y, 2, config, np.random.default_rng(9))[0]
         assert scores is not None
         assert list(tuned_scores.items()) == [(c, scores[c]) for c in config.C_grid]
         assert scores[chosen] == max(scores.values())
@@ -748,14 +748,14 @@ class TestTuneC:
                 return model
 
             monkeypatch.setattr(learner, name, counted)
-        got = inner_cv_scores(X, y_idx, n_classes, config, np.random.default_rng(5))
+        got = _inner_cv(X, y_idx, n_classes, config, np.random.default_rng(5))[0]
         assert got == want
         if n_classes == 2:
             # binary inner CV at this size fits in Gram space, not through
             # train_binary; the warm-started L-BFGS path runs above the bound
             assert warm_iters == []
             monkeypatch.setattr(learner, "_GRAM_MAX_ROWS", X.shape[0] - 1)
-            got = inner_cv_scores(X, y_idx, n_classes, config, np.random.default_rng(5))
+            got = _inner_cv(X, y_idx, n_classes, config, np.random.default_rng(5))[0]
             assert got == want
         assert len(warm_iters) == len(config.C_grid) * config.inner_folds
         assert sum(warm_iters) < cold_iters
@@ -906,7 +906,7 @@ class TestGramPath:
         want, _ = TestTuneC._cold_start_scores(X, y, 2, config, np.random.default_rng(6))
         fits = []
         monkeypatch.setattr(learner, "train_binary", lambda *a, **k: fits.append(1))
-        assert inner_cv_scores(X, y, 2, config, np.random.default_rng(6)) == want
+        assert _inner_cv(X, y, 2, config, np.random.default_rng(6))[0] == want
         assert fits == []
 
     @pytest.mark.parametrize("extra_rows, fits", [(0, 0), (1, 4)])
@@ -924,7 +924,7 @@ class TestGramPath:
 
         monkeypatch.setattr(learner, "train_binary", counted)
         config = TrainConfig(C_grid=(0.1, 1.0), inner_folds=2)
-        inner_cv_scores(X, y, 2, config, np.random.default_rng(7))
+        _inner_cv(X, y, 2, config, np.random.default_rng(7))[0]
         assert len(calls) == fits
 
     def test_all_zero_matrix_ties_toward_smallest_c(self):
@@ -937,14 +937,14 @@ class TestGramPath:
     def test_non_finite_matrix_rejected(self):
         X = np.array([[1.0], [np.inf], [0.5], [-1.0]])
         with pytest.raises(LearnerError):
-            inner_cv_scores(X, np.array([0, 1, 0, 1]), 2, TrainConfig(inner_folds=2),
-                            np.random.default_rng(9))
+            _inner_cv(X, np.array([0, 1, 0, 1]), 2, TrainConfig(inner_folds=2),
+                      np.random.default_rng(9))[0]
 
     def test_iteration_cap_logs_the_lbfgs_warning(self, caplog):
         X, y = _gram_fixture("sparse")
         config = TrainConfig(max_iterations=1, inner_folds=3)
         with caplog.at_level("WARNING"):
-            inner_cv_scores(X, y, 2, config, np.random.default_rng(10))
+            _inner_cv(X, y, 2, config, np.random.default_rng(10))[0]
         stopped = [r.getMessage() for r in caplog.records if "optimizer stopped" in r.message]
         assert stopped
         assert all(m.startswith("optimizer stopped after 1 iterations with gradient norm")

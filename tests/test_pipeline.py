@@ -19,7 +19,8 @@ from stylauth.features import (
     fit_feature_space_from_counts,
     vectorize_counts,
 )
-from stylauth.learner import TrainConfig
+from stylauth import learner
+from stylauth.learner import Gram, TrainConfig
 from stylauth.pipeline import (
     CountsCache,
     PipelineConfig,
@@ -223,6 +224,54 @@ class TestVectors:
         assert np.array_equal(pool.block_totals, direct.block_totals)
         assert np.array_equal(pool.occurrences, direct.occurrences)
         assert full.restricted(full.space, np.arange(full.space.dim)) is full
+
+
+class TestBlockGrams:
+    """``Vectors.restricted`` on rows that carry block Grams (``add_grams``)."""
+
+    @pytest.fixture
+    def train(self, corpus):
+        config = fast_config()
+        config.features = FeatureConfig(
+            enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+            ngram_orders={FeatureBlock.CHAR_NGRAMS: {1, 2}},
+        )
+        cache = CountsCache(config.features)
+        return fold_vectors(training_documents(corpus), (), config, cache)[0]
+
+    def test_a_pool_wider_than_its_rows_gets_a_gram_summed_from_the_blocks(self, train):
+        train.add_grams()
+        assert train.grams is not None
+        for blocks in ({FeatureBlock.CHAR_NGRAMS}, set(train.space.vocab)):
+            space, columns = train.space.restricted_to(blocks)
+            assert space.dim > train.X.shape[0]
+            pool = train.restricted(space, columns)
+            assert isinstance(pool.X, Gram) and pool.X.shape == (train.X.shape[0], space.dim)
+            assert pool.X.XT is train.grams.XT and np.array_equal(pool.X.columns, columns)
+            kept = [i for i, (b, _, _) in enumerate(train.space.block_offsets) if b in blocks]
+            assert np.array_equal(pool.X.K, sum(train.grams.blocks[i] for i in kept))
+            copied = train.X[:, columns]
+            np.testing.assert_allclose(pool.X.K, (copied @ copied.T).toarray(), rtol=1e-12)
+            assert np.array_equal(pool.X.rmatmul(np.eye(train.X.shape[0])), copied.T.toarray())
+            assert np.array_equal(pool.block_totals, train.block_totals[:, kept])
+
+    def test_a_pool_not_wider_than_its_rows_gets_a_copy_of_its_columns(self, train):
+        train.add_grams()
+        space, columns = train.space.restricted_to({FeatureBlock.TOKEN_LENGTHS})
+        assert space.dim <= train.X.shape[0]
+        pool = train.restricted(space, columns)
+        assert not isinstance(pool.X, Gram)
+        assert (pool.X != train.X[:, columns]).nnz == 0
+
+    def test_rows_above_the_basis_bound_carry_no_grams(self, train, monkeypatch):
+        monkeypatch.setattr(learner, "_BASIS_MAX_ROWS", train.X.shape[0] - 1)
+        train.add_grams()
+        assert train.grams is None
+        assert train.restricted(train.space, np.arange(train.space.dim)) is train
+        space, columns = train.space.restricted_to({FeatureBlock.CHAR_NGRAMS})
+        pool = train.restricted(space, columns)
+        assert not isinstance(pool.X, Gram)
+        assert (pool.X != train.X[:, columns]).nnz == 0
 
 
 class TestFoldVectors:

@@ -168,11 +168,8 @@ def cmd_ablate(run: RunConfig, args: argparse.Namespace) -> int:
     for pool, candidate_scores in steps:
         for block, score in candidate_scores.items():
             rows.append([len(rows), "|".join(b.value for b in pool), block.value, *score])
-    write_csv(
-        run.output_dir / "ablation_scores.csv",
-        ["row", "pool", "removed_block", "score", "tiebreak"],
-        rows,
-    )
+    scores = ["score", "tiebreak"] if mode == ABLATION_HARDEST10 else ["score"]
+    write_csv(run.output_dir / "ablation_scores.csv", ["row", "pool", "removed_block", *scores], rows)
     print(
         f"ablation ({mode}): kept {[b.value for b in report.final_pool]} "
         f"after {len(report.iterations)} removal(s)"
@@ -246,10 +243,7 @@ def cmd_similar(run: RunConfig, args: argparse.Namespace) -> int:
     corpus = load_corpus(run.manifest)
     if run.disputed_id is None:
         raise StylauthError("config has no disputed_id; nothing to rank against")
-    top_k = args.top_k if args.top_k is not None else run.similar_top_k
-    if top_k < 1:
-        raise ConfigError(f"the similarity top-k must be at least 1, got {top_k}")
-    ranking = rank_similar(corpus, run.disputed_id, run.pipeline, top_k=top_k)
+    ranking = rank_similar(corpus, run.disputed_id, run.pipeline, top_k=run.similar_top_k)
     write_report(
         run.output_dir / "similarity_report.json",
         _report_meta("similar", run, corpus),
@@ -322,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
             run.seed = args.seed
         if getattr(args, "threads", None) is not None:
             run = replace(run, threads=args.threads)
+        if getattr(args, "top_k", None) is not None:
+            run = replace(run, similar_top_k=args.top_k)
         if args.output_dir is not None:
             run.output_dir = Path(args.output_dir)
         try:

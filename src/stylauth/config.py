@@ -29,6 +29,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
+        if self.similar_top_k < 1:
+            raise ConfigError(f"similar_top_k must be at least 1, got {self.similar_top_k}")
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:

@@ -5,11 +5,12 @@ verifier or attributor on every other text plus the segments derived from
 those texts (the held-out text contributes no segments, and the feature
 space, IDF statistics, oversampling profiles, and hyperparameter C are all
 refit from scratch inside the fold), then applies it to the held-out text
-in full. Folds are independent and run on a thread pool of at most
-``threads`` workers, capped at the CPU count and the number of folds; one
-worker runs them inline, with no pool. Each fold derives its own
-randomness from (master seed, study label, held-out id), so reports are
-byte-identical regardless of thread count.
+in full. Folds are independent, write no shared state (``run_folds``
+makes every write), and run on a thread pool of at most ``threads``
+workers, capped at the CPU count and the number of folds; one worker runs
+them inline, with no pool. Each fold derives its own randomness from
+(master seed, study label, held-out id), so reports are byte-identical
+regardless of thread count.
 
 One pass over the folds can score several feature-block pools
 (``loo_pools``): a fold fits its space and vectorizes once, over the
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -190,9 +191,10 @@ class HardestFoldStates:
     held-out text (``fold_vectors``) of the ``size`` hardest texts
     (``LooReport.hardest_texts``) among the folds offered.
 
-    Fold threads offer each fold's pair whose training rows carry block
-    Grams (``Vectors.add_grams``), ranked by the fold's first record, so at
-    most ``size`` pairs outlive their folds. A later call on the same study,
+    ``run_folds`` offers each fold's pair whose training rows carry block
+    Grams (``Vectors.add_grams``), ranked by the fold's first record; the
+    order of the offers does not change which are kept, and at most
+    ``size`` pairs outlive their folds. A later call on the same study,
     seed, cache and config, but for blocks that are a subset of the first
     call's, reads a kept pair instead of vectorizing the fold again: a pair
     depends only on its fold, so what is kept changes the work done, not
@@ -205,7 +207,6 @@ class HardestFoldStates:
     def __init__(self, size: int) -> None:
         self.size = size
         self._kept: dict[str, tuple[tuple[float, str], tuple[Vectors, Vectors]]] = {}
-        self._lock = threading.Lock()
 
     def get(self, text_id: str) -> tuple[Vectors, Vectors] | None:
         kept = self._kept.get(text_id)
@@ -213,10 +214,9 @@ class HardestFoldStates:
 
     def offer(self, record: TextPrediction, state: tuple[Vectors, Vectors]) -> None:
         """Keep ``state`` while its text is among the ``size`` hardest offered."""
-        with self._lock:
-            self._kept[record.text_id] = (_hardness(record), state)
-            if len(self._kept) > self.size:
-                del self._kept[max(self._kept, key=lambda text_id: self._kept[text_id][0])]
+        self._kept[record.text_id] = (_hardness(record), state)
+        if len(self._kept) > self.size:
+            del self._kept[max(self._kept, key=lambda text_id: self._kept[text_id][0])]
 
 
 def _run_fold(
@@ -227,18 +227,18 @@ def _run_fold(
     cache: CountsCache,
     master_seed: int,
     instances: Mapping[str, Sequence[Instance]],
-    states: HardestFoldStates | None = None,
-) -> list[FoldOutcome]:
-    """One fold for each pool, in pool order.
+    kept: tuple[Vectors, Vectors] | None = None,
+) -> tuple[list[FoldOutcome], tuple[Vectors, Vectors] | None]:
+    """One fold's outcome for each pool, in pool order, and the vectors it
+    built if its training rows carry block Grams (else None).
 
     The fold fits its space over the config's blocks and vectorizes its
-    training rows and the held-out text in one call (``fold_vectors``); in
-    a verifier study with DRO off, the training rows also carry their block
-    Grams (``Vectors.add_grams``). Each pool takes its rows from those
+    training rows and the held-out text in one call (``fold_vectors``),
+    unless ``kept`` holds them from an earlier call; in a verifier study
+    with DRO off, the training rows also carry their block Grams
+    (``Vectors.add_grams``). Each pool takes its rows from those
     (``Vectors.restricted``). A pool's seconds include the shared work.
     ``instances`` holds every training text's instances (``text_instances``).
-    ``states`` supplies the fold's vectors if it kept them, and is offered
-    those built here when they carry Grams.
     """
     start = time.perf_counter()
     fold_seed = stable_seed(master_seed, study.seed_label, held_out.id)
@@ -247,9 +247,8 @@ def _run_fold(
     if all(study.class_of(d) != held_out_class for d in train_docs):
         reason = f"class {held_out_class} absent from training set"
         log.warning("skipping fold %s: %s", held_out.id, reason)
-        return [(None, reason, time.perf_counter() - start)] * len(pools)
+        return [(None, reason, time.perf_counter() - start)] * len(pools), None
 
-    kept = None if states is None else states.get(held_out.id)
     if kept is None:
         fold_train, fold_text = fold_vectors(train_docs, [held_out], config, cache, instances)
         if isinstance(study.class_of, VerificationClasses) and config.dro is None:
@@ -279,9 +278,7 @@ def _run_fold(
         )
         del train, fitted, text  # one pool's model and rows alive at a time
         out.append((record, None, shared + time.perf_counter() - pool_start))
-    if kept is None and states is not None and fold_train.grams is not None:
-        states.offer(out[0][0], (fold_train, fold_text))
-    return out
+    return out, (fold_train, fold_text) if kept is None and fold_train.grams is not None else None
 
 
 def run_folds(
@@ -301,7 +298,9 @@ def run_folds(
     fold still trains on all the others. A shared ``cache`` must extract the
     config's blocks as the config does (``counts_cache_for``). ``states``
     keeps fold vectors between calls (``HardestFoldStates``); the instances
-    are built by every call, whatever it keeps.
+    are built by every call, whatever it keeps. Folds only read: this call
+    builds the store's rows and matrix and reads each fold's kept vectors
+    before dispatch, and offers the vectors a fold built as it returns.
     """
     texts = study.texts
     if text_ids is not None:
@@ -327,22 +326,25 @@ def run_folds(
     fold_ids = {d.id for d in folds}
     trained = [d for d in texts if fold_ids - {d.id}]
     # Segment each text that trains in some fold once, and extract every
-    # instance the folds read before dispatching them, so that no two fold
-    # threads extract the same instance: those texts' instances, plus each
-    # held-out text in full.
+    # instance the folds read, then build the store's matrix, before
+    # dispatching them, so that folds only read the store: those texts'
+    # instances, plus each held-out text in full.
     instances = text_instances(trained, config.segmentation)
     cache.rows(document_instances(trained, config.segmentation, instances))
     cache.rows(Instance(doc=d) for d in folds)
+    cache.counts()
+    kept = [None if states is None else states.get(d.id) for d in folds]
 
-    def fold_outcomes(doc: Document) -> list[FoldOutcome]:
-        return _run_fold(study, doc, config, pools, cache, seed, instances, states)
+    def fold_outcomes(doc: Document, doc_kept: tuple[Vectors, Vectors] | None):
+        return _run_fold(study, doc, config, pools, cache, seed, instances, doc_kept)
 
     workers = min(threads, _usable_cpus(), len(folds))
-    if workers == 1:
-        results = list(map(fold_outcomes, folds))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fold_outcomes, folds))
+    results = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for outcomes, built in (pool.map if pool else map)(fold_outcomes, folds, kept):
+            if built is not None and states is not None:
+                states.offer(outcomes[0][0], built)
+            results.append(outcomes)
     return folds, [[fold[i] for fold in results] for i in range(len(pools))], instances
 
 

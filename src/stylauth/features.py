@@ -508,8 +508,8 @@ class CountsStore:
     Each block's keys are interned once (list blocks start with their whole
     list). ``counts`` puts the config's blocks side by side in
     ``blocks_in_order()``, each block's columns in key order, an order any
-    column subset keeps, and holds each row's count total per block. The
-    store is not thread-safe while it grows.
+    column subset keeps, and holds each row's count total per block. It is
+    not thread-safe while it grows or while ``counts`` builds its matrix.
     """
 
     def __init__(self, config: FeatureConfig):

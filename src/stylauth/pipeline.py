@@ -126,8 +126,8 @@ class CountsCache(CountsStore):
     A request extracts each instance it has not seen before, except a full
     text that the same request also holds tiling segments of: its counts
     are summed from theirs (``counts_from_segments``). The store grows only
-    in ``rows``, and growing mutates its vocabularies, so callers fill it
-    before reading it from fold threads.
+    in ``rows``, mutating its vocabularies, so ``run_folds`` fills it and
+    builds its matrix before any fold runs; folds only read it.
     """
 
     def __init__(self, config: FeatureConfig):

@@ -283,6 +283,13 @@ class TestExitCodes:
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp / "out" / "similarity_report.json").exists()
 
+    def test_similar_top_k_below_one_rejected_by_every_command(self, corpus_dir, capsys):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest, extra={"similar_top_k": 0})
+        assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
+        assert "similar_top_k must be at least 1" in capsys.readouterr().err
+        assert not (tmp / "out" / "loo_report.json").exists()
+
     @pytest.mark.parametrize("replicas", ["0", "-1"])
     def test_verify_replicas_below_one_rejected(self, corpus_dir, capsys, replicas):
         tmp, manifest = corpus_dir
@@ -490,6 +497,15 @@ class TestCommands:
         final_pool = "|".join(results["final_pool"])
         assert {r["removed_block"]: [float(r["score"]), float(r["tiebreak"])]
                 for r in rows[steps:] if r["pool"] == final_pool} == stop
+
+    def test_exact_ablation_csv_has_one_score_column(self, corpus_dir):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest)
+        assert main(["ablate", "--config", str(config), "--mode", "exact"]) == EXIT_OK
+        with (tmp / "out" / "ablation_scores.csv").open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["row", "pool", "removed_block", "score"]
+        assert rows and all(len(row) == len(header) for row in rows)
 
     def test_payload_key_sets_are_pinned(self, corpus_dir):
         # A payload is its report's fields, so a new field shows up here.

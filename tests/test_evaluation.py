@@ -6,11 +6,13 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 from collections import Counter
 from operator import attrgetter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from stylauth.errors import EvaluationError
 from stylauth.evaluation import LooStudy, loo_pools, loo_run, run_folds
 from stylauth.experiments import attribution_contingency
 from stylauth.features import (
-    FeatureBlock, FeatureConfig, Instance, fit_feature_space, vectorize,
+    CountsStore, FeatureBlock, FeatureConfig, Instance, fit_feature_space, vectorize,
 )
 from stylauth.learner import Gram, TrainConfig, fits_in_row_basis
 from stylauth.pipeline import (
@@ -105,6 +107,35 @@ class TestFolds:
         loo_run(small_corpus, config, seed=1, threads=64, text_ids=[first])
         loo_run(small_corpus, config, seed=1, threads=1)
         assert requested == ([workers] if workers > 1 else [])
+
+    def test_counts_matrix_built_once_on_the_calling_thread(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)  # a pool on any machine
+        builds = []
+        real = CountsStore.counts
+
+        def recording(store):
+            if store._counts is None:
+                builds.append(threading.get_ident())
+            return real(store)
+
+        monkeypatch.setattr(CountsStore, "counts", recording)
+        loo_run(small_corpus, fast_pipeline("Aldus"), seed=1, threads=2)
+        assert builds == [threading.get_ident()]
+
+    def test_fold_vectors_offered_on_the_calling_thread(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)  # a pool on any machine
+        offers = []
+        real = evaluation.HardestFoldStates.offer
+
+        def recording(states, record, state):
+            offers.append(threading.get_ident())
+            real(states, record, state)
+
+        monkeypatch.setattr(evaluation.HardestFoldStates, "offer", recording)
+        states = evaluation.HardestFoldStates(2)
+        loo_run(small_corpus, fast_pipeline("Aldus"), seed=1, threads=2, states=states)
+        # every fold's rows carry block Grams, so every fold offers its vectors
+        assert offers == [threading.get_ident()] * len(small_corpus.labelled())
 
     def test_missing_target_author_rejected(self, small_corpus):
         config = fast_pipeline("Aldus")
@@ -264,8 +295,7 @@ reference_problems = st.fixed_dictionaries({
     "attribution": st.booleans(),
     "dro": st.booleans(),
     "c_grid": st.sampled_from([(1.0,), (0.1, 10.0)]),
-    "threads": st.sampled_from([1, 2]),
-    "kept_states": st.booleans(),
+    "subset": st.sets(st.sampled_from(BASE_BLOCKS), min_size=1),
 })
 
 
@@ -284,7 +314,9 @@ def reference_fold(study: LooStudy, held_out, config: PipelineConfig, master_see
 
 
 class TestReferenceFold:
-    """``run_folds`` records equal a straight-line fold's, for both studies."""
+    """``run_folds`` records equal a straight-line fold's, for both studies,
+    on a pool of two workers, in both calls that hardest-10 ablation makes.
+    """
 
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(reference_problems)
@@ -321,50 +353,65 @@ class TestReferenceFold:
             study = LooStudy(corpus.labelled(), "loo", fit_verifier, VerificationClasses("Aldus"))
         else:
             study = LooStudy(corpus.labelled(), "aa-loo", fit_attributor, attrgetter("author"))
-        pools = [blocks] + [[b for b in blocks if b in pool] for pool in problem["pools"]]
-        pools = [pool for pool in pools if pool]
-        cache = CountsCache(config.features)
-        states = evaluation.HardestFoldStates(2) if problem["kept_states"] else None
-        for _ in range(2 if states else 1):  # the second call reads the kept states
-            folds, outcomes, _ = run_folds(
-                study, config, pools, seed, problem["threads"], cache=cache, states=states
-            )
 
-        for pool, pool_outcomes in zip(pools, outcomes):
-            pool_config = config.with_blocks(pool)
-            for doc, (record, reason, _) in zip(folds, pool_outcomes):
-                held_out_class = study.class_of(doc)
-                if record is None:
-                    assert reason and all(
-                        study.class_of(d) != held_out_class for d in study.texts if d is not doc
-                    )
-                    continue
-                fitted, want = reference_fold(study, doc, pool_config, seed)
-                rows = len(fitted.training_instance_ids)
-                assert (record.text_id, record.author, record.true_class) == (
-                    doc.id, doc.author, held_out_class
+        def pools_of(blocks):
+            pools = [blocks] + [[b for b in blocks if b in pool] for pool in problem["pools"]]
+            return [pool for pool in pools if pool]
+
+        cache = CountsCache(config.features)
+        states = evaluation.HardestFoldStates(2)
+        # two workers, so that the folds run on a pool on any machine
+        with mock.patch.object(evaluation, "_usable_cpus", return_value=2):
+            pools = pools_of(blocks)
+            folds, outcomes, _ = run_folds(study, config, pools, seed, 2, None, cache, states)
+            calls = [(pools, folds, outcomes)]
+            # The next call hardest-10 ablation makes: fewer blocks, only the
+            # hardest texts held out, reading the vectors kept above.
+            records = [record for record, _, _ in outcomes[0] if record is not None]
+            hardest = [r.text_id for r in sorted(records, key=evaluation._hardness)[:2]]
+            pools = pools_of([b for b in blocks if b in problem["subset"]] or blocks)
+            folds, outcomes, _ = run_folds(
+                study, config.with_blocks(pools[0]), pools, seed, 2, hardest, cache, states
+            )
+            calls.append((pools, folds, outcomes))
+
+        checks = [
+            (pool, doc, outcome)
+            for pools, folds, outcomes in calls
+            for pool, pool_outcomes in zip(pools, outcomes)
+            for doc, outcome in zip(folds, pool_outcomes)
+        ]
+        for pool, doc, (record, reason, _) in checks:
+            held_out_class = study.class_of(doc)
+            if record is None:
+                assert reason and all(
+                    study.class_of(d) != held_out_class for d in study.texts if d is not doc
                 )
-                assert record.columns_per_block == tuple(
-                    (b.value, end - start) for b, start, end in fitted.space.block_offsets
+                continue
+            fitted, want = reference_fold(study, doc, config.with_blocks(pool), seed)
+            rows = len(fitted.training_instance_ids)
+            assert (record.text_id, record.author, record.true_class) == (
+                doc.id, doc.author, held_out_class
+            )
+            assert record.columns_per_block == tuple(
+                (b.value, end - start) for b, start, end in fitted.space.block_offsets
+            )
+            assert (record.training_rows, record.synthetic_positives) == (
+                rows, fitted.synthetic_positives
+            )
+            assert (record.fitted_C, record.inner_cv_f1) == (fitted.chosen_C, fitted.inner_cv_f1)
+            assert (record.converged, record.n_iter) == (
+                fitted.model.converged, fitted.model.n_iter
+            )
+            assert record.prediction.classes == want.classes
+            if verifier and config.dro is None and fits_in_row_basis(rows, fitted.space.dim):
+                # summed from the fold's block Grams: equal up to rounding
+                assert record.predicted_class == want.predicted_class
+                np.testing.assert_allclose(
+                    record.prediction.posteriors, want.posteriors, rtol=0, atol=1e-8
                 )
-                assert (record.training_rows, record.synthetic_positives) == (
-                    rows, fitted.synthetic_positives
-                )
-                assert (record.fitted_C, record.inner_cv_f1) == (
-                    fitted.chosen_C, fitted.inner_cv_f1
-                )
-                assert (record.converged, record.n_iter) == (
-                    fitted.model.converged, fitted.model.n_iter
-                )
-                assert record.prediction.classes == want.classes
-                if verifier and config.dro is None and fits_in_row_basis(rows, fitted.space.dim):
-                    # summed from the fold's block Grams: equal up to rounding
-                    assert record.predicted_class == want.predicted_class
-                    np.testing.assert_allclose(
-                        record.prediction.posteriors, want.posteriors, rtol=0, atol=1e-8
-                    )
-                else:
-                    assert record.prediction.posteriors.tobytes() == want.posteriors.tobytes()
+            else:
+                assert record.prediction.posteriors.tobytes() == want.posteriors.tobytes()
 
 
 class TestLeakage:

@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         if threaded:
             p.add_argument("--threads", type=int, default=None,
                            help="fold worker threads, at least 1; capped at CPUs and folds")
-        p.add_argument("--output-dir", default=None, help="override the config output dir")
+        p.add_argument("--output-dir", type=Path, default=None,
+                       help="override the config output dir")
         p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
 
     common(sub.add_parser("ingest", help="validate and summarise the corpus"))
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-loo", action="store_true", help="also run the LOO contingency study")
     p = sub.add_parser("similar", help="rank texts by similarity to the disputed text")
     common(p)
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", dest="similar_top_k", metavar="TOP_K", type=int, default=None)
     return parser
 
 
@@ -311,15 +312,12 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        run = load_run_config(args.config)
-        if args.seed is not None:
-            run.seed = args.seed
-        if getattr(args, "threads", None) is not None:
-            run = replace(run, threads=args.threads)
-        if getattr(args, "top_k", None) is not None:
-            run = replace(run, similar_top_k=args.top_k)
-        if args.output_dir is not None:
-            run.output_dir = Path(args.output_dir)
+        # the flags' dests are RunConfig's field names; replace runs its
+        # checks on every override
+        overrides = {name: getattr(args, name, None)
+                     for name in ("seed", "threads", "similar_top_k", "output_dir")}
+        run = replace(load_run_config(args.config),
+                      **{name: value for name, value in overrides.items() if value is not None})
         try:
             run.output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

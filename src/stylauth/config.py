@@ -20,11 +20,11 @@ class RunConfig:
     raw: dict  # verbatim copy embedded in every report
     manifest: Path
     pipeline: PipelineConfig
-    seed: int
     output_dir: Path
-    disputed_id: str | None
-    similar_top_k: int
-    threads: int
+    seed: int = 0
+    disputed_id: str | None = None
+    similar_top_k: int = 10
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -51,25 +51,23 @@ def _require(mapping: dict, key: str, kind, where: str):
     return value
 
 
-def _optional(mapping: dict, key: str, kind, default, where: str):
-    if key not in mapping or mapping[key] is None:
-        return default
-    return _require(mapping, key, kind, where)
+def _present(section: dict | None, where: str, kinds: dict[str, type]) -> dict[str, Any]:
+    """The section's keys that are present and not ``null``, each checked
+    against its type; the dataclass the section builds supplies the rest.
+    """
+    if section is None:
+        return {}
+    _check_keys(section, set(kinds), where)
+    return {
+        key: _require(section, key, kind, where)
+        for key, kind in kinds.items()
+        if section.get(key) is not None
+    }
 
 
-def _parse_features(section: Any, base: Path) -> FeatureConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("'features' must be an object")
-    _check_keys(section, {"blocks", "ngram_orders", "function_word_list", "verbal_ending_list"},
-                "features")
-    blocks_raw = _require(section, "blocks", list, "features")
-    try:
-        blocks = frozenset(FeatureBlock(b) for b in blocks_raw)
-    except ValueError as exc:
-        raise ConfigError(f"features.blocks: {exc}") from None
-    orders_raw = _optional(section, "ngram_orders", dict, {}, "features")
+def _parse_ngram_orders(section: dict) -> dict[FeatureBlock, frozenset[int]]:
     orders = {}
-    for name, values in orders_raw.items():
+    for name, values in section.items():
         try:
             block = FeatureBlock(name)
         except ValueError:
@@ -79,44 +77,34 @@ def _parse_features(section: Any, base: Path) -> FeatureConfig:
         ):
             raise ConfigError(f"features.ngram_orders.{name}: must be a list of integers")
         orders[block] = frozenset(values)
+    return orders
 
-    def load_list(key: str) -> tuple[str, ...]:
-        rel = _optional(section, key, str, None, "features")
-        if rel is None:
-            return ()
-        try:
-            return read_word_list(base / rel)
-        except CorpusError as exc:
-            raise ConfigError(str(exc)) from None
 
+def _parse_features(section: dict, base: Path) -> FeatureConfig:
+    kwargs = _present(section, "features", {
+        "blocks": list, "ngram_orders": dict, "function_word_list": str, "verbal_ending_list": str,
+    })
+    _require(section, "blocks", list, "features")
     try:
-        return FeatureConfig(
-            enabled_blocks=blocks,
-            ngram_orders=orders,
-            function_words=load_list("function_word_list"),
-            verbal_endings=load_list("verbal_ending_list"),
-        )
+        kwargs["enabled_blocks"] = frozenset(FeatureBlock(b) for b in kwargs.pop("blocks"))
+    except ValueError as exc:
+        raise ConfigError(f"features.blocks: {exc}") from None
+    if "ngram_orders" in kwargs:
+        kwargs["ngram_orders"] = _parse_ngram_orders(kwargs["ngram_orders"])
+    for key, words in (("function_word_list", "function_words"),
+                       ("verbal_ending_list", "verbal_endings")):
+        if key in kwargs:
+            try:
+                kwargs[words] = read_word_list(base / kwargs.pop(key))
+            except CorpusError as exc:
+                raise ConfigError(str(exc)) from None
+    try:
+        return FeatureConfig(**kwargs)
     except FeatureError as exc:
         raise ConfigError(f"features: {exc}") from None
 
 
-def _present(section: Any, where: str, kinds: dict[str, type]) -> dict[str, Any]:
-    """The section's keys that are present and not ``null``, each checked
-    against its type; the dataclass the section builds supplies the rest.
-    """
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where!r} must be an object")
-    _check_keys(section, set(kinds), where)
-    return {
-        key: _require(section, key, kind, where)
-        for key, kind in kinds.items()
-        if section.get(key) is not None
-    }
-
-
-def _parse_segmentation(section: Any) -> SegmentationConfig:
+def _parse_segmentation(section: dict | None) -> SegmentationConfig:
     kwargs = _present(section, "segmentation", {"min_tokens": int, "include_full_texts": bool})
     try:
         return SegmentationConfig(**kwargs)
@@ -124,17 +112,20 @@ def _parse_segmentation(section: Any) -> SegmentationConfig:
         raise ConfigError(f"segmentation: {exc}") from None
 
 
-def _parse_dro(section: Any) -> DroConfig | None:
+def _parse_dro(section: dict | None) -> DroConfig | None:
+    """The section's ``DroConfig``, checked even when ``enabled`` is false;
+    None when DRO is off, as it is without a section.
+    """
     kwargs = _present(section, "dro", {"enabled": bool, "target_positive_ratio": float})
-    if section is None or not kwargs.pop("enabled", True):
-        return None
+    enabled = section is not None and kwargs.pop("enabled", True)
     try:
-        return DroConfig(**kwargs)
+        dro = DroConfig(**kwargs)
     except DroError as exc:
         raise ConfigError(f"dro: {exc}") from None
+    return dro if enabled else None
 
 
-def _parse_learner(section: Any) -> TrainConfig:
+def _parse_learner(section: dict | None) -> TrainConfig:
     kwargs = _present(section, "learner", {
         "C": float, "C_grid": list, "inner_folds": int, "tolerance": float, "max_iterations": int,
     })
@@ -160,27 +151,26 @@ def load_run_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    top = _present(raw, "config", {
+        "manifest": str, "target_author": str, "disputed_id": str, "seed": int, "threads": int,
+        "output_dir": str, "similar_top_k": int,
+        "features": dict, "segmentation": dict, "dro": dict, "learner": dict,
+    })
+    _require(raw, "manifest", str, "config")
+    _require(raw, "features", dict, "config")
     base = path.parent
-    _check_keys(raw, {"manifest", "target_author", "disputed_id", "seed", "threads", "output_dir",
-                      "similar_top_k", "features", "segmentation", "dro", "learner"}, "config")
-
-    manifest_rel = _require(raw, "manifest", str, "config")
-    features = _parse_features(raw.get("features"), base)
     pipeline = PipelineConfig(
-        features=features,
-        segmentation=_parse_segmentation(raw.get("segmentation")),
-        learner=_parse_learner(raw.get("learner")),
-        dro=_parse_dro(raw.get("dro")),
-        target_author=_optional(raw, "target_author", str, None, "config"),
+        features=_parse_features(top.pop("features"), base),
+        segmentation=_parse_segmentation(top.pop("segmentation", None)),
+        learner=_parse_learner(top.pop("learner", None)),
+        dro=_parse_dro(top.pop("dro", None)),
+        target_author=top.pop("target_author", None),
     )
-    output_rel = _optional(raw, "output_dir", str, "stylauth-out", "config")
+    # the keys left are RunConfig's; those absent take its defaults
     return RunConfig(
         raw=raw,
-        manifest=base / manifest_rel,
+        manifest=base / top.pop("manifest"),
         pipeline=pipeline,
-        seed=_optional(raw, "seed", int, 0, "config"),
-        output_dir=base / output_rel,
-        disputed_id=_optional(raw, "disputed_id", str, None, "config"),
-        similar_top_k=_optional(raw, "similar_top_k", int, 10, "config"),
-        threads=_optional(raw, "threads", int, 1, "config"),
+        output_dir=base / top.pop("output_dir", "stylauth-out"),
+        **top,
     )

@@ -8,9 +8,11 @@ refit from scratch inside the fold), then applies it to the held-out text
 in full. Folds are independent, write no shared state (``run_folds``
 makes every write), and run on a thread pool of at most ``threads``
 workers, capped at the CPU count and the number of folds; one worker runs
-them inline, with no pool. Each fold derives its own randomness from
-(master seed, study label, held-out id), so reports are byte-identical
-regardless of thread count.
+them inline, with no pool. Threads pay only on folds above the 250-row
+basis bound (``learner.fits_in_row_basis``); below it the small fits'
+sparse products hold the GIL, and one worker is faster. Each fold derives
+its own randomness from (master seed, study label, held-out id), so
+reports are byte-identical regardless of thread count.
 
 One pass over the folds can score several feature-block pools
 (``loo_pools``): a fold fits its space and vectorizes once, over the
@@ -34,7 +36,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Corpus, Document
@@ -130,47 +132,29 @@ class LooReport:
         return rows if k is None else rows[:k]
 
     def canonical_dict(self) -> dict:
-        """Deterministic payload: everything but the fold timings.
-
-        The other reports' payloads are ``dataclasses.asdict`` of them. This
-        one is built by hand, because each record's ``predicted_class`` and
-        ``positive_posterior`` are derived from its prediction, not fields,
-        and ``fold_seconds`` belong in the report's ``timing`` section.
+        """Deterministic payload: the report's fields but ``fold_seconds``,
+        which go in the report's ``timing`` section, with ``table`` as
+        ``contingency`` and ``hardest_texts()`` added. A record is its
+        fields but ``prediction``, plus the ``predicted_class`` and
+        ``positive_posterior`` derived from it.
         """
-        return {
-            "target_author": self.target_author,
-            "seed": self.seed,
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "records": [
-                {
-                    "text_id": r.text_id,
-                    "author": r.author,
-                    "true_class": r.true_class,
-                    "predicted_class": r.predicted_class,
-                    "positive_posterior": r.positive_posterior,
-                    "fitted_C": r.fitted_C,
-                    "inner_cv_f1": [list(pair) for pair in r.inner_cv_f1],
-                    "columns_per_block": [list(pair) for pair in r.columns_per_block],
-                    "training_rows": r.training_rows,
-                    "synthetic_positives": r.synthetic_positives,
-                    "converged": r.converged,
-                    "n_iter": r.n_iter,
-                }
-                for r in self.records
-            ],
-            "skipped": [list(s) for s in self.skipped],
-            "full_text_only_count": self.full_text_only_count,
-            "contingency": {
-                "tp": self.table.tp,
-                "fp": self.table.fp,
-                "fn": self.table.fn,
-                "tn": self.table.tn,
-            },
-            "f1": self.f1,
-            "soft_f1": self.soft_f1,
-            "vanilla_accuracy": self.vanilla_accuracy,
-            "hardest_texts": [list(row) for row in self.hardest_texts()],
-        }
+        payload = _fields_except(self, "fold_seconds")
+        payload["records"] = [
+            {
+                **_fields_except(r, "prediction"),
+                "predicted_class": r.predicted_class,
+                "positive_posterior": r.positive_posterior,
+            }
+            for r in self.records
+        ]
+        payload["contingency"] = asdict(payload.pop("table"))
+        payload["hardest_texts"] = self.hardest_texts()
+        return payload
+
+
+def _fields_except(report: object, name: str) -> dict:
+    """A dataclass's fields as a dict, one field left out; values are not copied."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != name}
 
 
 @dataclass(frozen=True)

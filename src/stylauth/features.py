@@ -332,7 +332,9 @@ class FeatureConfig:
         if without:
             raise FeatureError(f"ngram orders given for blocks without n-grams: {without}")
         for block in NGRAM_BLOCKS & self.enabled_blocks:
-            block_orders = orders.get(block, _DEFAULT_ORDERS)
+            orders.setdefault(block, _DEFAULT_ORDERS)
+        # a disabled block's orders are checked too: restricted_to carries them
+        for block, block_orders in orders.items():
             if not block_orders:
                 raise FeatureError(f"{block.value}: ngram order set must be nonempty")
             bad = [n for n in block_orders if not (1 <= n <= MAX_NGRAM_ORDER)]
@@ -341,7 +343,6 @@ class FeatureConfig:
                     f"{block.value}: unsupported n-gram orders {sorted(bad)} "
                     f"(only 1..{MAX_NGRAM_ORDER} are supported)"
                 )
-            orders[block] = block_orders
         self.ngram_orders = orders
         # duplicates would give a list block two columns for one key
         self.function_words = tuple(dict.fromkeys(self.function_words))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -21,11 +23,13 @@ from stylauth.cli import (
     EXIT_OK,
     main,
 )
-from stylauth.config import load_run_config
+from stylauth.config import RunConfig, load_run_config
 from stylauth.corpus import load_corpus
 from stylauth.dro import DroConfig
+from stylauth.errors import ConfigError
+from stylauth.features import FeatureBlock, FeatureConfig
 from stylauth.learner import TrainConfig
-from stylauth.pipeline import SegmentationConfig
+from stylauth.pipeline import PipelineConfig, SegmentationConfig
 
 from conftest import make_styled_corpus, write_corpus
 
@@ -185,6 +189,24 @@ class TestExitCodes:
         config = write_config(tmp_path, tmp_path / "manifest.csv", extra=extra)
         assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
         assert f"error: {section}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"features": {"blocks": ["char_ngrams"], "ngram_orders": {"pos_ngrams": [9]}}},
+             "features: pos_ngrams: unsupported n-gram orders [9] (only 1..3 are supported)"),
+            ({"features": {"blocks": ["char_ngrams"], "ngram_orders": {"pos_ngrams": []}}},
+             "features: pos_ngrams: ngram order set must be nonempty"),
+            ({"dro": {"enabled": False, "target_positive_ratio": 5}},
+             "dro: target_positive_ratio must be in (0, 1), got 5.0"),
+        ],
+        ids=["disabled-block-order-above-3", "disabled-block-no-orders", "dro-off-ratio-5"],
+    )
+    def test_value_for_a_switched_off_feature_rejected(self, corpus_dir, capsys, extra, message):
+        tmp, manifest = corpus_dir
+        config = write_config(tmp, manifest, extra=extra)
+        assert main(["loo", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("orders", [[True, 2], [1, False], "1", [1.5], {"1": 1}])
     def test_ngram_orders_that_are_not_integers_rejected(self, tmp_path, capsys, orders):
@@ -730,6 +752,84 @@ def test_readme_run_config_example_loads(tmp_path):
     assert run.threads == example["threads"]
     assert run.pipeline.features.function_words == ("et", "in")
     assert run.pipeline.dro.target_positive_ratio == example["dro"]["target_positive_ratio"]
+
+
+def test_required_keys_alone_build_the_run_config_defaults(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(
+        json.dumps({"manifest": "m.csv", "features": {"blocks": ["token_lengths"]}}),
+        encoding="utf-8",
+    )
+    run = load_run_config(path)
+    defaults = {"seed": 0, "disputed_id": None, "similar_top_k": 10, "threads": 1}
+    assert {f.name: f.default for f in dataclasses.fields(RunConfig)
+            if f.default is not dataclasses.MISSING} == defaults
+    assert {name: getattr(run, name) for name in defaults} == defaults
+    assert run.output_dir == tmp_path / "stylauth-out"
+    assert run.pipeline == PipelineConfig(FeatureConfig({FeatureBlock.TOKEN_LENGTHS}))
+
+
+# Where each optional key of README's config table lands in a loaded
+# RunConfig, in the table's JSON terms.
+_LOADED_KEY = {
+    "target_author": lambda run: run.pipeline.target_author,
+    "disputed_id": lambda run: run.disputed_id,
+    "seed": lambda run: run.seed,
+    "threads": lambda run: run.threads,
+    "output_dir": lambda run: str(run.output_dir.relative_to(run.manifest.parent)),
+    "similar_top_k": lambda run: run.similar_top_k,
+    "features.ngram_orders": lambda run: run.pipeline.features.ngram_orders,
+    "features.function_word_list": lambda run: run.pipeline.features.function_words or None,
+    "features.verbal_ending_list": lambda run: run.pipeline.features.verbal_endings or None,
+    "segmentation.min_tokens": lambda run: run.pipeline.segmentation.min_tokens,
+    "segmentation.include_full_texts": lambda run: run.pipeline.segmentation.include_full_texts,
+    "dro.enabled": lambda run: run.pipeline.dro is not None,
+    "dro.target_positive_ratio": lambda run: run.pipeline.dro.target_positive_ratio,
+    "learner.C": lambda run: run.pipeline.learner.C,
+    "learner.C_grid": lambda run: list(run.pipeline.learner.C_grid),
+    "learner.inner_folds": lambda run: run.pipeline.learner.inner_folds,
+    "learner.tolerance": lambda run: run.pipeline.learner.tolerance,
+    "learner.max_iterations": lambda run: run.pipeline.learner.max_iterations,
+}
+
+
+def _readme_config_table() -> dict[str, str]:
+    """README's run-config key table: each key and its default as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Run configuration") :]
+    section = section[: section.index("\n## ")]
+    return dict(re.findall(r"^\| `([\w.]+)` \| (.+?) \| .+ \|$", section, re.MULTILINE))
+
+
+def _load_with(tmp_path: Path, key: str, value) -> RunConfig:
+    """The run config of the required keys plus ``key`` (``section.name``) set to ``value``."""
+    config = {"manifest": "m.csv", "features": {"blocks": ["token_lengths"]}}
+    *section, name = key.split(".")
+    (config.setdefault(section[0], {}) if section else config)[name] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return load_run_config(path)
+
+
+def test_readme_config_table_states_each_default_the_parser_takes(tmp_path):
+    table = _readme_config_table()
+    assert set(table) == set(_LOADED_KEY) | {"manifest", "features.blocks"}
+    assert table["manifest"] == table["features.blocks"] == "required"
+    for key, loaded in _LOADED_KEY.items():
+        default = json.loads(table[key].strip("`"))
+        assert json.loads(json.dumps(loaded(_load_with(tmp_path, key, None)))) == default, key
+
+
+def test_a_key_not_in_readme_config_table_is_a_config_error(tmp_path):
+    table = _readme_config_table()
+    names = {key.rsplit(".", 1)[-1] for key in table}
+    for section in ("", "features", "segmentation", "dro", "learner"):
+        listed = {key.rsplit(".", 1)[-1] for key in table if key.startswith(section or "")
+                  and key.count(".") == (1 if section else 0)}
+        for name in sorted(names - listed) + ["not_a_key"]:
+            key = f"{section}.{name}" if section else name
+            with pytest.raises(ConfigError, match=f"unknown key\\(s\\) '{name}'"):
+                _load_with(tmp_path, key, 1)
 
 
 def _minimal_pipeline(tmp_path: Path, sections: dict):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -520,7 +521,7 @@ class TestReport:
             assert record["converged"] is fitted.model.converged
             assert record["n_iter"] == fitted.model.n_iter >= 1
             blocks = fitted.space.block_offsets
-            assert record["columns_per_block"] == [[b.value, e - s] for b, s, e in blocks]
+            assert record["columns_per_block"] == tuple((b.value, e - s) for b, s, e in blocks)
             assert sum(n for _, n in record["columns_per_block"]) == fitted.space.dim
         assert any(record["synthetic_positives"] > 0 for record in records)
 
@@ -539,6 +540,64 @@ class TestReport:
     def test_no_synthetic_positives_without_dro(self, small_corpus):
         report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=3)
         assert all(r.synthetic_positives == 0 for r in report.records)
+
+    def test_record_keys_are_the_prediction_fields_and_the_derived_two(self, small_corpus):
+        report = loo_run(small_corpus, fast_pipeline("Aldus"), seed=2)
+        keys = {f.name for f in dataclasses.fields(evaluation.TextPrediction)} - {"prediction"}
+        for record in report.canonical_dict()["records"]:
+            assert set(record) == keys | {"predicted_class", "positive_posterior"}
+
+    @pytest.mark.parametrize("dro", [False, True])
+    def test_payload_equals_the_hand_built_one(self, tmp_path, dro):
+        manifest = make_styled_corpus(
+            tmp_path, {"Aldus": 1, "Benno": 3, "Castor": 2}, n_tokens=150
+        )
+        report = loo_run(load_corpus(manifest), fast_pipeline("Aldus", dro=dro), seed=1)
+        assert report.skipped and report.records
+        assert dro == any(r.synthetic_positives for r in report.records)
+        assert json.dumps(report.canonical_dict(), sort_keys=True) == json.dumps(
+            _hand_built_payload(report), sort_keys=True
+        )
+
+
+def _hand_built_payload(report: evaluation.LooReport) -> dict:
+    """``LooReport.canonical_dict`` as it was written out key by key, kept
+    as the oracle for the payload built from the report's fields.
+    """
+    return {
+        "target_author": report.target_author,
+        "seed": report.seed,
+        "corpus_fingerprint": report.corpus_fingerprint,
+        "records": [
+            {
+                "text_id": r.text_id,
+                "author": r.author,
+                "true_class": r.true_class,
+                "predicted_class": r.predicted_class,
+                "positive_posterior": r.positive_posterior,
+                "fitted_C": r.fitted_C,
+                "inner_cv_f1": [list(pair) for pair in r.inner_cv_f1],
+                "columns_per_block": [list(pair) for pair in r.columns_per_block],
+                "training_rows": r.training_rows,
+                "synthetic_positives": r.synthetic_positives,
+                "converged": r.converged,
+                "n_iter": r.n_iter,
+            }
+            for r in report.records
+        ],
+        "skipped": [list(s) for s in report.skipped],
+        "full_text_only_count": report.full_text_only_count,
+        "contingency": {
+            "tp": report.table.tp,
+            "fp": report.table.fp,
+            "fn": report.table.fn,
+            "tn": report.table.tn,
+        },
+        "f1": report.f1,
+        "soft_f1": report.soft_f1,
+        "vanilla_accuracy": report.vanilla_accuracy,
+        "hardest_texts": [list(row) for row in report.hardest_texts()],
+    }
 
 
 @pytest.fixture(scope="module")

@@ -267,6 +267,26 @@ class TestFeatureConfig:
                 ngram_orders={FeatureBlock.CHAR_NGRAMS: set()},
             )
 
+    @pytest.mark.parametrize("orders", [set(), {1, 9}])
+    def test_rejects_bad_orders_of_a_disabled_block(self, orders):
+        with pytest.raises(FeatureError, match="pos_ngrams"):
+            FeatureConfig(
+                enabled_blocks={FeatureBlock.CHAR_NGRAMS},
+                ngram_orders={FeatureBlock.POS_NGRAMS: orders},
+            )
+
+    def test_restriction_keeps_the_orders_of_the_blocks_it_disables(self):
+        config = FeatureConfig(
+            enabled_blocks={FeatureBlock.CHAR_NGRAMS, FeatureBlock.TOKEN_LENGTHS},
+            ngram_orders={FeatureBlock.POS_NGRAMS: {2}},
+        )
+        restricted = config.restricted_to([FeatureBlock.TOKEN_LENGTHS])
+        assert restricted.ngram_orders == {
+            FeatureBlock.POS_NGRAMS: frozenset({2}),
+            FeatureBlock.CHAR_NGRAMS: frozenset({1, 2, 3}),
+        }
+        assert restricted.restricted_to(config.enabled_blocks) == config
+
     def test_list_blocks_need_lists(self):
         with pytest.raises(FeatureError):
             FeatureConfig(enabled_blocks={FeatureBlock.FUNCTION_WORDS})

@@ -122,6 +122,31 @@ def test_bench_pairs_verdict_follows_the_metric_direction():
     assert wall.parent == wall.change == (1.0, 1.0, 1.0) and wall.wins == 0
 
 
+def test_bench_pairs_gate_reads_the_median_gap_against_the_relative_bound():
+    tool = _bench_pairs()
+
+    def gate(parent, change, better="lower", bound=0.25):
+        pairs = [(_record(p), _record(c)) for p, c in zip(parent, change)]
+        (wall, _) = tool.summarize(pairs, {"wall_s": better}, {"wall_s": bound})
+        return wall.gate
+
+    tight = [1.0, 1.01, 0.99, 1.0]  # IQR 0.005, within a 0.25 bound of the median
+    assert gate(tight, [1.2, 1.21, 1.19, 1.2]) == "within the bound"  # 20% worse
+    assert gate(tight, [1.3, 1.31, 1.29, 1.3]) == "worse beyond the bound"  # 30% worse
+    assert gate(tight, [0.5] * 4) == "within the bound"
+    assert gate([0.8] * 4, [0.7] * 4, better="higher", bound=0.1) == "worse beyond the bound"
+    assert gate([0.8] * 4, [0.75] * 4, better="higher", bound=0.1) == "within the bound"
+    wide = [0.6, 1.4, 0.8, 1.2]  # quartiles 0.75 and 1.25: an IQR of half the median
+    assert gate(wide, [1.0] * 4) == "unresolved"
+    assert gate(wide, [0.55] * 4) == "within the bound"  # every change run beats every parent run
+    assert gate(wide, [0.7, 0.55, 0.55, 0.55]) == "unresolved"  # 0.7 does not beat 0.6
+    assert gate(wide, [2.0] * 4) == "unresolved"  # separated, but the wrong way
+    pairs = [(_record(1.0), _record(2.0))]
+    (wall, score) = tool.summarize(pairs, {}, {"wall_s": 0.25})
+    assert (wall.gate, score.gate) == ("worse beyond the bound", "no bound")
+    assert tool.describe([wall])[0].endswith("; gate: worse beyond the bound")
+
+
 def _stand_in_tree(tmp_path: Path, name: str, wall: float, log: Path, correct: bool = True) -> Path:
     """A tree whose bench/run.py logs its call and prints one fixed record."""
     bench_dir = tmp_path / name / "bench"

@@ -11,9 +11,15 @@ run, never changed: the parent first in even pairs (counting from 0) and
 the change first in odd ones. Every run's end-to-end metrics are printed
 as it ends. Then, for each metric: each side's median and quartiles, the
 pairs the change won (in the direction ``BENCHMARK.json`` gives; ties
-count for neither), and whether the gap between the medians exceeds the
-parent's interquartile range. It exits 1 if any run was not correct, had
-failures or printed no metrics, and 0 otherwise.
+count for neither), whether the gap between the medians exceeds the
+parent's interquartile range, and the gate's reading of the gap against
+the metric's relative ``bound`` in ``BENCHMARK.json``: "worse beyond the
+bound" where the change's median is worse than the parent's by more than
+that share of it, "unresolved" where the parent's interquartile range is
+a larger share of its median than the bound (unless every run of the
+change beats every run of the parent), and "within the bound" otherwise.
+It exits 1 if any run was not correct, had failures or printed no
+metrics, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ class MetricSummary:
     change: tuple[float, float, float]
     wins: int  # pairs in which the change was better
     pairs: int
+    bound: float | None = None  # the worsening the gate allows, as a share of the parent's median
+    separated: bool = False  # every run of the change beat every run of the parent
 
     @property
     def gap(self) -> float:
@@ -52,6 +60,17 @@ class MetricSummary:
         improved = self.gap < 0 if self.better == "lower" else self.gap > 0
         return f"{'better' if improved else 'worse'} by more than the parent's IQR"
 
+    @property
+    def gate(self) -> str:
+        """The gate's reading of the gap against the relative bound."""
+        if self.bound is None:
+            return "no bound"
+        scale = abs(self.parent[1]) * self.bound
+        if self.parent[2] - self.parent[0] > scale and not self.separated:
+            return "unresolved"
+        worse = self.gap > 0 if self.better == "lower" else self.gap < 0
+        return "worse beyond the bound" if worse and abs(self.gap) > scale else "within the bound"
+
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile), inclusive of the extremes."""
@@ -61,12 +80,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[MetricSummary]:
+def summarize(
+    pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> list[MetricSummary]:
     """One summary per metric that every run reports, in the first run's order.
 
     Each pair is (parent run, change run), each the JSON object that
     ``bench/run.py`` prints last. A metric missing from ``better`` is
-    taken as lower-is-better.
+    taken as lower-is-better, and one missing from ``bounds`` has no gate.
     """
     names = [name for name in pairs[0][0]["metrics"]
              if all(name in run["metrics"] for pair in pairs for run in pair)]
@@ -75,9 +96,13 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Me
         direction = better.get(name, "lower")
         values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs]
         wins = sum(c < p if direction == "lower" else c > p for p, c in values)
+        parents, changes = [p for p, _ in values], [c for _, c in values]
+        separated = (max(changes) < min(parents) if direction == "lower"
+                     else min(changes) > max(parents))
         out.append(MetricSummary(
             name, pairs[0][0]["metrics"][name]["unit"], direction,
-            quartiles([p for p, _ in values]), quartiles([c for _, c in values]), wins, len(pairs),
+            quartiles(parents), quartiles(changes), wins, len(pairs),
+            (bounds or {}).get(name), separated,
         ))
     return out
 
@@ -89,7 +114,8 @@ def describe(summaries: list[MetricSummary]) -> list[str]:
             f"{s.name} ({s.unit}, {s.better} is better): "
             f"parent {s.parent[1]:.6g} [{s.parent[0]:.6g}, {s.parent[2]:.6g}], "
             f"change {s.change[1]:.6g} [{s.change[0]:.6g}, {s.change[2]:.6g}]; "
-            f"change won {s.wins} of {s.pairs}; gap {s.gap:+.6g}, {s.verdict}"
+            f"change won {s.wins} of {s.pairs}; gap {s.gap:+.6g}, {s.verdict}; "
+            f"gate: {s.gate}"
         )
     return lines
 
@@ -129,8 +155,9 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "bench" / "run.py").is_file():
             print(f"error: no bench/run.py under {tree} ({label})", file=sys.stderr)
             return 2
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
 
     pairs, failed = [], False
     for i in range(args.pairs):
@@ -148,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append((runs["parent"], runs["change"]))
     if pairs:
         print(f"{args.workload}, seed {args.seed}, {len(pairs)} pair(s) of {args.seconds:g}-s runs:")
-        for line in describe(summarize(pairs, better)):
+        for line in describe(summarize(pairs, better, bounds)):
             print(line)
     return 1 if failed else 0
 

@@ -17,7 +17,7 @@ from .corpus import (
     Corpus,
     Document,
     Segment,
-    Token,
+    Tokens,
     load_annotations,
     load_corpus,
     normalize,
@@ -62,7 +62,7 @@ __all__ = [
     "Corpus",
     "Document",
     "Segment",
-    "Token",
+    "Tokens",
     "load_annotations",
     "load_corpus",
     "normalize",

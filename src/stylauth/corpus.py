@@ -11,9 +11,13 @@ Latin editions disagree on these graphemes, so both spellings collapse to
 one canonical form). All other characters, including whitespace, survive
 normalization unchanged.
 
-A token is either a word (maximal run of letters) or a single punctuation
-character. Sentences end after ``.``, ``!`` or ``?``; editors are expected
-to map other terminator conventions onto these three. Segments are built
+A token is either a word (a maximal run of letters, the characters for
+which ``str.isalpha`` holds) or a single punctuation character (any other
+character but whitespace: digits, superscripts and numerals included).
+A text's tokens are offset arrays over its normalized text (``Tokens``);
+a token's surface is sliced from the text when it is read. Sentences end
+after ``.``, ``!`` or ``?``; editors are expected to map other
+terminator conventions onto these three. Segments are built
 greedily from whole sentences and close as soon as they reach the minimum
 token count, so a segment may run past the minimum to keep its last
 sentence intact.
@@ -30,7 +34,8 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     AnnotationError,
@@ -48,34 +53,60 @@ log = logging.getLogger(__name__)
 
 UNKNOWN_AUTHOR = "UNKNOWN"
 
-WORD = "word"
-PUNCTUATION = "punctuation"
-
-SENTENCE_TERMINATORS = frozenset({".", "!", "?"})
-
 _QUOTE_OPEN = "{q:"
 _QUOTE_CLOSE = "}"
 
-# A word is a maximal run of letters; any other non-space character stands
-# alone as a punctuation token.
-_TOKEN_RE = re.compile(r"[^\W\d_]+|\S")
+_TERMINATOR_RE = re.compile(r"[.!?]")  # the sentence terminators
 
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass
-class Token:
-    surface: str
-    kind: str  # WORD or PUNCTUATION
-    start: int  # character offset into the normalized text
+@dataclass(eq=False)
+class Tokens:
+    """A text's tokens as offsets into it: token i is ``text[starts[i]:ends[i]]``.
 
-    @property
-    def char_length(self) -> int:
-        return len(self.surface)
+    Built by ``tokenize``. ``word_prefix[i]`` is the number of word tokens
+    before token i, so it has one entry more than there are tokens.
+    """
 
-    @property
-    def end(self) -> int:
-        return self.start + len(self.surface)
+    text: str
+    starts: np.ndarray  # int32
+    ends: np.ndarray  # int32
+    is_word: np.ndarray  # bool
+    word_prefix: np.ndarray = field(init=False, repr=False)  # int32
+
+    def __post_init__(self) -> None:
+        self.word_prefix = np.zeros(len(self.is_word) + 1, dtype=np.int32)
+        np.cumsum(self.is_word, dtype=np.int32, out=self.word_prefix[1:])
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tokens):
+            return NotImplemented
+        return self.text == other.text and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("starts", "ends", "is_word")
+        )
+
+    def words(self, start: int = 0, end: int | None = None) -> list[str]:
+        """Texts of the word tokens in ``[start, end)``.
+
+        Every other token is a single character, so cutting those out of
+        the range's text and splitting what is left on whitespace gives
+        exactly the words, with no slice per word.
+        """
+        start, end, _ = slice(start, end).indices(len(self))  # as a slice would
+        if start >= end:
+            return []
+        text = self.text
+        pieces, cursor = [], int(self.starts[start])
+        for offset in self.starts[start:end][~self.is_word[start:end]].tolist():
+            pieces.append(text[cursor:offset])
+            cursor = offset + 1
+        pieces.append(text[cursor : int(self.ends[end - 1])])
+        return " ".join(pieces).split()
 
 
 @dataclass
@@ -102,18 +133,13 @@ class Document:
     author: str
     title: str
     genre: str | None
-    normalized_text: str
-    tokens: list[Token]
+    tokens: Tokens  # offset arrays over the normalized text
     sentences: list[tuple[int, int]]  # half-open token-index ranges
     annotations: AnnotationLayer | None = None
-    _word_prefix: list[int] = field(default=None, repr=False)  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self._word_prefix is None:
-            prefix = [0]
-            for tok in self.tokens:
-                prefix.append(prefix[-1] + (1 if tok.kind == WORD else 0))
-            self._word_prefix = prefix
+    @property
+    def normalized_text(self) -> str:
+        return self.tokens.text
 
     @property
     def token_count(self) -> int:
@@ -121,11 +147,11 @@ class Document:
 
     @property
     def word_token_count(self) -> int:
-        return self._word_prefix[-1]
+        return int(self.tokens.word_prefix[-1])
 
     def word_index_before(self, token_index: int) -> int:
         """Number of word tokens strictly before the given token index."""
-        return self._word_prefix[token_index]
+        return int(self.tokens.word_prefix[token_index])
 
     @property
     def is_disputed(self) -> bool:
@@ -188,35 +214,40 @@ def normalize(raw_text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def tokenize(normalized_text: str) -> list[Token]:
+def tokenize(normalized_text: str) -> Tokens:
     """Split normalized text into word and punctuation tokens.
 
-    Whitespace is discarded; every other character lands in exactly one
-    token, so no letters or punctuation are lost.
+    A word is a maximal run of letters (``str.isalpha``); every other
+    character but whitespace is a punctuation token by itself. Whitespace
+    is discarded; every other character lands in exactly one token, so no
+    letters or punctuation are lost.
     """
-    tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(normalized_text):
-        surface = match.group()
-        kind = WORD if surface[0].isalpha() else PUNCTUATION
-        tokens.append(Token(surface=surface, kind=kind, start=match.start()))
-    return tokens
+    # surrogates pass, so that every character is one code unit
+    codes = np.frombuffer(normalized_text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    chars, inverse = np.unique(codes, return_inverse=True)
+    chars = [chr(c) for c in chars.tolist()]
+    letter = np.array([c.isalpha() for c in chars], dtype=bool)[inverse]
+    token = ~np.array([c.isspace() for c in chars], dtype=bool)[inverse]
+    n = len(codes)
+    extends = np.zeros(n + 1, dtype=bool)  # extends[i]: character i continues a word
+    extends[1:n] = letter[1:] & letter[:-1]
+    starts = np.flatnonzero(token & ~extends[:n]).astype(np.int32)
+    ends = (np.flatnonzero(token & ~extends[1:]) + 1).astype(np.int32)
+    return Tokens(normalized_text, starts, ends, letter[starts])
 
 
-def split_sentences(tokens: Sequence[Token]) -> list[tuple[int, int]]:
-    """Partition the token list into sentence ranges.
+def split_sentences(tokens: Tokens) -> list[tuple[int, int]]:
+    """Partition the tokens into sentence ranges.
 
     A sentence closes after each terminator token; any trailing tokens
     without a terminator form a final sentence.
     """
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind == PUNCTUATION and tok.surface in SENTENCE_TERMINATORS:
-            ranges.append((start, i + 1))
-            start = i + 1
-    if start < len(tokens):
-        ranges.append((start, len(tokens)))
-    return ranges
+    # a terminator is never part of a word, so each one starts a token
+    offsets = [m.start() for m in _TERMINATOR_RE.finditer(tokens.text)]
+    ends = (np.searchsorted(tokens.starts, offsets) + 1).tolist()
+    if len(tokens) > (ends[-1] if ends else 0):
+        ends.append(len(tokens))
+    return list(zip([0, *ends], ends))
 
 
 def segment(doc: Document, min_tokens: int) -> list[Segment]:
@@ -266,8 +297,7 @@ def build_document(
     annotations: AnnotationLayer | None = None,
 ) -> Document:
     """Normalize, tokenize, and sentence-split one text."""
-    normalized = normalize(raw_text)
-    tokens = tokenize(normalized)
+    tokens = tokenize(normalize(raw_text))
     if not tokens:
         raise EmptyTextError(f"document {doc_id!r} contains no tokens")
     sentences = split_sentences(tokens)
@@ -276,7 +306,6 @@ def build_document(
         author=author,
         title=title,
         genre=genre,
-        normalized_text=normalized,
         tokens=tokens,
         sentences=sentences,
         annotations=annotations,

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import WORD, Document, Segment, collapse_whitespace
+from .corpus import Document, Segment, collapse_whitespace
 from .errors import FeatureError
 
 FeatureKey = int | str
@@ -105,15 +105,11 @@ class Instance:
     @property
     def token_range(self) -> tuple[int, int]:
         if self.segment is None:
-            return (0, len(self.doc.tokens))
+            return (0, self.doc.token_count)
         return self.segment.token_range
 
-    def tokens(self):
-        a, b = self.token_range
-        return self.doc.tokens[a:b]
-
     def word_surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens() if t.kind == WORD]
+        return self.doc.tokens.words(*self.token_range)
 
     def sentences(self) -> list[tuple[int, int]]:
         """Sentence ranges (absolute token indices) fully inside this instance."""
@@ -122,12 +118,11 @@ class Instance:
 
     def span_text(self, token_start: int, token_end: int) -> str:
         """Whitespace-collapsed normalized text covering a token range."""
-        toks = self.doc.tokens
         if token_start >= token_end:
             return ""
-        start = toks[token_start].start
-        end = toks[token_end - 1].end
-        return collapse_whitespace(self.doc.normalized_text[start:end])
+        tokens = self.doc.tokens
+        start, end = int(tokens.starts[token_start]), int(tokens.ends[token_end - 1])
+        return collapse_whitespace(tokens.text[start:end])
 
     def text(self) -> str:
         a, b = self.token_range
@@ -172,7 +167,10 @@ def _as_instance(obj: Instance | Document) -> Instance:
 def extract_token_lengths(instance: Instance | Document) -> BlockCounts:
     """Counts of word-token character lengths."""
     inst = _as_instance(instance)
-    return dict(Counter(len(w) for w in inst.word_surfaces()))
+    a, b = inst.token_range
+    tokens = inst.doc.tokens
+    lengths = (tokens.ends[a:b] - tokens.starts[a:b])[tokens.is_word[a:b]]
+    return dict(Counter(lengths.tolist()))
 
 
 def extract_function_words(
@@ -282,18 +280,19 @@ def _distorted_span(
     doc: Document, token_start: int, token_end: int, variant: FeatureBlock, listed: set[str]
 ) -> str:
     """Whitespace-collapsed text of a token range with its unlisted words masked."""
-    toks = doc.tokens[token_start:token_end]
-    if not toks:
+    if token_start >= token_end:
         return ""
+    tokens = doc.tokens
+    text = tokens.text
+    words = np.flatnonzero(tokens.is_word[token_start:token_end]) + token_start
     pieces: list[str] = []
-    cursor = toks[0].start
-    for tok in toks:
-        pieces.append(doc.normalized_text[cursor : tok.start])
-        if tok.kind == WORD and tok.surface not in listed:
-            pieces.append(_mask_word(tok.surface, variant))
-        else:
-            pieces.append(tok.surface)
-        cursor = tok.end
+    cursor = int(tokens.starts[token_start])
+    for start, end in zip(tokens.starts[words].tolist(), tokens.ends[words].tolist()):
+        word = text[start:end]
+        if word not in listed:
+            pieces += (text[cursor:start], _mask_word(word, variant))
+            cursor = end
+    pieces.append(text[cursor : int(tokens.ends[token_end - 1])])
     return collapse_whitespace("".join(pieces))
 
 
@@ -439,7 +438,7 @@ def counts_from_segments(
     if (
         not bounds
         or bounds[0][0] != 0
-        or bounds[-1][1] != len(doc.tokens)
+        or bounds[-1][1] != doc.token_count
         or any(a >= b for a, b in bounds)
         or any(b != a for (_, b), (a, _) in zip(bounds, bounds[1:]))
         or not sentence_starts.issuperset(a for a, _ in bounds)
@@ -466,7 +465,7 @@ def counts_from_segments(
         if block in character:
             for (a, j), (_, b) in zip(bounds, bounds[1:]):
                 left, right = render(block, max(a, j - k), j), render(block, j, min(b, j + k))
-                gap = " " if doc.tokens[j - 1].end < doc.tokens[j].start else ""
+                gap = " " if doc.tokens.ends[j - 1] < doc.tokens.starts[j] else ""
                 for n in config.orders_for(block):
                     window = gap if n == 1 else left[-(n - 1) :] + gap + right[: n - 1]
                     total.update(_char_ngram_counts(window, (n,)))

@@ -146,7 +146,7 @@ class CountsCache(CountsStore):
             counts = {
                 key: extract_all(inst, self.config)
                 for key, inst in doc_new.items()
-                if key[1] != (0, len(inst.doc.tokens))
+                if key[1] != (0, inst.doc.token_count)
             }
             for key, inst in doc_new.items():
                 if key not in counts:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import re
 import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from stylauth.corpus import (
-    PUNCTUATION,
-    WORD,
     build_document,
     load_annotations,
     load_corpus,
@@ -31,6 +32,7 @@ from stylauth.errors import (
     UnbalancedQuotationError,
     UnknownTagError,
 )
+from stylauth.features import Instance
 
 from conftest import write_corpus
 
@@ -79,7 +81,7 @@ class TestNormalize:
         assert decomposed != precomposed
         docs = [build_document(f"d{i}", "X", "t", text) for i, text in
                 enumerate([precomposed, decomposed])]
-        assert [t.surface for t in docs[1].tokens] == ["aquā", "et", "terrā", "ṽel", "."]
+        assert _surfaces(docs[1].tokens) == ["aquā", "et", "terrā", "ṽel", "."]
         assert docs[1].tokens == docs[0].tokens
         assert docs[1].text_sha256() == docs[0].text_sha256()
 
@@ -101,41 +103,126 @@ class TestNormalize:
         assert "v" not in result and "j" not in result
 
 
+def _surfaces(tokens):
+    """The text of each token."""
+    return [tokens.text[a:b] for a, b in zip(tokens.starts.tolist(), tokens.ends.tolist())]
+
+
+def _layout(tokens):
+    """(surface, is_word) of each token."""
+    return list(zip(_surfaces(tokens), tokens.is_word.tolist()))
+
+
+# Letters, combining marks, decimal, superscript and other numeric
+# characters, "_", punctuation and whitespace; surrogates are never drawn.
+tokenizer_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("aā_.!?,¹²ⅻ½07٣ \n\t\u00a0\u0301"),
+        st.characters(whitelist_categories=(
+            "Lu", "Ll", "Lm", "Lo", "Mn", "Nd", "Nl", "No", "Pc", "Po", "Ps", "Zs", "Cc"
+        )),
+    ),
+    max_size=60,
+)
+
+
+def _reference_tokens(text):
+    """(start, end, is_word) of each token: runs of non-space characters
+    from ``finditer``, split into runs of letters and single other characters.
+    """
+    found = []
+    for match in re.finditer(r"\S+", text):
+        start = match.start()
+        for letters, run in itertools.groupby(match.group(), key=str.isalpha):
+            n = len(list(run))
+            if letters:
+                found.append((start, start + n, True))
+            else:
+                found += [(i, i + 1, False) for i in range(start, start + n)]
+            start += n
+    return found
+
+
 class TestTokenize:
     def test_words_and_punctuation(self):
         tokens = tokenize("aqua et terra.")
-        assert [(t.surface, t.kind) for t in tokens] == [
-            ("aqua", WORD),
-            ("et", WORD),
-            ("terra", WORD),
-            (".", PUNCTUATION),
+        assert _layout(tokens) == [
+            ("aqua", True),
+            ("et", True),
+            ("terra", True),
+            (".", False),
         ]
 
     def test_empty(self):
-        assert tokenize("") == []
+        tokens = tokenize("")
+        assert len(tokens) == 0 and tokens.words() == []
+        assert tokens.word_prefix.tolist() == [0]
 
     def test_internal_punctuation(self):
         tokens = tokenize("ratio, inquam")
-        assert [(t.surface, t.kind) for t in tokens] == [
-            ("ratio", WORD),
-            (",", PUNCTUATION),
-            ("inquam", WORD),
+        assert _layout(tokens) == [
+            ("ratio", True),
+            (",", False),
+            ("inquam", True),
         ]
 
     def test_each_punctuation_char_is_its_own_token(self):
         tokens = tokenize("a!?b")
-        assert [t.surface for t in tokens] == ["a", "!", "?", "b"]
+        assert _surfaces(tokens) == ["a", "!", "?", "b"]
 
     def test_char_lengths_and_offsets(self):
         tokens = tokenize("aqua  et")
-        assert [t.char_length for t in tokens] == [4, 2]
-        assert [t.start for t in tokens] == [0, 6]
+        assert (tokens.ends - tokens.starts).tolist() == [4, 2]
+        assert tokens.starts.tolist() == [0, 6]
+
+    @pytest.mark.parametrize("text, expected", [
+        # an edition's footnote marker is not part of the word it follows
+        ("terra¹ et", [("terra", True), ("¹", False), ("et", True)]),
+        ("²x", [("²", False), ("x", True)]),
+        ("ⅻa", [("ⅻ", False), ("a", True)]),
+        ("pes½", [("pes", True), ("½", False)]),
+    ])
+    def test_numeric_characters_are_not_letters(self, text, expected):
+        assert _layout(tokenize(normalize(text))) == expected
+
+    def test_tokens_are_arrays_over_the_text(self):
+        text = "aqua, et terra."
+        tokens = tokenize(text)
+        assert tokens.text is text
+        assert [a.dtype for a in (tokens.starts, tokens.ends, tokens.word_prefix)] == [np.int32] * 3
+        assert tokens.is_word.dtype == np.bool_
+        assert tokens.word_prefix.tolist() == [0, 1, 1, 2, 3, 3]
+        assert tokens.words(1, 4) == ["et", "terra"]
+        assert tokens.words(4, 5) == [] and tokens.words(2, 2) == []
+
+    def test_documents_and_instances_compare_by_value(self):
+        a, b, c = (build_document("d", "X", "t", text)
+                   for text in ("Aqua et terra.", "aqua et terra.", "aqua et terra!"))
+        assert a.tokens == b.tokens and a.tokens != c.tokens
+        assert a == b and a != c
+        assert Instance(a) == Instance(b) and Instance(a) != Instance(c)
+        assert type(a.token_count) is int and type(a.word_token_count) is int
 
     @given(plain_text)
     def test_preserves_all_non_whitespace(self, text):
         normalized = normalize(text)
         tokens = tokenize(normalized)
-        assert "".join(t.surface for t in tokens) == "".join(normalized.split())
+        assert "".join(_surfaces(tokens)) == "".join(normalized.split())
+
+    @given(tokenizer_text, st.integers(0, 60), st.integers(0, 60))
+    def test_matches_the_reference_tokenizer(self, text, start, end):
+        tokens = tokenize(text)
+        reference = _reference_tokens(text)
+        assert list(zip(tokens.starts.tolist(), tokens.ends.tolist(),
+                        tokens.is_word.tolist())) == reference
+        words = [w for _, _, w in reference]
+        assert tokens.word_prefix.tolist() == [0, *itertools.accumulate(words)]
+        assert tokens.words(start, end) == [text[a:b] for a, b, w in reference[start:end] if w]
+        closes = [i + 1 for i, (start, _, word) in enumerate(reference)
+                  if not word and text[start] in ".!?"]
+        if len(reference) > (closes[-1] if closes else 0):
+            closes.append(len(reference))
+        assert split_sentences(tokens) == list(zip([0, *closes], closes))
 
 
 class TestSplitSentences:
@@ -152,7 +239,7 @@ class TestSplitSentences:
         assert split_sentences(tokens) == [(0, 1)]
 
     def test_empty(self):
-        assert split_sentences([]) == []
+        assert split_sentences(tokenize("")) == []
 
     @given(plain_text)
     def test_ranges_partition_tokens(self, text):
@@ -320,7 +407,7 @@ class TestLoadCorpus:
         )
         doc = load_corpus(manifest).get("a")
         assert doc.normalized_text == "uox  iouis."
-        assert [t.surface for t in doc.tokens] == ["uox", "iouis", "."]
+        assert _surfaces(doc.tokens) == ["uox", "iouis", "."]
         assert doc.sentences == [(0, 3)]
 
 

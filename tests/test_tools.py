@@ -40,8 +40,8 @@ def _edited_tree(tmp_path: Path, module: str, old: str, new: str) -> Path:
 def test_a_checkout_equals_itself(tmp_path):
     done = _compare(ROOT, ROOT, tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
-    # loo_report.json, loo_per_text.csv and loo_hardest.csv
-    assert done.stdout.splitlines()[-1].startswith("3 of 3 files equal")
+    # ingest_report.json, loo_report.json, loo_per_text.csv and loo_hardest.csv
+    assert done.stdout.splitlines()[-1].startswith("4 of 4 files equal")
     assert not list(tmp_path.iterdir())  # the work files are gone
 
 
@@ -49,10 +49,20 @@ def test_a_changed_report_fails_the_comparison(tmp_path):
     tree = _edited_tree(tmp_path, "__init__.py", '__version__ = "', '__version__ = "changed-')
     done = _compare(ROOT, tree, tmp_path)
     assert done.returncode == 1, done.stdout + done.stderr
-    # only the report's meta names the version; the CSVs stay equal
-    assert "loo-dro seed 0 loo_report.json: largest numeric difference 0, and non-numeric " \
-        "differences" in done.stdout
-    assert done.stdout.splitlines()[-1].startswith("2 of 3 files equal")
+    # only the reports' meta names the version; the CSVs stay equal
+    for report in ("ingest_report.json", "loo_report.json"):
+        assert f"loo-dro seed 0 {report}: largest numeric difference 0, and non-numeric " \
+            "differences" in done.stdout
+    assert done.stdout.splitlines()[-1].startswith("2 of 4 files equal")
+
+
+def test_a_changed_ingest_count_fails_the_comparison(tmp_path):
+    tree = _edited_tree(tmp_path, "cli.py", '"token_count": doc.token_count,',
+                        '"token_count": doc.token_count + 1,')
+    done = _compare(ROOT, tree, tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "loo-dro seed 0 ingest_report.json: largest numeric difference 1\n" in done.stdout
+    assert done.stdout.splitlines()[-1].startswith("3 of 4 files equal")
 
 
 def test_numbers_within_the_tolerance_count_as_equal(tmp_path):
@@ -62,13 +72,13 @@ def test_numbers_within_the_tolerance_count_as_equal(tmp_path):
     )
     exact = _compare(ROOT, tree, tmp_path)
     assert exact.returncode == 1, exact.stdout + exact.stderr
-    assert exact.stdout.splitlines()[-1].startswith("2 of 3 files equal (")
+    assert exact.stdout.splitlines()[-1].startswith("3 of 4 files equal (")
     within = _compare(ROOT, tree, tmp_path, "--tolerance", "1e-9")
     assert within.returncode == 0, within.stdout + within.stderr
     (line,) = [line for line in within.stdout.splitlines() if "loo_report.json" in line]
     assert line.startswith("loo-dro seed 0 loo_report.json: largest numeric difference 1e-12")
     assert line.endswith(", within 1e-09")
-    assert within.stdout.splitlines()[-1].startswith("3 of 3 files equal within 1e-09 (")
+    assert within.stdout.splitlines()[-1].startswith("4 of 4 files equal within 1e-09 (")
     assert not [p for p in tmp_path.iterdir() if p.name != "tree"]
 
 

@@ -7,16 +7,17 @@ Usage, from the root of a checkout:
 
 For each workload and seed, the corpus and run config are written once,
 with ``prepare`` from ``bench/run.py`` (this checkout's ``bench/``, which
-is only read). Each tree then runs the workload's commands in a fresh
-``python3 -m stylauth.cli`` process with ``PYTHONPATH=<tree>/src``, at the
-bench's thread count. JSON reports are compared without their ``timing``
-section, and every other file byte for byte. For each file that differs,
-the script prints the largest absolute difference between numbers in the
-same place. ``--tolerance ABS`` counts a file whose only differences are
-numbers at most ABS apart as equal, and still prints its largest
-difference. It exits 1 on any other difference and 0 when every file is
-equal. Work files go to a temporary directory (``TMPDIR``), removed at the
-end.
+is only read). Each tree then runs the workload's commands, and
+``ingest`` of its corpus (whose report holds the token, word and sentence
+counts), each in a fresh ``python3 -m stylauth.cli`` process with
+``PYTHONPATH=<tree>/src``, at the bench's thread count. JSON reports are
+compared without their ``timing`` section, and every other file byte for
+byte. For each file that differs, the script prints the largest absolute
+difference between numbers in the same place. ``--tolerance ABS`` counts
+a file whose only differences are numbers at most ABS apart as equal, and
+still prints its largest difference. It exits 1 on any other difference
+and 0 when every file is equal. Work files go to a temporary directory
+(``TMPDIR``), removed at the end.
 """
 
 from __future__ import annotations
@@ -96,10 +97,13 @@ def compare_file(parent: Path, change: Path) -> tuple[float, bool] | None:
 
 
 def run_tree(tree: Path, prepared: bench.Prepared, out_dir: Path, threads: int) -> list[str]:
-    """Run the workload's commands with ``tree``'s stylauth; returns failure messages."""
+    """Run the workload's commands and ``ingest`` with ``tree``'s stylauth;
+    returns failure messages.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    ingest = ["ingest", "--config", str(prepared.config), "--output-dir", str(out_dir)]
     failures = []
-    for argv in prepared.argv(out_dir, threads):
+    for argv in [*prepared.argv(out_dir, threads), ingest]:
         done = subprocess.run(
             [sys.executable, "-m", "stylauth.cli", *argv],
             env=env, cwd=prepared.work_dir, capture_output=True, text=True,
